@@ -92,9 +92,9 @@ PpmCgOutput cg_solve_ppm(Env& env, const ChimneyProblem& problem,
   }
 
   // r = p = b, x = 0. The r·r reduction rides this phase's commit
-  // barrier (env.reduce_dot): each node folds its own chunk after the
-  // commit applies and the partials travel on the barrier's dissemination
-  // tokens — no separate allgather sweep, and the one registration serves
+  // (env.reduce_dot): each node folds its own chunk after the commit
+  // applies and the partials travel in the commit's one allgather — no
+  // separate allgather sweep, and the one registration serves
   // both b_norm and the first rr (the fetch-based formulation ran two
   // full dot() exchanges here).
   auto rr0_h = env.reduce_dot(r, r);

@@ -85,8 +85,7 @@ inline void reduce_combine_thunk(NodeRuntime& rt,
 
 /// Result handle of Env::reduce()/reduce_dot(). The scalar materializes
 /// when the next global phase commits (the per-node partials ride the
-/// commit barrier's dissemination tokens); value() before that commit is
-/// an error.
+/// commit's allgather); value() before that commit is an error.
 template <typename T>
 class ReduceHandle {
  public:
@@ -264,15 +263,14 @@ class Env {
     return out;
   }
 
-  /// Broadcast a vector from `root` to all nodes.
+  /// Broadcast a vector from `root` to all nodes (binomial tree).
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void broadcast(std::vector<T>& data, int root) {
     ByteWriter w;
     if (node_id() == root) w.put_vector(data);
-    const auto all = rt_->allgather_bytes(std::move(w).take());
-    ByteReader r(all[static_cast<size_t>(root)]);
-    data = r.get_vector<T>();
+    const Bytes bytes = rt_->broadcast_bytes(std::move(w).take(), root);
+    if (node_id() != root) data = ByteReader(bytes).get_vector<T>();
   }
 
   /// Inclusive prefix combine over nodes (node 0 gets its own value).
@@ -319,9 +317,9 @@ class Env {
   /// Register a reduction of all elements of `a` under `op`, resolved at
   /// the NEXT global-phase commit: after the commit applies the phase's
   /// writes, each node folds its owned elements in ascending global-index
-  /// order; the partials ride the commit barrier (zero extra messages)
-  /// and combine in ascending node order, so every node reads the
-  /// identical scalar from the handle. SPMD-collective, outside phases.
+  /// order; the partials ride the commit's one allgather and combine in
+  /// ascending node order, so every node reads the identical scalar from
+  /// the handle. SPMD-collective, outside phases.
   template <typename T>
   ReduceHandle<T> reduce(const GlobalShared<T>& a, ReduceOp op) {
     NodeRuntime::PendingReduce pr;

@@ -175,8 +175,12 @@ struct RunResult {
   uint64_t network_bytes = 0;
   uint64_t intranode_messages = 0;
   uint64_t intranode_bytes = 0;
-  /// Runtime counters summed over nodes.
+  /// Runtime counters summed over nodes, except the two global-commit
+  /// counts, which are per runtime: global_phases, and payload_commits —
+  /// the commits that carried a reduction or migration payload and so
+  /// ran an allgather (the others end at the write-bundle exchange).
   uint64_t global_phases = 0;
+  uint64_t payload_commits = 0;
   uint64_t node_phases = 0;
   uint64_t remote_blocks_fetched = 0;
   uint64_t remote_reads_served_from_cache = 0;
@@ -203,8 +207,8 @@ struct RunResult {
   /// plain paths: 12 bytes per kAccumList item / kAccumBlock record
   /// (dropped vp_rank + seq), plus elem_size * (nodes - 1) per reduce()
   /// per node (the root-gather messages a standalone allreduce would
-  /// have sent; reduce partials ride the commit barrier's existing
-  /// dissemination tokens instead).
+  /// have sent; reduce partials share the commit's one allgather
+  /// instead).
   uint64_t reduction_bytes_saved = 0;
   /// Locality engine: migration blocks that changed owners (counted at the
   /// sending side) and the element bytes they carried over the wire.

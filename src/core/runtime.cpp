@@ -23,10 +23,6 @@ static_assert(check::kOpUser2 ==
 
 namespace {
 
-/// Node-collective token channels.
-constexpr uint32_t kChBarrier = 0;
-constexpr uint32_t kChColl = 1;
-
 /// Chunk size of an owner's block distribution: ceil(n / nodes).
 uint64_t chunk_of(uint64_t n, int nodes) {
   return (n + static_cast<uint64_t>(nodes) - 1) / static_cast<uint64_t>(nodes);
@@ -153,6 +149,7 @@ RunResult Runtime::collect() const {
     const auto& c = n->counters();
     r.global_phases += c.global_phases;
     r.node_phases += c.node_phases;
+    r.payload_commits += c.payload_commits;
     r.remote_blocks_fetched += c.blocks_fetched;
     r.remote_reads_served_from_cache += c.reads_from_cache;
     r.slow_path_reads += c.slow_path_reads;
@@ -172,9 +169,10 @@ RunResult Runtime::collect() const {
       r.check_report.merge(v->report());
     }
   }
-  // Phases are counted per node; report runtime-wide phase counts (the
+  // Global commits are counted per node; report runtime-wide counts (the
   // partition's nodes for a tenant runtime).
   r.global_phases /= static_cast<uint64_t>(std::max(1, nodes()));
+  r.payload_commits /= static_cast<uint64_t>(std::max(1, nodes()));
 
   // Per-counter rollup: sum plus per-node extremes, one row per
   // NodeRuntime::Counters field in declaration order.
@@ -184,6 +182,7 @@ RunResult Runtime::collect() const {
   } kCounterFields[] = {
       {"global_phases", &NodeRuntime::Counters::global_phases},
       {"node_phases", &NodeRuntime::Counters::node_phases},
+      {"payload_commits", &NodeRuntime::Counters::payload_commits},
       {"blocks_fetched", &NodeRuntime::Counters::blocks_fetched},
       {"reads_from_cache", &NodeRuntime::Counters::reads_from_cache},
       {"write_entries", &NodeRuntime::Counters::write_entries},
@@ -453,10 +452,6 @@ Vp* NodeRuntime::current_vp() const {
   return fid < vp_by_fiber_.size() ? vp_by_fiber_[fid] : nullptr;
 }
 
-uint64_t NodeRuntime::request_epoch() const {
-  return phase_scope_ == PhaseScope::kGlobal ? epoch_ : detail::kAsyncEpoch;
-}
-
 void NodeRuntime::read_elem(uint32_t id, uint64_t index, std::byte* out) {
   const auto& rec = array(id);
   PPM_CHECK(index < rec.n, "read index %llu out of range (size %llu)",
@@ -565,7 +560,7 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
   w.put(first);
   w.put(count);
   w.put(slot->req_id);
-  w.put(request_epoch());
+  w.put(epoch_);
   rt_send(owner, detail::rt_kind(detail::RtMsg::kGetBlock),
           std::move(w).take());
   ++counters_.blocks_fetched;
@@ -601,8 +596,7 @@ std::shared_ptr<NodeRuntime::FetchSlot> NodeRuntime::issue_block_fetch(
     // right before the requester parks.
     auto& q = peer(owner).fetch_backlog;
     if (q.empty()) backlog_owners_.push_back(owner);
-    q.push_back(QueuedFetch{rec.id, first, count, slot->req_id,
-                            request_epoch(), prefetch});
+    q.push_back(QueuedFetch{rec.id, first, count, slot->req_id, prefetch});
     backlog_nonempty_ = true;
   } else {
     ByteWriter w;
@@ -610,7 +604,7 @@ std::shared_ptr<NodeRuntime::FetchSlot> NodeRuntime::issue_block_fetch(
     w.put(first);
     w.put(count);
     w.put(slot->req_id);
-    w.put(request_epoch());
+    w.put(epoch_);
     rt_send(owner,
             detail::rt_kind(prefetch ? detail::RtMsg::kPrefetchBlock
                                      : detail::RtMsg::kGetBlock),
@@ -642,20 +636,19 @@ void NodeRuntime::flush_fetch_backlog() {
       w.put(f.first);
       w.put(f.count);
       w.put(f.req_id);
-      w.put(f.epoch);
+      w.put(epoch_);
       rt_send(owner,
               detail::rt_kind(f.prefetch ? detail::RtMsg::kPrefetchBlock
                                          : detail::RtMsg::kGetBlock),
               std::move(w).take());
       continue;
     }
+    // The backlog never outlives an epoch (commit_global drops it), so the
+    // list carries the current epoch once.
     ByteWriter w;
-    w.put(q[0].epoch);
+    w.put(epoch_);
     w.put(static_cast<uint32_t>(q.size()));
     for (const QueuedFetch& f : q) {
-      // All entries between two flushes come from one phase scope, so
-      // they share the request epoch (the list carries it once).
-      PPM_CHECK(f.epoch == q[0].epoch, "mixed epochs in one fetch flush");
       w.put(f.array);
       w.put(f.first);
       w.put(f.count);
@@ -978,7 +971,7 @@ void NodeRuntime::gather_elems(uint32_t id,
     ByteWriter w;
     w.put(rec.id);
     w.put(slot->req_id);
-    w.put(request_epoch());
+    w.put(epoch_);
     w.put_vector(group.indices);
     rt_send(owner, detail::rt_kind(detail::RtMsg::kGetIndexed),
             std::move(w).take());
@@ -1636,9 +1629,8 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
                             const std::function<void(Vp&)>& body) {
   PPM_CHECK(started_, "phase before NodeRuntime::start");
   PPM_CHECK(phase_scope_ == PhaseScope::kNone, "phases cannot nest");
-  // Lookahead queued by async reads between phases carries kAsyncEpoch;
-  // ship it before this phase queues epoch-stamped requests (one flush
-  // never mixes epochs).
+  // Ship lookahead queued by reads between phases now, so it overlaps
+  // this phase instead of waiting for its first park.
   flush_fetch_backlog();
   if (validator_) validator_->on_phase_start(global);
   phase_scope_ = global ? PhaseScope::kGlobal : PhaseScope::kNode;
@@ -1829,26 +1821,17 @@ void NodeRuntime::commit_global() {
 
   // 3. Locality engine: decide — on SPMD-replicated state only, so
   //    identically on every node — whether this commit runs a migration
-  //    planning round. Raising the flag before the barrier matters: a
-  //    peer can finish its whole commit while this node is still
-  //    applying, and its post-phase async reads then route by the NEW
-  //    owner map, which this node's storage honors only once its own
-  //    round is done. The flag makes the service fiber defer those reads
-  //    until then. All local access counting is finished here (reads are
-  //    synchronous in the VP loop; writes were counted when logged), so
-  //    the counters are final and ready to ship.
+  //    planning round. All local access counting is finished here (reads
+  //    are synchronous in the VP loop; writes were counted when logged),
+  //    so the counters are final and ready to ship.
   const bool migrate_round = migration_round_due();
-  if (migrate_round) migration_in_progress_ = true;
 
   // 4. Apply local log + staged fragments in deterministic order, then
   //    the epoch's owner-side accumulate fragments (source node
-  //    ascending). This runs BEFORE the barrier — safe because every
-  //    peer's last marker is already in and demand reads are synchronous
-  //    inside the phase, so no current-epoch request can still arrive
-  //    (straggler prefetches only hit abandoned slots); the apply
-  //    consumes no virtual time, so the reorder is observationally
-  //    invisible. It must happen here so reduce partials below fold
-  //    post-commit values and ride the same barrier.
+  //    ascending). Every peer's last marker is in, and a peer's demand
+  //    reads complete before its marker leaves (each channel is FIFO), so
+  //    no peer can still read this epoch's snapshot here: the quorum is
+  //    the phase's barrier. Reduce partials below fold post-commit values.
   std::vector<std::span<const std::byte>> buffers;
   buffers.emplace_back(local_log_.bytes());
   auto staged = staged_bundles_.find(epoch_);
@@ -1867,16 +1850,15 @@ void NodeRuntime::commit_global() {
   }
   staged_last_markers_.erase(epoch_);
 
-  // 5. Global barrier: after it, no node still reads phase-start values
-  //    and all commits are applied everywhere. When a planning round or a
-  //    registered reduction is pending, the barrier tokens carry each
-  //    node's payload (Bruck-style dissemination) — migration access
-  //    counters first, reduce partial blobs appended at the tail — so
-  //    neither collective costs extra messages or latency rounds on top
-  //    of the commit exchange.
+  // 5. A planning round or a registered reduction needs every node's
+  //    payload: one allgather carries migration access counters first and
+  //    reduce partial blobs at the tail. A commit without either exchanges
+  //    nothing more. Peers that finish first tag their next reads with the
+  //    next epoch, which this node serves only after step 6's bump (and so
+  //    after its own migration round).
   const size_t reduce_tail = pending_reduce_blob_bytes();
   const size_t reduce_count = pending_reduces_.size() - reduces_resolved_;
-  std::vector<Bytes> barrier_blobs;
+  std::vector<Bytes> payloads;
   if (migrate_round || reduce_tail > 0) {
     ByteWriter w;
     if (migrate_round) {
@@ -1892,23 +1874,17 @@ void NodeRuntime::commit_global() {
                   reduce_tail);
       }
     }
-    if (node_count() > 1) {
-      barrier_blobs = barrier_allgather(std::move(w).take());
-    } else {
-      barrier_blobs.push_back(std::move(w).take());
-    }
-  } else {
-    barrier_global();
+    payloads = allgather_bytes(std::move(w).take());
+    ++counters_.payload_commits;
   }
 
-  // 5b. Sanitizer: exchange SPMD-lockstep fingerprints while every node is
-  //     parked at this commit anyway (piggybacks on the token/allgather
-  //     path; no-op unless validate_phases).
+  // 5b. Sanitizer: allgather SPMD-lockstep fingerprints (no-op unless
+  //     validate_phases).
   validate_lockstep();
 
   // 5c. Resolve registered reductions: fold the per-node partial blobs in
   //     ascending node order — identical scalar on every node.
-  if (reduce_tail > 0) combine_reduce_partials(barrier_blobs, reduce_tail);
+  if (reduce_tail > 0) combine_reduce_partials(payloads, reduce_tail);
 
   // 5d. Migration planning round: every node computes the identical plan
   //     from allgathered access counters, rewrites the owner maps, and
@@ -1918,9 +1894,9 @@ void NodeRuntime::commit_global() {
   //     the maps and storage agree again). run_migration_round reads
   //     exactly the counter vectors off each blob, so the reduce tail
   //     bytes behind them are ignored.
-  if (migrate_round) run_migration_round(std::move(barrier_blobs));
+  if (migrate_round) run_migration_round(std::move(payloads));
 
-  // 5. New epoch: phase-start snapshot changes, so the read cache dies.
+  // 6. New epoch: phase-start snapshot changes, so the read cache dies.
   ++epoch_;
   if (!block_cache_.empty()) {
     for (auto& rec : arrays_) {
@@ -1945,7 +1921,7 @@ void NodeRuntime::commit_global() {
   }
   pending_blocks_.clear();
 
-  // 6. Serve get requests from nodes that raced ahead into the next phase.
+  // 7. Serve get requests from nodes that raced ahead into this epoch.
   serve_deferred_gets();
 }
 
@@ -1993,7 +1969,7 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   const std::vector<uint32_t> ids = planned_array_ids();
   rebalance_requests_.clear();
 
-  // 1. Decode the counter exchange that rode on the commit barrier:
+  // 1. Decode the counter exchange that rode on the commit allgather:
   //    `all[n]` holds node n's access counters for the planned arrays.
   const int p = node_count();
   // counts[node][array position in ids][migration block]
@@ -2128,8 +2104,8 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   // 4. Wait for and apply this node's inbound blocks — the identical plan
   //    tells every node exactly how many to expect, so no handshake or
   //    extra round is needed. Arrivals cannot belong to a later round: a
-  //    peer reaches its next round only through a barrier this node has
-  //    not entered yet.
+  //    peer reaches its next round only through an allgather this node
+  //    has not entered yet.
   arrivals_cv_->wait([&] { return mig_inbox_.size() >= expected; });
   PPM_CHECK(mig_inbox_.size() == expected,
             "unexpected migration payload (%zu staged, %llu planned)",
@@ -2154,7 +2130,6 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
     auto& ac = arrays_[id].access_count;
     std::fill(ac.begin(), ac.end(), 0);
   }
-  migration_in_progress_ = false;
 }
 
 void NodeRuntime::apply_staged_entries(
@@ -2408,7 +2383,7 @@ void NodeRuntime::apply_staged_accums() {
 }
 
 // ---------------------------------------------------------------------------
-// Remote reduction (rides the commit barrier)
+// Remote reduction (rides the commit allgather)
 // ---------------------------------------------------------------------------
 
 size_t NodeRuntime::register_reduce(PendingReduce pr) {
@@ -2461,14 +2436,14 @@ void NodeRuntime::combine_reduce_partials(const std::vector<Bytes>& all,
                                           size_t tail_bytes) {
   // Every node appended the same partial layout (registration is
   // SPMD-collective), so the blobs parse off the tail of each node's
-  // barrier payload. Folding ascending node order makes the combined
+  // allgather payload. Folding ascending node order makes the combined
   // scalar bit-identical on every node.
   const int p = node_count();
   std::vector<std::span<const std::byte>> tails(static_cast<size_t>(p));
   for (int n = 0; n < p; ++n) {
     const Bytes& b = all[static_cast<size_t>(n)];
     PPM_CHECK(b.size() >= tail_bytes,
-              "commit barrier payload too short for reduce partials");
+              "commit allgather payload too short for reduce partials");
     tails[static_cast<size_t>(n)] =
         std::span<const std::byte>(b.data() + b.size() - tail_bytes,
                                    tail_bytes);
@@ -2487,8 +2462,8 @@ void NodeRuntime::combine_reduce_partials(const std::vector<Bytes>& all,
     pr.result = std::move(acc);
     pr.done = true;
     // A standalone allreduce would have shipped this scalar to and from a
-    // root: elem_size bytes per non-self node, saved by riding the commit
-    // barrier's dissemination tokens.
+    // root: elem_size bytes per non-self node, saved by folding it into
+    // the commit's one allgather.
     counters_.reduction_bytes_saved +=
         static_cast<uint64_t>(esz) * static_cast<uint64_t>(p - 1);
     off += blob_bytes;
@@ -2674,47 +2649,43 @@ void NodeRuntime::handle_get(net::Message msg) {
     (void)r.get<uint64_t>();  // req id
     req_epoch = r.get<uint64_t>();
   }
-  if (req_epoch == detail::kAsyncEpoch) {
-    if (migration_in_progress_) {
-      // This commit's migration round may be about to overwrite the slot
-      // the request resolves to (the requester routed it with the
-      // already-updated owner map). Serve once the round has applied.
-      deferred_gets_.push_back(std::move(msg));
+  if (req_epoch < epoch_) {
+    // A lookahead fetch can legitimately straggle past the requester's
+    // commit (the requester abandoned its slot there): drop it. For
+    // demand reads a stale epoch is a protocol bug. A stale LIST is
+    // legal only when all its items are lookahead (demand requesters
+    // park until served, so their node cannot have committed past).
+    if (cls == detail::RtMsg::kPrefetchBlock) {
       return;
     }
-  } else {
-    if (req_epoch < epoch_) {
-      // A lookahead fetch can legitimately straggle past the requester's
-      // commit (the requester abandoned its slot there): drop it. For
-      // demand reads a stale epoch is a protocol bug. A stale LIST is
-      // legal only when all its items are lookahead (demand requesters
-      // park until served, so their node cannot have committed past).
-      if (cls == detail::RtMsg::kPrefetchBlock) {
-        return;
+    if (cls == detail::RtMsg::kGetBlockList) {
+      const uint32_t n = r.get<uint32_t>();
+      for (uint32_t k = 0; k < n; ++k) {
+        (void)r.get<uint32_t>();  // array
+        (void)r.get<uint64_t>();  // first
+        (void)r.get<uint64_t>();  // count
+        (void)r.get<uint64_t>();  // req id
+        PPM_CHECK(r.get<uint8_t>() != 0,
+                  "stale fetch list contains a demand item");
       }
-      if (cls == detail::RtMsg::kGetBlockList) {
-        const uint32_t n = r.get<uint32_t>();
-        for (uint32_t k = 0; k < n; ++k) {
-          (void)r.get<uint32_t>();  // array
-          (void)r.get<uint64_t>();  // first
-          (void)r.get<uint64_t>();  // count
-          (void)r.get<uint64_t>();  // req id
-          PPM_CHECK(r.get<uint8_t>() != 0,
-                    "stale fetch list contains a demand item");
-        }
-        return;
-      }
-      PPM_CHECK(false,
-                "get request for already-committed epoch %llu (at %llu)",
-                static_cast<unsigned long long>(req_epoch),
-                static_cast<unsigned long long>(epoch_));
-    }
-    if (req_epoch > epoch_) {
-      // Requester already passed the barrier we have not committed past:
-      // serve after our commit so it sees the new phase-start snapshot.
-      deferred_gets_.push_back(std::move(msg));
       return;
     }
+    PPM_CHECK(false,
+              "get request for already-committed epoch %llu (at %llu)",
+              static_cast<unsigned long long>(req_epoch),
+              static_cast<unsigned long long>(epoch_));
+  }
+  // A requester's next commit needs this node's last marker, so it can
+  // run at most one epoch ahead.
+  PPM_CHECK(req_epoch <= epoch_ + 1,
+            "get request for epoch %llu, more than one ahead of %llu",
+            static_cast<unsigned long long>(req_epoch),
+            static_cast<unsigned long long>(epoch_));
+  if (req_epoch > epoch_) {
+    // Requester already committed the phase we are still committing:
+    // serve after our commit so it sees the new phase-start snapshot.
+    deferred_gets_.push_back(std::move(msg));
+    return;
   }
   serve_get(msg);
 }
@@ -2783,34 +2754,13 @@ void NodeRuntime::serve_get(const net::Message& msg) {
 }
 
 void NodeRuntime::serve_deferred_gets() {
-  std::vector<net::Message> still_deferred;
-  for (auto& msg : deferred_gets_) {
-    ByteReader r(msg.payload);
-    uint64_t req_epoch;
-    const detail::RtMsg cls = detail::rt_class(msg.kind);
-    if (cls == detail::RtMsg::kGetBlockList) {
-      req_epoch = r.get<uint64_t>();
-    } else if (cls != detail::RtMsg::kGetIndexed) {
-      (void)r.get<uint32_t>();
-      (void)r.get<uint64_t>();
-      (void)r.get<uint64_t>();
-      (void)r.get<uint64_t>();
-      req_epoch = r.get<uint64_t>();
-    } else {
-      (void)r.get<uint32_t>();
-      (void)r.get<uint64_t>();
-      req_epoch = r.get<uint64_t>();
-    }
-    const bool servable = req_epoch == detail::kAsyncEpoch
-                              ? !migration_in_progress_
-                              : req_epoch <= epoch_;
-    if (servable) {
-      serve_get(msg);
-    } else {
-      still_deferred.push_back(std::move(msg));
-    }
-  }
-  deferred_gets_ = std::move(still_deferred);
+  // handle_get defers only requests exactly one epoch ahead, so the bump
+  // that precedes this call made every one of them current. No request
+  // can be deferred meanwhile: that would take a peer past this epoch's
+  // commit, which needs this node's next marker.
+  const std::vector<net::Message> ready = std::move(deferred_gets_);
+  deferred_gets_.clear();
+  for (const net::Message& msg : ready) serve_get(msg);
 }
 
 void NodeRuntime::handle_bundle(net::Message msg) {
@@ -2885,7 +2835,6 @@ void NodeRuntime::handle_token(net::Message msg) {
   ByteReader r(msg.payload);
   TokenKey key{};
   key.src = msg.src_node;
-  key.channel = r.get<uint32_t>();
   key.seq = r.get<uint64_t>();
   key.round = r.get<uint32_t>();
   const auto body = r.view(r.remaining());
@@ -2897,10 +2846,24 @@ void NodeRuntime::handle_token(net::Message msg) {
 // Node-level collectives
 // ---------------------------------------------------------------------------
 
-void NodeRuntime::token_send(int dst_node, uint32_t channel, uint64_t seq,
-                             uint32_t round, Bytes payload) {
+AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes) {
+  AllgatherPlan plan;
+  if (nodes <= 1) return plan;
+  int64_t depth = 0;
+  for (int span = 1; span < nodes; span *= 2) ++depth;
+  const int64_t hop =
+      link.send_overhead_ns + link.latency_ns + link.recv_overhead_ns;
+  const int64_t sends = (nodes - 1) * link.send_overhead_ns;
+  plan.direct = sends < depth * hop;
+  plan.cost_ns = plan.direct
+                     ? sends + link.latency_ns + link.recv_overhead_ns
+                     : depth * hop;
+  return plan;
+}
+
+void NodeRuntime::token_send(int dst_node, uint64_t seq, uint32_t round,
+                             std::span<const std::byte> payload) {
   ByteWriter w;
-  w.put(channel);
   w.put(seq);
   w.put(round);
   w.put_raw(payload.data(), payload.size());
@@ -2908,9 +2871,8 @@ void NodeRuntime::token_send(int dst_node, uint32_t channel, uint64_t seq,
           std::move(w).take());
 }
 
-Bytes NodeRuntime::token_recv(int src_node, uint32_t channel, uint64_t seq,
-                              uint32_t round) {
-  const TokenKey key{src_node, channel, seq, round};
+Bytes NodeRuntime::token_recv(int src_node, uint64_t seq, uint32_t round) {
+  const TokenKey key{src_node, seq, round};
   arrivals_cv_->wait([&] { return tokens_.count(key) != 0; });
   Bytes payload = std::move(tokens_[key]);
   tokens_.erase(key);
@@ -2920,25 +2882,33 @@ Bytes NodeRuntime::token_recv(int src_node, uint32_t channel, uint64_t seq,
 void NodeRuntime::barrier_global() {
   const int p = node_count();
   if (p == 1) return;
-  const uint64_t seq = barrier_seq_++;
+  const uint64_t seq = token_seq_++;
   uint32_t round = 0;
   for (int offset = 1; offset < p; offset *= 2, ++round) {
-    token_send((node_ + offset) % p, kChBarrier, seq, round, Bytes{});
-    (void)token_recv((node_ - offset % p + p) % p, kChBarrier, seq, round);
+    token_send((node_ + offset) % p, seq, round, {});
+    (void)token_recv((node_ - offset + p) % p, seq, round);
   }
 }
 
-std::vector<Bytes> NodeRuntime::barrier_allgather(Bytes mine) {
+std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
   const int p = node_count();
   std::vector<Bytes> blocks(static_cast<size_t>(p));
   blocks[static_cast<size_t>(node_)] = std::move(mine);
   if (p == 1) return blocks;
-  const uint64_t seq = barrier_seq_++;
-  // Bruck-style dissemination: the identical send/recv pattern (offsets
-  // 1, 2, 4, ... — and with it the round count and the synchronization
-  // property) as barrier_global, but each round's token carries the
-  // contributions its receiver is still missing. After round r every node
-  // holds the blocks of ranks node_, node_-1, ..., node_-(2^(r+1)-1).
+  const uint64_t seq = token_seq_++;
+  if (plan_allgather(shared_.machine().config().network, p).direct) {
+    for (int k = 1; k < p; ++k) {
+      token_send((node_ + k) % p, seq, 0, blocks[static_cast<size_t>(node_)]);
+    }
+    for (int k = 1; k < p; ++k) {
+      const int src = (node_ - k + p) % p;
+      blocks[static_cast<size_t>(src)] = token_recv(src, seq, 0);
+    }
+    return blocks;
+  }
+  // Bruck dissemination (offsets 1, 2, 4, ...): each round's token carries
+  // the contributions its receiver is still missing. After round r every
+  // node holds the blocks of ranks node_, node_-1, ..., node_-(2^(r+1)-1).
   int have = 1;
   uint32_t round = 0;
   for (int offset = 1; offset < p; offset *= 2, ++round) {
@@ -2946,69 +2916,48 @@ std::vector<Bytes> NodeRuntime::barrier_allgather(Bytes mine) {
     ByteWriter w;
     w.put(static_cast<uint32_t>(send_count));
     for (int b = 0; b < send_count; ++b) {
-      const Bytes& blk = blocks[static_cast<size_t>((node_ - b + p) % p)];
-      w.put_span(std::span<const char>(
-          reinterpret_cast<const char*>(blk.data()), blk.size()));
+      w.put_span(std::span<const std::byte>(
+          blocks[static_cast<size_t>((node_ - b + p) % p)]));
     }
-    token_send((node_ + offset) % p, kChBarrier, seq, round,
-               std::move(w).take());
-    const int peer = (node_ - offset % p + p) % p;
-    const Bytes in = token_recv(peer, kChBarrier, seq, round);
+    token_send((node_ + offset) % p, seq, round, std::move(w).take());
+    const int peer = (node_ - offset + p) % p;
+    const Bytes in = token_recv(peer, seq, round);
     ByteReader r(in);
     const auto count = r.get<uint32_t>();
     PPM_CHECK(static_cast<int>(count) == send_count,
-              "counter exchange out of lockstep (round %u: got %u blocks, "
+              "allgather out of lockstep (round %u: got %u blocks, "
               "expected %d)",
               round, count, send_count);
     for (uint32_t b = 0; b < count; ++b) {
-      const auto v = r.get_vector<char>();
-      Bytes& blk =
-          blocks[static_cast<size_t>((peer - static_cast<int>(b) + p) % p)];
-      blk.resize(v.size());
-      if (!v.empty()) std::memcpy(blk.data(), v.data(), v.size());
+      blocks[static_cast<size_t>((peer - static_cast<int>(b) + p) % p)] =
+          r.get_vector<std::byte>();
     }
     have += send_count;
   }
   return blocks;
 }
 
-std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
+Bytes NodeRuntime::broadcast_bytes(Bytes data, int root) {
   const int p = node_count();
-  std::vector<Bytes> result(static_cast<size_t>(p));
-  if (p == 1) {
-    result[0] = std::move(mine);
-    return result;
-  }
-  const uint64_t seq = coll_seq_++;
-  if (node_ != 0) {
-    token_send(0, kChColl, seq, 0, std::move(mine));
-    const Bytes packed = token_recv(0, kChColl, seq, 1);
-    ByteReader r(packed);
-    for (int n = 0; n < p; ++n) {
-      result[static_cast<size_t>(n)] = [&] {
-        auto v = r.get_vector<char>();
-        Bytes b(v.size());
-        if (!v.empty()) std::memcpy(b.data(), v.data(), v.size());
-        return b;
-      }();
+  PPM_CHECK(root >= 0 && root < p, "broadcast root %d outside %d nodes", root,
+            p);
+  if (p == 1) return data;
+  const uint64_t seq = token_seq_++;
+  // Binomial tree over ranks relative to the root: a node receives once,
+  // from the rank that clears its lowest set bit, then forwards to each
+  // rank that sets one of the bits below it.
+  const int rel = (node_ - root + p) % p;
+  int mask = 1;
+  for (; mask < p; mask *= 2) {
+    if ((rel & mask) != 0) {
+      data = token_recv((node_ - mask + p) % p, seq, 0);
+      break;
     }
-    return result;
   }
-  result[0] = std::move(mine);
-  for (int n = 1; n < p; ++n) {
-    result[static_cast<size_t>(n)] = token_recv(n, kChColl, seq, 0);
+  for (mask /= 2; mask > 0; mask /= 2) {
+    if (rel + mask < p) token_send((node_ + mask) % p, seq, 0, data);
   }
-  ByteWriter packed;
-  for (int n = 0; n < p; ++n) {
-    packed.put_span(std::span<const char>(
-        reinterpret_cast<const char*>(result[static_cast<size_t>(n)].data()),
-        result[static_cast<size_t>(n)].size()));
-  }
-  const Bytes packed_bytes = std::move(packed).take();
-  for (int n = 1; n < p; ++n) {
-    token_send(n, kChColl, seq, 1, packed_bytes);
-  }
-  return result;
+  return data;
 }
 
 }  // namespace ppm

@@ -246,6 +246,20 @@ inline bool g_stress_double_apply_accums = false;
 
 }  // namespace detail
 
+/// How node-level allgathers run on p = `nodes` nodes joined by `link`.
+/// Direct sends each blob straight to the p−1 peers; it is chosen when those
+/// serialized send overheads undercut the ⌈log2 p⌉ relay hops of Bruck
+/// dissemination: (p−1)·o_s < ⌈log2 p⌉·(o_s + L + o_r). Every node holds
+/// the same link values, so every node picks the same algorithm.
+struct AllgatherPlan {
+  bool direct = false;
+  /// Modeled critical path: (p−1)·o_s + L + o_r direct, ⌈log2 p⌉·(o_s +
+  /// L + o_r) Bruck, 0 on one node. ppm::model prices payload commits
+  /// with it.
+  int64_t cost_ns = 0;
+};
+AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes);
+
 class NodeRuntime;
 
 /// Cluster-wide runtime: one NodeRuntime per node plus shared options.
@@ -454,13 +468,13 @@ class NodeRuntime {
   /// Env::register_accum_op for the typed front end.
   void register_user_op(uint32_t id, int slot, detail::UserAccumOp op);
 
-  // ---- Remote reduction (rides the commit barrier) ----
+  // ---- Remote reduction (rides the commit allgather) ----
 
   /// One registered reduction, resolved at the next global-phase commit:
   /// after the commit applies its write batch, each node folds its OWNED
   /// elements in ascending global-index order into a partial blob
-  /// ([u8 has_value][elem bytes]); the blobs ride the commit barrier's
-  /// dissemination tokens (zero extra messages), and every node folds the
+  /// ([u8 has_value][elem bytes]); the blobs of every pending reduction
+  /// share the commit's one allgather, and every node folds the
   /// per-node partials in ascending node order — so all nodes compute the
   /// identical scalar, bit-equal to a local fold over the whole array in
   /// ascending index order followed by an ascending-node combine (the
@@ -501,15 +515,22 @@ class NodeRuntime {
 
   // ---- Node-level collectives (used by Env and the commit protocol) ----
 
+  /// Dissemination barrier: ⌈log2 p⌉ rounds of empty tokens.
   void barrier_global();
-  /// Allgather of byte blobs over nodes; result indexed by node.
+  /// Allgather of byte blobs over nodes, direct or Bruck as plan_allgather
+  /// picks; result indexed by node. Every node waits for every blob, so it
+  /// synchronizes like a barrier.
   std::vector<Bytes> allgather_bytes(Bytes mine);
+  /// Binomial-tree broadcast from `root`: returns the root's `data` on
+  /// every node (the argument is ignored elsewhere).
+  Bytes broadcast_bytes(Bytes data, int root);
 
   // ---- Counters (exposed for tests/benches) ----
 
   struct Counters {
     uint64_t global_phases = 0;
     uint64_t node_phases = 0;
+    uint64_t payload_commits = 0;   // global commits that ran an allgather
     uint64_t blocks_fetched = 0;
     uint64_t reads_from_cache = 0;
     uint64_t write_entries = 0;
@@ -628,7 +649,6 @@ class NodeRuntime {
 
   struct TokenKey {
     int src;
-    uint32_t channel;
     uint64_t seq;
     uint32_t round;
     auto operator<=>(const TokenKey&) const = default;
@@ -649,7 +669,6 @@ class NodeRuntime {
   // valid until the phase commits.
   const std::byte* remote_ref(const detail::ArrayRecord& rec,
                               uint64_t index);
-  uint64_t request_epoch() const;
   uint64_t next_req_id() { return req_id_counter_++; }
 
   // Overlap engine (requester side).
@@ -745,11 +764,6 @@ class NodeRuntime {
   /// Arrays the next planning round covers, in ascending id order
   /// (identical on every node).
   std::vector<uint32_t> planned_array_ids() const;
-  /// Global barrier that doubles as an allgather: each dissemination
-  /// round's token carries the byte blobs its receiver is missing, so
-  /// the planner's counter exchange rides the commit barrier at zero
-  /// extra latency rounds. Result indexed by node.
-  std::vector<Bytes> barrier_allgather(Bytes mine);
   /// From the allgathered access counters, compute the identical greedy
   /// plan on every node, rewrite the owner maps, move block payloads via
   /// kMigrateBlock, and reset the profiler.
@@ -767,7 +781,7 @@ class NodeRuntime {
   void apply_staged_accums();
 
   // Pending-reduce plumbing (commit side). Partial blobs are appended to
-  // the barrier_allgather payload AFTER the migration counter vectors;
+  // the commit allgather's payload AFTER the migration counter vectors;
   // their total size is SPMD-replicated (registration is collective), so
   // every node parses them back off the tail of each peer blob.
   size_t pending_reduce_blob_bytes() const;
@@ -783,10 +797,9 @@ class NodeRuntime {
   void validate_lockstep();
 
   // Token transport.
-  void token_send(int dst_node, uint32_t channel, uint64_t seq,
-                  uint32_t round, Bytes payload);
-  Bytes token_recv(int src_node, uint32_t channel, uint64_t seq,
-                   uint32_t round);
+  void token_send(int dst_node, uint64_t seq, uint32_t round,
+                  std::span<const std::byte> payload);
+  Bytes token_recv(int src_node, uint64_t seq, uint32_t round);
   void rt_send(int dst_node, uint64_t kind, Bytes payload);
 
   Vp* current_vp() const;
@@ -847,16 +860,13 @@ class NodeRuntime {
 
   // Locality engine state. mig_inbox_ stages inbound kMigrateBlock
   // payloads (appended by the service fiber, applied by the commit path
-  // once its own outbound copies are serialized); migration_in_progress_
-  // makes the service fiber defer async-epoch gets while owner maps are
-  // mid-rewrite anywhere in the cluster.
+  // once its own outbound copies are serialized).
   struct MigArrival {
     uint32_t array = 0;
     uint64_t block = 0;
     Bytes data;
   };
   bool any_adaptive_ = false;
-  bool migration_in_progress_ = false;
   std::vector<uint32_t> rebalance_requests_;  // sorted array ids
   std::vector<MigArrival> mig_inbox_;
 
@@ -890,7 +900,6 @@ class NodeRuntime {
     uint64_t first = 0;  // owner-local
     uint64_t count = 0;
     uint64_t req_id = 0;
-    uint64_t epoch = 0;
     bool prefetch = false;
   };
   std::vector<int> backlog_owners_;  // owners with a non-empty queue
@@ -949,14 +958,13 @@ class NodeRuntime {
   std::vector<PendingReduce> pending_reduces_;
   size_t reduces_resolved_ = 0;
 
-  // Deferred get requests from nodes ahead of our commit.
+  // Get requests from nodes one epoch ahead, served after our commit.
   std::vector<net::Message> deferred_gets_;
 
-  // Token mailbox.
+  // Token mailbox. Every collective takes the next sequence number; SPMD
+  // programs call collectives in the same order, so the numbers agree.
   std::map<TokenKey, Bytes> tokens_;
-  uint64_t barrier_seq_ = 0;
-  uint64_t coll_seq_ = 0;
-  uint64_t group_seq_ = 0;
+  uint64_t token_seq_ = 0;
 
   Counters counters_;
   std::vector<PhaseProfile> phase_profiles_;

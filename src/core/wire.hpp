@@ -84,11 +84,11 @@ inline uint32_t rt_run_tag(uint64_t kind) {
   return static_cast<uint32_t>(kind >> kRtTagShift) & kRtTagMax;
 }
 
-/// Requests carry the requester's epoch so an owner that has not yet
-/// committed the phase the requester already finished can defer serving
-/// (phase-start snapshot semantics). kAsyncEpoch marks reads that want the
-/// owner's latest committed values (reads outside global phases).
-inline constexpr uint64_t kAsyncEpoch = ~uint64_t{0};
+// Get requests carry the requester's epoch (its count of committed global
+// phases), inside phases and out. An owner that has not yet committed the
+// phase the requester already finished defers serving until it has, so
+// every read sees the snapshot its requester's epoch names. A requester
+// runs at most one epoch ahead: its next commit needs the owner's marker.
 
 /// Write operations a VP can perform on a shared element. Values must
 /// stay in [0, 8): commit builds per-element masks as `1u << op` in a

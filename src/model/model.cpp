@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "cluster/machine.hpp"
+#include "core/runtime.hpp"
 #include "util/error.hpp"
 
 namespace ppm::model {
@@ -70,12 +71,6 @@ bool solve_inplace(std::vector<std::vector<double>>& m,
     r[p] = s / m[p][p];
   }
   return true;
-}
-
-int dissemination_depth(double nodes) {
-  int depth = 0;
-  for (double span = 1.0; span < nodes; span *= 2.0) ++depth;
-  return depth < 1 ? 1 : depth;
 }
 
 void appendf(std::string& out, const char* fmt, ...)
@@ -186,10 +181,10 @@ Observation observe(int nodes, int cores, const RunResult& r) {
   o.bytes = r.network_bytes;
   o.fetches = r.remote_blocks_fetched;
   o.stall_ns = r.fetch_stall_ns;
-  // Counters sum per-node increments; phases run on every node in
-  // lockstep, so divide back to the per-node phase count the barrier term
-  // scales with.
-  o.global_phases = nodes > 0 ? r.global_phases / nodes : r.global_phases;
+  // Global commits come per runtime already (Runtime::collect divides);
+  // node phases are summed over nodes, so divide back to per node.
+  o.global_phases = r.global_phases;
+  o.payload_commits = r.payload_commits;
   o.node_phases = nodes > 0 ? r.node_phases / nodes : r.node_phases;
   for (const auto& p : r.trace_summary.phases) {
     o.compute_critical_ns += p.compute_max_ns;
@@ -203,9 +198,15 @@ Observation observe(int nodes, int cores, const RunResult& r) {
 std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
                                  double compute_critical_ns, double messages,
                                  double bytes, double fetches,
-                                 double stall_ns, double global_phases) {
+                                 double stall_ns, double payload_commits) {
   const double sw = costs.send_overhead_ns + costs.recv_overhead_ns;
-  const double depth = dissemination_depth(nodes);
+  const net::LinkParams link{
+      .latency_ns = std::llround(costs.latency_ns),
+      .bytes_per_ns = costs.bytes_per_ns,
+      .send_overhead_ns = std::llround(costs.send_overhead_ns),
+      .recv_overhead_ns = std::llround(costs.recv_overhead_ns)};
+  const AllgatherPlan allgather =
+      plan_allgather(link, static_cast<int>(nodes));
   return {
       // compute: the critical-path compute legs, straight time.
       compute_critical_ns,
@@ -222,9 +223,10 @@ std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
       // stall_node: residual per-node fetch stall the fetch_rt term's
       // idealized round trips do not capture (queueing, convoying).
       stall_ns / nodes,
-      // barrier: every global phase commits through an O(log N)
-      // dissemination barrier; each round is one message hop.
-      global_phases * depth * (costs.latency_ns + sw),
+      // barrier: a commit carrying a reduction or migration payload runs
+      // the runtime's allgather (direct or Bruck, as the runtime picks);
+      // the others end at the write-bundle exchange, priced above.
+      payload_commits * static_cast<double>(allgather.cost_ns),
   };
 }
 
@@ -254,7 +256,7 @@ Model fit(std::span<const Observation> obs, const MachineCosts& costs) {
   fit_counter(2, [](const Observation& o) { return o.bytes; });
   fit_counter(3, [](const Observation& o) { return o.fetches; });
   fit_counter(4, [](const Observation& o) { return o.stall_ns; });
-  fit_counter(5, [](const Observation& o) { return o.global_phases; });
+  fit_counter(5, [](const Observation& o) { return o.payload_commits; });
   fit_counter(6, [](const Observation& o) { return o.accums_executed; });
   fit_counter(7,
               [](const Observation& o) { return o.reduction_bytes_saved; });
@@ -274,7 +276,7 @@ Model fit(std::span<const Observation> obs, const MachineCosts& costs) {
                         static_cast<double>(o.bytes),
                         static_cast<double>(o.fetches),
                         static_cast<double>(o.stall_ns),
-                        static_cast<double>(o.global_phases));
+                        static_cast<double>(o.payload_commits));
     y[r] = static_cast<double>(o.vtime_ns);
   }
   double ata[kTerms][kTerms];
@@ -354,11 +356,12 @@ Prediction Model::predict(int nodes) const {
   p.bytes = counter(2);
   p.fetches = counter(3);
   p.stall_ns = counter(4);
-  const double gph = counter(5);
+  const double payload_commits = counter(5);
   p.accums_executed = counter(6);
   p.reduction_bytes_saved = counter(7);
-  const std::vector<double> drivers = term_drivers(
-      costs, n, compute, p.messages, p.bytes, p.fetches, p.stall_ns, gph);
+  const std::vector<double> drivers =
+      term_drivers(costs, n, compute, p.messages, p.bytes, p.fetches,
+                   p.stall_ns, payload_commits);
   p.term_ns.resize(kTerms);
   for (size_t i = 0; i < kTerms; ++i) {
     p.term_ns[i] = terms[i].coefficient * drivers[i];

@@ -19,7 +19,7 @@
 //      drivers and the machine's link parameters: per-phase critical
 //      compute, per-fetch round trips, wire-byte serialization, per-
 //      message software overhead, per-node residual fetch stall, and the
-//      commit barrier's O(log N) dissemination depth. Coefficients are
+//      allgather each payload-carrying commit runs. Coefficients are
 //      fit by ridge-regularized non-negative least squares pulled toward
 //      the physical prior (coefficient 1 = the analytic cost is exactly
 //      right), so the fit *corrects* the cost model instead of free-
@@ -53,7 +53,8 @@ struct Observation {
   uint64_t bytes = 0;              // fabric bytes
   uint64_t fetches = 0;            // remote blocks fetched
   uint64_t stall_ns = 0;           // VP fetch-stall time, summed over nodes
-  uint64_t global_phases = 0;      // per node
+  uint64_t global_phases = 0;      // per runtime
+  uint64_t payload_commits = 0;    // per runtime: commits that allgathered
   uint64_t node_phases = 0;        // per node
   int64_t compute_critical_ns = 0;  // sum of per-phase max compute legs
   int64_t commit_critical_ns = 0;   // sum of per-phase max commit legs
@@ -122,7 +123,7 @@ struct Prediction {
 /// Names of the counter shapes a Model carries, in storage order.
 inline constexpr const char* kCounterNames[] = {
     "compute_critical_ns", "messages", "bytes", "fetches",
-    "stall_ns",            "global_phases", "accums_executed",
+    "stall_ns",            "payload_commits", "accums_executed",
     "reduction_bytes_saved"};
 inline constexpr size_t kCounters = 8;
 
@@ -157,6 +158,6 @@ Model fit(std::span<const Observation> obs, const MachineCosts& costs);
 std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
                                  double compute_critical_ns, double messages,
                                  double bytes, double fetches,
-                                 double stall_ns, double global_phases);
+                                 double stall_ns, double payload_commits);
 
 }  // namespace ppm::model

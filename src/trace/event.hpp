@@ -43,7 +43,7 @@ enum class EventKind : uint8_t {
                  // b = payload bytes, flags bit0 = kAccumList (else block)
   kAccumApply,   // owner applied staged accum fragments at commit:
                  // a = fragments, b = elements applied
-  kCommitReduce, // reductions resolved on this commit's barrier:
+  kCommitReduce, // reductions resolved on this commit's allgather:
                  // a = reductions, b = partial-blob bytes carried
 
   // Locality engine.

@@ -45,16 +45,42 @@ TEST_P(EnvCollectives, AllreduceSum) {
 
 TEST_P(EnvCollectives, AllgatherIndexedByNode) {
   const int nodes = GetParam();
-  std::vector<std::vector<int>> views;
-  run(cfg(nodes), [&](Env& env) {
-    views.push_back(env.allgather(env.node_id() * 11));
-  });
-  for (const auto& view : views) {
-    ASSERT_EQ(view.size(), static_cast<size_t>(nodes));
-    for (int n = 0; n < nodes; ++n) {
-      EXPECT_EQ(view[static_cast<size_t>(n)], n * 11);
+  // The default link goes direct at these sizes. A per-message cost far
+  // above the wire latency makes p-1 direct sends lose to ceil(log2 p)
+  // relay hops from 4 nodes on, so that link runs Bruck dissemination.
+  PpmConfig bruck = cfg(nodes);
+  bruck.machine.network.send_overhead_ns = 5'000;
+  bruck.machine.network.latency_ns = 1'000;
+  EXPECT_EQ(plan_allgather(bruck.machine.network, nodes).direct,
+            nodes == 2 || nodes == 3);
+  for (const PpmConfig& c : {cfg(nodes), bruck}) {
+    std::vector<std::vector<int>> views;
+    run(c, [&](Env& env) {
+      views.push_back(env.allgather(env.node_id() * 11));
+    });
+    for (const auto& view : views) {
+      ASSERT_EQ(view.size(), static_cast<size_t>(nodes));
+      for (int n = 0; n < nodes; ++n) {
+        EXPECT_EQ(view[static_cast<size_t>(n)], n * 11);
+      }
     }
   }
+}
+
+TEST(AllgatherPlan, BenchMachineGoesDirectUpTo84Nodes) {
+  // bench/bench_common.hpp's network: 0.6 us overheads, 6 us latency.
+  // 84 nodes: 83 sends (49.8 us) undercut 7 hops (50.4 us); 85 do not.
+  const net::LinkParams link{.latency_ns = 6'000,
+                             .bytes_per_ns = 2.0,
+                             .send_overhead_ns = 600,
+                             .recv_overhead_ns = 600};
+  EXPECT_EQ(plan_allgather(link, 1).cost_ns, 0);
+  EXPECT_TRUE(plan_allgather(link, 8).direct);
+  EXPECT_EQ(plan_allgather(link, 8).cost_ns, 7 * 600 + 6'600);
+  EXPECT_TRUE(plan_allgather(link, 84).direct);
+  EXPECT_FALSE(plan_allgather(link, 85).direct);
+  EXPECT_FALSE(plan_allgather(link, 256).direct);
+  EXPECT_EQ(plan_allgather(link, 256).cost_ns, 8 * 7'200);
 }
 
 TEST_P(EnvCollectives, BroadcastFromEachRoot) {

@@ -297,5 +297,42 @@ TEST(Migration, AsyncReadsSeeMigratedBlocks) {
   }
 }
 
+TEST(Migration, ReadRightAfterMigratingCommitSeesTheMovedBlock) {
+  // An owner bumps its epoch only after its own migration round, so a read
+  // that reaches it early — routed by the new owner map and tagged with
+  // the next epoch — waits until the moved block is in place. Node 0 ships
+  // block 0 to node 1 and, having no inbound block, reads it at once;
+  // fabric jitter varies when node 1 applies the arrival.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    PpmConfig c = cfg(2);
+    c.runtime.adaptive_distribution = true;
+    c.machine.faults.delay_jitter = true;
+    c.machine.faults.seed = seed;
+    c.machine.faults.delay_probability = 0.5;
+    c.machine.faults.max_extra_delay_ns = 100'000;
+    int64_t seen = -1;
+    int owner_after = -1;
+    run(c, [&](Env& env) {
+      const uint64_t n = 24 * 8;  // 24 migration blocks of 8 elements
+      auto a = env.global_array<int64_t>(n, Distribution::kAdaptive);
+      auto vps = env.ppm_do(n / 2);
+      vps.global_phase([&](Vp& vp) {
+        a.set(vp.global_rank(), 7 * static_cast<int64_t>(vp.global_rank()));
+      });
+      // Only node 1 touches block 0, so this commit moves it to node 1.
+      vps.global_phase([&](Vp& vp) {
+        if (env.node_id() == 1) (void)a.get(vp.node_rank() % 8);
+      });
+      if (env.node_id() == 0) {
+        seen = a.get(5);
+        owner_after = a.owner(5);
+      }
+      env.barrier();
+    });
+    EXPECT_EQ(owner_after, 1) << "seed " << seed;
+    EXPECT_EQ(seen, 35) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace ppm

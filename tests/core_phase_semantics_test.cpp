@@ -320,5 +320,41 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.cores);
     });
 
+TEST(PhaseSemanticsUnderJitter, ReadsOutsidePhasesSeeTheLatestCommit) {
+  // A global commit ends once every peer's last marker is in, with no
+  // barrier after the apply, so a fast node can read a peer that is still
+  // applying the same commit. The read carries the requester's epoch and
+  // the owner serves it only after its own commit; served early, it would
+  // return the previous round's value. Fabric jitter varies who is fast.
+  constexpr int kNodes = 4;
+  constexpr int kSeeds = 40;
+  constexpr int64_t kRounds = 20;
+  int reads = 0;
+  int stale = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    PpmConfig c = cfg(kNodes, 1);
+    c.machine.faults.delay_jitter = true;
+    c.machine.faults.seed = static_cast<uint64_t>(seed);
+    c.machine.faults.delay_probability = 0.5;
+    c.machine.faults.max_extra_delay_ns = 100'000;
+    run(c, [&](Env& env) {
+      auto a = env.global_array<int64_t>(kNodes);  // node n owns element n
+      const int me = env.node_id();
+      auto vps = env.ppm_do(1);
+      for (int64_t round = 1; round <= kRounds; ++round) {
+        vps.global_phase([&](Vp&) {
+          a.set(static_cast<uint64_t>((me + 1) % kNodes), round * 100 + me);
+        });
+        // Element me+2 is node me+2's; node me+1 set it in this commit.
+        const int64_t got = a.get(static_cast<uint64_t>((me + 2) % kNodes));
+        ++reads;
+        if (got != round * 100 + (me + 1) % kNodes) ++stale;
+      }
+    });
+  }
+  EXPECT_EQ(reads, kSeeds * kNodes * static_cast<int>(kRounds));
+  EXPECT_EQ(stale, 0);
+}
+
 }  // namespace
 }  // namespace ppm

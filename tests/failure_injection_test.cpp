@@ -81,7 +81,7 @@ TEST(FailureInjection, GetForUnknownArrayRejected) {
           w.put<uint64_t>(0);   // first
           w.put<uint64_t>(1);   // count
           w.put<uint64_t>(1);   // req id
-          w.put<uint64_t>(detail::kAsyncEpoch);
+          w.put<uint64_t>(0);   // epoch: current, so it is served
           net::Message m;
           m.src_node = 0;
           m.src_port = machine.service_port();
@@ -133,8 +133,9 @@ TEST(FailureInjection, TruncatedPrefetchBlockRejected) {
 }
 
 TEST(FailureInjection, PrefetchForUnknownArrayRejected) {
-  // Well-formed prefetch at the async epoch (never treated as stale) for
-  // an array id that was never allocated: must fail loudly in serve_get.
+  // Well-formed prefetch at the current epoch (served, not dropped as
+  // stale) for an array id that was never allocated: must fail loudly in
+  // serve_get.
   cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
   Runtime runtime(machine, RuntimeOptions{});
   EXPECT_THROW(
@@ -147,11 +148,38 @@ TEST(FailureInjection, PrefetchForUnknownArrayRejected) {
           w.put<uint64_t>(0);   // first
           w.put<uint64_t>(1);   // count
           w.put<uint64_t>(9);   // req id
-          w.put<uint64_t>(detail::kAsyncEpoch);
+          w.put<uint64_t>(0);   // epoch: current, so it is served
           inject(machine, detail::RtMsg::kPrefetchBlock,
                  std::move(w).take());
         }
         Env env(nr);
+        env.barrier();
+        nr.finish();
+      }),
+      Error);
+}
+
+TEST(FailureInjection, GetTwoEpochsAheadRejected) {
+  // A requester's next commit needs the owner's last marker, so it can run
+  // at most one epoch ahead; a request further ahead is a protocol error,
+  // not a deferral that would wait forever.
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  EXPECT_THROW(
+      machine.run_per_node([&](int node) {
+        NodeRuntime& nr = runtime.node(node);
+        nr.start();
+        Env env(nr);
+        auto a = env.global_array<uint64_t>(8);
+        if (node == 0) {
+          ByteWriter w;
+          w.put<uint32_t>(a.id());
+          w.put<uint64_t>(0);  // first
+          w.put<uint64_t>(1);  // count
+          w.put<uint64_t>(9);  // req id
+          w.put<uint64_t>(2);  // epoch 2 while the owner is at epoch 0
+          inject(machine, detail::RtMsg::kGetBlock, std::move(w).take());
+        }
         env.barrier();
         nr.finish();
       }),

@@ -76,27 +76,29 @@ TEST(TermDrivers, MatchAnalyticCosts) {
   const std::vector<double> d =
       term_drivers(c, /*nodes=*/8.0, /*compute=*/1e6, /*messages=*/800.0,
                    /*bytes=*/64000.0, /*fetches=*/160.0, /*stall=*/8000.0,
-                   /*global_phases=*/10.0);
+                   /*payload_commits=*/10.0);
   ASSERT_EQ(d.size(), kTerms);
   EXPECT_DOUBLE_EQ(d[0], 1e6);                            // compute
   EXPECT_DOUBLE_EQ(d[1], 20.0 * (2 * 5000 + 2 * 1000));   // fetch_rt
   EXPECT_DOUBLE_EQ(d[2], 8000.0 / 2.0);                   // wire
   EXPECT_DOUBLE_EQ(d[3], 100.0 * 1000.0);                 // msg_sw
   EXPECT_DOUBLE_EQ(d[4], 1000.0);                         // stall_node
-  EXPECT_DOUBLE_EQ(d[5], 10.0 * 3 * 6000.0);              // barrier, log2(8)=3
+  EXPECT_DOUBLE_EQ(d[5], 10.0 * (7 * 500 + 5500));        // barrier, direct
 }
 
-TEST(TermDrivers, BarrierDepthIsCeilLog2) {
+TEST(TermDrivers, BarrierPricesTheRuntimesAllgather) {
   const MachineCosts c;
-  const double per_round = c.latency_ns + c.send_overhead_ns +
-                           c.recv_overhead_ns;
-  // Non-power-of-two node counts round the dissemination depth up.
-  const auto depth = [&](double n) {
-    return term_drivers(c, n, 0, 0, 0, 0, 0, 1.0)[5] / per_round;
+  const auto per_commit = [&](double n) {
+    return term_drivers(c, n, 0, 0, 0, 0, 0, 1.0)[5];
   };
-  EXPECT_DOUBLE_EQ(depth(2), 1.0);
-  EXPECT_DOUBLE_EQ(depth(12), 4.0);
-  EXPECT_DOUBLE_EQ(depth(9660), 14.0);
+  // Direct while the p-1 send overheads undercut ceil(log2 p) hops:
+  // (p-1)*send + latency + recv.
+  EXPECT_DOUBLE_EQ(per_commit(2), 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(12), 11 * 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(64), 63 * 500.0 + 5500.0);
+  // Bruck beyond: ceil(log2 p) hops of send + latency + recv.
+  EXPECT_DOUBLE_EQ(per_commit(128), 7 * 6000.0);
+  EXPECT_DOUBLE_EQ(per_commit(9660), 14 * 6000.0);
 }
 
 /// Synthetic observations whose vtime is an exact known combination of
@@ -113,12 +115,12 @@ std::vector<Observation> synthetic_runs(const MachineCosts& costs,
     o.bytes = static_cast<uint64_t>(30000.0 * n * std::log2(n) + 8000.0);
     o.fetches = static_cast<uint64_t>(50.0 * n);
     o.stall_ns = static_cast<uint64_t>(40000.0 * n);
-    o.global_phases = 24;
+    o.payload_commits = 24;
     const std::vector<double> d = term_drivers(
         costs, n, static_cast<double>(o.compute_critical_ns),
         static_cast<double>(o.messages), static_cast<double>(o.bytes),
         static_cast<double>(o.fetches), static_cast<double>(o.stall_ns),
-        static_cast<double>(o.global_phases));
+        static_cast<double>(o.payload_commits));
     double v = 0;
     for (size_t i = 0; i < kTerms; ++i) v += coeff[i] * d[i];
     o.vtime_ns = static_cast<int64_t>(v);
@@ -200,7 +202,8 @@ TEST(Observe, ExtractsCountersFromRunResult) {
   r.network_bytes = 51200;
   r.remote_blocks_fetched = 80;
   r.fetch_stall_ns = 9000;
-  r.global_phases = 96;  // summed over 4 nodes -> 24 per node
+  r.global_phases = 24;  // per runtime already (Runtime::collect divides)
+  r.payload_commits = 16;
   r.node_phases = 8;
   r.accums_executed = 16;
   r.reduction_bytes_saved = 192;
@@ -217,6 +220,7 @@ TEST(Observe, ExtractsCountersFromRunResult) {
   EXPECT_EQ(o.vtime_ns, 123456);
   EXPECT_EQ(o.messages, 640u);
   EXPECT_EQ(o.global_phases, 24u);
+  EXPECT_EQ(o.payload_commits, 16u);
   EXPECT_EQ(o.compute_critical_ns, 2000);
   EXPECT_EQ(o.commit_critical_ns, 500);
   EXPECT_EQ(o.accums_executed, 16u);

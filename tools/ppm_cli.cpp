@@ -256,6 +256,7 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
           r.intranode_messages);
   appendf(out, "\"intranode_bytes\": %" PRIu64 ", ", r.intranode_bytes);
   appendf(out, "\"global_phases\": %" PRIu64 ", ", r.global_phases);
+  appendf(out, "\"payload_commits\": %" PRIu64 ", ", r.payload_commits);
   appendf(out, "\"node_phases\": %" PRIu64 ",\n ", r.node_phases);
   appendf(out, "\"blocks_fetched\": %" PRIu64 ", ", r.remote_blocks_fetched);
   appendf(out, "\"reads_from_cache\": %" PRIu64 ", ",
