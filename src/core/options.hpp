@@ -178,7 +178,8 @@ struct RunResult {
   /// Runtime counters summed over nodes, except the two global-commit
   /// counts, which are per runtime: global_phases, and payload_commits —
   /// the commits that carried a reduction or migration payload and so
-  /// ran an allgather (the others end at the write-bundle exchange).
+  /// ran a payload allgather after the apply (the others end at the
+  /// write-bundle exchange).
   uint64_t global_phases = 0;
   uint64_t payload_commits = 0;
   uint64_t node_phases = 0;
@@ -189,6 +190,10 @@ struct RunResult {
   /// fully cached phase keeps this at zero.
   uint64_t slow_path_reads = 0;
   uint64_t write_entries = 0;
+  /// kBundle fragments sent, eager flushes and last markers alike. Below
+  /// the allgather crossover every global commit adds p−1 markers per
+  /// node; above it only one per peer written that epoch, so a commit
+  /// without remote writes adds none.
   uint64_t bundles_sent = 0;
   /// Virtual time VPs spent parked on remote fetches (summed over nodes);
   /// the overlap engine exists to shrink this.

@@ -1053,10 +1053,13 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     // Remote contiguous run: the segment's owner-local indices
     // [ll, ll+len) are contiguous. Pass 1 queues demand fetches for every
     // missing cache block (they coalesce into one list flush); pass 2
-    // waits where needed and copies block portions.
+    // waits where needed and copies block portions. Cache hits count as
+    // the per-element path would: every element of a block that was
+    // cached or in flight, all but the first of a block fetched here.
     const uint64_t ll = rec.local_of(g);
     const uint64_t olen = rec.owner_len(owner);
     const uint64_t be = rec.block_elems;
+    uint64_t fetched = 0;
     for (uint64_t b = (ll / be) * be; b < ll + len; b += be) {
       const BlockKey key{
           rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
@@ -1065,7 +1068,9 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
       }
       issue_block_fetch(rec, owner, b, std::min(be, olen - b),
                         /*prefetch=*/false);
+      ++fetched;
     }
+    counters_.reads_from_cache += len - fetched;
     for (uint64_t b = (ll / be) * be; b < ll + len; b += be) {
       const BlockKey key{
           rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
@@ -1079,9 +1084,6 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
         itc = block_cache_.find(key);
         PPM_CHECK(itc != block_cache_.end(),
                   "bulk read fetch did not populate the block cache");
-      } else {
-        counters_.reads_from_cache +=
-            std::min(ll + len, b + be) - std::max(ll, b);
       }
       publish_block(rec, key, itc->second);
       const uint64_t lo = std::max(ll, b);
@@ -1446,8 +1448,10 @@ bool NodeRuntime::try_combine_accum(int dest_node, uint32_t array,
 }
 
 ByteWriter& NodeRuntime::accum_list_buffer(int dest_node) {
-  ByteWriter& buf = peer(dest_node).accum_list;
+  PeerState& ps = peer(dest_node);
+  ByteWriter& buf = ps.accum_list;
   if (buf.size() == 0) {
+    note_marker_owed(dest_node, ps);
     buf.put(epoch_);
     buf.put<uint32_t>(0);  // item count, patched at flush
   }
@@ -1455,35 +1459,45 @@ ByteWriter& NodeRuntime::accum_list_buffer(int dest_node) {
 }
 
 ByteWriter& NodeRuntime::accum_block_buffer(int dest_node) {
-  ByteWriter& buf = peer(dest_node).accum_block;
-  if (buf.size() == 0) buf.put(epoch_);
+  PeerState& ps = peer(dest_node);
+  ByteWriter& buf = ps.accum_block;
+  if (buf.size() == 0) {
+    note_marker_owed(dest_node, ps);
+    buf.put(epoch_);
+  }
   return buf;
 }
 
 void NodeRuntime::flush_accum_buffers(int dest_node) {
   PeerState& ps = peer(dest_node);
+  // Each payload is detached and its buffer reseeded before its send: a
+  // send's overhead can switch fibers, and whatever another core
+  // accumulates meanwhile must start the next fragment, not vanish in the
+  // reseed or land behind an already patched item count.
   if (ps.accum_block.size() > kAccumBlockHeaderBytes) {
+    Bytes block = std::move(ps.accum_block).take();
+    ps.accum_block = ByteWriter(pool_take());
     if (tracer_) [[unlikely]] {
       trace_rec(trace::EventKind::kAccumFlush,
-                static_cast<uint64_t>(dest_node), ps.accum_block.size());
+                static_cast<uint64_t>(dest_node), block.size());
     }
     rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumBlock),
-            std::move(ps.accum_block).take());
-    ps.accum_block = ByteWriter(pool_take());
+            std::move(block));
   }
   if (ps.accum_list_items > 0) {
     std::memcpy(ps.accum_list.data() + sizeof(uint64_t),
                 &ps.accum_list_items, sizeof(uint32_t));
-    if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kAccumFlush,
-                static_cast<uint64_t>(dest_node), ps.accum_list.size(), 0,
-                trace::kFlagBit0);
-    }
-    rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumList),
-            std::move(ps.accum_list).take());
+    Bytes list = std::move(ps.accum_list).take();
     ps.accum_list = ByteWriter(pool_take());
     ps.accum_list_items = 0;
     if (!ps.accum_combine.empty()) ps.accum_combine.clear();
+    if (tracer_) [[unlikely]] {
+      trace_rec(trace::EventKind::kAccumFlush,
+                static_cast<uint64_t>(dest_node), list.size(), 0,
+                trace::kFlagBit0);
+    }
+    rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumList),
+            std::move(list));
   }
 }
 
@@ -1510,8 +1524,10 @@ ByteWriter& NodeRuntime::dest_buffer(int dest_node) {
 }
 
 ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
-  ByteWriter& buf = peer(dest_node).bundle;
+  PeerState& ps = peer(dest_node);
+  ByteWriter& buf = ps.bundle;
   if (buf.size() == 0) {
+    note_marker_owed(dest_node, ps);
     // The fragment header lives inside the buffer from the first entry
     // on: flush_bundle patches the last-flag in place and ships the
     // buffer itself, instead of re-copying the whole payload into a fresh
@@ -1531,14 +1547,17 @@ void NodeRuntime::flush_bundle(int dest_node, bool last) {
               static_cast<uint64_t>(dest_node), buf.size(), 0,
               last ? trace::kFlagBit0 : 0);
   }
-  rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
-          std::move(buf).take());
-  ++counters_.bundles_sent;
-  // Reseed from the recycled-allocation pool: steady-state flushes then
-  // never touch the allocator.
+  // Detach the payload and reseed the buffer before sending: the send's
+  // overhead can switch fibers, and an entry another core appends
+  // meanwhile must start the next fragment. Reseeding from the recycled-
+  // allocation pool keeps steady-state flushes off the allocator.
+  Bytes payload = std::move(buf).take();
   buf = ByteWriter(pool_take());
-  // Buffered-entry offsets died with the shipped payload.
+  // Buffered-entry offsets died with the detached payload.
   reset_combine_map(dest_node);
+  rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
+          std::move(payload));
+  ++counters_.bundles_sent;
 }
 
 Bytes NodeRuntime::pool_take() {
@@ -1577,13 +1596,35 @@ void NodeRuntime::maybe_eager_flush(int dest_node) {
   flush_bundle(dest_node, /*last=*/false);
 }
 
-void NodeRuntime::flush_all_bundles_final() {
+int NodeRuntime::flush_all_bundles_final() {
+  const int p = node_count();
+  // A peer's last marker follows its accum fragments: the per-(src, dst,
+  // port) FIFO then guarantees the owner staged every fragment before the
+  // marker it waits for.
+  if (p > 1 && !plan_allgather(shared_.machine().config().network, p).direct) {
+    // Sparse form: p−1 marker sends would cost more than ⌈log2 p⌉ relay
+    // hops (plan_allgather's rule), so only the peers written this epoch
+    // get a marker (eager flushes count: their fragments may still be in
+    // flight), in ascending order like the direct form. Then a census — a
+    // reduce-scatter of per-destination marker counts — tells each node
+    // how many markers it is owed. It is the phase's barrier: a node
+    // contributes only after its demand reads finished and its fragments
+    // left.
+    std::sort(marker_peers_.begin(), marker_peers_.end());
+    std::vector<uint32_t> owed(static_cast<size_t>(p), 0);
+    for (const int dest : marker_peers_) {
+      flush_accum_buffers(dest);
+      flush_bundle(dest, /*last=*/true);
+      owed[static_cast<size_t>(dest)] = 1;
+    }
+    marker_peers_.clear();
+    return static_cast<int>(reduce_scatter_sum(owed));
+  }
   for (int dest = 0; dest < node_count(); ++dest) {
     if (dest == node_) continue;
-    // Every peer gets exactly one last-marker fragment per phase (possibly
-    // header-only). Accum fragments ship FIRST: the per-(src, dst, port)
-    // FIFO then guarantees the owner staged them before the marker that
-    // completes its commit quorum.
+    // Direct form: every peer gets exactly one last-marker fragment per
+    // phase (possibly header-only), and the p−1 markers back are the
+    // phase's barrier.
     if (peers_.find(dest) != peers_.end()) {
       flush_accum_buffers(dest);
       flush_bundle(dest, /*last=*/true);
@@ -1603,6 +1644,8 @@ void NodeRuntime::flush_all_bundles_final() {
             std::move(w).take());
     ++counters_.bundles_sent;
   }
+  marker_peers_.clear();
+  return p - 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -1809,14 +1852,16 @@ void NodeRuntime::commit_global() {
     backlog_nonempty_ = false;
   }
 
-  // 1. Ship the remaining write entries; every peer gets exactly one
-  //    last-marker fragment per phase (possibly empty).
-  flush_all_bundles_final();
+  // 1. Ship the remaining write entries and this epoch's last markers:
+  //    to every peer below the allgather crossover, to the written peers
+  //    above it (flush_all_bundles_final).
+  const int markers = flush_all_bundles_final();
 
-  // 2. Wait until every peer's last-marker for this epoch arrived.
-  if (node_count() > 1) {
+  // 2. Wait until every last marker owed to this node for this epoch
+  //    arrived.
+  if (markers > 0) {
     arrivals_cv_->wait(
-        [&] { return staged_last_markers_[epoch_] == node_count() - 1; });
+        [&] { return staged_last_markers_[epoch_] == markers; });
   }
 
   // 3. Locality engine: decide — on SPMD-replicated state only, so
@@ -1828,10 +1873,12 @@ void NodeRuntime::commit_global() {
 
   // 4. Apply local log + staged fragments in deterministic order, then
   //    the epoch's owner-side accumulate fragments (source node
-  //    ascending). Every peer's last marker is in, and a peer's demand
-  //    reads complete before its marker leaves (each channel is FIFO), so
-  //    no peer can still read this epoch's snapshot here: the quorum is
-  //    the phase's barrier. Reduce partials below fold post-commit values.
+  //    ascending). Every fragment is in: each channel is FIFO and its
+  //    source's last marker arrived. No peer can still read this epoch's
+  //    snapshot here: a peer's demand reads complete before it sends its
+  //    marker (direct form) or its census counts (sparse form), so the
+  //    marker quorum or the census is the phase's barrier. Reduce partials
+  //    below fold post-commit values.
   std::vector<std::span<const std::byte>> buffers;
   buffers.emplace_back(local_log_.bytes());
   auto staged = staged_bundles_.find(epoch_);
@@ -2675,8 +2722,8 @@ void NodeRuntime::handle_get(net::Message msg) {
               static_cast<unsigned long long>(req_epoch),
               static_cast<unsigned long long>(epoch_));
   }
-  // A requester's next commit needs this node's last marker, so it can
-  // run at most one epoch ahead.
+  // A requester's next commit needs this node's last marker (direct form)
+  // or census counts (sparse form), so it can run at most one epoch ahead.
   PPM_CHECK(req_epoch <= epoch_ + 1,
             "get request for epoch %llu, more than one ahead of %llu",
             static_cast<unsigned long long>(req_epoch),
@@ -2757,7 +2804,7 @@ void NodeRuntime::serve_deferred_gets() {
   // handle_get defers only requests exactly one epoch ahead, so the bump
   // that precedes this call made every one of them current. No request
   // can be deferred meanwhile: that would take a peer past this epoch's
-  // commit, which needs this node's next marker.
+  // commit, which needs this node's next marker or census counts.
   const std::vector<net::Message> ready = std::move(deferred_gets_);
   deferred_gets_.clear();
   for (const net::Message& msg : ready) serve_get(msg);
@@ -2935,6 +2982,40 @@ std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
     have += send_count;
   }
   return blocks;
+}
+
+uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts) {
+  const int p = node_count();
+  PPM_CHECK(counts.size() == static_cast<size_t>(p),
+            "reduce_scatter_sum needs one count per node (%zu for %d)",
+            counts.size(), p);
+  // part[d] is the partial sum for node node_+d.
+  std::vector<uint32_t> part(static_cast<size_t>(p));
+  for (int d = 0; d < p; ++d) {
+    part[static_cast<size_t>(d)] = counts[static_cast<size_t>((node_ + d) % p)];
+  }
+  if (p == 1) return part[0];
+  const uint64_t seq = token_seq_++;
+  int offset = 1;
+  while (offset * 2 < p) offset *= 2;
+  // Bruck dissemination run backwards (offsets ..., 4, 2, 1): each round
+  // hands the partials for nodes node_+offset .. node_+live−1 to node
+  // node_+offset, which folds them into its own partials for the same
+  // nodes, so only the first `offset` partials stay live. After the round
+  // with offset 1, part[0] holds every node's count for this node.
+  int live = p;
+  for (uint32_t round = 0; offset >= 1; offset /= 2, ++round) {
+    ByteWriter w;
+    for (int d = offset; d < live; ++d) w.put(part[static_cast<size_t>(d)]);
+    token_send((node_ + offset) % p, seq, round, std::move(w).take());
+    const Bytes in = token_recv((node_ - offset + p) % p, seq, round);
+    ByteReader r(in);
+    for (int d = 0; d < live - offset; ++d) {
+      part[static_cast<size_t>(d)] += r.get<uint32_t>();
+    }
+    live = offset;
+  }
+  return part[0];
 }
 
 Bytes NodeRuntime::broadcast_bytes(Bytes data, int root) {

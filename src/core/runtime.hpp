@@ -521,6 +521,12 @@ class NodeRuntime {
   /// picks; result indexed by node. Every node waits for every blob, so it
   /// synchronizes like a barrier.
   std::vector<Bytes> allgather_bytes(Bytes mine);
+  /// Reduce-scatter of one count per node: `counts[d]` is this node's
+  /// count for node d; returns the sum over all nodes of their count for
+  /// this node. Bruck dissemination run backwards: ⌈log2 p⌉ rounds and
+  /// p−1 counts sent per node. Every result depends on every node's
+  /// counts, so it synchronizes like a barrier.
+  uint32_t reduce_scatter_sum(const std::vector<uint32_t>& counts);
   /// Binomial-tree broadcast from `root`: returns the root's `data` on
   /// every node (the argument is ignored elsewhere).
   Bytes broadcast_bytes(Bytes data, int root);
@@ -530,7 +536,7 @@ class NodeRuntime {
   struct Counters {
     uint64_t global_phases = 0;
     uint64_t node_phases = 0;
-    uint64_t payload_commits = 0;   // global commits that ran an allgather
+    uint64_t payload_commits = 0;   // commits with a payload allgather
     uint64_t blocks_fetched = 0;
     uint64_t reads_from_cache = 0;
     uint64_t write_entries = 0;
@@ -721,15 +727,19 @@ class NodeRuntime {
   ByteWriter& dest_buffer(int dest_node);
   /// dest_buffer plus lazily written fragment header.
   ByteWriter& bundle_buffer(int dest_node);
-  /// Patch the last-flag, ship the buffer, reseed it from the pool, reset
-  /// the destination's combine map.
+  /// Patch the last-flag, detach the payload, reseed the buffer from the
+  /// pool and reset the destination's combine map, then ship the payload.
   void flush_bundle(int dest_node, bool last);
   /// Fold this write into an earlier buffered entry for the same (array,
   /// element) when legal (same VP, compatible op). True when combined.
   bool try_combine(int dest_node, const detail::WireEntryHeader& hdr,
                    const std::byte* value, const detail::ArrayRecord& rec);
   void maybe_eager_flush(int dest_node);
-  void flush_all_bundles_final();
+  /// End the epoch's write stream: ship every pending fragment and this
+  /// node's last markers, in the direct or the sparse form that
+  /// plan_allgather picks, and return how many last markers this node
+  /// must wait for.
+  int flush_all_bundles_final();
 
   // Owner-side accumulate (sender side). Scalar items collect in a
   // per-peer kAccumList buffer (u64 epoch + u32 item count header, count
@@ -737,7 +747,7 @@ class NodeRuntime {
   // header, self-delimiting records). Both flush at the eager-flush
   // threshold and, unconditionally, right before the peer's final kBundle
   // last-marker — pairwise FIFO then guarantees the owner staged every
-  // fragment before the marker that completes its commit quorum.
+  // fragment before the marker it waits for at commit.
   static constexpr size_t kAccumListHeaderBytes =
       sizeof(uint64_t) + sizeof(uint32_t);
   static constexpr size_t kAccumBlockHeaderBytes = sizeof(uint64_t);
@@ -910,11 +920,13 @@ class NodeRuntime {
   // an entry, so an idle or purely-local node costs O(1) bytes regardless
   // of cluster size — the keystone of thousand-node runs (the eager
   // layout was four O(nodes) containers per node, O(nodes^2) machine-
-  // wide). The end-of-phase last-marker protocol still reaches every
-  // peer: flush_all_bundles_final ships untouched peers a header-only
-  // marker without creating their PeerState.
+  // wide). Below the allgather crossover the end-of-phase last markers
+  // still reach every peer: flush_all_bundles_final ships untouched peers
+  // a header-only marker without creating their PeerState. Above it only
+  // the peers in marker_peers_ get one.
   struct PeerState {
     ByteWriter bundle;  // pending write entries (fragment header inline)
+    uint64_t marker_epoch = ~uint64_t{0};  // last epoch in marker_peers_
     std::unordered_map<ElemKey, CombineSlot, ElemKeyHash> combine;
     size_t combine_hwm = 0;
     std::vector<QueuedFetch> fetch_backlog;
@@ -928,6 +940,17 @@ class NodeRuntime {
   };
   std::unordered_map<int, PeerState> peers_;
   PeerState& peer(int dest_node) { return peers_[dest_node]; }
+  // Peers whose bundle or accumulate buffer was seeded this epoch, eager
+  // flushes included: exactly the peers a fragment goes to. Cleared by
+  // the final flush.
+  std::vector<int> marker_peers_;
+  /// Called when a buffer for `dest_node` is seeded: list the peer in
+  /// marker_peers_ once per epoch.
+  void note_marker_owed(int dest_node, PeerState& ps) {
+    if (ps.marker_epoch == epoch_) return;
+    ps.marker_epoch = epoch_;
+    marker_peers_.push_back(dest_node);
+  }
 
   // Stride detector state, per array id (grown lazily). Tracks the last
   // demand-miss index and the last inter-miss delta; a repeated non-unit

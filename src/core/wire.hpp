@@ -88,7 +88,8 @@ inline uint32_t rt_run_tag(uint64_t kind) {
 // phases), inside phases and out. An owner that has not yet committed the
 // phase the requester already finished defers serving until it has, so
 // every read sees the snapshot its requester's epoch names. A requester
-// runs at most one epoch ahead: its next commit needs the owner's marker.
+// runs at most one epoch ahead: its next commit needs the owner's marker
+// (or, above the allgather crossover, the owner's census counts).
 
 /// Write operations a VP can perform on a shared element. Values must
 /// stay in [0, 8): commit builds per-element masks as `1u << op` in a

@@ -208,10 +208,23 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
       c.machine.faults.max_extra_delay_ns =
           50'000 + static_cast<int64_t>(rng.next_below(200'000));
     }
+    // The link comes from its own stream keyed by (seed, config index),
+    // so the draws above — every earlier config and --replay string —
+    // keep their meaning. Half the multi-node configs get a link whose
+    // 5 us send overhead is a scheduling point (a send can switch cores)
+    // and which, from 4 nodes on, runs Bruck allgathers and so the sparse
+    // commit form (plan_allgather).
+    Rng link_rng(mix64(mix64(seed) ^ static_cast<uint64_t>(i)) ^ 0x714cULL);
+    const bool bruck = c.machine.nodes > 1 && link_rng.next_below(2) == 0;
+    if (bruck) {
+      c.machine.network.send_overhead_ns = 5'000;
+      c.machine.network.latency_ns = 1'000;
+    }
     c.name = strfmt(
-        "cfg%d-%dn%dc-%s%s%s%s%s", i, c.machine.nodes,
+        "cfg%d-%dn%dc-%s%s%s%s%s%s", i, c.machine.nodes,
         c.machine.cores_per_node,
         c.runtime.schedule == SchedulePolicy::kDynamic ? "dyn" : "sta",
+        bruck ? "-bruck" : "",
         c.machine.faults.delay_jitter ? "-faults" : "",
         c.runtime.adaptive_distribution ? "-adapt" : "",
         c.runtime.validate_phases ? "" : "-nochk",

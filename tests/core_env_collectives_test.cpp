@@ -2,7 +2,9 @@
 // system variables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -64,6 +66,27 @@ TEST_P(EnvCollectives, AllgatherIndexedByNode) {
         EXPECT_EQ(view[static_cast<size_t>(n)], n * 11);
       }
     }
+  }
+}
+
+TEST_P(EnvCollectives, ReduceScatterSumsEveryNodesCountForMe) {
+  const int nodes = GetParam();
+  // Node s counts (d + 1) << s for node d, so node d must receive
+  // (d + 1) · (2^nodes − 1): a lost or doubled source flips a bit, and a
+  // count routed to the wrong node changes the factor.
+  std::vector<std::pair<int, uint32_t>> got;
+  run(cfg(nodes), [&](Env& env) {
+    std::vector<uint32_t> counts(static_cast<size_t>(nodes));
+    for (int d = 0; d < nodes; ++d) {
+      counts[static_cast<size_t>(d)] = static_cast<uint32_t>(d + 1)
+                                       << env.node_id();
+    }
+    got.emplace_back(env.node_id(), env.runtime().reduce_scatter_sum(counts));
+  });
+  ASSERT_EQ(got.size(), static_cast<size_t>(nodes));
+  for (const auto& [node, sum] : got) {
+    EXPECT_EQ(sum, static_cast<uint32_t>(node + 1) * ((1u << nodes) - 1))
+        << "node " << node;
   }
 }
 

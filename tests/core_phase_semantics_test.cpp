@@ -320,40 +320,233 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.cores);
     });
 
+// A link whose 5 us send overhead makes 3 direct sends (15 us) lose to 2
+// relay hops (13 us), as in core_env_collectives_test: from 4 nodes on it
+// runs Bruck allgathers, and global commits take the sparse form.
+PpmConfig with_bruck_link(PpmConfig c) {
+  c.machine.network.send_overhead_ns = 5'000;
+  c.machine.network.latency_ns = 1'000;
+  return c;
+}
+
 TEST(PhaseSemanticsUnderJitter, ReadsOutsidePhasesSeeTheLatestCommit) {
-  // A global commit ends once every peer's last marker is in, with no
+  // A global commit ends once every marker owed to a node is in, with no
   // barrier after the apply, so a fast node can read a peer that is still
   // applying the same commit. The read carries the requester's epoch and
   // the owner serves it only after its own commit; served early, it would
   // return the previous round's value. Fabric jitter varies who is fast.
+  // On the default link the commit's barrier is the all-peer marker
+  // quorum; on the Bruck link it is the sparse form's census, which must
+  // also keep a requester at most one epoch ahead.
   constexpr int kNodes = 4;
   constexpr int kSeeds = 40;
   constexpr int64_t kRounds = 20;
+  const PpmConfig links[] = {cfg(kNodes, 1), with_bruck_link(cfg(kNodes, 1))};
+  ASSERT_TRUE(plan_allgather(links[0].machine.network, kNodes).direct);
+  ASSERT_FALSE(plan_allgather(links[1].machine.network, kNodes).direct);
   int reads = 0;
   int stale = 0;
+  for (const PpmConfig& link : links) {
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      PpmConfig c = link;
+      c.machine.faults.delay_jitter = true;
+      c.machine.faults.seed = static_cast<uint64_t>(seed);
+      c.machine.faults.delay_probability = 0.5;
+      c.machine.faults.max_extra_delay_ns = 100'000;
+      run(c, [&](Env& env) {
+        auto a = env.global_array<int64_t>(kNodes);  // node n owns element n
+        const int me = env.node_id();
+        auto vps = env.ppm_do(1);
+        for (int64_t round = 1; round <= kRounds; ++round) {
+          vps.global_phase([&](Vp&) {
+            a.set(static_cast<uint64_t>((me + 1) % kNodes), round * 100 + me);
+          });
+          // Element me+2 is node me+2's; node me+1 set it in this commit.
+          const int64_t got =
+              a.get(static_cast<uint64_t>((me + 2) % kNodes));
+          ++reads;
+          if (got != round * 100 + (me + 1) % kNodes) ++stale;
+        }
+      });
+    }
+  }
+  EXPECT_EQ(reads, 2 * kSeeds * kNodes * static_cast<int>(kRounds));
+  EXPECT_EQ(stale, 0);
+}
+
+// A send whose overhead reaches the engine's scheduling granularity
+// (sim::kSmallAdvanceNs) can switch to another core's fiber. An eager
+// flush must detach the payload and reseed the peer's buffers before it
+// sends, or the entries another core appends during the send are lost
+// when the buffer is reseeded after it. A 96-byte threshold flushes every
+// few entries, so sends overlap other cores' writes all the time.
+struct YieldingSend {
+  int cores;
+  int64_t send_overhead_ns;
+};
+
+class SendThatYields : public ::testing::TestWithParam<YieldingSend> {
+ protected:
+  static constexpr uint64_t kPerNode = 256;  // VPs per node = elements
+
+  PpmConfig config() const {
+    PpmConfig c = cfg(2, GetParam().cores);
+    c.machine.network.send_overhead_ns = GetParam().send_overhead_ns;
+    c.runtime.eager_flush = true;
+    c.runtime.flush_threshold_bytes = 96;
+    return c;
+  }
+  // The element on the other node that VP `rank` writes: node n's VP at
+  // local rank j targets the element at local rank j of node 1 − n.
+  static uint64_t remote_of(uint64_t rank) {
+    return (rank + kPerNode) % (2 * kPerNode);
+  }
+  // The element after remote_of(rank) on the same node, wrapping.
+  static uint64_t remote_next(uint64_t rank) {
+    const uint64_t e = remote_of(rank);
+    return e - e % kPerNode + (e + 1) % kPerNode;
+  }
+};
+
+TEST_P(SendThatYields, EagerFlushKeepsEverySet) {
+  std::vector<int64_t> got;
+  run(config(), [&](Env& env) {
+    auto a = env.global_array<int64_t>(2 * kPerNode);
+    auto vps = env.ppm_do(kPerNode);
+    vps.global_phase([&](Vp& vp) {
+      const uint64_t r = vp.global_rank();
+      a.set(remote_of(r), -1);  // superseded by the second set
+      a.set(remote_of(r), static_cast<int64_t>(r) * 7 + 3);
+    });
+    if (env.node_id() == 0) {
+      for (uint64_t i = 0; i < 2 * kPerNode; ++i) got.push_back(a.get(i));
+    }
+  });
+  ASSERT_EQ(got.size(), 2 * kPerNode);
+  int wrong = 0;
+  for (uint64_t r = 0; r < 2 * kPerNode; ++r) {
+    if (got[remote_of(r)] != static_cast<int64_t>(r) * 7 + 3) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+TEST_P(SendThatYields, EagerFlushKeepsEveryAccumulate) {
+  std::vector<int64_t> got;
+  run(config(), [&](Env& env) {
+    auto a = env.global_array<int64_t>(2 * kPerNode);
+    auto vps = env.ppm_do(kPerNode);
+    vps.global_phase([&](Vp& vp) {
+      const uint64_t r = vp.global_rank();
+      a.accumulate(remote_of(r), ReduceOp::kAdd, static_cast<int64_t>(r));
+      a.accumulate(remote_next(r), ReduceOp::kAdd,
+                   static_cast<int64_t>(r) * 1000);
+    });
+    if (env.node_id() == 0) {
+      for (uint64_t i = 0; i < 2 * kPerNode; ++i) got.push_back(a.get(i));
+    }
+  });
+  ASSERT_EQ(got.size(), 2 * kPerNode);
+  std::vector<int64_t> want(2 * kPerNode, 0);
+  for (uint64_t r = 0; r < 2 * kPerNode; ++r) {
+    want[remote_of(r)] += static_cast<int64_t>(r);
+    want[remote_next(r)] += static_cast<int64_t>(r) * 1000;
+  }
+  int wrong = 0;
+  for (uint64_t i = 0; i < 2 * kPerNode; ++i) {
+    if (got[i] != want[i]) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Overheads, SendThatYields,
+    ::testing::Values(YieldingSend{2, 999}, YieldingSend{2, 1'000},
+                      YieldingSend{2, 5'000}, YieldingSend{4, 999},
+                      YieldingSend{4, 1'000}, YieldingSend{4, 5'000}),
+    [](const ::testing::TestParamInfo<YieldingSend>& info) {
+      return "c" + std::to_string(info.param.cores) + "o" +
+             std::to_string(info.param.send_overhead_ns);
+    });
+
+// Above the allgather crossover a commit sends last markers only to the
+// peers written this epoch, and a census (a reduce-scatter of marker
+// counts) tells each node how many markers to wait for. A peer whose whole
+// stream left in eager flushes is still owed a marker: without it the
+// owner could apply before those fragments arrive. At 4 nodes node n−1
+// gets its census tokens from n−2 and n−3 only, so no token from writer n
+// queues behind n's fragments on their FIFO channel; jitter stretches the
+// fragments.
+PpmConfig sparse_commit_config() { return with_bruck_link(cfg(4, 2)); }
+
+TEST(SparseCommit, PeersWrittenOnlyByEagerFlushesGetTheirMarker) {
+  constexpr uint64_t kSpan = 64;
+  constexpr int kSeeds = 40;
+  constexpr int64_t kRounds = 5;
+  ASSERT_FALSE(
+      plan_allgather(sparse_commit_config().machine.network, 4).direct);
+  int checked = 0;
+  int wrong = 0;
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    PpmConfig c = cfg(kNodes, 1);
+    PpmConfig c = sparse_commit_config();
+    c.runtime.flush_threshold_bytes = 96;  // every span ships at once
     c.machine.faults.delay_jitter = true;
     c.machine.faults.seed = static_cast<uint64_t>(seed);
     c.machine.faults.delay_probability = 0.5;
     c.machine.faults.max_extra_delay_ns = 100'000;
     run(c, [&](Env& env) {
-      auto a = env.global_array<int64_t>(kNodes);  // node n owns element n
+      auto a = env.global_array<int64_t>(4 * kSpan);  // node n: span n
       const int me = env.node_id();
+      const uint64_t dest_base = static_cast<uint64_t>((me + 3) % 4) * kSpan;
       auto vps = env.ppm_do(1);
+      std::vector<int64_t> vals(kSpan);
       for (int64_t round = 1; round <= kRounds; ++round) {
+        // Nodes 1 and 2 set node n−1's span, node 3 only accumulates
+        // into node 2's, and node 0 writes nowhere.
         vps.global_phase([&](Vp&) {
-          a.set(static_cast<uint64_t>((me + 1) % kNodes), round * 100 + me);
+          for (uint64_t i = 0; i < kSpan; ++i) {
+            vals[i] = me == 3 ? round + static_cast<int64_t>(i)
+                              : round * 1000 + me * 100 +
+                                    static_cast<int64_t>(i);
+          }
+          if (me == 1 || me == 2) {
+            a.set_n(dest_base, kSpan, vals.data());
+          } else if (me == 3) {
+            a.accumulate_n(dest_base, kSpan, ReduceOp::kAdd, vals.data());
+          }
         });
-        // Element me+2 is node me+2's; node me+1 set it in this commit.
-        const int64_t got = a.get(static_cast<uint64_t>((me + 2) % kNodes));
-        ++reads;
-        if (got != round * 100 + (me + 1) % kNodes) ++stale;
+        // Each node checks its own span, written this commit.
+        const uint64_t base = static_cast<uint64_t>(me) * kSpan;
+        for (uint64_t i = 0; i < kSpan; ++i) {
+          const auto k = static_cast<int64_t>(i);
+          int64_t want = 0;
+          if (me == 0 || me == 1) {
+            want = round * 1000 + (me + 1) * 100 + k;
+          } else if (me == 2) {
+            want = round * (round + 1) / 2 + round * k;
+          }
+          ++checked;
+          if (a.get(base + i) != want) ++wrong;
+        }
       }
     });
   }
-  EXPECT_EQ(reads, kSeeds * kNodes * static_cast<int>(kRounds));
-  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(checked, kSeeds * 4 * static_cast<int>(kRounds * kSpan));
+  EXPECT_EQ(wrong, 0);
+}
+
+TEST(SparseCommit, LocalWritesSendNoBundles) {
+  const RunResult r = run(sparse_commit_config(), [](Env& env) {
+    auto a = env.global_array<int64_t>(64);
+    auto vps = env.ppm_do(16);
+    for (int round = 0; round < 3; ++round) {
+      vps.global_phase([&](Vp& vp) {
+        a.set(static_cast<uint64_t>(env.node_id()) * 16 + vp.node_rank(),
+              round);
+      });
+    }
+  });
+  EXPECT_EQ(r.global_phases, 3u);
+  EXPECT_EQ(r.bundles_sent, 0u);
 }
 
 }  // namespace

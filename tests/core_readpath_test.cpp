@@ -174,6 +174,40 @@ TEST(ReadPath, PrefetchRangeCoversDemandedBand) {
   EXPECT_EQ(r.remote_blocks_fetched, 2u);
 }
 
+// read_n counts cache hits the way the per-element get loop does: every
+// element of a block that was cached or already in flight, and all but
+// the first element of a block the read fetched itself.
+TEST(ReadPath, BulkReadCountsCacheHitsLikeElementwiseGets) {
+  constexpr uint64_t kN = 4096;
+  // Owner-local elements 100..699 of node 1: three 256-double blocks.
+  constexpr uint64_t kLo = kN / 2 + 100;
+  constexpr uint64_t kHi = kN / 2 + 700;
+  auto cached_reads = [&](bool bulk, bool prefetched) {
+    PpmConfig c = cfg(2, 1);
+    c.runtime.prefetch_lookahead_blocks = 0;  // lookahead off
+    c.runtime.strided_prefetch = false;
+    const RunResult r = run(c, [&](Env& env) {
+      auto a = env.global_array<double>(kN);
+      auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+      vps.global_phase([&](Vp&) {
+        if (prefetched) a.prefetch_range(kLo, kHi);
+        std::vector<double> out(kHi - kLo);
+        if (bulk) {
+          a.read_n(kLo, kHi - kLo, out.data());
+        } else {
+          for (uint64_t i = kLo; i < kHi; ++i) out[i - kLo] = a.get(i);
+        }
+      });
+    });
+    EXPECT_EQ(r.remote_blocks_fetched, 3u);
+    return r.remote_reads_served_from_cache;
+  };
+  EXPECT_EQ(cached_reads(/*bulk=*/false, /*prefetched=*/false), 600u - 3);
+  EXPECT_EQ(cached_reads(/*bulk=*/true, /*prefetched=*/false), 600u - 3);
+  EXPECT_EQ(cached_reads(/*bulk=*/false, /*prefetched=*/true), 600u);
+  EXPECT_EQ(cached_reads(/*bulk=*/true, /*prefetched=*/true), 600u);
+}
+
 // A constant-stride walk two blocks apart: the adjacent-stream detector
 // cannot see it, the strided detector must.
 TEST(ReadPath, StridedDetectorExtendsLookahead) {

@@ -52,18 +52,21 @@ TEST(StressHarness, GeneratorCoversAllDistributionsAndSchedules) {
   EXPECT_TRUE(block && cyclic && adaptive);
 
   bool stat = false, dyn = false, faults = false, multi_node = false;
+  bool bruck = false;
   for (const uint64_t seed : kSmokeSeeds) {
     for (const StressConfig& c : sample_configs(seed, kConfigs)) {
       stat |= c.runtime.schedule == SchedulePolicy::kStatic;
       dyn |= c.runtime.schedule == SchedulePolicy::kDynamic;
       faults |= c.machine.faults.delay_jitter;
       multi_node |= c.machine.nodes > 1;
+      bruck |= c.machine.network.send_overhead_ns >= sim::kSmallAdvanceNs;
     }
   }
   EXPECT_TRUE(stat);
   EXPECT_TRUE(dyn);
   EXPECT_TRUE(faults);
   EXPECT_TRUE(multi_node);
+  EXPECT_TRUE(bruck);  // sends that can switch fibers
 }
 
 TEST(StressHarness, FaultInjectionIsDeterministic) {
@@ -180,6 +183,8 @@ TEST(StressHarness, ReplaySubsetReproducesConfig) {
     EXPECT_EQ(few[i].machine.nodes, many[i].machine.nodes);
     EXPECT_EQ(few[i].machine.cores_per_node, many[i].machine.cores_per_node);
     EXPECT_EQ(few[i].runtime.schedule, many[i].runtime.schedule);
+    EXPECT_EQ(few[i].machine.network.send_overhead_ns,
+              many[i].machine.network.send_overhead_ns);
   }
 }
 

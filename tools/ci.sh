@@ -99,31 +99,40 @@ echo "traced smoke OK (artifact kept at ${trace_json})"
 
 echo "=== parallel engine determinism gate (docs/SIM.md) ==="
 # The windowed engine's contract: a run is a bit-identical replay of
-# itself at any host-thread count. Trace the same modeled CG once on one
-# thread and once on four; the Chrome trace must match byte-for-byte and
-# the RunResult JSON must match on every field except the sim_threads
-# echo itself.
-for t in 1 4; do
-  ASAN_OPTIONS=detect_leaks=0 \
-    build/tools/ppm_cli --app=cg --nodes=4 --cores=4 --size=4096 \
-      --iters=12 --calibration=0 --sim-threads="${t}" \
-      --trace="build/cg_win${t}.trace.json" \
-      --json="build/cg_win${t}.json" >/dev/null
-done
-cmp build/cg_win1.trace.json build/cg_win4.trace.json
-python3 - build/cg_win1.json build/cg_win4.json <<'PY'
+# itself at any host-thread count. Each case runs traced, once on one
+# thread and once on four; the Chrome trace must match byte for byte and
+# the RunResult JSON on every field except the sim_threads echo itself.
+# The 96-node components run is past the default link's allgather
+# crossover (85 nodes), so its commits take the sparse form: last markers
+# only to written peers, then a census of marker counts. Components
+# writes remote elements, so both carry data.
+for case in "cg_win --app=cg --nodes=4 --cores=4 --size=4096 --iters=12" \
+            "cc96_win --app=components --nodes=96 --cores=4 --size=6000"; do
+  read -r tag args <<<"${case}"
+  for t in 1 4; do
+    # ${args} is unquoted on purpose: it splits into ppm_cli's arguments.
+    ASAN_OPTIONS=detect_leaks=0 \
+      build/tools/ppm_cli ${args} --calibration=0 --sim-threads="${t}" \
+        --trace="build/${tag}${t}.trace.json" \
+        --json="build/${tag}${t}.json" >/dev/null
+  done
+  cmp "build/${tag}1.trace.json" "build/${tag}4.trace.json"
+  python3 - "${tag}" "build/${tag}1.json" "build/${tag}4.json" <<'PY'
 import json, sys
-with open(sys.argv[1]) as f:
-    one = json.load(f)
+tag = sys.argv[1]
 with open(sys.argv[2]) as f:
+    one = json.load(f)
+with open(sys.argv[3]) as f:
     four = json.load(f)
 assert one.pop("sim_threads") == 1 and four.pop("sim_threads") == 4
 for key in one:
     assert one[key] == four[key], (
-        f"{key} diverges across sim_threads: {one[key]!r} != {four[key]!r}")
-print(f"windowed determinism OK: trace + {len(one)} result fields "
-      "bit-identical at 1 vs 4 host threads")
+        f"{tag}: {key} diverges across sim_threads: "
+        f"{one[key]!r} != {four[key]!r}")
+print(f"windowed determinism OK ({tag}): trace + {len(one)} result "
+      "fields bit-identical at 1 vs 4 host threads")
 PY
+done
 echo "parallel engine determinism OK"
 
 echo "=== jobs report schema (ppm_jobs --json gate) ==="
