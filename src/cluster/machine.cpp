@@ -10,12 +10,10 @@ Machine::Machine(MachineConfig config) : config_(config) {
   PPM_CHECK(config_.nodes > 0, "machine needs at least one node");
   PPM_CHECK(config_.cores_per_node > 0,
             "machine needs at least one core per node");
-  // Windowed mode needs source-partitionable timing; fall back to the
-  // classic engine otherwise (see MachineConfig::sim_threads).
+  // Windowed mode needs a positive lookahead, the network latency; fall
+  // back to the classic engine otherwise (see MachineConfig::sim_threads).
   int sim_threads = std::max(0, config_.sim_threads);
-  if (config_.backbone_bytes_per_ns > 0.0 || config_.network.latency_ns <= 0) {
-    sim_threads = 0;
-  }
+  if (config_.network.latency_ns <= 0) sim_threads = 0;
   sim_threads_ = std::min(sim_threads, config_.nodes);
 
   net::FabricConfig fc;
@@ -24,7 +22,6 @@ Machine::Machine(MachineConfig config) : config_(config) {
   fc.network = config_.network;
   fc.intranode = config_.intranode;
   fc.faults = config_.faults;
-  fc.backbone_bytes_per_ns = config_.backbone_bytes_per_ns;
 
   if (sim_threads_ == 0) {
     engine_ = std::make_unique<sim::Engine>(config_.engine);

@@ -32,10 +32,6 @@ struct MachineConfig {
                             .send_overhead_ns = 150,
                             .recv_overhead_ns = 150};
   net::FaultConfig faults{};  // deterministic delay/reorder injection
-  /// Shared-backbone bandwidth for inter-node traffic (bytes/ns); 0 = off.
-  /// See net::FabricConfig::backbone_bytes_per_ns. ppm::jobs turns this on
-  /// so co-scheduled jobs on disjoint node sets contend for the fabric.
-  double backbone_bytes_per_ns = 0.0;
   sim::EngineConfig engine{};
   /// Host threads for the parallel windowed simulator (docs/SIM.md).
   /// 0 (the default) keeps the classic single shared engine — exactly the
@@ -45,10 +41,8 @@ struct MachineConfig {
   /// replays the same simulation bit-for-bit (sim_threads=1 is the
   /// reference); classic and windowed may order same-time events
   /// differently, so virtual times can differ between 0 and >= 1.
-  /// Silently forced back to 0 when the config cannot be source-
-  /// partitioned: backbone_bytes_per_ns > 0 (a machine-global
-  /// serialization point) or network.latency_ns <= 0 (the lookahead must
-  /// be positive).
+  /// Silently forced back to 0 when network.latency_ns <= 0 (the
+  /// lookahead must be positive).
   int sim_threads = 0;
 
   int total_cores() const { return nodes * cores_per_node; }

@@ -222,10 +222,6 @@ struct RunResult {
   /// Accesses the planner observed going remote that its accepted moves
   /// turned local (each counted once, on the node that gains the block).
   uint64_t remote_to_local_conversions = 0;
-  /// Wrong-run-tag messages the service loops fenced off (straggler
-  /// traffic from an earlier tenant of a reallocated node; see
-  /// docs/SCHEDULER.md). Always 0 for whole-machine runs.
-  uint64_t stale_messages_dropped = 0;
   /// Findings of the phase-semantics sanitizer, merged over all nodes.
   /// Populated only when RuntimeOptions::validate_phases was set.
   check::Report check_report;

@@ -44,43 +44,9 @@ struct ParsedEntry {
 // Runtime (cluster-wide)
 // ---------------------------------------------------------------------------
 
-namespace {
-std::vector<int> identity_partition(int nodes) {
-  std::vector<int> p(static_cast<size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) p[static_cast<size_t>(n)] = n;
-  return p;
-}
-}  // namespace
-
 Runtime::Runtime(cluster::Machine& machine, RuntimeOptions options)
-    : Runtime(machine, options, identity_partition(machine.nodes()), 0) {}
-
-Runtime::Runtime(cluster::Machine& machine, RuntimeOptions options,
-                 std::vector<int> machine_nodes, uint32_t run_tag)
-    : machine_(machine), options_(options),
-      partition_(std::move(machine_nodes)), run_tag_(run_tag) {
-  PPM_CHECK(!partition_.empty(), "runtime partition needs at least one node");
-  PPM_CHECK(run_tag_ <= detail::kRtTagMax, "run tag %u out of range",
-            run_tag_);
-  logical_of_.assign(static_cast<size_t>(machine.nodes()), -1);
-  for (size_t k = 0; k < partition_.size(); ++k) {
-    const int phys = partition_[k];
-    PPM_CHECK(phys >= 0 && phys < machine.nodes(),
-              "partition node %d outside machine", phys);
-    PPM_CHECK(logical_of_[static_cast<size_t>(phys)] < 0,
-              "machine node %d appears twice in partition", phys);
-    logical_of_[static_cast<size_t>(phys)] = static_cast<int>(k);
-  }
-  if (!machine.windowed()) {
-    // The quiesce latch is a classic-mode facility: only ppm::jobs waits on
-    // it, and the jobs scheduler always configures a shared backbone, which
-    // forces classic mode.
-    quiesce_cv_ = std::make_unique<sim::ConditionVar>(machine.engine());
-  }
+    : machine_(machine), options_(options) {
   if (options_.trace) {
-    // The trace is keyed by physical node id, and the fabric/engine
-    // recorders are process-wide: with several traced tenants the last
-    // attached Runtime wins them. ppm::jobs runs tenants untraced.
     trace_ = std::make_unique<trace::Trace>(machine.nodes(),
                                             options_.trace_buffer_events);
     if (machine.windowed()) {
@@ -100,22 +66,10 @@ Runtime::Runtime(cluster::Machine& machine, RuntimeOptions options,
       machine.engine().set_trace_recorder(&trace_->engine());
     }
   }
-  nodes_.reserve(partition_.size());
-  for (size_t k = 0; k < partition_.size(); ++k) {
-    nodes_.push_back(std::unique_ptr<NodeRuntime>(
-        new NodeRuntime(*this, static_cast<int>(k))));
+  nodes_.reserve(static_cast<size_t>(machine.nodes()));
+  for (int n = 0; n < machine.nodes(); ++n) {
+    nodes_.push_back(std::unique_ptr<NodeRuntime>(new NodeRuntime(*this, n)));
   }
-}
-
-void Runtime::note_runtime_fiber_exited() {
-  if (--live_runtime_fibers_ == 0 && quiesce_cv_) quiesce_cv_->notify_all();
-}
-
-void Runtime::wait_runtime_fibers_exited() {
-  PPM_CHECK(quiesce_cv_ != nullptr,
-            "wait_runtime_fibers_exited is classic-mode only (no tenant "
-            "scheduling under the windowed simulator)");
-  quiesce_cv_->wait([this] { return live_runtime_fibers_ == 0; });
 }
 
 Runtime::~Runtime() {
@@ -164,13 +118,11 @@ RunResult Runtime::collect() const {
     r.blocks_migrated += c.blocks_migrated;
     r.migration_bytes += c.migration_bytes;
     r.remote_to_local_conversions += c.remote_to_local_conversions;
-    r.stale_messages_dropped += c.stale_msgs_dropped;
     if (const check::PhaseValidator* v = n->validator()) {
       r.check_report.merge(v->report());
     }
   }
-  // Global commits are counted per node; report runtime-wide counts (the
-  // partition's nodes for a tenant runtime).
+  // Global commits are counted per node; report runtime-wide counts.
   r.global_phases /= static_cast<uint64_t>(std::max(1, nodes()));
   r.payload_commits /= static_cast<uint64_t>(std::max(1, nodes()));
 
@@ -198,7 +150,6 @@ RunResult Runtime::collect() const {
       {"migration_bytes", &NodeRuntime::Counters::migration_bytes},
       {"remote_to_local_conversions",
        &NodeRuntime::Counters::remote_to_local_conversions},
-      {"stale_msgs_dropped", &NodeRuntime::Counters::stale_msgs_dropped},
       {"slow_path_reads", &NodeRuntime::Counters::slow_path_reads},
   };
   r.counter_rollup.reserve(std::size(kCounterFields));
@@ -220,7 +171,16 @@ RunResult Runtime::collect() const {
     r.counter_rollup.push_back(std::move(row));
   }
 
-  if (trace_) r.trace_summary = trace::analyze(*trace_);
+  if (trace_) {
+    r.trace_summary = trace::analyze(*trace_);
+    // The inline cached-read path and read_n record no kCacheHit/
+    // kCacheMiss events, so the block-cache columns come from the
+    // counters: every cache-served read is a hit, every demand fetch (a
+    // fetched block that was not a prefetch) a miss.
+    r.trace_summary.cache_hits = r.remote_reads_served_from_cache;
+    r.trace_summary.cache_misses =
+        r.remote_blocks_fetched - r.prefetch_issued;
+  }
   return r;
 }
 
@@ -230,15 +190,11 @@ RunResult Runtime::collect() const {
 
 NodeRuntime::NodeRuntime(Runtime& shared, int node_id)
     : shared_(shared), node_(node_id), opts_(shared.options()),
-      engine_(&shared.machine().engine_for_node(shared.machine_node(node_id))) {
+      engine_(&shared.machine().engine_for_node(node_id)) {
   if (opts_.validate_phases) {
     validator_ = std::make_unique<check::PhaseValidator>(node_);
   }
-  // Trace tracks are keyed by physical node id (they describe the machine,
-  // not one tenant).
-  if (trace::Trace* t = shared.trace()) {
-    tracer_ = &t->node(shared.machine_node(node_));
-  }
+  if (trace::Trace* t = shared.trace()) tracer_ = &t->node(node_);
 }
 
 int NodeRuntime::node_count() const { return shared_.nodes(); }
@@ -260,22 +216,12 @@ void NodeRuntime::start() {
     core_of_fiber_[fid] = static_cast<uint16_t>(core);
   };
   if (engine_->on_fiber()) note_core(engine_->current_fiber_id(), 0);
-  // Fibers live at the node's physical place (fiber names carry it too —
-  // it is the machine-level identity). Each spawned runtime fiber is
-  // registered with the Runtime's quiesce latch so a scheduler can wait
-  // for full teardown before reallocating the node to another tenant.
-  const int phys = shared_.machine_node(node_);
-  shared_.note_runtime_fiber_spawned();
-  note_core(machine.spawn_at({phys, 0}, strfmt("n%d.svc", phys),
-                             [this] {
-                               service_loop();
-                               shared_.note_runtime_fiber_exited();
-                             }),
+  note_core(machine.spawn_at({node_, 0}, strfmt("n%d.svc", node_),
+                             [this] { service_loop(); }),
             0);
   for (int core = 1; core < cores_per_node(); ++core) {
-    shared_.note_runtime_fiber_spawned();
-    const auto fid = machine.spawn_at({phys, core},
-                                      strfmt("n%d.w%d", phys, core),
+    const auto fid = machine.spawn_at({node_, core},
+                                      strfmt("n%d.w%d", node_, core),
                      [this, core] {
                        uint64_t seen = 0;
                        for (;;) {
@@ -288,7 +234,6 @@ void NodeRuntime::start() {
                          ++task_.workers_done;
                          task_cv_->notify_all();
                        }
-                       shared_.note_runtime_fiber_exited();
                      });
     note_core(fid, core);
   }
@@ -2567,39 +2512,21 @@ void NodeRuntime::validate_lockstep() {
 // ---------------------------------------------------------------------------
 
 void NodeRuntime::rt_send(int dst_node, uint64_t kind, Bytes payload) {
-  // The single logical→physical translation point of the runtime: all
-  // node ids above this line are partition-logical; the wire carries
-  // physical addresses plus the tenancy's run tag (see wire.hpp).
   net::Message m;
-  m.src_node = shared_.machine_node(node_);
+  m.src_node = node_;
   m.src_port = shared_.machine().service_port();
-  m.dst_node = shared_.machine_node(dst_node);
+  m.dst_node = dst_node;
   m.dst_port = shared_.machine().service_port();
-  m.kind = kind | detail::rt_tag_bits(shared_.run_tag());
+  m.kind = kind;
   m.payload = std::move(payload);
   shared_.machine().fabric().send(std::move(m));
 }
 
 void NodeRuntime::service_loop() {
   auto& endpoint = shared_.machine().fabric().endpoint(
-      shared_.machine_node(node_), shared_.machine().service_port());
+      node_, shared_.machine().service_port());
   for (;;) {
     net::Message msg = endpoint.recv();
-    // Tenancy fence: a reallocated node can still receive straggler
-    // traffic from the previous tenant of this endpoint (e.g. a
-    // fault-delayed kGetResp). Wrong-tag messages are dropped, never
-    // interpreted.
-    if (detail::rt_run_tag(msg.kind) != shared_.run_tag()) {
-      ++counters_.stale_msgs_dropped;
-      continue;
-    }
-    // Translate the wire's physical source back into this partition's
-    // logical node id; everything below the fence is logical again.
-    const int src_logical = shared_.logical_node(msg.src_node);
-    PPM_CHECK(src_logical >= 0,
-              "runtime message from machine node %d outside the partition",
-              msg.src_node);
-    msg.src_node = src_logical;
     switch (detail::rt_class(msg.kind)) {
       case detail::RtMsg::kGetBlock:
       case detail::RtMsg::kPrefetchBlock:

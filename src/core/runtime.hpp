@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -262,53 +261,17 @@ AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes);
 
 class NodeRuntime;
 
-/// Cluster-wide runtime: one NodeRuntime per node plus shared options.
-///
-/// A Runtime can also be a *tenant* of the machine: the partition form
-/// runs on a subset of the machine's nodes, with all node ids inside the
-/// runtime being logical (0 .. partition-1). Logical↔physical translation
-/// happens only at the fabric boundary (rt_send stamps physical addresses
-/// and the run tag; service_loop fences stale-tag traffic and translates
-/// the source back). ppm::jobs co-schedules many such tenants on one
-/// machine; the whole-machine constructor is the identity partition with
-/// run tag 0 and behaves exactly as before.
+/// Cluster-wide runtime: one NodeRuntime per machine node plus shared
+/// options. Node ids are the machine's node ids.
 class Runtime {
  public:
   Runtime(cluster::Machine& machine, RuntimeOptions options);
-  /// Tenant form: run on `machine_nodes` (distinct physical node ids, in
-  /// logical-rank order). `run_tag` (1 .. detail::kRtTagMax) fences this
-  /// tenancy's wire traffic from earlier tenants of the same nodes.
-  Runtime(cluster::Machine& machine, RuntimeOptions options,
-          std::vector<int> machine_nodes, uint32_t run_tag);
   ~Runtime();
 
   NodeRuntime& node(int node_id);
   cluster::Machine& machine() { return machine_; }
   const RuntimeOptions& options() const { return options_; }
-
-  /// Nodes of this runtime (= partition size; machine().nodes() for the
-  /// whole-machine form).
-  int nodes() const { return static_cast<int>(partition_.size()); }
-  /// Physical machine node backing logical node `node_id`.
-  int machine_node(int node_id) const {
-    return partition_[static_cast<size_t>(node_id)];
-  }
-  /// Logical node backed by physical `machine_node`, or -1 if the node is
-  /// outside this runtime's partition.
-  int logical_node(int machine_node) const {
-    return machine_node >= 0 &&
-                   machine_node < static_cast<int>(logical_of_.size())
-               ? logical_of_[static_cast<size_t>(machine_node)]
-               : -1;
-  }
-  uint32_t run_tag() const { return run_tag_; }
-
-  /// Block until every service and worker fiber spawned by the nodes'
-  /// start() calls has exited (all have once every node program ran
-  /// finish()). A scheduler must wait for this before tearing the Runtime
-  /// down and reallocating its nodes — otherwise a dying tenant's service
-  /// fiber could race the next tenant's on the same endpoint.
-  void wait_runtime_fibers_exited();
+  int nodes() const { return machine_.nodes(); }
 
   /// The run's event trace, or nullptr when options().trace is off. Owned
   /// here; the fabric and engine recorders are attached for this Runtime's
@@ -321,20 +284,8 @@ class Runtime {
   RunResult collect() const;
 
  private:
-  friend class NodeRuntime;
-  void note_runtime_fiber_spawned() { ++live_runtime_fibers_; }
-  void note_runtime_fiber_exited();
-
   cluster::Machine& machine_;
   RuntimeOptions options_;
-  std::vector<int> partition_;   // logical node -> physical machine node
-  std::vector<int> logical_of_;  // physical machine node -> logical (or -1)
-  uint32_t run_tag_ = 0;
-  // Atomic: under the windowed simulator (docs/SIM.md) runtime fibers of
-  // different nodes exit on different host threads. The quiesce CV itself
-  // exists only in classic mode (see wait_runtime_fibers_exited).
-  std::atomic<int> live_runtime_fibers_{0};
-  std::unique_ptr<sim::ConditionVar> quiesce_cv_;
   std::unique_ptr<trace::Trace> trace_;  // before nodes_: they point into it
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
@@ -550,7 +501,6 @@ class NodeRuntime {
     uint64_t blocks_migrated = 0;   // migration blocks sent to a new owner
     uint64_t migration_bytes = 0;   // element bytes those blocks carried
     uint64_t remote_to_local_conversions = 0;  // see RunResult
-    uint64_t stale_msgs_dropped = 0;  // wrong-run-tag messages fenced off
     // Reads that entered the runtime's cold remote path (remote_ref) —
     // i.e. missed both the handle-inline local and cached-block fast
     // paths. A fully cached phase keeps this at zero.

@@ -67,23 +67,6 @@ inline RtMsg rt_class(uint64_t kind) {
   return static_cast<RtMsg>(kind >> 56);
 }
 
-/// Multi-tenant fencing: bits [32, 56) of Message::kind carry the sending
-/// Runtime's 24-bit run tag. A node that is reallocated to a new job may
-/// still have stale traffic from the previous tenancy in flight (e.g. a
-/// fault-delayed kGetResp); the service loop drops any message whose tag
-/// differs from its own Runtime's tag instead of misinterpreting it.
-/// Whole-machine runtimes use tag 0, so the legacy wire format is
-/// unchanged (all fence bits zero).
-inline constexpr int kRtTagShift = 32;
-inline constexpr uint32_t kRtTagMax = (uint32_t{1} << 24) - 1;
-
-inline uint64_t rt_tag_bits(uint32_t run_tag) {
-  return static_cast<uint64_t>(run_tag & kRtTagMax) << kRtTagShift;
-}
-inline uint32_t rt_run_tag(uint64_t kind) {
-  return static_cast<uint32_t>(kind >> kRtTagShift) & kRtTagMax;
-}
-
 // Get requests carry the requester's epoch (its count of committed global
 // phases), inside phases and out. An owner that has not yet committed the
 // phase the requester already finished defers serving until it has, so

@@ -32,7 +32,6 @@ Fabric::Fabric(sim::Engine& engine, FabricConfig config)
   }
   egress_free_ns_.assign(static_cast<size_t>(config_.num_nodes), 0);
   ingress_free_ns_.assign(static_cast<size_t>(config_.num_nodes), 0);
-  stats_.per_node.assign(static_cast<size_t>(config_.num_nodes), {});
 }
 
 Fabric::Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config)
@@ -49,8 +48,6 @@ Fabric::Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config)
             "link bandwidth must be positive");
   PPM_CHECK(config_.network.latency_ns > 0,
             "windowed fabric needs positive network latency (lookahead)");
-  PPM_CHECK(config_.backbone_bytes_per_ns == 0.0,
-            "windowed fabric cannot model the shared backbone");
   endpoints_.reserve(
       static_cast<size_t>(config_.num_nodes * config_.ports_per_node));
   for (int n = 0; n < config_.num_nodes; ++n) {
@@ -63,7 +60,6 @@ Fabric::Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config)
   const auto nodes = static_cast<size_t>(config_.num_nodes);
   egress_free_ns_.assign(nodes, 0);
   ingress_free_ns_.assign(nodes, 0);
-  stats_.per_node.assign(nodes, {});
   outbox_.resize(nodes);
   cross_seq_.assign(nodes, 0);
   pair_floor_.resize(nodes);
@@ -195,9 +191,6 @@ void Fabric::windowed_send(Message msg) {
   const int64_t modeled_arrival_ns = arrival_ns;
   stats_.inter_messages.add();
   stats_.inter_bytes.add(bytes);
-  FabricStats::NodeTraffic& nt = stats_.per_node[src];
-  ++nt.tx_messages;
-  nt.tx_bytes += bytes;
   if (faults.delay_jitter) {
     arrival_ns += windowed_jitter_ns(msg, pair_seq_[src][pair_key]++);
     int64_t& floor = pair_floor_[src][pair_key];
@@ -303,31 +296,15 @@ void Fabric::send(Message msg) {
     // Egress NIC serializes this node's outbound traffic.
     const int64_t tx_start = std::max(t_send, egress_free_ns_[src]);
     egress_free_ns_[src] = tx_start + tx;
-    // Optional shared backbone: all inter-node traffic — including between
-    // disjoint node sets — serializes through one machine-wide stage after
-    // egress, so co-scheduled tenants contend. Off (0) by default, leaving
-    // the wire timing bit-identical to the two-NIC model.
-    int64_t wire_enter_ns = tx_start;
-    FabricStats::NodeTraffic& nt = stats_.per_node[src];
-    if (config_.backbone_bytes_per_ns > 0.0) {
-      const int64_t bb_tx = static_cast<int64_t>(std::llround(
-          static_cast<double>(bytes) / config_.backbone_bytes_per_ns));
-      const int64_t bb_start = std::max(tx_start, backbone_free_ns_);
-      backbone_free_ns_ = bb_start + bb_tx;
-      nt.backbone_wait_ns += static_cast<uint64_t>(bb_start - tx_start);
-      wire_enter_ns = bb_start + bb_tx;
-    }
     // First byte reaches the destination after the wire latency; the
     // ingress NIC then absorbs the message, serializing with other arrivals.
     const int64_t rx_start =
-        std::max(wire_enter_ns + link.latency_ns, ingress_free_ns_[dstn]);
+        std::max(tx_start + link.latency_ns, ingress_free_ns_[dstn]);
     const int64_t rx_end = rx_start + tx;
     ingress_free_ns_[dstn] = rx_end;
     deliver_ns = rx_end + link.recv_overhead_ns;
     stats_.inter_messages.add();
     stats_.inter_bytes.add(bytes);
-    ++nt.tx_messages;
-    nt.tx_bytes += bytes;
   }
 
   const int64_t modeled_deliver_ns = deliver_ns;

@@ -81,13 +81,6 @@ struct FabricConfig {
                        .send_overhead_ns = 150,
                        .recv_overhead_ns = 150};
   FaultConfig faults{};
-  /// Shared-backbone bandwidth (bytes/ns) every inter-node message must
-  /// serialize through after leaving its egress NIC. 0 disables the stage
-  /// entirely (the default — timing is then bit-identical to the
-  /// pre-backbone model). With it on, traffic between disjoint node sets
-  /// contends: co-scheduled jobs slow each other down measurably, which is
-  /// what ppm::jobs quantifies via FabricStats::per_node backbone_wait_ns.
-  double backbone_bytes_per_ns = 0.0;
 };
 
 struct Message {
@@ -106,19 +99,6 @@ struct FabricStats {
   Counter intra_messages;
   Counter intra_bytes;
 
-  /// Per-source-node inter-node traffic, indexed by src node id. Sized by
-  /// the Fabric constructor. backbone_wait_ns accumulates the time this
-  /// node's messages queued behind other traffic at the shared backbone
-  /// (always 0 when FabricConfig::backbone_bytes_per_ns == 0). ppm::jobs
-  /// attributes fabric traffic to co-scheduled jobs by taking deltas of
-  /// these rows over each job's node allocation and run window.
-  struct NodeTraffic {
-    uint64_t tx_messages = 0;
-    uint64_t tx_bytes = 0;
-    uint64_t backbone_wait_ns = 0;
-  };
-  std::vector<NodeTraffic> per_node;
-
   /// Windowed mode only: cross-engine arrivals whose (fault-warped) time
   /// fell below the completed window horizon and were clamped up to it by
   /// the exchange step ("re-windowed"). Always 0 in the classic engine and
@@ -131,7 +111,6 @@ struct FabricStats {
     intra_messages.reset();
     intra_bytes.reset();
     rewindowed = 0;
-    for (auto& n : per_node) n = NodeTraffic{};
   }
 };
 
@@ -165,10 +144,8 @@ class Fabric {
   /// Windowed construction (docs/SIM.md): one engine per node; node i's
   /// endpoints block on engine engines[i], and inter-node sends queue into
   /// per-source outboxes that exchange_cross_traffic() drains at window
-  /// boundaries. Requires engines.size() == num_nodes, a positive network
-  /// latency (it is the driver's lookahead) and no shared backbone (the
-  /// backbone is a machine-global serialization point, incompatible with
-  /// source-partitioned timing).
+  /// boundaries. Requires engines.size() == num_nodes and a positive
+  /// network latency (it is the window scheduler's lookahead).
   Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config);
 
   /// Send from the current fiber. Charges sender software overhead to the
@@ -240,7 +217,6 @@ class Fabric {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  // node-major
   std::vector<int64_t> egress_free_ns_;   // per node
   std::vector<int64_t> ingress_free_ns_;  // per node
-  int64_t backbone_free_ns_ = 0;          // shared backbone (see config)
   FabricStats stats_;
   // Fault injection (see FaultConfig): jitter randomness and the per
   // (src node, dst node, dst port) delivery floor that keeps pairwise FIFO.

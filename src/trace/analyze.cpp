@@ -136,8 +136,9 @@ Summary analyze(const Trace& trace) {
           break;
         }
         case EventKind::kFetchStall: {
+          const auto since = static_cast<int64_t>(e.c);  // stall start
           const uint64_t stalled =
-              e.t_ns > e.c ? static_cast<uint64_t>(e.t_ns - e.c) : 0;
+              e.t_ns > since ? static_cast<uint64_t>(e.t_ns - since) : 0;
           s.stall_ns += stalled;
           if (open != nullptr) open->stall_ns += stalled;
           break;

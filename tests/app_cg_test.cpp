@@ -114,7 +114,41 @@ TEST(SerialCg, ResidualsDecreaseOverall) {
 struct Shape {
   int nodes;
   int cores;
+  uint64_t jitter_seed = 0;  // nonzero: seeded fabric delay jitter
+
+  cluster::MachineConfig machine() const {
+    cluster::MachineConfig mc{.nodes = nodes, .cores_per_node = cores};
+    if (jitter_seed != 0) {
+      mc.faults = {.delay_jitter = true,
+                   .seed = jitter_seed,
+                   .delay_probability = 0.5,
+                   .max_extra_delay_ns = 50'000};
+    }
+    return mc;
+  }
 };
+
+struct PpmCgRun {
+  std::vector<double> residuals;
+  std::vector<double> x;  // whole solution, gathered from every node
+  int64_t duration_ns = 0;
+};
+
+PpmCgRun run_ppm_cg(const Shape& shape) {
+  PpmConfig cfg;
+  cfg.machine = shape.machine();
+  PpmCgRun got;
+  got.x.resize(kSmall.unknowns());
+  const RunResult r = run(cfg, [&](Env& env) {
+    auto out = cg_solve_ppm(env, kSmall, {.max_iterations = 60});
+    if (env.node_id() == 0) got.residuals = out.residual_history;
+    for (uint64_t i = out.x.local_begin(); i < out.x.local_end(); ++i) {
+      got.x[i] = out.x.get(i);  // immediate local reads
+    }
+  });
+  got.duration_ns = r.duration_ns;
+  return got;
+}
 
 class DistributedCg : public ::testing::TestWithParam<Shape> {};
 
@@ -123,28 +157,23 @@ TEST_P(DistributedCg, PpmMatchesSerial) {
       cg_solve_serial(build_chimney_matrix(kSmall), build_chimney_rhs(kSmall),
                       {.max_iterations = 60});
 
-  PpmConfig cfg;
-  cfg.machine.nodes = GetParam().nodes;
-  cfg.machine.cores_per_node = GetParam().cores;
-  std::vector<double> residuals;
-  std::vector<double> x_head;
-  run(cfg, [&](Env& env) {
-    auto out = cg_solve_ppm(env, kSmall, {.max_iterations = 60});
-    if (env.node_id() == 0) {
-      residuals = out.residual_history;
-      for (uint64_t i = out.x.local_begin(); i < out.x.local_end(); ++i) {
-        x_head.push_back(out.x.get(i));  // immediate local reads
-      }
-    }
-  });
-  ASSERT_EQ(residuals.size(), serial.residual_history.size());
-  for (size_t i = 0; i < residuals.size(); ++i) {
-    EXPECT_NEAR(residuals[i], serial.residual_history[i],
+  const PpmCgRun got = run_ppm_cg(GetParam());
+  ASSERT_EQ(got.residuals.size(), serial.residual_history.size());
+  for (size_t i = 0; i < got.residuals.size(); ++i) {
+    EXPECT_NEAR(got.residuals[i], serial.residual_history[i],
                 1e-6 * (1 + serial.residual_history[i]))
         << "iteration " << i;
   }
-  for (size_t i = 0; i < x_head.size(); ++i) {
-    EXPECT_NEAR(x_head[i], serial.x[i], 1e-6) << "x[" << i << "]";
+  for (size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_NEAR(got.x[i], serial.x[i], 1e-6) << "x[" << i << "]";
+  }
+  if (GetParam().jitter_seed != 0) {
+    // Fabric jitter moves virtual time, never committed state: the solve
+    // replays the clean run of the same shape bit for bit.
+    const PpmCgRun clean = run_ppm_cg({GetParam().nodes, GetParam().cores});
+    EXPECT_EQ(got.residuals, clean.residuals);
+    EXPECT_EQ(got.x, clean.x);
+    EXPECT_GT(got.duration_ns, clean.duration_ns);  // the faults fired
   }
 }
 
@@ -153,8 +182,7 @@ TEST_P(DistributedCg, MpiMatchesSerial) {
       cg_solve_serial(build_chimney_matrix(kSmall), build_chimney_rhs(kSmall),
                       {.max_iterations = 60});
 
-  cluster::Machine machine(
-      {.nodes = GetParam().nodes, .cores_per_node = GetParam().cores});
+  cluster::Machine machine(GetParam().machine());
   mp::World world(machine);
   std::vector<double> residuals;
   std::vector<double> x0;
@@ -180,10 +208,11 @@ TEST_P(DistributedCg, MpiMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DistributedCg,
     ::testing::Values(Shape{1, 1}, Shape{1, 4}, Shape{2, 2}, Shape{3, 1},
-                      Shape{4, 2}),
+                      Shape{4, 2}, Shape{4, 2, 99}),
     [](const ::testing::TestParamInfo<Shape>& info) {
-      return "n" + std::to_string(info.param.nodes) + "c" +
-             std::to_string(info.param.cores);
+      const Shape& s = info.param;
+      return "n" + std::to_string(s.nodes) + "c" + std::to_string(s.cores) +
+             (s.jitter_seed != 0 ? "j" + std::to_string(s.jitter_seed) : "");
     });
 
 }  // namespace

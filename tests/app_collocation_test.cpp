@@ -81,6 +81,18 @@ TEST(Collocation, SerialMatrixShape) {
 struct Shape {
   int nodes;
   int cores;
+  uint64_t jitter_seed = 0;  // nonzero: seeded fabric delay jitter
+
+  cluster::MachineConfig machine() const {
+    cluster::MachineConfig mc{.nodes = nodes, .cores_per_node = cores};
+    if (jitter_seed != 0) {
+      mc.faults = {.delay_jitter = true,
+                   .seed = jitter_seed,
+                   .delay_probability = 0.5,
+                   .max_extra_delay_ns = 50'000};
+    }
+    return mc;
+  }
 };
 
 class DistributedMatgen : public ::testing::TestWithParam<Shape> {};
@@ -88,8 +100,7 @@ class DistributedMatgen : public ::testing::TestWithParam<Shape> {};
 TEST_P(DistributedMatgen, PpmMatchesSerialBitForBit) {
   const CsrMatrix serial = generate_matrix_serial(kSmall);
   PpmConfig cfg;
-  cfg.machine.nodes = GetParam().nodes;
-  cfg.machine.cores_per_node = GetParam().cores;
+  cfg.machine = GetParam().machine();
   std::vector<PpmMatgenOutput> outputs(static_cast<size_t>(GetParam().nodes));
   run(cfg, [&](Env& env) {
     outputs[static_cast<size_t>(env.node_id())] =
@@ -114,8 +125,7 @@ TEST_P(DistributedMatgen, PpmMatchesSerialBitForBit) {
 
 TEST_P(DistributedMatgen, MpiMatchesSerialBitForBit) {
   const CsrMatrix serial = generate_matrix_serial(kSmall);
-  cluster::Machine machine(
-      {.nodes = GetParam().nodes, .cores_per_node = GetParam().cores});
+  cluster::Machine machine(GetParam().machine());
   mp::World world(machine);
   std::vector<MpiMatgenOutput> outputs(
       static_cast<size_t>(machine.config().total_cores()));
@@ -141,10 +151,12 @@ TEST_P(DistributedMatgen, MpiMatchesSerialBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DistributedMatgen,
-    ::testing::Values(Shape{1, 1}, Shape{2, 2}, Shape{3, 1}, Shape{4, 2}),
+    ::testing::Values(Shape{1, 1}, Shape{2, 2}, Shape{3, 1}, Shape{4, 2},
+                      Shape{4, 2, 99}),
     [](const ::testing::TestParamInfo<Shape>& info) {
-      return "n" + std::to_string(info.param.nodes) + "c" +
-             std::to_string(info.param.cores);
+      const Shape& s = info.param;
+      return "n" + std::to_string(s.nodes) + "c" + std::to_string(s.cores) +
+             (s.jitter_seed != 0 ? "j" + std::to_string(s.jitter_seed) : "");
     });
 
 }  // namespace

@@ -238,7 +238,9 @@ TEST(Overlap, CombiningPreservesSetAddInterleavings) {
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
     EXPECT_EQ(got, 7.0) << "combine=" << combine;
-    if (combine) EXPECT_GE(r.entries_combined, 1u);
+    if (combine) {
+      EXPECT_GE(r.entries_combined, 1u);
+    }
   }
 }
 

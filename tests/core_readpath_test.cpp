@@ -208,6 +208,27 @@ TEST(ReadPath, BulkReadCountsCacheHitsLikeElementwiseGets) {
   EXPECT_EQ(cached_reads(/*bulk=*/true, /*prefetched=*/true), 600u);
 }
 
+// A traced run's block-cache summary (the bundling line of ppm_cli
+// --profile) counts the hits read_n serves, though read_n records no
+// cache trace events.
+TEST(ReadPath, TraceSummaryCountsBulkReadCacheHits) {
+  constexpr uint64_t kN = 4096;
+  PpmConfig c = cfg(2, 1);
+  c.runtime.trace = true;
+  const RunResult r = run(c, [&](Env& env) {
+    auto a = env.global_array<double>(kN);
+    auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+    vps.global_phase([&](Vp&) {
+      std::vector<double> out(kN / 2);
+      a.read_n(kN / 2, kN / 2, out.data());  // node 1's half: remote
+    });
+  });
+  EXPECT_GT(r.remote_reads_served_from_cache, 0u);
+  EXPECT_EQ(r.trace_summary.cache_hits, r.remote_reads_served_from_cache);
+  EXPECT_EQ(r.trace_summary.cache_misses,
+            r.remote_blocks_fetched - r.prefetch_issued);
+}
+
 // A constant-stride walk two blocks apart: the adjacent-stream detector
 // cannot see it, the strided detector must.
 TEST(ReadPath, StridedDetectorExtendsLookahead) {

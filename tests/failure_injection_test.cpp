@@ -6,7 +6,6 @@
 #include "cluster/machine.hpp"
 #include "core/ppm.hpp"
 #include "core/wire.hpp"
-#include "jobs/jobs.hpp"
 #include "mp/comm.hpp"
 
 namespace ppm {
@@ -545,72 +544,6 @@ TEST(FailureInjection, StragglerNodeStillSynchronizes) {
     });
   });
   EXPECT_EQ(total, 15);
-}
-
-// Two explicit jobs co-scheduled by ppm::jobs on disjoint halves of one
-// machine. jobs::JobSpec/JobsConfig come from src/jobs (docs/SCHEDULER.md).
-jobs::JobsConfig two_tenant_config(bool faulted) {
-  jobs::JobsConfig cfg;
-  cfg.machine.nodes = 4;
-  cfg.machine.cores_per_node = 2;
-  cfg.machine.backbone_bytes_per_ns = 2.0;
-  cfg.machine.engine.calibration = sim::CalibrationMode::kModeledOnly;
-  if (faulted) {
-    // Seeded jitter on every fabric message — in a co-scheduled run this
-    // delays BOTH tenants' traffic through the shared backbone.
-    cfg.machine.faults.delay_jitter = true;
-    cfg.machine.faults.seed = 99;
-    cfg.machine.faults.delay_probability = 0.5;
-    cfg.machine.faults.max_extra_delay_ns = 50'000;
-  }
-  jobs::JobSpec a;
-  a.id = 0;
-  a.kind = jobs::JobKind::kCg;
-  a.nodes_required = 2;
-  a.size = 256;
-  a.steps = 3;
-  a.seed = 17;
-  a.arrival_ns = 0;
-  jobs::JobSpec b = a;
-  b.id = 1;
-  b.kind = jobs::JobKind::kMatgen;
-  b.size = 512;
-  b.seed = 18;
-  cfg.jobs = {a, b};
-  return cfg;
-}
-
-TEST(FailureInjection, FaultedCoTenantDoesNotPerturbCommittedState) {
-  // Fault injection may move virtual time around, but a co-scheduled
-  // job's committed state must stay bit-identical to the clean run AND to
-  // the same job alone on an idle, fault-free machine.
-  const jobs::JobsResult clean = jobs::run_jobs(two_tenant_config(false));
-  const jobs::JobsResult faulted = jobs::run_jobs(two_tenant_config(true));
-  ASSERT_EQ(clean.completed_jobs, 2);
-  ASSERT_EQ(faulted.completed_jobs, 2);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(clean.jobs[i].state_digest, faulted.jobs[i].state_digest);
-    EXPECT_EQ(faulted.jobs[i].state_digest,
-              jobs::run_job_isolated(faulted.jobs[i].spec,
-                                     two_tenant_config(false)));
-  }
-  // The faults really fired: they cost the faulted run virtual time.
-  EXPECT_GE(faulted.makespan_ns, clean.makespan_ns);
-}
-
-TEST(FailureInjection, FaultedCoScheduleReplaysDeterministically) {
-  // Same fault seed => the whole multi-tenant run (completion order,
-  // per-job vtimes, every counter) replays byte-for-byte.
-  const jobs::JobsConfig cfg = two_tenant_config(true);
-  const jobs::JobsResult r1 = jobs::run_jobs(cfg);
-  const jobs::JobsResult r2 = jobs::run_jobs(cfg);
-  EXPECT_EQ(jobs::to_json(cfg, r1), jobs::to_json(cfg, r2));
-  EXPECT_EQ(r1.completion_order, r2.completion_order);
-  ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-  for (size_t i = 0; i < r1.jobs.size(); ++i) {
-    EXPECT_EQ(r1.jobs[i].finish_ns, r2.jobs[i].finish_ns);
-    EXPECT_EQ(r1.jobs[i].fabric_tx_bytes, r2.jobs[i].fabric_tx_bytes);
-  }
 }
 
 }  // namespace

@@ -369,13 +369,13 @@ TEST(SimParallel, NegativeWarpIsRewindowedNeverReordered) {
 }
 
 TEST(SimParallel, ClampFallsBackToClassicEngine) {
-  // A shared backbone is a machine-global serialization point the
-  // source-partitioned driver cannot model: sim_threads is clamped to the
-  // classic engine rather than silently mis-simulating.
+  // The window scheduler's lookahead is the network latency, so it must
+  // be positive: with zero latency sim_threads is clamped to the classic
+  // engine rather than silently mis-simulating.
   cluster::MachineConfig mc;
   mc.nodes = 2;
   mc.sim_threads = 4;
-  mc.backbone_bytes_per_ns = 4.0;
+  mc.network.latency_ns = 0;
   cluster::Machine machine(mc);
   EXPECT_FALSE(machine.windowed());
   EXPECT_EQ(machine.sim_threads(), 0);

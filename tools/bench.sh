@@ -3,7 +3,8 @@
 # and distribution/locality ablations at fixed seeds and merges their
 # JSON output into BENCH_fig.json
 # at the repo root (one object per bench row: name + every reported
-# counter, duration_ns / net_bytes / bundles / fetch_stall_ns included).
+# counter, duration_ns / net_bytes / bundles / fetch_stall_ns included,
+# plus git_sha / git_dirty / nproc / build_type provenance).
 #
 # The workloads are deterministic (fixed seeds, virtual-time simulator),
 # so the traffic counters are exactly reproducible; vtime under measured
@@ -42,8 +43,7 @@ fi
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
-  $(printf -- '--target %s ' "${benches[@]}") --target ppm_stress \
-  --target ppm_jobs
+  $(printf -- '--target %s ' "${benches[@]}") --target ppm_stress
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "${tmpdir}"' EXIT
@@ -79,7 +79,7 @@ build/tools/ppm_cli --app=barneshut --size=2000 --steps=2 --cores=4 \
   --json="${tmpdir}/model_fig3_barneshut.json"
 
 python3 - "${out}" "${tmpdir}" "${benches[@]}" ppm_stress <<'PY'
-import json, sys
+import json, os, re, subprocess, sys
 out, tmpdir, benches = sys.argv[1], sys.argv[2], sys.argv[3:]
 rows = []
 for b in benches:
@@ -157,60 +157,24 @@ for fig in ("fig1_cg", "fig2_matgen", "fig3_barneshut"):
                      "vtime_ms": v["predicted_vtime_ns"] * 1e-6,
                      "measured_vtime_ms": v["measured_vtime_ns"] * 1e-6,
                      "rel_err": v["rel_err"]})
-with open(out, "w") as f:
-    json.dump({"rows": rows}, f, indent=1, sort_keys=True)
-    f.write("\n")
-print(f"wrote {out}: {len(rows)} rows")
-PY
-
-# Multi-tenant scheduler bench (docs/SCHEDULER.md): FIFO vs backfill over
-# the same sampled job stream at 8 and 16 nodes, fixed seed. Written as
-# BENCH_jobs.json next to the main output; per-job fabric bytes and
-# backbone/fetch stalls ride along so contention attribution is in the
-# artifact, not just the aggregates.
-echo "=== bench: ppm_jobs ==="
-jobs_out="$(dirname "${out}")/BENCH_jobs.json"
-jobs_n=24
-if [ "${smoke}" = 1 ]; then
-  jobs_n=8
-fi
-for policy in fifo backfill; do
-  for nodes in 8 16; do
-    build/tools/ppm_jobs --policy="${policy}" --nodes="${nodes}" \
-      --jobs="${jobs_n}" --seed=1 \
-      --json="${tmpdir}/jobs_${policy}_${nodes}.json"
-  done
-done
-
-python3 - "${jobs_out}" "${tmpdir}" <<'PY'
-import json, sys
-out, tmpdir = sys.argv[1], sys.argv[2]
-rows = []
-for policy in ("fifo", "backfill"):
-    for nodes in (8, 16):
-        with open(f"{tmpdir}/jobs_{policy}_{nodes}.json") as f:
-            doc = json.load(f)
-        row = {"bench": "ppm_jobs", "name": f"jobs/{policy}/{nodes}"}
-        for key, val in doc.items():
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
-                row[key] = val
-        # Tolerate schema drift in ppm_jobs --json: a missing per-job
-        # field fails with the offending key/job named instead of a bare
-        # KeyError traceback.
-        wanted = ("id", "kind", "nodes", "latency_ns", "fabric_tx_bytes",
-                  "backbone_wait_ns", "fetch_stall_ns")
-        per_job = []
-        for i, j in enumerate(doc.get("per_job", [])):
-            if j.get("rejected", False):
-                continue
-            missing = [k for k in wanted if k not in j]
-            if missing:
-                sys.exit(f"error: jobs_{policy}_{nodes}.json per_job[{i}] "
-                         f"(id={j.get('id', '?')}) missing key(s): "
-                         f"{', '.join(missing)}")
-            per_job.append({k: j[k] for k in wanted})
-        row["per_job"] = per_job
-        rows.append(row)
+# Provenance on every row, under perfbench's key names: the commit (and
+# whether the tree had uncommitted edits), the host's usable CPUs and the
+# build type of the tree the benches ran from.
+def git(*args):
+    r = subprocess.run(["git", *args], capture_output=True, text=True)
+    return r.stdout.strip() if r.returncode == 0 else None
+sha = git("rev-parse", "HEAD")
+with open("build/CMakeCache.txt") as f:
+    build_type = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", f.read(),
+                           re.M).group(1)
+provenance = {
+    "git_sha": sha or "none (not a git checkout)",
+    "git_dirty": bool(git("status", "--porcelain")) if sha else None,
+    "nproc": len(os.sched_getaffinity(0)),
+    "build_type": build_type,
+}
+for r in rows:
+    r.update(provenance)
 with open(out, "w") as f:
     json.dump({"rows": rows}, f, indent=1, sort_keys=True)
     f.write("\n")

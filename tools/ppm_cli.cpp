@@ -269,10 +269,8 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
   appendf(out, "\"entries_combined\": %" PRIu64 ",\n ", r.entries_combined);
   appendf(out, "\"blocks_migrated\": %" PRIu64 ", ", r.blocks_migrated);
   appendf(out, "\"migration_bytes\": %" PRIu64 ", ", r.migration_bytes);
-  appendf(out, "\"remote_to_local_conversions\": %" PRIu64 ", ",
+  appendf(out, "\"remote_to_local_conversions\": %" PRIu64 ",\n",
           r.remote_to_local_conversions);
-  appendf(out, "\"stale_messages_dropped\": %" PRIu64 ",\n",
-          r.stale_messages_dropped);
   out += " \"counter_rollup\": [\n";
   for (size_t i = 0; i < r.counter_rollup.size(); ++i) {
     const auto& c = r.counter_rollup[i];

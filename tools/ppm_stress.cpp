@@ -14,11 +14,6 @@
 //   ppm_stress --json=FILE          benchmark-format throughput record
 //   ppm_stress --trace-on-failure   dump ppm::trace JSON of a shrunken
 //                                   repro (reference + diverging config)
-//   ppm_stress --multi-job          co-scheduling isolation oracle: every
-//                                   job run under the ppm::jobs scheduler
-//                                   (contention, faults, preemption) must
-//                                   commit the same state as alone on an
-//                                   idle machine (docs/SCHEDULER.md)
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -27,7 +22,6 @@
 #include <fstream>
 #include <string>
 
-#include "jobs/jobs.hpp"
 #include "stress/runner.hpp"
 #include "util/error.hpp"
 
@@ -45,7 +39,6 @@ struct Args {
   int configs = kDefaultConfigs;
   bool has_replay = false;
   bool trace_on_failure = false;
-  bool multi_job = false;
   int owner_accum = -1;  // -1 sampled per config, 0/1 forced matrix-wide
   uint64_t replay_seed = 0;
   size_t replay_config = 0;
@@ -58,7 +51,7 @@ struct Args {
       "usage: ppm_stress [--smoke] [--minutes=N] [--seed=S] [--programs=P]\n"
       "                  [--configs=C] [--replay=SEED:CFG] [--json=FILE]\n"
       "                  [--owner-accum=0|1] [--trace-on-failure]\n"
-      "                  [--multi-job] [--verbose]\n");
+      "                  [--verbose]\n");
   std::exit(rc);
 }
 
@@ -75,8 +68,6 @@ Args parse(int argc, char** argv) {
       a.verbose = true;
     } else if (arg == "--trace-on-failure") {
       a.trace_on_failure = true;
-    } else if (arg == "--multi-job") {
-      a.multi_job = true;
     } else if (arg.rfind("--minutes=", 0) == 0) {
       a.minutes = std::strtod(val("--minutes=").c_str(), nullptr);
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -194,79 +185,11 @@ void dump_repro_trace(const ppm::stress::ProgramSpec& spec,
   std::exit(1);
 }
 
-// --multi-job: run a seeded heterogeneous job stream under the ppm::jobs
-// gang scheduler — co-tenants contending on the shared backbone, seeded
-// fabric fault injection, and one forced drain/preempt — and check every
-// completed job's committed-state digest against the same job run alone
-// on an idle machine. Any divergence means phase semantics leaked timing
-// into committed state; that is a red verdict, same as the differential
-// oracle.
-int run_multi_job(const Args& a) {
-  std::vector<uint64_t> seeds;
-  if (a.smoke) {
-    seeds = {1, 2, 3};
-  } else {
-    seeds = {a.seed};
-  }
-  int jobs_checked = 0;
-  int failures = 0;
-  for (const uint64_t seed : seeds) {
-    for (const ppm::jobs::Policy policy :
-         {ppm::jobs::Policy::kFifo, ppm::jobs::Policy::kBackfill}) {
-      for (const bool faulted : {false, true}) {
-        ppm::jobs::JobsConfig cfg;
-        cfg.machine.nodes = 8;
-        cfg.machine.cores_per_node = 2;
-        cfg.machine.backbone_bytes_per_ns = 4.0;
-        cfg.machine.engine.calibration =
-            ppm::sim::CalibrationMode::kModeledOnly;
-        if (faulted) {
-          cfg.machine.faults.delay_jitter = true;
-          cfg.machine.faults.seed = seed;
-        }
-        cfg.policy = policy;
-        cfg.seed = seed;
-        cfg.job_count = 6;
-        cfg.queue_capacity = 3;
-        cfg.preempt_job_id = 1;
-        const ppm::jobs::JobsResult res = ppm::jobs::run_jobs(cfg);
-        for (const ppm::jobs::JobStats& st : res.jobs) {
-          if (st.rejected) continue;
-          const uint64_t alone = ppm::jobs::run_job_isolated(st.spec, cfg);
-          ++jobs_checked;
-          if (st.state_digest != alone) {
-            std::fprintf(stderr,
-                         "FAIL multi-job seed=%" PRIu64
-                         " policy=%s faults=%d job=%" PRIu64
-                         " (%s): digest %016" PRIx64
-                         " != isolated %016" PRIx64 "\n",
-                         seed, ppm::jobs::policy_name(policy), faulted ? 1 : 0,
-                         st.spec.id, ppm::jobs::kind_name(st.spec.kind),
-                         st.state_digest, alone);
-            ++failures;
-          }
-        }
-      }
-    }
-  }
-  if (failures != 0) {
-    std::fprintf(stderr, "ppm_stress --multi-job: %d divergence(s)\n",
-                 failures);
-    return 1;
-  }
-  std::printf(
-      "ppm_stress --multi-job: %zu seed(s) x 2 policies x {clean, faulted}: "
-      "%d co-scheduled jobs bit-identical to isolated runs\n",
-      seeds.size(), jobs_checked);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
   const Args a = parse(argc, argv);
-  if (a.multi_job) return run_multi_job(a);
   const auto t0 = Clock::now();
   const auto elapsed_s = [&] {
     return std::chrono::duration<double>(Clock::now() - t0).count();
