@@ -16,49 +16,64 @@ namespace ppm {
 namespace detail {
 
 /// Thunk behind Env::reduce: fold this node's owned elements of
-/// pr.array_a under pr.op into the [u8 has_value][T] partial blob.
-/// pack_owned_elems delivers them in ascending global-index order under
-/// every distribution, so the fold order is layout-independent.
+/// pr.array_a under pr.op into the [u8 has_value][T] partial blob, in
+/// place over owned_runs. The runs come in ascending global-index order
+/// under every distribution, so the fold order is layout-independent. The
+/// first owned element seeds the accumulator (a T{} seed would turn a
+/// lone -0.0 into 0.0 under kAdd).
 template <typename T>
 void reduce_partial_thunk(NodeRuntime& rt,
                           const NodeRuntime::PendingReduce& pr, Bytes* out) {
   out->assign(1 + sizeof(T), std::byte{0});
-  const Bytes packed = rt.pack_owned_elems(pr.array_a);
-  const size_t n = packed.size() / sizeof(T);
-  if (n == 0) return;  // this node owns nothing: has_value stays 0
   const ArrayRecord& rec = rt.array(pr.array_a);
-  T acc;
-  std::memcpy(&acc, packed.data(), sizeof(T));
-  for (size_t i = 1; i < n; ++i) {
-    rec.apply_op(reinterpret_cast<std::byte*>(&acc),
-                 packed.data() + i * sizeof(T),
-                 static_cast<WriteOp>(pr.op));
+  const auto op = static_cast<WriteOp>(pr.op);
+  T acc{};
+  bool seeded = false;
+  for (const auto run : rt.owned_runs(pr.array_a)) {
+    const std::byte* p = run.data();
+    const std::byte* const end = p + run.size();
+    if (!seeded) {
+      std::memcpy(&acc, p, sizeof(T));
+      p += sizeof(T);
+      seeded = true;
+    }
+    for (; p != end; p += sizeof(T)) {
+      rec.apply_op(reinterpret_cast<std::byte*>(&acc), p, op);
+    }
   }
+  if (!seeded) return;  // this node owns nothing: has_value stays 0
   (*out)[0] = std::byte{1};
   std::memcpy(out->data() + 1, &acc, sizeof(T));
 }
 
 /// Thunk behind Env::reduce_dot: ascending-index fold of sum(a[i]*b[i])
 /// over this node's owned elements — exactly the per-node order
-/// algorithms::dot uses on a block layout.
+/// algorithms::dot uses on a block layout. Walks both arrays' owned_runs
+/// in lockstep: registration requires equal owner maps, so the runs pair
+/// up, but each array resolves its own storage slots.
 template <typename T>
 void reduce_dot_partial_thunk(NodeRuntime& rt,
                               const NodeRuntime::PendingReduce& pr,
                               Bytes* out) {
   out->assign(1 + sizeof(T), std::byte{0});
-  const Bytes pa = rt.pack_owned_elems(pr.array_a);
-  const Bytes pb = rt.pack_owned_elems(pr.array_b);
-  PPM_CHECK(pa.size() == pb.size(),
+  const auto ra = rt.owned_runs(pr.array_a);
+  const auto rb = rt.owned_runs(pr.array_b);
+  PPM_CHECK(ra.size() == rb.size(),
             "reduce_dot needs identically sized and distributed arrays");
-  const size_t n = pa.size() / sizeof(T);
-  if (n == 0) return;
   T acc{};
-  for (size_t i = 0; i < n; ++i) {
-    T x, y;
-    std::memcpy(&x, pa.data() + i * sizeof(T), sizeof(T));
-    std::memcpy(&y, pb.data() + i * sizeof(T), sizeof(T));
-    acc = (i == 0) ? x * y : acc + x * y;
+  bool seeded = false;
+  for (size_t r = 0; r < ra.size(); ++r) {
+    PPM_CHECK(ra[r].size() == rb[r].size(),
+              "reduce_dot needs identically sized and distributed arrays");
+    for (size_t off = 0; off < ra[r].size(); off += sizeof(T)) {
+      T x, y;
+      std::memcpy(&x, ra[r].data() + off, sizeof(T));
+      std::memcpy(&y, rb[r].data() + off, sizeof(T));
+      acc = seeded ? acc + x * y : x * y;
+      seeded = true;
+    }
   }
+  if (!seeded) return;  // this node owns nothing: has_value stays 0
   (*out)[0] = std::byte{1};
   std::memcpy(out->data() + 1, &acc, sizeof(T));
 }
@@ -70,11 +85,12 @@ void reduce_dot_partial_thunk(NodeRuntime& rt,
 /// registers op=kAdd, making its combine the plain sum.
 inline void reduce_combine_thunk(NodeRuntime& rt,
                                  const NodeRuntime::PendingReduce& pr,
-                                 Bytes* acc, const Bytes& other) {
+                                 Bytes* acc,
+                                 std::span<const std::byte> other) {
   PPM_CHECK(other.size() == acc->size(), "reduce partial blob mismatch");
   if (other[0] == std::byte{0}) return;
   if ((*acc)[0] == std::byte{0}) {
-    *acc = other;
+    acc->assign(other.begin(), other.end());
     return;
   }
   rt.array(pr.array_a).apply_op(acc->data() + 1, other.data() + 1,
@@ -338,9 +354,9 @@ class Env {
   template <typename T>
   ReduceHandle<T> reduce_dot(const GlobalShared<T>& a,
                              const GlobalShared<T>& b) {
-    // The partial pairs the two arrays' owner-packed spans positionally,
-    // so their owned index sets must coincide — catch a layout mismatch
-    // at registration, not as silently mis-paired products.
+    // The partial pairs the two arrays' owned runs positionally, so their
+    // owned index sets must coincide — catch a layout mismatch at
+    // registration, not as silently mis-paired products.
     const detail::ArrayRecord& ra = rt_->array(a.id());
     const detail::ArrayRecord& rb = rt_->array(b.id());
     PPM_CHECK(ra.n == rb.n && ra.dist == rb.dist &&

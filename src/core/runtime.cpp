@@ -352,19 +352,35 @@ std::span<const std::byte> NodeRuntime::committed_bytes(uint32_t id) const {
   return {rec.storage.data(), rec.storage.size()};
 }
 
-Bytes NodeRuntime::pack_owned_elems(uint32_t id) const {
+std::vector<std::span<const std::byte>> NodeRuntime::owned_runs(
+    uint32_t id) const {
   const auto& rec = array(id);
-  ByteWriter w;
-  if (!rec.global) {
-    w.put_raw(rec.storage.data(), rec.n * rec.ops.size);
-    return std::move(w).take();
+  std::vector<std::span<const std::byte>> runs;
+  if (rec.mig_block_elems == 0) {
+    // Static layouts (and node-shared arrays) store exactly the owned
+    // elements, already in ascending global order.
+    if (!rec.storage.empty()) runs.emplace_back(rec.storage);
+    return runs;
   }
-  for (uint64_t i = 0; i < rec.n; ++i) {
-    if (rec.owner_of(i) != node_) continue;
-    w.put_raw(rec.storage.data() + rec.local_of(i) * rec.ops.size,
-              rec.ops.size);
+  // Owner-mapped: slots hold owned blocks in placement order, and freed
+  // slots keep stale bytes, so walk the owner map by ascending block.
+  const size_t esz = rec.ops.size;
+  for (uint64_t b = 0; b < rec.mig_blocks; ++b) {
+    if (rec.mig_owner[b] != node_) continue;
+    const uint64_t first = b * rec.mig_block_elems;
+    const uint64_t len = std::min(rec.mig_block_elems, rec.n - first);
+    runs.emplace_back(rec.storage.data() + rec.local_of(first) * esz,
+                      len * esz);
   }
-  return std::move(w).take();
+  return runs;
+}
+
+Bytes NodeRuntime::pack_owned_elems(uint32_t id) const {
+  Bytes out;
+  for (const auto run : owned_runs(id)) {
+    out.insert(out.end(), run.begin(), run.end());
+  }
+  return out;
 }
 
 int NodeRuntime::owner_of(uint32_t id, uint64_t index) const {
@@ -2447,9 +2463,8 @@ void NodeRuntime::combine_reduce_partials(const std::vector<Bytes>& all,
     const size_t blob_bytes = 1 + esz;
     Bytes acc(blob_bytes, std::byte{0});  // has_value = 0: empty fold seed
     for (int n = 0; n < p; ++n) {
-      const auto& tail = tails[static_cast<size_t>(n)];
-      Bytes other(tail.begin() + off, tail.begin() + off + blob_bytes);
-      pr.combine(*this, pr, &acc, other);
+      pr.combine(*this, pr, &acc,
+                 tails[static_cast<size_t>(n)].subspan(off, blob_bytes));
     }
     pr.result = std::move(acc);
     pr.done = true;

@@ -350,10 +350,21 @@ class NodeRuntime {
   /// "casting" utility.
   std::span<const std::byte> committed_bytes(uint32_t id) const;
 
-  /// This node's committed elements of array `id` packed in ascending
-  /// global-index order (node-shared arrays: all n elements). Unlike
-  /// committed_bytes this is layout-free — owner-mapped (kAdaptive) slot
-  /// storage and cyclic striding are flattened out — so an
+  /// This node's committed elements of array `id` as contiguous runs of
+  /// its storage, in ascending global-index order (node-shared arrays: all
+  /// n elements). kBlock, kCyclic and node-shared arrays give one run, the
+  /// whole local storage; kAdaptive gives one run per owned migration
+  /// block, ascending by block, the last block clipped to n. A node that
+  /// owns nothing gets no run, and no run is empty. O(1) for static
+  /// layouts, O(migration blocks) for kAdaptive. The spans view live
+  /// storage, so a later commit or migration changes what they show. The
+  /// reduce partials fold over these in place.
+  std::vector<std::span<const std::byte>> owned_runs(uint32_t id) const;
+
+  /// The owned_runs of array `id` concatenated: this node's committed
+  /// elements packed in ascending global-index order, at O(owned) cost.
+  /// Unlike committed_bytes this is layout-free — owner-mapped (kAdaptive)
+  /// slot storage and cyclic striding are flattened out — so an
   /// allgather_bytes of it plus owner_of() reassembles the logical array
   /// contents under any distribution. Introspection hook for tools
   /// (ppm::stress snapshots); call outside phases.
@@ -423,7 +434,8 @@ class NodeRuntime {
 
   /// One registered reduction, resolved at the next global-phase commit:
   /// after the commit applies its write batch, each node folds its OWNED
-  /// elements in ascending global-index order into a partial blob
+  /// elements (in place over owned_runs, O(owned) per node) in ascending
+  /// global-index order into a partial blob
   /// ([u8 has_value][elem bytes]); the blobs of every pending reduction
   /// share the commit's one allgather, and every node folds the
   /// per-node partials in ascending node order — so all nodes compute the
@@ -437,11 +449,12 @@ class NodeRuntime {
     /// Fold this node's owned elements into `out` (typed thunk from Env).
     void (*partial)(NodeRuntime&, const PendingReduce&, Bytes* out) =
         nullptr;
-    /// Fold `other` into `acc` (both partial blobs). Receives the runtime
-    /// and the registration so one captureless thunk can dispatch through
-    /// the array's op table (including user slots).
+    /// Fold `other` into `acc` (both partial blobs; `other` is read
+    /// straight off a peer's allgather payload). Receives the runtime and
+    /// the registration so one captureless thunk can dispatch through the
+    /// array's op table (including user slots).
     void (*combine)(NodeRuntime&, const PendingReduce&, Bytes* acc,
-                    const Bytes& other) = nullptr;
+                    std::span<const std::byte> other) = nullptr;
     Bytes result;
     bool done = false;
   };

@@ -11,7 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -262,9 +267,245 @@ TEST(CoreAccumulate, ReduceDotMatchesLocalFold) {
   EXPECT_GT(stats.reduction_bytes_saved, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Reductions on every layout
+// ---------------------------------------------------------------------------
+
+// Order-sensitive doubles. Each 4-element block (the migration block of
+// the tests below) is [+2^60, -2^60, c, d] with c, d in [1, 2): adding
+// 2^60 absorbs a small running sum, so an ascending fold ends at c + d of
+// the last block it visits, and folding blocks in another order, or a
+// missing or stale block, changes the bits. y is 1 on the 2^60 pair, so
+// the dot products cancel the same way.
+double xval(uint64_t i) {
+  if (i % 4 == 0) return 0x1p60;
+  if (i % 4 == 1) return -0x1p60;
+  return 1.0 + static_cast<double>((i * 0x9E3779B97F4A7C15ULL) >> 12) /
+                   0x1p52;  // [1, 2)
+}
+double yval(uint64_t i) {
+  if (i % 4 < 2) return 1.0;
+  return std::ldexp(1.0 + static_cast<double>(i % 7) / 8.0,
+                    static_cast<int>((i * 3) % 11) - 5);
+}
+int64_t mval(uint64_t i) {
+  return static_cast<int64_t>((i * 37) % 101) + 5;
+}
+uint64_t uval(uint64_t i) { return 3 + 2 * (i % 4); }  // odd: never zero
+
+/// Bit patterns of sum(x), dot(x, y), min(m) and product(u).
+using ReduceBits = std::array<uint64_t, 4>;
+
+/// The fold the runtime promises: each node folds the elements it owns in
+/// ascending global index, seeded by the first one, then the non-empty
+/// partials combine in ascending node order.
+template <typename T, typename Elem, typename Op>
+T owner_order_fold(const std::vector<int>& owner, int nodes, Elem elem,
+                   Op op) {
+  std::vector<std::optional<T>> part(static_cast<size_t>(nodes));
+  for (uint64_t i = 0; i < owner.size(); ++i) {
+    auto& p = part[static_cast<size_t>(owner[i])];
+    p = p ? op(*p, elem(i)) : elem(i);
+  }
+  std::optional<T> acc;
+  for (const auto& p : part) {
+    if (p) acc = acc ? op(*acc, *p) : *p;
+  }
+  return acc.value_or(T{});
+}
+
+ReduceBits golden_bits(const std::vector<int>& owner, int nodes) {
+  const auto add = [](double a, double b) { return a + b; };
+  return {
+      std::bit_cast<uint64_t>(
+          owner_order_fold<double>(owner, nodes, xval, add)),
+      std::bit_cast<uint64_t>(owner_order_fold<double>(
+          owner, nodes, [](uint64_t i) { return xval(i) * yval(i); }, add)),
+      static_cast<uint64_t>(owner_order_fold<int64_t>(
+          owner, nodes, mval,
+          [](int64_t a, int64_t b) { return std::min(a, b); })),
+      owner_order_fold<uint64_t>(owner, nodes, uval,
+                                 [](uint64_t a, uint64_t b) { return a * b; }),
+  };
+}
+
+struct ReduceRun {
+  std::vector<ReduceBits> per_node;
+  std::vector<int> owner;  // owner of each element when the reduce resolved
+  // Some node holds a block it did not start with, gave one of its own
+  // away, and keeps its owned blocks in an order that is not their
+  // global order (migrating runs only).
+  bool slots_scrambled = false;
+};
+
+/// Seed four arrays of `dist` with the values above, optionally steer a
+/// migration round, then reduce all four (kAdd, reduce_dot, kMin, kMul)
+/// at one commit. The migrating shape is fixed: 3 nodes, n = 46 and
+/// 4-element blocks, so blocks 0-3, 4-7 and 8-11 start on nodes 0, 1 and
+/// 2, and block 11 holds only elements 44-45. Skewed reads move block 0
+/// to node 1 (heaviest), block 4 to node 2, then block 11 to node 0,
+/// which lands in the slot block 0 vacated.
+ReduceRun run_reductions(int nodes, uint64_t n, Distribution dist,
+                         bool migrate) {
+  PpmConfig c = cfg(nodes, true);
+  c.runtime.read_block_bytes = 32;  // 4-element migration blocks
+  ReduceRun out;
+  out.per_node.resize(static_cast<size_t>(nodes));
+  std::vector<int> scrambled(static_cast<size_t>(nodes), 0);
+  run(c, [&](Env& env) {
+    auto x = env.global_array<double>(n, dist);
+    auto y = env.global_array<double>(n, dist);
+    auto m = env.global_array<int64_t>(n, dist);
+    auto u = env.global_array<uint64_t>(n, dist);
+    const int me = env.node_id();
+    for (uint64_t i = 0; i < n; ++i) {
+      if (x.owner(i) != me) continue;
+      x.set(i, xval(i));
+      y.set(i, yval(i));
+      m.set(i, mval(i));
+      u.set(i, uval(i));
+    }
+    env.barrier();
+    auto vps = env.ppm_do(1);
+    if (migrate) {
+      ASSERT_EQ(nodes, 3);
+      ASSERT_EQ(n, 46u);
+      env.rebalance(x);
+      env.rebalance(y);
+      env.rebalance(m);
+      env.rebalance(u);
+      vps.global_phase([&](Vp&) {
+        const auto hot = [&](uint64_t first, uint64_t count, int reps) {
+          for (int r = 0; r < reps; ++r) {
+            for (uint64_t i = first; i < first + count; ++i) {
+              (void)x.get(i);
+              (void)y.get(i);
+              (void)m.get(i);
+              (void)u.get(i);
+            }
+          }
+        };
+        if (me == 0) hot(44, 2, 10);
+        if (me == 1) hot(0, 4, 12);
+        if (me == 2) hot(16, 4, 8);
+      });
+      const auto& rec = env.runtime().array(x.id());
+      const uint64_t bpc = (rec.mig_blocks + 2) / 3;  // initial blocks/node
+      bool gained = false, lost = false, ascending = true;
+      int64_t last_slot = -1;
+      for (uint64_t b = 0; b < rec.mig_blocks; ++b) {
+        const bool started_here = b / bpc == static_cast<uint64_t>(me);
+        if (rec.mig_owner[b] != me) {
+          lost = lost || started_here;
+          continue;
+        }
+        gained = gained || !started_here;
+        ascending = ascending && rec.mig_slot[b] > last_slot;
+        last_slot = rec.mig_slot[b];
+      }
+      scrambled[static_cast<size_t>(me)] = gained && lost && !ascending;
+    }
+    // The layout-free snapshot concatenates the same runs the fold walks.
+    std::vector<double> mine;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (x.owner(i) == me) mine.push_back(xval(i));
+    }
+    const Bytes packed = env.runtime().pack_owned_elems(x.id());
+    ASSERT_EQ(packed.size() % sizeof(double), 0u);
+    std::vector<double> unpacked(packed.size() / sizeof(double));
+    if (!packed.empty()) {
+      std::memcpy(unpacked.data(), packed.data(), packed.size());
+    }
+    EXPECT_EQ(unpacked, mine) << "node " << me;
+    auto h_sum = env.reduce(x, ReduceOp::kAdd);
+    auto h_dot = env.reduce_dot(x, y);
+    auto h_min = env.reduce(m, ReduceOp::kMin);
+    auto h_mul = env.reduce(u, ReduceOp::kMul);
+    vps.global_phase([](Vp&) {});
+    out.per_node[static_cast<size_t>(me)] = {
+        std::bit_cast<uint64_t>(h_sum.value()),
+        std::bit_cast<uint64_t>(h_dot.value()),
+        static_cast<uint64_t>(h_min.value()), h_mul.value()};
+    if (me == 0) {
+      for (uint64_t i = 0; i < n; ++i) out.owner.push_back(x.owner(i));
+    }
+  });
+  out.slots_scrambled =
+      std::find(scrambled.begin(), scrambled.end(), 1) != scrambled.end();
+  return out;
+}
+
+TEST(CoreAccumulate, ReduceEveryLayoutMatchesOwnerOrderGolden) {
+  // Each layout keeps its own owned set, so its bits are checked against
+  // the owner-order golden of that layout. n = 46 is not a multiple of
+  // the 4-element migration block; n = 3 on 4 nodes leaves a node (three
+  // under kAdaptive) owning nothing.
+  struct Shape {
+    int nodes;
+    uint64_t n;
+  };
+  for (const Shape s : {Shape{3, 46}, Shape{4, 3}, Shape{2, 1}}) {
+    for (const Distribution dist :
+         {Distribution::kBlock, Distribution::kCyclic,
+          Distribution::kAdaptive}) {
+      const ReduceRun r = run_reductions(s.nodes, s.n, dist, false);
+      ASSERT_EQ(r.owner.size(), s.n);
+      const ReduceBits want = golden_bits(r.owner, s.nodes);
+      for (int node = 0; node < s.nodes; ++node) {
+        EXPECT_EQ(r.per_node[static_cast<size_t>(node)], want)
+            << "nodes " << s.nodes << " n " << s.n << " dist "
+            << static_cast<int>(dist) << " node " << node;
+      }
+    }
+  }
+}
+
+TEST(CoreAccumulate, ReduceAfterMigrationFoldsOwnedBlocksInIndexOrder) {
+  // After the migration round a node's slots hold its blocks out of
+  // global order, and a vacated slot keeps the stale bytes of the block
+  // that left. The fold must still visit exactly the owned elements in
+  // ascending index order: folding whole slotted storage, or owned blocks
+  // in slot order, changes these bits.
+  const ReduceRun r = run_reductions(3, 46, Distribution::kAdaptive, true);
+  ASSERT_TRUE(r.slots_scrambled);
+  ASSERT_EQ(r.owner.size(), 46u);
+  EXPECT_EQ(r.owner[0], 1);
+  EXPECT_EQ(r.owner[16], 2);
+  EXPECT_EQ(r.owner[45], 0);
+  const ReduceBits want = golden_bits(r.owner, 3);
+  for (int node = 0; node < 3; ++node) {
+    EXPECT_EQ(r.per_node[static_cast<size_t>(node)], want) << "node " << node;
+  }
+}
+
+TEST(CoreAccumulate, ReduceSeedsWithFirstOwnedElement) {
+  // 0.0 + (-0.0) is 0.0: a fold seeded with T{} would lose the sign of a
+  // sum or dot product over a lone -0.0.
+  double sum = 0, dot = 0;
+  run(cfg(2, true), [&](Env& env) {
+    auto a = env.global_array<double>(1);
+    auto b = env.global_array<double>(1);
+    if (a.owner(0) == env.node_id()) {
+      a.set(0, -0.0);
+      b.set(0, 1.0);
+    }
+    env.barrier();
+    auto h_sum = env.reduce(a, ReduceOp::kAdd);
+    auto h_dot = env.reduce_dot(a, b);
+    env.ppm_do(1).global_phase([](Vp&) {});
+    if (env.node_id() == 1) {
+      sum = h_sum.value();
+      dot = h_dot.value();
+    }
+  });
+  EXPECT_TRUE(std::signbit(sum));
+  EXPECT_TRUE(std::signbit(dot));
+}
+
 TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
-  // The dot partial pairs the two arrays' owner-packed spans
-  // positionally: a block/cyclic mismatch would silently multiply
+  // The dot partial pairs the two arrays' owned runs positionally: a
+  // block/cyclic mismatch, or two kAdaptive arrays whose owner maps
+  // diverged after one of them migrated, would silently multiply
   // unrelated elements, so registration must reject it loudly.
   EXPECT_THROW(run(cfg(2, true),
                    [](Env& env) {
@@ -274,6 +515,33 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
                      (void)env.reduce_dot(a, b);
                    }),
                Error);
+  const auto diverged = [](bool rebalance_both) {
+    PpmConfig c = cfg(2, true);
+    c.runtime.read_block_bytes = 32;  // 24 four-element blocks
+    return run(c, [&](Env& env) {
+      auto a = env.global_array<double>(kN, Distribution::kAdaptive);
+      auto b = env.global_array<double>(kN, Distribution::kAdaptive);
+      env.rebalance(a);
+      if (rebalance_both) env.rebalance(b);
+      auto vps = env.ppm_do(1);
+      vps.global_phase([&](Vp&) {
+        if (env.node_id() != 1) return;
+        for (int r = 0; r < 8; ++r) {
+          for (uint64_t i = 0; i < 4; ++i) {
+            (void)a.get(i);
+            (void)b.get(i);
+          }
+        }
+      });
+      (void)env.reduce_dot(a, b);
+      vps.global_phase([](Vp&) {});
+    });
+  };
+  EXPECT_THROW(diverged(false), Error);
+  // Control: the same program with both maps moved alike is accepted.
+  RunResult both;
+  EXPECT_NO_THROW(both = diverged(true));
+  EXPECT_GT(both.blocks_migrated, 0u);
 }
 
 TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {

@@ -59,6 +59,14 @@ for preset in default san; do
   echo "model fit smoke OK (artifact kept at ${builddir[$preset]}/model_coeffs.json)"
 done
 
+echo "=== benchmark self-test (perfbench correctness check) ==="
+# The repository benchmark builds its own runner from src/ (into
+# .bench_build/perfbench) and checks every workload against its serial
+# reference at tiny sizes, traced and untraced; a planted wrong reference
+# must be counted as failed. Its Barnes-Hut check reassembles positions
+# through NodeRuntime::pack_owned_elems.
+python3 perfbench/run.py --self-test
+
 echo "=== traced smoke (ppm::trace export gate) ==="
 # One traced CG run per CI pass: the Chrome-JSON export must stay loadable
 # (Perfetto-compatible) — validated structurally below. The artifact is
