@@ -1,7 +1,8 @@
 // Simulated machine bring-up: a networked cluster of manycore nodes.
 //
-// A Machine owns the simulation engine and the interconnect fabric and
-// launches SPMD programs onto it. Two launch shapes are provided:
+// A Machine owns one simulation engine per node, the interconnect fabric
+// between them and the window scheduler that drives them (docs/SIM.md),
+// and launches SPMD programs onto it. Two launch shapes are provided:
 //   * run_per_core  — one fiber per (node, core); this is how the MPI-style
 //     baselines run (one rank per core, as on the paper's Cray XT4);
 //   * run_per_node  — one fiber per node (on core 0); this is how PPM
@@ -33,16 +34,10 @@ struct MachineConfig {
                             .recv_overhead_ns = 150};
   net::FaultConfig faults{};  // deterministic delay/reorder injection
   sim::EngineConfig engine{};
-  /// Host threads for the parallel windowed simulator (docs/SIM.md).
-  /// 0 (the default) keeps the classic single shared engine — exactly the
-  /// historical sequential behavior. >= 1 switches to windowed mode: one
-  /// Engine per simulated node, driven in conservative time windows on
-  /// min(sim_threads, nodes) host threads. Every windowed thread count
-  /// replays the same simulation bit-for-bit (sim_threads=1 is the
-  /// reference); classic and windowed may order same-time events
-  /// differently, so virtual times can differ between 0 and >= 1.
-  /// Silently forced back to 0 when network.latency_ns <= 0 (the
-  /// lookahead must be positive).
+  /// Host threads that drive the per-node engines in conservative time
+  /// windows (docs/SIM.md): min(sim_threads, nodes), where 0 and 1 both
+  /// mean "run on the calling thread". Every thread count replays the
+  /// same simulation bit-for-bit.
   int sim_threads = 0;
 
   int total_cores() const { return nodes * cores_per_node; }
@@ -62,21 +57,17 @@ class Machine {
   int cores_per_node() const { return config_.cores_per_node; }
   const MachineConfig& config() const { return config_; }
 
-  /// The shared engine of the classic (sim_threads == 0) mode. Errors in
-  /// windowed mode, where no single engine exists — per-node callers use
-  /// engine_for_node() (valid in both modes).
-  sim::Engine& engine();
   sim::Engine& engine_for_node(int node);
   net::Fabric& fabric() { return *fabric_; }
 
-  /// True when this machine runs the windowed parallel simulator (the
-  /// effective mode, after the config clamps described on
-  /// MachineConfig::sim_threads).
-  bool windowed() const { return !engines_.empty(); }
-  /// Effective host-thread count: 0 in classic mode.
+  /// Always true. Kept only because perfbench/runner.cpp calls it.
+  bool windowed() const { return true; }
+  /// There is no shared engine: always throws. Kept only because
+  /// perfbench/runner.cpp names it; use engine_for_node().
+  sim::Engine& engine();
+  /// Effective host-thread count, in [1, nodes].
   int sim_threads() const { return sim_threads_; }
-  /// Cumulative windowed-driver stats across runs (all zero in classic
-  /// mode).
+  /// Cumulative window scheduler stats across runs.
   const sim::WindowStats& window_stats() const { return window_stats_; }
 
   /// Port on which a node's runtime service listens.
@@ -100,19 +91,18 @@ class Machine {
   int64_t last_run_duration_ns() const { return last_run_duration_ns_; }
 
  private:
-  /// Drive the windowed engines to completion (WindowScheduler + fabric
-  /// exchange), then perform the cross-engine deadlock check that
-  /// Engine::run() does for the classic mode.
-  void run_windowed();
+  /// Spawn one fiber per core (`per_core`) or per node on every node,
+  /// drive the engines to completion and record the run's duration.
+  void run_fibers(bool per_core,
+                  const std::function<void(const Place&)>& body);
 
   MachineConfig config_;
-  std::unique_ptr<sim::Engine> engine_;                // classic mode only
-  std::vector<std::unique_ptr<sim::Engine>> engines_;  // windowed: per node
+  std::vector<std::unique_ptr<sim::Engine>> engines_;  // per node
   std::vector<sim::Engine*> engine_ptrs_;
-  std::unique_ptr<sim::HostPool> pool_;
   std::unique_ptr<net::Fabric> fabric_;
+  std::unique_ptr<sim::HostPool> pool_;
   sim::WindowStats window_stats_;
-  int sim_threads_ = 0;
+  int sim_threads_ = 1;
   int64_t last_run_duration_ns_ = 0;
 };
 

@@ -151,15 +151,6 @@ struct RuntimeOptions {
   /// detects the first error-severity violation instead of recording it
   /// and continuing. Warnings never throw.
   bool validate_fail_fast = false;
-
-  /// Host threads for the parallel windowed simulator (docs/SIM.md):
-  /// convenience forwarded into MachineConfig::sim_threads by ppm::run
-  /// when the machine config leaves it at 0. 0 keeps the classic
-  /// sequential engine; >= 1 runs one engine per simulated node in
-  /// conservative time windows (bit-identical results across windowed
-  /// thread counts). Subject to the clamps documented on
-  /// MachineConfig::sim_threads.
-  int sim_threads = 0;
 };
 
 struct PpmConfig {

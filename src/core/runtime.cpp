@@ -49,22 +49,14 @@ Runtime::Runtime(cluster::Machine& machine, RuntimeOptions options)
   if (options_.trace) {
     trace_ = std::make_unique<trace::Trace>(machine.nodes(),
                                             options_.trace_buffer_events);
-    if (machine.windowed()) {
-      // Windowed mode: message spans are recorded on the track of the node
-      // whose engine resolves the delivery time (see Fabric::
-      // set_node_trace_recorders); the engine-step track stays empty (there
-      // is no single engine to pace it, and a per-node stride would differ
-      // from the classic track anyway).
-      std::vector<trace::Recorder*> recs;
-      recs.reserve(static_cast<size_t>(machine.nodes()));
-      for (int n = 0; n < machine.nodes(); ++n) {
-        recs.push_back(&trace_->node(n));
-      }
-      machine.fabric().set_node_trace_recorders(std::move(recs));
-    } else {
-      machine.fabric().set_trace_recorder(&trace_->fabric());
-      machine.engine().set_trace_recorder(&trace_->engine());
+    // Message spans are recorded on the track of the node whose engine
+    // resolves the delivery time (see Fabric::set_node_trace_recorders).
+    std::vector<trace::Recorder*> recs;
+    recs.reserve(static_cast<size_t>(machine.nodes()));
+    for (int n = 0; n < machine.nodes(); ++n) {
+      recs.push_back(&trace_->node(n));
     }
+    machine.fabric().set_node_trace_recorders(std::move(recs));
   }
   nodes_.reserve(static_cast<size_t>(machine.nodes()));
   for (int n = 0; n < machine.nodes(); ++n) {
@@ -76,12 +68,7 @@ Runtime::~Runtime() {
   if (trace_) {
     // The machine can outlive this Runtime (benches reuse it); don't leave
     // it pointing into the trace we are about to destroy.
-    if (machine_.windowed()) {
-      machine_.fabric().set_node_trace_recorders({});
-    } else {
-      machine_.fabric().set_trace_recorder(nullptr);
-      machine_.engine().set_trace_recorder(nullptr);
-    }
+    machine_.fabric().set_node_trace_recorders({});
   }
 }
 

@@ -13,7 +13,8 @@
 //     of one node *contend* for the network, an effect the paper's runtime
 //     explicitly schedules around;
 //   * wire latency;
-//   * ingress serialization at the destination NIC;
+//   * ingress serialization at the destination NIC, claimed in arrival
+//     order by the destination node's engine;
 //   * per-message receiver software overhead.
 // Messages between endpoints of the same node travel a separate intra-node
 // fabric (lower latency, higher bandwidth, no NIC occupancy) modeling
@@ -30,7 +31,6 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/byte_buffer.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace ppm::trace {
@@ -48,15 +48,15 @@ struct LinkParams {
 
 /// Deterministic message-level fault injection (used by ppm::stress).
 ///
-/// With delay_jitter on, every message is enqueued at its (possibly
-/// jittered) delivery time instead of at send time, so endpoints observe
-/// arrivals in delivery-time order: messages from different sources — and
-/// different ports of one source — reorder freely against each other.
-/// Delivery between one (src node, dst node, dst port) pair stays FIFO
-/// (jittered times are clamped to the pair's previous delivery), matching
-/// the in-order-per-pair contract real transports give and the runtime's
-/// bundle fragment protocol assumes. All randomness comes from `seed`, so
-/// a faulty schedule replays exactly.
+/// With delay_jitter on, a message may be delayed by an extra amount, and
+/// endpoints observe arrivals in delivery-time order: messages from
+/// different sources — and different ports of one source — reorder freely
+/// against each other. Delivery between one (src node, dst node, dst port)
+/// pair stays FIFO (jittered times are clamped to the pair's previous
+/// one), matching the in-order-per-pair contract real transports give and
+/// the runtime's bundle fragment protocol assumes. Each delay is a pure
+/// hash of (seed, src, dst, dst port, per-pair seq), so a faulty schedule
+/// replays exactly at any host-thread count.
 struct FaultConfig {
   bool delay_jitter = false;
   uint64_t seed = 0;
@@ -64,7 +64,7 @@ struct FaultConfig {
   int64_t max_extra_delay_ns = 100'000; // uniform extra delay in [0, max]
   /// Test-only: shift every inter-node arrival by this many ns (may be
   /// negative) AFTER jitter and the pairwise-FIFO clamp. A negative warp
-  /// can push an arrival below the windowed driver's conservative horizon;
+  /// can push an arrival below the window scheduler's conservative horizon;
   /// the exchange step then re-windows it (clamps the arrival up to the
   /// completed horizon, counting FabricStats::rewindowed) instead of ever
   /// delivering into an engine's past. Exercised by tests/sim_parallel_
@@ -99,10 +99,10 @@ struct FabricStats {
   Counter intra_messages;
   Counter intra_bytes;
 
-  /// Windowed mode only: cross-engine arrivals whose (fault-warped) time
-  /// fell below the completed window horizon and were clamped up to it by
-  /// the exchange step ("re-windowed"). Always 0 in the classic engine and
-  /// whenever FaultConfig::test_arrival_warp_ns >= 0.
+  /// Cross-engine arrivals whose (fault-warped) time fell below the
+  /// completed window horizon and were clamped up to it by the exchange
+  /// step ("re-windowed"). Always 0 whenever
+  /// FaultConfig::test_arrival_warp_ns >= 0.
   uint64_t rewindowed = 0;
 
   void reset() {
@@ -139,17 +139,18 @@ class Endpoint {
 
 class Fabric {
  public:
-  Fabric(sim::Engine& engine, FabricConfig config);
-
-  /// Windowed construction (docs/SIM.md): one engine per node; node i's
-  /// endpoints block on engine engines[i], and inter-node sends queue into
-  /// per-source outboxes that exchange_cross_traffic() drains at window
-  /// boundaries. Requires engines.size() == num_nodes and a positive
-  /// network latency (it is the window scheduler's lookahead).
+  /// One engine per node (docs/SIM.md): node i's endpoints block on
+  /// engines[i], and inter-node sends queue into per-source outboxes that
+  /// exchange_cross_traffic() drains at window boundaries. Requires
+  /// engines.size() == num_nodes and a positive network latency (it is
+  /// the window scheduler's lookahead).
   Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config);
 
-  /// Send from the current fiber. Charges sender software overhead to the
-  /// calling fiber, then schedules delivery into the destination endpoint.
+  /// Send from a fiber of the source node's engine. Charges sender
+  /// software overhead to the calling fiber. Intra-node messages are
+  /// scheduled into the destination endpoint at once; inter-node ones pass
+  /// the source's egress NIC now and the destination's ingress NIC after
+  /// the next exchange.
   void send(Message msg);
 
   Endpoint& endpoint(int node, int port);
@@ -163,30 +164,22 @@ class Fabric {
   int64_t uncontended_network_time_ns(size_t bytes) const;
 
   /// Minimum timing distance between a cross-node send and its earliest
-  /// possible arrival at the destination NIC: the windowed driver's
+  /// possible arrival at the destination NIC: the window scheduler's
   /// lookahead. Fault jitter only ever delays messages, so the wire
   /// latency is the floor even for faulted runs.
   int64_t min_cross_latency_ns() const { return config_.network.latency_ns; }
 
-  /// Windowed mode: move every outbox message into its destination
-  /// engine's event queue, in one globally sorted deterministic order
-  /// ((arrival, src, src port, dst, dst port, per-src seq)). Arrivals
-  /// below `horizon_ns` — possible only with a negative test warp — are
-  /// clamped up to it (counted in FabricStats::rewindowed), never
-  /// reordered. Single-threaded: call only between windows. Returns the
-  /// number of messages injected.
+  /// Move every outbox message into its destination engine's event queue,
+  /// in one globally sorted deterministic order ((arrival, src, src port,
+  /// dst, dst port, per-src seq)). Arrivals below `horizon_ns` — possible
+  /// only with a negative test warp — are clamped up to it (counted in
+  /// FabricStats::rewindowed), never reordered. Single-threaded: call only
+  /// between windows. Returns the number of messages injected.
   uint64_t exchange_cross_traffic(int64_t horizon_ns);
 
-  /// Attach (or detach, with nullptr) a ppm::trace recorder; every send
-  /// then records a kMsgSend span (send time -> delivery time, with kind/
-  /// bytes/addressing and fault-delay attribution). Null by default: the
-  /// hook is one never-taken branch per send. Classic (single-engine)
-  /// mode only.
-  void set_trace_recorder(trace::Recorder* recorder) { tracer_ = recorder; }
-
-  /// Windowed-mode tracing: per-node recorders, indexed by node id. A
-  /// message's kMsgSend span is recorded on the track of the node whose
-  /// engine computes the final delivery time — the source for intra-node
+  /// Tracing: per-node recorders, indexed by node id. A message's
+  /// kMsgSend span is recorded on the track of the node whose engine
+  /// computes the final delivery time — the source for intra-node
   /// traffic, the DESTINATION for cross-node traffic (the ingress stage
   /// resolves there; recording anywhere else would race). Pass an empty
   /// vector to detach.
@@ -202,39 +195,29 @@ class Fabric {
     Message msg;
   };
 
-  void windowed_send(Message msg);
-  /// Deterministic per-message fault jitter for windowed mode: the shared
-  /// Rng draw order of the classic engine would depend on host-thread
-  /// interleaving, so windowed jitter is a pure hash of
-  /// (seed, src, dst, dst port, per-pair seq) instead.
-  int64_t windowed_jitter_ns(const Message& msg, uint64_t pair_seq);
+  /// Fault jitter of one message (see FaultConfig): a pure hash, so the
+  /// delay cannot depend on host-thread interleaving.
+  int64_t jitter_ns(const Message& msg, uint64_t pair_seq) const;
   void record_msg_span(trace::Recorder* rec, const Message& msg, bool intra,
                        int64_t t_send, size_t bytes, int64_t deliver_ns,
                        int64_t stretch_ns);
 
-  sim::Engine& engine_;
+  // Everything below is either owned by one node's engine (outbox_/
+  // cross_seq_/pair_*/egress indexed by src, ingress indexed by dst) or
+  // touched only at barriers (exchange scratch).
   FabricConfig config_;
+  std::vector<sim::Engine*> engines_;                 // per node
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  // node-major
-  std::vector<int64_t> egress_free_ns_;   // per node
-  std::vector<int64_t> ingress_free_ns_;  // per node
+  std::vector<int64_t> egress_free_ns_;               // per node
+  std::vector<int64_t> ingress_free_ns_;              // per node
   FabricStats stats_;
-  // Fault injection (see FaultConfig): jitter randomness and the per
-  // (src node, dst node, dst port) delivery floor that keeps pairwise FIFO.
-  Rng fault_rng_;
-  std::unordered_map<uint64_t, int64_t> fault_floor_;
-  trace::Recorder* tracer_ = nullptr;
-
-  // ---- Windowed mode state. Everything below is either owned by one
-  // node's engine (outbox_/cross_seq_/pair_*/egress indexed by src,
-  // ingress indexed by dst) or touched only at barriers (exchange scratch).
-  bool windowed_ = false;
-  std::vector<sim::Engine*> node_engines_;            // per node
-  std::vector<std::vector<CrossMsg>> outbox_;         // per src node
-  std::vector<uint64_t> cross_seq_;                   // per src node
-  // Per-source maps: (dst node, dst port) -> fault floor / pair seq.
+  std::vector<std::vector<CrossMsg>> outbox_;  // per src node
+  std::vector<uint64_t> cross_seq_;            // per src node
+  // Per-source maps: (dst node, dst port) -> fault floor / pair seq. The
+  // floor keeps each pair FIFO under jitter.
   std::vector<std::unordered_map<uint64_t, int64_t>> pair_floor_;
   std::vector<std::unordered_map<uint64_t, uint64_t>> pair_seq_;
-  std::vector<trace::Recorder*> node_tracers_;        // per node (or empty)
+  std::vector<trace::Recorder*> tracers_;  // per node (or empty)
   std::vector<CrossMsg> exchange_scratch_;
 };
 

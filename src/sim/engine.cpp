@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "sim/stack_switch.hpp"
-#include "trace/recorder.hpp"
 #include "util/error.hpp"
 
 namespace ppm::sim {
@@ -88,16 +87,6 @@ void Engine::run_until(int64_t horizon_ns) {
     events_.pop();
     engine_now_ns_ = std::max(engine_now_ns_, ev.t_ns);
     ++events_fired_;
-    if (tracer_ != nullptr && engine_now_ns_ >= next_trace_mark_ns_)
-        [[unlikely]] {
-      trace::Event mark;
-      mark.t_ns = engine_now_ns_;
-      mark.kind = trace::EventKind::kEngineStep;
-      mark.a = events_fired_;
-      tracer_->record(mark);
-      next_trace_mark_ns_ =
-          (engine_now_ns_ / trace_stride_ns_ + 1) * trace_stride_ns_;
-    }
     ev.fn();
     if (pending_error_) {
       running_ = false;
@@ -125,14 +114,6 @@ std::string Engine::stuck_fiber_names() const {
     }
   }
   return stuck;
-}
-
-void Engine::set_trace_recorder(trace::Recorder* recorder,
-                                int64_t stride_ns) {
-  tracer_ = recorder;
-  trace_stride_ns_ = std::max<int64_t>(1, stride_ns);
-  // Mark immediately at the next fired event, then every stride.
-  next_trace_mark_ns_ = engine_now_ns_;
 }
 
 bool Engine::all_fibers_finished() const {

@@ -1,8 +1,8 @@
 // Discrete-event simulation engine with virtual time.
 //
-// The engine owns a set of fibers (one per simulated core, plus runtime
-// service fibers) and a time-ordered event queue. Virtual time advances in
-// two ways:
+// The engine owns a set of fibers (one per simulated core of its node,
+// plus runtime service fibers) and a time-ordered event queue. Virtual
+// time advances in two ways:
 //   * modeled costs: sim::advance(ns) and timed events (network delivery,
 //     sleeps) — always deterministic;
 //   * measured compute: in CalibrationMode::kMeasured the wall-clock
@@ -11,7 +11,9 @@
 //     kernels (SpMV, force walks, numerical integration) cost what they
 //     actually cost without hand-counting flops.
 //
-// Exactly one fiber runs at a time on the host thread, so simulated "shared
+// A cluster runs one Engine per simulated node (cluster::Machine), driven
+// in conservative time windows by sim::WindowScheduler. Exactly one fiber
+// of an engine runs at a time, on one host thread, so simulated "shared
 // memory" accesses within a node need no host synchronization.
 #pragma once
 
@@ -23,10 +25,6 @@
 #include <vector>
 
 #include "sim/fiber.hpp"
-
-namespace ppm::trace {
-class Recorder;
-}
 
 namespace ppm::sim {
 
@@ -130,13 +128,6 @@ class Engine {
   /// Engine running stats (events fired, slices executed) for tests.
   uint64_t events_fired() const { return events_fired_; }
 
-  /// Attach (or detach, with nullptr) a ppm::trace recorder: the run loop
-  /// then drops one kEngineStep mark per `stride_ns` of virtual time — a
-  /// bounded-volume progress track that anchors the other tracks'
-  /// timelines. Null by default; the check in the loop is one branch.
-  void set_trace_recorder(trace::Recorder* recorder,
-                          int64_t stride_ns = 100'000);
-
  private:
   friend class Fiber;
 
@@ -175,9 +166,6 @@ class Engine {
   int64_t engine_now_ns_ = 0;
   int64_t slice_wall_start_ns_ = 0;  // host steady_clock at slice start
   uint64_t events_fired_ = 0;
-  trace::Recorder* tracer_ = nullptr;
-  int64_t trace_stride_ns_ = 100'000;
-  int64_t next_trace_mark_ns_ = 0;
   bool running_ = false;
   std::exception_ptr pending_error_;
 };

@@ -28,7 +28,7 @@ namespace ppm::sim {
 
 /// Fixed-size host thread pool for window execution. `threads` counts the
 /// calling thread: HostPool(1) spawns nothing and run() executes inline,
-/// so the single-threaded windowed mode has no host-concurrency at all.
+/// so a one-thread machine has no host concurrency at all.
 /// Workers sleep on a condition variable between rounds (no spinning — the
 /// driver is designed to behave on oversubscribed or single-core hosts).
 class HostPool {

@@ -336,8 +336,7 @@ Verdict run_differential(const ProgramSpec& spec,
     Snapshot snap;
     RunArtifacts artifacts;
     try {
-      snap = run_under_config(spec, cfg,
-                              totals != nullptr ? &artifacts : nullptr);
+      snap = run_under_config(spec, cfg, &artifacts);
     } catch (const Error& e) {
       return {false, i, cfg.name, strfmt("ppm::Error: %s", e.what())};
     }
@@ -357,17 +356,18 @@ Verdict run_differential(const ProgramSpec& spec,
       return {false, i, cfg.name, d};
     }
 
-    // Windowed-simulator sweep (docs/SIM.md): the same config re-run under
-    // the parallel windowed engine at 1/2/4 host threads must (a) commit
-    // the same state as the sequential golden model and (b) be
-    // bit-identical to each other in virtual time and every deterministic
-    // counter. Always on — a shrink then reproduces sweep failures too.
-    static constexpr int kSimThreads[] = {1, 2, 4};
-    RunResult wres[std::size(kSimThreads)];
-    for (size_t t = 0; t < std::size(kSimThreads); ++t) {
+    // Host-thread sweep (docs/SIM.md): the main run above drives the
+    // engines on one host thread. The same config re-run on 2 and 4 host
+    // threads must (a) commit the same state as the golden model and (b)
+    // be bit-identical to the main run in virtual time and every
+    // deterministic counter. Always on — a shrink then reproduces sweep
+    // failures too.
+    static constexpr int kSimThreads[] = {2, 4};
+    const RunResult& ref = artifacts.result;
+    for (const int threads : kSimThreads) {
       StressConfig wcfg = cfg;
-      wcfg.machine.sim_threads = kSimThreads[t];
-      wcfg.name = strfmt("%s-sim%d", cfg.name.c_str(), kSimThreads[t]);
+      wcfg.machine.sim_threads = threads;
+      wcfg.name = strfmt("%s-sim%d", cfg.name.c_str(), threads);
       RunArtifacts warts;
       Snapshot wsnap;
       try {
@@ -375,51 +375,46 @@ Verdict run_differential(const ProgramSpec& spec,
       } catch (const Error& e) {
         return {false, i, wcfg.name, strfmt("ppm::Error: %s", e.what())};
       }
-      wres[t] = std::move(warts.result);
       if (auto d = diff_states(spec, it->second, wsnap,
                                /*globals_only=*/false, "golden", "windowed");
           !d.empty()) {
         return {false, i, wcfg.name, d};
       }
-    }
-    const auto wdiff = [&](const char* field, uint64_t a,
-                           uint64_t b) -> std::string {
-      if (a == b) return {};
-      return strfmt("windowed determinism: %s diverges across sim_threads "
-                    "(sim1=%llu vs %llu)",
-                    field, static_cast<unsigned long long>(a),
-                    static_cast<unsigned long long>(b));
-    };
-    for (size_t t = 1; t < std::size(kSimThreads); ++t) {
-      const RunResult& a = wres[0];
-      const RunResult& b = wres[t];
+      const RunResult& b = warts.result;
+      const auto wdiff = [&](const char* field, uint64_t x,
+                             uint64_t y) -> std::string {
+        if (x == y) return {};
+        return strfmt("windowed determinism: %s diverges across sim_threads "
+                      "(sim1=%llu vs sim%d=%llu)",
+                      field, static_cast<unsigned long long>(x), threads,
+                      static_cast<unsigned long long>(y));
+      };
       for (const auto& d :
-           {wdiff("duration_ns", static_cast<uint64_t>(a.duration_ns),
+           {wdiff("duration_ns", static_cast<uint64_t>(ref.duration_ns),
                   static_cast<uint64_t>(b.duration_ns)),
-            wdiff("network_messages", a.network_messages,
+            wdiff("network_messages", ref.network_messages,
                   b.network_messages),
-            wdiff("network_bytes", a.network_bytes, b.network_bytes),
-            wdiff("intranode_messages", a.intranode_messages,
+            wdiff("network_bytes", ref.network_bytes, b.network_bytes),
+            wdiff("intranode_messages", ref.intranode_messages,
                   b.intranode_messages),
-            wdiff("intranode_bytes", a.intranode_bytes, b.intranode_bytes),
-            wdiff("write_entries", a.write_entries, b.write_entries),
-            wdiff("bundles_sent", a.bundles_sent, b.bundles_sent),
-            wdiff("blocks_fetched", a.remote_blocks_fetched,
+            wdiff("intranode_bytes", ref.intranode_bytes,
+                  b.intranode_bytes),
+            wdiff("write_entries", ref.write_entries, b.write_entries),
+            wdiff("bundles_sent", ref.bundles_sent, b.bundles_sent),
+            wdiff("blocks_fetched", ref.remote_blocks_fetched,
                   b.remote_blocks_fetched),
-            wdiff("reads_from_cache", a.remote_reads_served_from_cache,
+            wdiff("reads_from_cache", ref.remote_reads_served_from_cache,
                   b.remote_reads_served_from_cache),
-            wdiff("fetch_stall_ns", a.fetch_stall_ns, b.fetch_stall_ns),
-            wdiff("entries_combined", a.entries_combined,
+            wdiff("fetch_stall_ns", ref.fetch_stall_ns, b.fetch_stall_ns),
+            wdiff("entries_combined", ref.entries_combined,
                   b.entries_combined),
-            wdiff("accums_executed", a.accums_executed, b.accums_executed),
-            wdiff("reduction_bytes_saved", a.reduction_bytes_saved,
+            wdiff("accums_executed", ref.accums_executed,
+                  b.accums_executed),
+            wdiff("reduction_bytes_saved", ref.reduction_bytes_saved,
                   b.reduction_bytes_saved),
-            wdiff("blocks_migrated", a.blocks_migrated,
+            wdiff("blocks_migrated", ref.blocks_migrated,
                   b.blocks_migrated)}) {
-        if (!d.empty()) {
-          return {false, i,
-                  strfmt("%s-sim%d", cfg.name.c_str(), kSimThreads[t]), d};
-        }
+        if (!d.empty()) return {false, i, wcfg.name, d};
       }
     }
   }

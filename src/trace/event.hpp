@@ -51,14 +51,12 @@ enum class EventKind : uint8_t {
   kMigrationMove,  // outbound block: a = array, b = block,
                    // c = (from << 32) | to
 
-  // Fabric (recorded on the fabric track). Span: t_ns = send time,
-  // c = delivery time.
+  // Fabric (recorded on the track of the node that resolves delivery:
+  // the destination for inter-node messages, the source for intra-node
+  // ones). Span: t_ns = send time, c = delivery time.
   kMsgSend,  // a = src<<48 | sport<<32 | dst<<16 | dport,
              // b = (top kind byte << 56) | payload bytes,
              // aux = fault-injected extra delay ns, flags bit0 = intra-node
-
-  // Simulation engine (recorded on the sim track).
-  kEngineStep,  // periodic mark; a = events fired so far
 };
 
 /// Stable short name, used by the exporters and the analyzer printout.
@@ -70,7 +68,7 @@ struct Event {
   uint64_t b = 0;
   uint64_t c = 0;
   uint32_t aux = 0;
-  uint16_t core = 0;  // recording core (fabric: source node)
+  uint16_t core = 0;  // recording core (kMsgSend: source node)
   EventKind kind{};
   uint8_t flags = 0;
 };

@@ -223,10 +223,30 @@ void export_node(JsonEmitter& json, const Recorder& rec, uint32_t pid) {
                          "," + u64_arg("from", e.c >> 32) + "," +
                          u64_arg("to", e.c & 0xffffffffULL));
         break;
+      case EventKind::kMsgSend:
+        break;  // drawn on the fabric process (export_msg)
       default:
         json.instant(pid, e.core, e.t_ns, kind_name(e.kind), "");
     }
   }
+}
+
+/// One message as a send -> delivery span on the fabric process, one
+/// thread per source node.
+void export_msg(JsonEmitter& json, const Event& e, uint32_t fabric_pid) {
+  const uint64_t src = e.a >> 48;
+  const uint64_t dst = (e.a >> 16) & 0xffff;
+  const uint64_t kind_byte = e.b >> 56;
+  const uint64_t bytes = e.b & ((uint64_t{1} << 56) - 1);
+  std::string name = "msg " + std::to_string(src) + "->" +
+                     std::to_string(dst) + " k" + std::to_string(kind_byte);
+  if ((e.flags & kFlagBit0) != 0) name += " (intra)";
+  std::string args = u64_arg("bytes", bytes) + "," +
+                     u64_arg("sport", (e.a >> 32) & 0xffff) + "," +
+                     u64_arg("dport", e.a & 0xffff);
+  if (e.aux != 0) args += "," + u64_arg("fault_delay_ns", e.aux);
+  json.span(fabric_pid, e.core, e.t_ns, static_cast<int64_t>(e.c), name,
+            args);
 }
 
 }  // namespace
@@ -235,44 +255,22 @@ std::string to_chrome_json(const Trace& trace) {
   JsonEmitter json;
   const int nodes = trace.nodes();
   const uint32_t fabric_pid = static_cast<uint32_t>(nodes);
-  const uint32_t sim_pid = static_cast<uint32_t>(nodes) + 1;
 
   std::map<uint32_t, std::string> process_names;
   for (int n = 0; n < nodes; ++n) {
     process_names[static_cast<uint32_t>(n)] = "node" + std::to_string(n);
   }
   process_names[fabric_pid] = "fabric";
-  process_names[sim_pid] = "sim";
 
   int64_t last_ns = 0;
   for (int n = 0; n < nodes; ++n) {
     export_node(json, trace.node(n), static_cast<uint32_t>(n));
     for (const Event& e : trace.node(n).ordered()) {
       last_ns = std::max(last_ns, e.t_ns);
+      if (e.kind != EventKind::kMsgSend) continue;
+      export_msg(json, e, fabric_pid);
+      last_ns = std::max(last_ns, static_cast<int64_t>(e.c));
     }
-  }
-  for (const Event& e : trace.fabric().ordered()) {
-    if (e.kind != EventKind::kMsgSend) continue;
-    const uint64_t src = e.a >> 48;
-    const uint64_t dst = (e.a >> 16) & 0xffff;
-    const uint64_t kind_byte = e.b >> 56;
-    const uint64_t bytes = e.b & ((uint64_t{1} << 56) - 1);
-    std::string name = "msg " + std::to_string(src) + "->" +
-                       std::to_string(dst) + " k" +
-                       std::to_string(kind_byte);
-    if ((e.flags & kFlagBit0) != 0) name += " (intra)";
-    std::string args = u64_arg("bytes", bytes) + "," +
-                       u64_arg("sport", (e.a >> 32) & 0xffff) + "," +
-                       u64_arg("dport", e.a & 0xffff);
-    if (e.aux != 0) args += "," + u64_arg("fault_delay_ns", e.aux);
-    json.span(fabric_pid, e.core, e.t_ns, static_cast<int64_t>(e.c), name,
-              args);
-    last_ns = std::max(last_ns, static_cast<int64_t>(e.c));
-  }
-  for (const Event& e : trace.engine().ordered()) {
-    json.instant(sim_pid, 0, e.t_ns, kind_name(e.kind),
-                 u64_arg("events_fired", e.a));
-    last_ns = std::max(last_ns, e.t_ns);
   }
   // Surface ring-wrap data loss in the artifact itself.
   for (int n = 0; n < nodes; ++n) {
@@ -280,10 +278,6 @@ std::string to_chrome_json(const Trace& trace) {
       json.instant(static_cast<uint32_t>(n), 0, last_ns, "events_dropped",
                    u64_arg("count", trace.node(n).dropped()));
     }
-  }
-  if (trace.fabric().dropped() > 0) {
-    json.instant(fabric_pid, 0, last_ns, "events_dropped",
-                 u64_arg("count", trace.fabric().dropped()));
   }
   return json.finish(process_names);
 }
@@ -316,10 +310,8 @@ Bytes to_binary(const Trace& trace) {
   w.put(kBinaryMagic);
   w.put(kBinaryVersion);
   w.put(static_cast<uint32_t>(trace.nodes()));
-  w.put(static_cast<uint32_t>(trace.nodes() + 2));  // track count
+  w.put(static_cast<uint32_t>(trace.nodes()));  // track count
   for (int n = 0; n < trace.nodes(); ++n) put_track(w, trace.node(n));
-  put_track(w, trace.fabric());
-  put_track(w, trace.engine());
   return std::move(w).take();
 }
 

@@ -14,18 +14,18 @@ namespace ppm::trace {
 class Trace;
 
 /// Chrome trace-event JSON: `{"traceEvents": [...]}` with one process per
-/// node (pid = node id, one thread per core), a "fabric" process carrying
-/// message spans (one thread per source node), and a "sim" process with
-/// engine step marks. Phase compute/commit, VP batches, fetch stalls, and
+/// node (pid = node id, one thread per core) and a "fabric" process
+/// carrying every message as a send -> delivery span (one thread per
+/// source node). Phase compute/commit, VP batches, fetch stalls, and
 /// messages are complete ("X") spans; the rest are instants.
 std::string to_chrome_json(const Trace& trace);
 
-/// Compact binary dump: magic "PPMT", version, then per track the label
-/// table and raw events. Field-by-field serialization (no struct memcpy),
+/// Compact binary dump: magic "PPMT", version, node count, track count
+/// (one track per node), then per track the label table and raw events. Field-by-field serialization (no struct memcpy),
 /// so the layout is stable across platforms.
 Bytes to_binary(const Trace& trace);
 
 inline constexpr uint32_t kBinaryMagic = 0x544d5050;  // "PPMT" little-endian
-inline constexpr uint32_t kBinaryVersion = 1;
+inline constexpr uint32_t kBinaryVersion = 2;
 
 }  // namespace ppm::trace

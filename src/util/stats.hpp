@@ -37,9 +37,9 @@ class RunningStat {
 /// Monotonically increasing counters keyed at construction time; used for
 /// network traffic accounting (messages, bytes, per-kind tallies).
 ///
-/// Increments are relaxed atomics: under the windowed parallel simulator
-/// (docs/SIM.md) the fabric bumps the aggregate counters from several host
-/// threads at once. Totals stay exact (each add lands once); only the
+/// Increments are relaxed atomics: with more than one simulator host
+/// thread (docs/SIM.md) the fabric bumps the aggregate counters from
+/// several host threads at once. Totals stay exact (each add lands once); only the
 /// momentary interleaving is unordered, which no reader depends on.
 class Counter {
  public:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -29,7 +30,7 @@ TEST(Machine, LaunchesOneFiberPerNode) {
 TEST(Machine, RunDurationIsMaxOverFibers) {
   Machine machine({.nodes = 2, .cores_per_node = 2});
   machine.run_per_core([&](const Place& p) {
-    machine.engine().advance_ns(1000 * (p.node * 2 + p.core + 1));
+    sim::advance_ns(1000 * (p.node * 2 + p.core + 1));
   });
   EXPECT_EQ(machine.last_run_duration_ns(), 4000);
 }
@@ -72,6 +73,37 @@ TEST(Machine, RejectsDegenerateShapes) {
   EXPECT_THROW(Machine({.nodes = 1, .cores_per_node = 0}), Error);
 }
 
+TEST(Machine, OneEnginePerNode) {
+  Machine machine({.nodes = 3, .cores_per_node = 2});
+  EXPECT_NE(&machine.engine_for_node(0), &machine.engine_for_node(1));
+  EXPECT_NE(&machine.engine_for_node(1), &machine.engine_for_node(2));
+  EXPECT_THROW(machine.engine_for_node(3), Error);
+  // Every node's fibers run on that node's engine.
+  std::vector<const sim::Engine*> ran_on(3);
+  machine.run_per_node([&](int node) {
+    ran_on[static_cast<size_t>(node)] = sim::current_engine();
+  });
+  for (int n = 0; n < 3; ++n) {
+    EXPECT_EQ(ran_on[static_cast<size_t>(n)], &machine.engine_for_node(n));
+  }
+}
+
+TEST(Machine, ZeroAndOneSimThreadsBothRunOnTheCallingThread) {
+  for (const int threads : {0, 1}) {
+    Machine machine({.nodes = 4, .cores_per_node = 1, .sim_threads = threads});
+    EXPECT_EQ(machine.sim_threads(), 1);
+    std::vector<std::thread::id> ran_on(4);
+    machine.run_per_node([&](int node) {
+      ran_on[static_cast<size_t>(node)] = std::this_thread::get_id();
+    });
+    for (const std::thread::id id : ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+  }
+  Machine capped({.nodes = 4, .cores_per_node = 1, .sim_threads = 64});
+  EXPECT_EQ(capped.sim_threads(), 4);  // never more threads than nodes
+}
+
 TEST(Machine, SpawnAtAddsFiberDuringRun) {
   Machine machine({.nodes = 1, .cores_per_node = 2});
   bool helper_ran = false;
@@ -83,9 +115,9 @@ TEST(Machine, SpawnAtAddsFiberDuringRun) {
 
 TEST(Machine, SequentialRunsAccumulateIndependentDurations) {
   Machine machine({.nodes = 1, .cores_per_node = 1});
-  machine.run_per_node([&](int) { machine.engine().advance_ns(500); });
+  machine.run_per_node([&](int) { sim::advance_ns(500); });
   EXPECT_EQ(machine.last_run_duration_ns(), 500);
-  machine.run_per_node([&](int) { machine.engine().advance_ns(200); });
+  machine.run_per_node([&](int) { sim::advance_ns(200); });
   EXPECT_EQ(machine.last_run_duration_ns(), 200);
 }
 

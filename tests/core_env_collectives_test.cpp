@@ -141,9 +141,9 @@ TEST_P(EnvCollectives, BarrierSynchronizesVirtualTime) {
   PpmConfig c = cfg(nodes);
   cluster::Machine machine(c.machine);
   run_on(machine, c.runtime, [&](Env& env) {
-    machine.engine().advance_ns(1000 * (env.node_id() + 1));
+    sim::advance_ns(1000 * (env.node_id() + 1));
     env.barrier();
-    after[static_cast<size_t>(env.node_id())] = machine.engine().now_ns();
+    after[static_cast<size_t>(env.node_id())] = sim::now_ns();
   });
   for (int64_t t : after) EXPECT_GE(t, 1000 * nodes);
 }

@@ -147,7 +147,7 @@ TEST(TraceTest, RecorderRingUnit) {
     trace::Event e;
     e.t_ns = 100 * (i + 1);
     e.a = static_cast<uint64_t>(i);
-    e.kind = trace::EventKind::kEngineStep;
+    e.kind = trace::EventKind::kCacheHit;
     rec.record(e);
   }
   EXPECT_EQ(rec.size(), 4u);
@@ -172,10 +172,20 @@ TEST(TraceTest, SummaryAndLabelsFlow) {
   EXPECT_GE(s.phases[0].critical_node, 0);
   EXPECT_LT(s.phases[0].critical_node, 3);
   EXPECT_GT(s.messages, 0u);
+  // Every message the fabric counted is in the trace, once.
+  EXPECT_EQ(s.messages,
+            on.result.network_messages + on.result.intranode_messages);
   EXPECT_GT(s.fetches, 0u);
+  EXPECT_NE(s.to_string().find("fabric: " + std::to_string(s.messages) +
+                               " messages"),
+            std::string::npos);
   EXPECT_FALSE(s.to_string().empty());
   // Labels land in the Chrome export and the profile rows.
   EXPECT_NE(on.json.find("stencil"), std::string::npos);
+  // Messages are exported as spans on the fabric process (pid 3 of 3
+  // nodes), not as instants on the node processes.
+  EXPECT_NE(on.json.find("{\"ph\":\"X\",\"pid\":3,"), std::string::npos);
+  EXPECT_EQ(on.json.find("\"name\":\"msg\""), std::string::npos);
 }
 
 TEST(TraceTest, CounterRollupAggregatesAcrossNodes) {
@@ -220,9 +230,12 @@ TEST(TraceTest, BinaryExportRoundTripHeader) {
   ASSERT_NE(runtime.trace(), nullptr);
   const Bytes bin = trace::to_binary(*runtime.trace());
   ASSERT_GE(bin.size(), 16u);
-  uint32_t magic = 0;
-  std::memcpy(&magic, bin.data(), sizeof(magic));
-  EXPECT_EQ(magic, trace::kBinaryMagic);
+  uint32_t header[4] = {};  // magic, version, nodes, tracks
+  std::memcpy(header, bin.data(), sizeof(header));
+  EXPECT_EQ(header[0], trace::kBinaryMagic);
+  EXPECT_EQ(header[1], trace::kBinaryVersion);
+  EXPECT_EQ(header[2], 2u);
+  EXPECT_EQ(header[3], 2u) << "one track per node";
   EXPECT_FALSE(on.json.empty());
 }
 

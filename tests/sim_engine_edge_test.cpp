@@ -1,6 +1,7 @@
 // Engine and fabric edge cases beyond the basic suites.
 #include <gtest/gtest.h>
 
+#include "cluster/machine.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -86,54 +87,46 @@ namespace ppm::net {
 namespace {
 
 TEST(FabricEdge, ZeroByteMessagesDeliver) {
-  sim::Engine engine;
-  FabricConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.ports_per_node = 1;
-  Fabric fabric(engine, cfg);
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Fabric& fabric = machine.fabric();
   bool got = false;
-  engine.spawn("recv", [&] {
-    const Message m = fabric.endpoint(1, 0).recv();
-    got = m.payload.empty();
+  machine.run_per_node([&](int node) {
+    if (node == 1) {
+      const Message m = fabric.endpoint(1, 0).recv();
+      got = m.payload.empty();
+    } else {
+      Message m;
+      m.src_node = 0;
+      m.dst_node = 1;
+      fabric.send(std::move(m));
+    }
   });
-  engine.spawn("send", [&] {
-    Message m;
-    m.src_node = 0;
-    m.dst_node = 1;
-    fabric.send(std::move(m));
-  });
-  engine.run();
   EXPECT_TRUE(got);
 }
 
 TEST(FabricEdge, OrderingPreservedUnderHeavyContention) {
   // Many senders to one destination: per-sender FIFO must hold even while
   // the shared NICs serialize everything.
-  sim::Engine engine;
-  FabricConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.ports_per_node = 1;
-  Fabric fabric(engine, cfg);
+  cluster::Machine machine({.nodes = 5, .cores_per_node = 1});
+  Fabric& fabric = machine.fabric();
   std::vector<std::vector<uint64_t>> seen(4);
-  engine.spawn("sink", [&] {
-    for (int i = 0; i < 4 * 20; ++i) {
-      const Message m = fabric.endpoint(4, 0).recv();
-      seen[static_cast<size_t>(m.src_node)].push_back(m.kind);
+  machine.run_per_node([&](int node) {
+    if (node == 4) {
+      for (int i = 0; i < 4 * 20; ++i) {
+        const Message m = fabric.endpoint(4, 0).recv();
+        seen[static_cast<size_t>(m.src_node)].push_back(m.kind);
+      }
+      return;
+    }
+    for (uint64_t k = 0; k < 20; ++k) {
+      Message m;
+      m.src_node = node;
+      m.dst_node = 4;
+      m.kind = k;
+      m.payload.assign(64, std::byte{0});
+      fabric.send(std::move(m));
     }
   });
-  for (int s = 0; s < 4; ++s) {
-    engine.spawn("src" + std::to_string(s), [&, s] {
-      for (uint64_t k = 0; k < 20; ++k) {
-        Message m;
-        m.src_node = s;
-        m.dst_node = 4;
-        m.kind = k;
-        m.payload.assign(64, std::byte{0});
-        fabric.send(std::move(m));
-      }
-    });
-  }
-  engine.run();
   for (const auto& kinds : seen) {
     ASSERT_EQ(kinds.size(), 20u);
     EXPECT_TRUE(std::is_sorted(kinds.begin(), kinds.end()));
@@ -141,13 +134,10 @@ TEST(FabricEdge, OrderingPreservedUnderHeavyContention) {
 }
 
 TEST(FabricEdge, SelfSendOnSameNodeWorks) {
-  sim::Engine engine;
-  FabricConfig cfg;
-  cfg.num_nodes = 1;
-  cfg.ports_per_node = 2;
-  Fabric fabric(engine, cfg);
+  cluster::Machine machine({.nodes = 1, .cores_per_node = 1});
+  Fabric& fabric = machine.fabric();
   bool got = false;
-  engine.spawn("both", [&] {
+  machine.run_per_node([&](int) {
     Message m;
     m.src_node = 0;
     m.src_port = 0;
@@ -157,7 +147,6 @@ TEST(FabricEdge, SelfSendOnSameNodeWorks) {
     (void)fabric.endpoint(0, 0).recv();
     got = true;
   });
-  engine.run();
   EXPECT_TRUE(got);
 }
 

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cluster/machine.hpp"
 #include "core/ppm.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/error.hpp"
 
 namespace ppm {
 namespace {
@@ -24,7 +26,6 @@ TEST(SimParallel, ZeroLatencySelfMessages) {
                   .send_overhead_ns = 0,
                   .recv_overhead_ns = 0};
   cluster::Machine machine(mc);
-  ASSERT_TRUE(machine.windowed());
   int64_t send_t = -1, recv_t = -1;
   machine.run_per_core([&](const cluster::Place& p) {
     if (p.node == 0 && p.core == 0) {
@@ -368,18 +369,22 @@ TEST(SimParallel, NegativeWarpIsRewindowedNeverReordered) {
   for (const int64_t t : t1) EXPECT_GE(t, 5'000);
 }
 
-TEST(SimParallel, ClampFallsBackToClassicEngine) {
-  // The window scheduler's lookahead is the network latency, so it must
-  // be positive: with zero latency sim_threads is clamped to the classic
-  // engine rather than silently mis-simulating.
-  cluster::MachineConfig mc;
-  mc.nodes = 2;
-  mc.sim_threads = 4;
-  mc.network.latency_ns = 0;
-  cluster::Machine machine(mc);
-  EXPECT_FALSE(machine.windowed());
-  EXPECT_EQ(machine.sim_threads(), 0);
-  machine.engine();  // classic accessor stays valid
+TEST(SimParallel, NonPositiveLatencyIsRejected) {
+  // The window scheduler's lookahead is the network latency, so a machine
+  // without a positive one cannot be simulated: construction fails and
+  // says why instead of silently mis-simulating.
+  for (const int64_t latency : {int64_t{0}, int64_t{-5}}) {
+    cluster::MachineConfig mc;
+    mc.nodes = 2;
+    mc.network.latency_ns = latency;
+    try {
+      cluster::Machine machine(mc);
+      ADD_FAILURE() << "latency " << latency << " ns was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("lookahead"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -63,11 +63,13 @@ Trace build_known_trace() {
   n1.record(make(EventKind::kPhaseComputeDone, 300, 0));
   n1.record(make(EventKind::kPhaseCommitted, 360, 0));
 
-  // Two fabric messages, one carrying 25ns of fault-injected delay.
-  t.fabric().record(make(EventKind::kMsgSend, 40, 0, 128, 90, 0, 0));
-  t.fabric().record(make(EventKind::kMsgSend, 60, 0, 256, 130, 0, 25));
-
-  t.engine().record(make(EventKind::kEngineStep, 100, 12));
+  // Two messages, each on the track of the node that resolved its
+  // delivery: 0 -> 1 on the destination's, an intra-node one carrying 25ns
+  // of fault-injected delay on its own node's.
+  n1.record(make(EventKind::kMsgSend, 40, /*0 -> 1*/ uint64_t{1} << 16, 128,
+                 /*delivered=*/90, 0, 0));
+  n0.record(make(EventKind::kMsgSend, 60, /*0 -> 0*/ 0, 256,
+                 /*delivered=*/130, kFlagBit0, 25));
   return t;
 }
 
@@ -175,11 +177,19 @@ TEST(TraceAnalyzeTest, FabricTotalsAndEventCounts) {
 TEST(TraceAnalyzeTest, ExportOfHandBuiltTraceIsWellFormed) {
   const Trace t = build_known_trace();
   const std::string json = to_chrome_json(t);
-  // Spans, instants, and both synthetic tracks must appear.
+  // Spans, instants, and the fabric process must appear.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"fabric\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim\""), std::string::npos);
   EXPECT_NE(json.find("foo"), std::string::npos);
+  // Each message is a send -> delivery span on the fabric process (pid 2,
+  // one thread per source node), never an instant on a node process.
+  EXPECT_NE(json.find("{\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":0.040,"
+                      "\"dur\":0.050,\"name\":\"msg 0->1 k0\""),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":0.060,"
+                      "\"dur\":0.070,\"name\":\"msg 0->0 k0 (intra)\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"msg\""), std::string::npos);
   EXPECT_EQ(json.find("events_dropped"), std::string::npos);
   // Deterministic: same Trace, same bytes.
   EXPECT_EQ(json, to_chrome_json(build_known_trace()));

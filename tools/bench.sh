@@ -93,11 +93,11 @@ for b in benches:
                     "repetitions", "iterations", "threads"):
                 row[key] = val
         rows.append(row)
-# Every row carries sim_threads: 0 = classic sequential engine, >= 1 =
-# the conservative-window parallel engine (docs/SIM.md). Benches that
-# sweep the engine report it as a counter; everything else defaults to 0.
+# Every row carries sim_threads: the host threads that drove the per-node
+# engines (docs/SIM.md). Benches that sweep it report it as a counter;
+# everything else ran on one thread.
 for r in rows:
-    r.setdefault("sim_threads", 0)
+    r.setdefault("sim_threads", 1)
 # PPM-vs-reference gap column: for every PPM row whose benchmark has an
 # MPI twin at the same arguments (BM_..Ppm/N vs BM_..Mpi/N), report
 # vtime_ppm / vtime_mpi so the figure's headline ratio is a first-class

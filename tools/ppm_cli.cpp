@@ -40,7 +40,7 @@ struct CliOptions {
   std::string app = "cg";
   int nodes = 4;
   int cores = 4;
-  int sim_threads = 0;  // 0 = classic sequential engine (docs/SIM.md)
+  int sim_threads = 1;  // host threads driving the engines (docs/SIM.md)
   uint64_t size = 0;  // 0 = per-app default
   int steps = 3;
   int levels = 5;
@@ -80,6 +80,8 @@ struct CliOptions {
       "          [--json[=FILE]]\n"
       "          [--model] [--fit-nodes=N1,N2,...] [--predict=N1,N2,...]\n"
       "          [--validate=N1,N2,...]\n"
+      "--sim-threads drives the per-node engines on T host threads\n"
+      "(default 1; 0 also means 1); every T replays the same run.\n"
       "model mode fits the ppm::model performance model from traced\n"
       "modeled-only runs at --fit-nodes (default 2..8), predicts vtime/\n"
       "bytes/messages at --predict counts, and compares predictions with\n"
