@@ -7,10 +7,9 @@
 //    stream to their destinations while the phase is still computing;
 //    without it, all write traffic is serialized into the end-of-phase
 //    commit.
-//  * BM_Ablation_OverlapEngine — the read/write overlap engine at 8
+//  * BM_Ablation_OverlapEngine — the read-side overlap engine at 8
 //    nodes: VP miss-switching (a cache miss runs other ready VPs while
-//    the fetch is in flight) crossed with sender-side write combining
-//    (same-VP accumulate entries pre-reduced in the dest buffers).
+//    the fetch is in flight) off and on.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -57,7 +56,7 @@ void BM_Ablation_Overlap(benchmark::State& state) {
   state.counters["threshold_KiB"] = static_cast<double>(state.range(1));
 }
 
-// ---- Overlap engine: miss-switching x write combining at 8 nodes ----
+// ---- Overlap engine: miss-switching at 8 nodes ----
 
 constexpr int kEngNodes = 8;
 constexpr uint64_t kEngVpsPerNode = 256;
@@ -111,14 +110,12 @@ void overlap_engine_workload(Env& env, GlobalShared<double>& tab,
   });
 }
 
-/// arg0: overlap_reads (miss-switching); arg1: combine_writes.
-/// Automatic stream prefetch is pinned off in every config so the read
-/// traffic is identical across rows and the network_bytes delta isolates
-/// write combining.
+/// arg0: overlap_reads (miss-switching). Automatic stream prefetch is
+/// pinned off in both configs so the reads each VP demands are the same
+/// across rows.
 void BM_Ablation_OverlapEngine(benchmark::State& state) {
   RuntimeOptions opts = bench::bench_runtime_options();
   opts.overlap_reads = state.range(0) != 0;
-  opts.combine_writes = state.range(1) != 0;
   opts.prefetch_lookahead_blocks = 0;
   for (auto _ : state) {
     cluster::Machine machine(bench::bench_machine(kEngNodes));
@@ -143,7 +140,6 @@ void BM_Ablation_OverlapEngine(benchmark::State& state) {
     bench::report_run_counters(state, r);
   }
   state.counters["overlap"] = static_cast<double>(state.range(0));
-  state.counters["combine"] = static_cast<double>(state.range(1));
 }
 
 }  // namespace
@@ -156,10 +152,8 @@ BENCHMARK(BM_Ablation_Overlap)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_Ablation_OverlapEngine)
-    ->Args({0, 0})  // both off: stall on every miss, ship every entry
-    ->Args({1, 0})  // miss-switching only
-    ->Args({0, 1})  // write combining only
-    ->Args({1, 1})  // full overlap engine (the library default)
+    ->Arg(0)  // stall on every miss
+    ->Arg(1)  // miss-switching (the library default)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

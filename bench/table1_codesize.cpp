@@ -64,9 +64,9 @@ struct Row {
 
 const std::vector<Row>& rows() {
   // Implementation files only (headers are interface documentation); the
-  // CG extensions (SSOR preconditioning, general-matrix solver) live in
-  // cg_ppm_ext.cpp and are deliberately not counted — the paper's row is
-  // the plain CG application program.
+  // general-matrix CG entry point lives in cg_ppm_ext.cpp and is
+  // deliberately not counted — the paper's row is the plain CG
+  // application program.
   static const std::vector<Row> kRows = {
       {"Conjugate Gradient",
        {"src/apps/cg/cg_ppm.cpp"},

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "apps/cg/trisolve.hpp"
-
 namespace ppm::apps::cg {
 
 PpmCgOutput cg_solve_ppm(Env& env, const ChimneyProblem& problem,

@@ -32,11 +32,4 @@ PpmCgOutput cg_solve_ppm_matrix(Env& env, const CsrMatrix& a_full,
                                 std::span<const double> b,
                                 const CgOptions& options = {});
 
-/// Preconditioned CG with the symmetric-Gauss-Seidel (SSOR) preconditioner
-/// applied through PPM level-scheduled triangular solves — the "Parallel
-/// ICCG" kernel shape of the paper's reference [20]. Converges in fewer
-/// iterations than the unpreconditioned solver.
-PpmCgOutput cg_solve_ppm_ssor(Env& env, const ChimneyProblem& problem,
-                              const CgOptions& options = {});
-
 }  // namespace ppm::apps::cg

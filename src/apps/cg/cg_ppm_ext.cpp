@@ -1,88 +1,14 @@
-// Extensions of the PPM CG solver beyond the paper's Application 1:
-// the SSOR-preconditioned variant (the "Parallel ICCG" kernel shape of the
-// paper's reference [20]) and the general-matrix entry point used with
-// MatrixMarket inputs. Kept out of cg_ppm.cpp so Table 1 counts the same
-// "CG application program" the paper counted.
+// Extension of the PPM CG solver beyond the paper's Application 1: the
+// general-matrix entry point used with MatrixMarket inputs. Kept out of
+// cg_ppm.cpp so Table 1 counts the same "CG application program" the
+// paper counted.
 #include "apps/cg/cg_ppm.hpp"
 
 #include <cmath>
 
-#include "apps/cg/trisolve.hpp"
 #include "core/algorithms.hpp"
 
 namespace ppm::apps::cg {
-
-
-PpmCgOutput cg_solve_ppm_ssor(Env& env, const ChimneyProblem& problem,
-                              const CgOptions& options) {
-  const uint64_t n = problem.unknowns();
-  auto x = env.global_array<double>(n);
-  auto r = env.global_array<double>(n);
-  auto z = env.global_array<double>(n);
-  auto p = env.global_array<double>(n);
-  auto q = env.global_array<double>(n);
-
-  const uint64_t row0 = x.local_begin();
-  const uint64_t rows = x.local_end() - row0;
-  // The preconditioner needs the full symmetric matrix for its level
-  // analysis; the SpMV keeps only the local slice.
-  const CsrMatrix a_full = build_chimney_matrix(problem);
-  const CsrMatrix a = a_full.row_slice(row0, row0 + rows);
-  const std::vector<double> b = build_chimney_rhs(problem);
-  SsorApplyPpm preconditioner(env, a_full);
-
-  auto vps = env.ppm_do(rows);
-  vps.global_phase([&](Vp& vp) {
-    const uint64_t i = row0 + vp.node_rank();
-    x.set(i, 0.0);
-    r.set(i, b[i]);
-  });
-  preconditioner.apply(env, r, z);
-  vps.global_phase([&](Vp& vp) {
-    const uint64_t i = row0 + vp.node_rank();
-    p.set(i, z.get(i));
-  });
-
-  const double b_norm = std::sqrt(dot(env, r, r));
-  const double threshold = options.tolerance * (b_norm > 0 ? b_norm : 1.0);
-
-  PpmCgOutput out{x, {}, 0, false};
-  double rz = dot(env, r, z);
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    vps.global_phase([&](Vp& vp) {
-      const uint64_t i = vp.node_rank();
-      double acc = 0.0;
-      for (uint64_t k = a.row_ptr[i]; k < a.row_ptr[i + 1]; ++k) {
-        acc += a.values[k] * p.get(a.col_idx[k]);
-      }
-      q.set(row0 + i, acc);
-    });
-    const double alpha = rz / dot(env, p, q);
-    vps.global_phase([&](Vp& vp) {
-      const uint64_t i = row0 + vp.node_rank();
-      x.add(i, alpha * p.get(i));
-      r.add(i, -alpha * q.get(i));
-    });
-    const double rr = dot(env, r, r);
-    out.residual_history.push_back(std::sqrt(rr));
-    ++out.iterations;
-    if (std::sqrt(rr) <= threshold) {
-      out.converged = true;
-      break;
-    }
-    preconditioner.apply(env, r, z);
-    const double rz_new = dot(env, r, z);
-    const double beta = rz_new / rz;
-    vps.global_phase([&](Vp& vp) {
-      const uint64_t i = row0 + vp.node_rank();
-      p.set(i, z.get(i) + beta * p.get(i));
-    });
-    rz = rz_new;
-  }
-  return out;
-}
-
 
 PpmCgOutput cg_solve_ppm_matrix(Env& env, const CsrMatrix& a_full,
                                 std::span<const double> b,
@@ -145,5 +71,3 @@ PpmCgOutput cg_solve_ppm_matrix(Env& env, const CsrMatrix& a_full,
 }
 
 }  // namespace ppm::apps::cg
-
-

@@ -61,38 +61,6 @@ struct RuntimeOptions {
   /// go out as plain per-block requests). Committed results are unaffected.
   bool batch_fetches = true;
 
-  /// Stride-detecting lookahead: when consecutive demand misses on an
-  /// array are a constant element stride apart (SpMV column walks, strided
-  /// halos), prefetch the blocks holding the next `prefetch_lookahead_
-  /// blocks` strided elements — the forward-adjacent stream detector only
-  /// covers unit stride. Off, only adjacent streams are detected.
-  bool strided_prefetch = true;
-
-  /// Span-style bulk access: GlobalShared/NodeShared read_n/set_n/add_n
-  /// resolve whole contiguous runs through the runtime in one call —
-  /// bounds checks and owner lookups are hoisted out of the per-element
-  /// loop, contiguous write runs ship as single range entries, and commits
-  /// apply them memcpy/tight-loop style. Off, the bulk calls degrade to
-  /// the per-element paths (bit-identical committed results either way).
-  bool bulk_access = true;
-
-  /// Sender-side write combining: pre-reduce same-VP accumulate entries
-  /// and overwrite superseded same-VP set() entries per (array, element)
-  /// inside the per-destination write buffers before they are flushed.
-  /// Shrinks wire bytes and the commit batch; committed results stay
-  /// bit-identical.
-  bool combine_writes = true;
-
-  /// Owner-side accumulate: route GlobalShared::accumulate/accumulate_n
-  /// entries for remote elements through the compact kAccumList/
-  /// kAccumBlock wire fragments (no per-entry (vp_rank, seq) — 12 fewer
-  /// bytes per scalar entry/range record) and apply them at the owner
-  /// after the ordered commit batch, grouped by source node ascending.
-  /// Off, accumulate() degrades to the plain deferred-write path (same
-  /// committed results for the exactly commutative/associative ops the
-  /// API requires; the stress harness differentially checks both).
-  bool owner_side_accumulate = true;
-
   /// Locality engine: run the migration planner automatically at every
   /// global-phase commit for owner-mapped (Distribution::kAdaptive)
   /// arrays. Off, kAdaptive arrays keep their initial block-aligned layout
@@ -125,19 +93,19 @@ struct RuntimeOptions {
   int64_t access_overhead_ns = 0;
 
   /// Enable the ppm::trace event recorder (docs/OBSERVABILITY.md). Each
-  /// node then records phase, scheduling, read/write-engine, and
-  /// migration events into a per-node ring buffer, the fabric records
-  /// message spans, and the engine records step marks; exporters turn the
-  /// rings into Perfetto-loadable JSON and the analyzer into
-  /// RunResult::trace_summary. Timestamps are virtual, so under
-  /// CalibrationMode::kModeledOnly a fixed config traces bit-identically.
+  /// node then records phase, scheduling, read/write-engine, migration
+  /// and message-send events into its own ring buffer (one track per
+  /// node); exporters turn the rings into Perfetto-loadable JSON and the
+  /// analyzer into RunResult::trace_summary. Timestamps are virtual, so
+  /// under CalibrationMode::kModeledOnly a fixed config traces
+  /// bit-identically.
   /// Default off: the hooks reduce to a never-taken null-pointer branch
   /// (same trick as the validator), and committed results are unaffected
   /// either way.
   bool trace = false;
-  /// Ring capacity per track, in events. On wrap the OLDEST events are
-  /// overwritten and counted (trace::Recorder::dropped), keeping memory
-  /// bounded while always retaining the most recent window.
+  /// Ring capacity per node track, in events. On wrap the OLDEST events
+  /// are overwritten and counted (trace::Recorder::dropped), keeping
+  /// memory bounded while always retaining the most recent window.
   uint32_t trace_buffer_events = 1 << 16;
 
   /// Enable the ppm::check phase-semantics sanitizer (docs/validator.md).

@@ -491,7 +491,6 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
     auto slot = issue_block_fetch(rec, owner, first, count,
                                   /*prefetch=*/false);
     maybe_stream_prefetch(rec, owner, first, olen);
-    maybe_strided_prefetch(rec, index);
     wait_fetch(*slot);
     // The service fiber cached the payload and published it on arrival.
     const auto it = block_cache_.find(key);
@@ -700,46 +699,6 @@ void NodeRuntime::maybe_stream_prefetch(const detail::ArrayRecord& rec,
     }
     issue_block_fetch(rec, owner, next,
                       std::min(rec.block_elems, owner_len - next),
-                      /*prefetch=*/true);
-  }
-}
-
-void NodeRuntime::maybe_strided_prefetch(const detail::ArrayRecord& rec,
-                                         uint64_t index) {
-  const uint32_t lookahead = opts_.prefetch_lookahead_blocks;
-  if (!opts_.strided_prefetch || lookahead == 0) return;
-  if (rec.id >= stride_state_.size()) stride_state_.resize(rec.id + 1);
-  StrideState& st = stride_state_[rec.id];
-  const uint64_t prev = st.last_index;
-  const int64_t prev_delta = st.delta;
-  st.last_index = index;
-  if (prev == ~uint64_t{0}) return;  // first miss on this array
-  const int64_t delta =
-      static_cast<int64_t>(index) - static_cast<int64_t>(prev);
-  st.delta = delta;
-  // Prefetch only on a CONFIRMED stride (two equal consecutive deltas):
-  // one speculative fetch per random miss would flood the wire. Strides
-  // shorter than a block are the adjacent-stream detector's job.
-  if (delta == 0 || delta != prev_delta) return;
-  const uint64_t mag = static_cast<uint64_t>(delta < 0 ? -delta : delta);
-  if (mag < rec.block_elems) return;
-  int64_t next = static_cast<int64_t>(index);
-  for (uint32_t j = 0; j < lookahead; ++j) {
-    next += delta;
-    if (next < 0 || next >= static_cast<int64_t>(rec.n)) return;
-    const uint64_t g = static_cast<uint64_t>(next);
-    const int owner = rec.owner_of(g);
-    if (owner == node_) continue;
-    const uint64_t llocal = rec.local_of(g);
-    const uint64_t first = (llocal / rec.block_elems) * rec.block_elems;
-    const BlockKey key{
-        rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
-    if (block_cache_.contains(key) || pending_blocks_.contains(key)) {
-      continue;
-    }
-    const uint64_t olen = rec.owner_len(owner);
-    issue_block_fetch(rec, owner, first,
-                      std::min(rec.block_elems, olen - first),
                       /*prefetch=*/true);
   }
 }
@@ -1121,13 +1080,11 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     if (rec.global && owner != node_) {
       ByteWriter& buf = bundle_buffer(owner);
       detail::put_range_entry(buf, hdr, src, len, esz);
-      if (opts_.combine_writes) {
-        // Later scalar writes must not fold into entries buffered BEFORE
-        // this range: the fold keeps the old seq, which would commit
-        // before the range instead of after. Dropping the map forfeits
-        // combining across the range, never correctness.
-        reset_combine_map(owner);
-      }
+      // Later scalar writes must not fold into entries buffered BEFORE
+      // this range: the fold keeps the old seq, which would commit before
+      // the range instead of after. Dropping the map forfeits combining
+      // across the range, never correctness.
+      reset_combine_map(owner);
       maybe_eager_flush(owner);
     } else {
       detail::put_range_entry(local_log_, hdr, src, len, esz);
@@ -1175,16 +1132,14 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   if (rec.global) {
     const int owner = rec.owner_of(index);
     if (owner != node_) {
-      if (opts_.combine_writes && try_combine(owner, hdr, value, rec)) {
+      if (try_combine(owner, hdr, value, rec)) {
         return;  // folded into a buffered entry; nothing new to flush
       }
       ByteWriter& buf = bundle_buffer(owner);
       const size_t offset = buf.size();
       detail::put_entry(buf, hdr, value, rec.ops.size);
-      if (opts_.combine_writes) {
-        peer(owner).combine[ElemKey{id, index}] =
-            CombineSlot{offset, hdr.vp_rank, hdr.op};
-      }
+      peer(owner).combine[ElemKey{id, index}] =
+          CombineSlot{offset, hdr.vp_rank, hdr.op};
       maybe_eager_flush(owner);
       return;
     }
@@ -1238,12 +1193,12 @@ void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
   PPM_CHECK(index < rec.n, "accumulate index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  // Local elements, node-shared arrays, writes outside global phases, and
-  // the knob being off all take the plain deferred-write path (which does
-  // its own accounting) — that path is the equivalence oracle the stress
-  // harness compares against.
-  if (!opts_.owner_side_accumulate || phase_scope_ != PhaseScope::kGlobal ||
-      !rec.global || rec.owner_of(index) == node_) {
+  // Local elements, node-shared arrays and writes outside global phases
+  // take the plain deferred-write path (which does its own accounting) —
+  // the path a 1-node run takes for every element, and so the
+  // equivalence oracle the stress harness compares against.
+  if (phase_scope_ != PhaseScope::kGlobal || !rec.global ||
+      rec.owner_of(index) == node_) {
     write_elem(id, index, value, op);
     return;
   }
@@ -1259,10 +1214,7 @@ void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
   // 12 bytes smaller per item than the kBundle scalar entry it replaces
   // (no vp_rank + seq on the wire).
   counters_.reduction_bytes_saved += 12;
-  if (opts_.combine_writes &&
-      try_combine_accum(owner, id, index, value, op, rec)) {
-    return;
-  }
+  if (try_combine_accum(owner, id, index, value, op, rec)) return;
   PeerState& ps = peer(owner);
   ByteWriter& buf = accum_list_buffer(owner);
   const size_t offset = buf.size();
@@ -1271,10 +1223,8 @@ void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
   buf.put(index);
   buf.put_raw(value, rec.ops.size);
   ++ps.accum_list_items;
-  if (opts_.combine_writes) {
-    ps.accum_combine[ElemKey{id, index}] =
-        CombineSlot{offset, vp->global_rank_, static_cast<uint8_t>(op)};
-  }
+  ps.accum_combine[ElemKey{id, index}] =
+      CombineSlot{offset, vp->global_rank_, static_cast<uint8_t>(op)};
   if (options().eager_flush &&
       ps.accum_list.size() + ps.accum_block.size() >=
           options().flush_threshold_bytes) {
@@ -1296,8 +1246,7 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
             static_cast<unsigned long long>(rec.n));
   if (count == 0) return;
   const uint32_t esz = rec.ops.size;
-  if (!opts_.owner_side_accumulate || phase_scope_ != PhaseScope::kGlobal ||
-      !rec.global) {
+  if (phase_scope_ != PhaseScope::kGlobal || !rec.global) {
     write_span(id, first, count, values, op);
     return;
   }
@@ -1344,13 +1293,10 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
       buf.put(g);
       buf.put(len);
       buf.put_raw(src, static_cast<size_t>(len) * esz);
-      if (opts_.combine_writes) {
-        // Later scalar accumulates must not fold into list items buffered
-        // BEFORE this record — the fold would reorder them past it.
-        // Dropping the map forfeits combining, never correctness.
-        auto& map = ps.accum_combine;
-        if (!map.empty()) map.clear();
-      }
+      // Later scalar accumulates must not fold into list items buffered
+      // BEFORE this record — the fold would reorder them past it. Dropping
+      // the map forfeits combining, never correctness.
+      if (!ps.accum_combine.empty()) ps.accum_combine.clear();
       if (options().eager_flush &&
           ps.accum_list.size() + ps.accum_block.size() >=
               options().flush_threshold_bytes) {

@@ -415,9 +415,8 @@ class NodeRuntime {
   /// most one writer per phase — owner-side application is grouped by
   /// source node, not interleaved by VP rank, which is indistinguishable
   /// exactly under that contract (ppm::check enforces it for ops
-  /// registered non-commutative). Local elements, node-shared arrays,
-  /// writes outside phases, and owner_side_accumulate=false all fall back
-  /// to the plain write_elem path.
+  /// registered non-commutative). Local elements, node-shared arrays and
+  /// writes outside global phases take the plain write_elem path.
   void accumulate_elem(uint32_t id, uint64_t index, const std::byte* value,
                        detail::WriteOp op);
   /// Contiguous accumulate run: accumulate_elem over [first, first+count),
@@ -663,13 +662,6 @@ class NodeRuntime {
   /// block was already wanted (detected forward stream).
   void maybe_stream_prefetch(const detail::ArrayRecord& rec, int owner,
                              uint64_t first, uint64_t owner_len);
-  /// Stride detector: on a demand miss at global `index`, when the last
-  /// two misses on this array were the same non-unit element stride
-  /// apart, prefetch the blocks holding the next strided elements
-  /// (options().strided_prefetch; the adjacent-stream detector covers
-  /// stride 1).
-  void maybe_strided_prefetch(const detail::ArrayRecord& rec,
-                              uint64_t index);
   /// Publish a cached block in the array's direct-mapped table and count
   /// the first demand touch of a prefetched block.
   void publish_block(const detail::ArrayRecord& rec, const BlockKey& key,
@@ -914,15 +906,6 @@ class NodeRuntime {
     ps.marker_epoch = epoch_;
     marker_peers_.push_back(dest_node);
   }
-
-  // Stride detector state, per array id (grown lazily). Tracks the last
-  // demand-miss index and the last inter-miss delta; a repeated non-unit
-  // delta triggers strided lookahead.
-  struct StrideState {
-    uint64_t last_index = ~uint64_t{0};
-    int64_t delta = 0;
-  };
-  std::vector<StrideState> stride_state_;
 
   // Bundle staging (service side), keyed by epoch.
   std::map<uint64_t, std::vector<Bytes>> staged_bundles_;

@@ -87,8 +87,7 @@ class GlobalShared {
   /// to the owner through the compact kAccumList/kAccumBlock wire
   /// fragments and apply there at commit — no per-entry (vp_rank, seq)
   /// bytes, no fetch round trip. See NodeRuntime::accumulate_elem for the
-  /// commutativity contract; with RuntimeOptions::owner_side_accumulate
-  /// off this degrades to the plain deferred-write path bit-identically.
+  /// commutativity contract.
   void accumulate(uint64_t i, ReduceOp op, const T& v) {
     rt_->accumulate_elem(id_, i, reinterpret_cast<const std::byte*>(&v),
                          static_cast<detail::WriteOp>(op));
@@ -99,15 +98,9 @@ class GlobalShared {
   /// kAccumBlock range record per owner.
   void accumulate_n(uint64_t first, uint64_t count, ReduceOp op,
                     const T* values) {
-    if (rt_->options().bulk_access) {
-      rt_->accumulate_span(id_, first, count,
-                           reinterpret_cast<const std::byte*>(values),
-                           static_cast<detail::WriteOp>(op));
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) {
-      accumulate(first + j, op, values[j]);
-    }
+    rt_->accumulate_span(id_, first, count,
+                         reinterpret_cast<const std::byte*>(values),
+                         static_cast<detail::WriteOp>(op));
   }
 
   /// Zero-copy read: a reference to the element's phase-start value,
@@ -154,21 +147,16 @@ class GlobalShared {
     return out;
   }
 
-  // -- Span-style bulk access (RuntimeOptions::bulk_access) --
+  // -- Span-style bulk access --
   //
   // Equivalent to the per-element loops element for element — same
   // committed results, same conflict resolution — but ownership/bounds
   // resolve once per contiguous segment and remote write runs ship as
-  // single range entries. With bulk_access off they degrade to the
-  // per-element calls (the differential stress oracle runs both).
+  // single range entries.
 
   /// Phase-start values of elements [first, first+count) into out.
   void read_n(uint64_t first, uint64_t count, T* out) const {
-    if (rt_->options().bulk_access) {
-      rt_->read_span(id_, first, count, reinterpret_cast<std::byte*>(out));
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) out[j] = get(first + j);
+    rt_->read_span(id_, first, count, reinterpret_cast<std::byte*>(out));
   }
 
   /// Deferred bulk set of elements [first, first+count) — as if set() were
@@ -248,15 +236,8 @@ class GlobalShared {
 
   void write_n(uint64_t first, uint64_t count, const T* values,
                detail::WriteOp op) {
-    if (rt_->options().bulk_access) {
-      rt_->write_span(id_, first, count,
-                      reinterpret_cast<const std::byte*>(values), op);
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) {
-      rt_->write_elem(id_, first + j,
-                      reinterpret_cast<const std::byte*>(&values[j]), op);
-    }
+    rt_->write_span(id_, first, count,
+                    reinterpret_cast<const std::byte*>(values), op);
   }
 
   GlobalShared(NodeRuntime* rt, uint32_t id, uint64_t n)
@@ -326,27 +307,16 @@ class NodeShared {
   }
   void accumulate_n(uint64_t first, uint64_t count, ReduceOp op,
                     const T* values) {
-    if (rt_->options().bulk_access) {
-      rt_->accumulate_span(id_, first, count,
-                           reinterpret_cast<const std::byte*>(values),
-                           static_cast<detail::WriteOp>(op));
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) {
-      accumulate(first + j, op, values[j]);
-    }
+    rt_->accumulate_span(id_, first, count,
+                         reinterpret_cast<const std::byte*>(values),
+                         static_cast<detail::WriteOp>(op));
   }
 
-  // -- Span-style bulk access (RuntimeOptions::bulk_access); see
-  // GlobalShared for semantics. Node-shared storage is always local, so
-  // read_n is a plain memcpy either way.
+  // -- Span-style bulk access; see GlobalShared for semantics.
+  // Node-shared storage is always local, so read_n is a plain memcpy.
 
   void read_n(uint64_t first, uint64_t count, T* out) const {
-    if (rt_->options().bulk_access) {
-      rt_->read_span(id_, first, count, reinterpret_cast<std::byte*>(out));
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) out[j] = get(first + j);
+    rt_->read_span(id_, first, count, reinterpret_cast<std::byte*>(out));
   }
   void set_n(uint64_t first, uint64_t count, const T* values) {
     write_n(first, count, values, detail::WriteOp::kSet);
@@ -370,15 +340,8 @@ class NodeShared {
 
   void write_n(uint64_t first, uint64_t count, const T* values,
                detail::WriteOp op) {
-    if (rt_->options().bulk_access) {
-      rt_->write_span(id_, first, count,
-                      reinterpret_cast<const std::byte*>(values), op);
-      return;
-    }
-    for (uint64_t j = 0; j < count; ++j) {
-      rt_->write_elem(id_, first + j,
-                      reinterpret_cast<const std::byte*>(&values[j]), op);
-    }
+    rt_->write_span(id_, first, count,
+                    reinterpret_cast<const std::byte*>(values), op);
   }
 
   NodeShared(NodeRuntime* rt, uint32_t id, uint64_t n)

@@ -1,25 +1,15 @@
 #include "mp/comm.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace ppm::mp {
 
 namespace {
 // Message kind layout:
 //   bit 63            collective flag
-//   bits 62..40       communicator token (0 = world)
 //   p2p:  bits 31..0  user tag
 //   coll: bits 39..8  sequence, bits 7..0 round
 constexpr uint64_t kCollectiveFlag = 1ULL << 63;
-constexpr int kTokenShift = 40;
-constexpr uint64_t kTokenMask = (1ULL << 23) - 1;
-
-uint32_t token_of(uint64_t kind) {
-  return static_cast<uint32_t>((kind >> kTokenShift) & kTokenMask);
-}
 }  // namespace
 
 World::World(cluster::Machine& machine)
@@ -38,29 +28,26 @@ Comm World::comm_at(const cluster::Place& place) {
 }
 
 net::Endpoint& Comm::endpoint() {
-  return world_->machine_.fabric().endpoint(world_->node_of(world_rank_),
-                                            world_->core_of(world_rank_));
+  return world_->machine_.fabric().endpoint(world_->node_of(rank_),
+                                            world_->core_of(rank_));
 }
 
 World::RankState& Comm::state() {
-  return world_->ranks_[static_cast<size_t>(world_rank_)];
+  return world_->ranks_[static_cast<size_t>(rank_)];
 }
 
 void Comm::send(int dst, int tag, Bytes data) {
   PPM_CHECK(tag >= 0 && tag <= kMaxUserTag, "bad user tag %d", tag);
   PPM_CHECK(dst >= 0 && dst < size(), "bad destination rank %d", dst);
-  send_raw(to_world(dst),
-           (static_cast<uint64_t>(token()) << kTokenShift) |
-               static_cast<uint64_t>(tag),
-           std::move(data));
+  send_raw(dst, static_cast<uint64_t>(tag), std::move(data));
 }
 
 void Comm::send_raw(int dst, uint64_t kind, Bytes data) {
   PPM_CHECK(dst >= 0 && dst < world_->size(), "bad destination rank %d",
             dst);
   net::Message m;
-  m.src_node = world_->node_of(world_rank_);
-  m.src_port = world_->core_of(world_rank_);
+  m.src_node = world_->node_of(rank_);
+  m.src_port = world_->core_of(rank_);
   m.dst_node = world_->node_of(dst);
   m.dst_port = world_->core_of(dst);
   m.kind = kind;
@@ -71,14 +58,7 @@ void Comm::send_raw(int dst, uint64_t kind, Bytes data) {
 bool Comm::matches(const net::Message& m, int world_cores, int src,
                    int tag) const {
   if ((m.kind & kCollectiveFlag) != 0) return false;  // p2p matching only
-  if (token_of(m.kind) != token()) return false;      // other communicator
-  const int msg_src_world = m.src_node * world_cores + m.src_port;
-  int msg_src = msg_src_world;
-  if (group_) {
-    const auto it = group_->index.find(msg_src_world);
-    if (it == group_->index.end()) return false;  // sender not a member
-    msg_src = it->second;
-  }
+  const int msg_src = m.src_node * world_cores + m.src_port;
   const int msg_tag = static_cast<int>(m.kind & 0xffffffffULL);
   return (src == kAnySource || src == msg_src) &&
          (tag == kAnyTag || tag == msg_tag);
@@ -94,9 +74,7 @@ Bytes Comm::recv(int src, int tag, Status* status) {
 
   auto finish = [&](net::Message m) -> Bytes {
     if (status != nullptr) {
-      const int src_world = m.src_node * cores + m.src_port;
-      status->source =
-          group_ ? group_->index.at(src_world) : src_world;
+      status->source = m.src_node * cores + m.src_port;
       status->tag = static_cast<int>(m.kind & 0xffffffffULL);
       status->bytes = m.payload.size();
     }
@@ -177,9 +155,7 @@ bool Comm::iprobe(int src, int tag, Status* status) {
   for (const auto& msg : unexpected) {
     if (matches(msg, cores, src, tag)) {
       if (status != nullptr) {
-        const int src_world = msg.src_node * cores + msg.src_port;
-        status->source =
-            group_ ? group_->index.at(src_world) : src_world;
+        status->source = msg.src_node * cores + msg.src_port;
         status->tag = static_cast<int>(msg.kind & 0xffffffffULL);
         status->bytes = msg.payload.size();
       }
@@ -192,13 +168,11 @@ bool Comm::iprobe(int src, int tag, Status* status) {
 uint64_t Comm::collective_kind(uint64_t seq, uint32_t round) const {
   PPM_CHECK(round < 256, "collective round overflow");
   PPM_CHECK(seq < (1ULL << 32), "collective sequence overflow");
-  return kCollectiveFlag |
-         (static_cast<uint64_t>(token()) << kTokenShift) | (seq << 8) |
-         round;
+  return kCollectiveFlag | (seq << 8) | round;
 }
 
 uint64_t Comm::next_collective_seq() {
-  return state().collective_seq[token()]++;
+  return state().collective_seq++;
 }
 
 void Comm::barrier() {
@@ -209,52 +183,11 @@ void Comm::barrier() {
   const uint64_t seq = next_collective_seq();
   uint32_t round = 0;
   for (int offset = 1; offset < p; offset *= 2, ++round) {
-    const int to = (local_rank_ + offset) % p;
-    const int from = (local_rank_ - offset % p + p) % p;
-    send_raw(to_world(to), collective_kind(seq, round), Bytes{});
-    (void)recv_kind(to_world(from), collective_kind(seq, round));
+    const int to = (rank_ + offset) % p;
+    const int from = (rank_ - offset % p + p) % p;
+    send_raw(to, collective_kind(seq, round), Bytes{});
+    (void)recv_kind(from, collective_kind(seq, round));
   }
-}
-
-Comm Comm::split(int color, int key) {
-  // Everyone shares (color, key, world rank); members of the same color
-  // form the new communicator ordered by (key, old local rank).
-  struct Entry {
-    int color;
-    int key;
-    int old_rank;
-    int world;
-  };
-  const Entry mine{color, key, local_rank_, world_rank_};
-  const auto all = allgatherv(std::span<const Entry>(&mine, 1));
-  std::vector<Entry> members;
-  for (const auto& block : all) {
-    for (const Entry& e : block) {
-      if (e.color == color) members.push_back(e);
-    }
-  }
-  std::sort(members.begin(), members.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.key != b.key ? a.key < b.key
-                                    : a.old_rank < b.old_rank;
-            });
-  auto group = std::make_shared<detail::CommGroup>();
-  // Deterministic token: every member derives it from shared data. The
-  // sequence below was consumed identically by all members' allgatherv.
-  const uint64_t seq = state().collective_seq[token()];
-  group->token = static_cast<uint32_t>(
-      (mix64((static_cast<uint64_t>(token()) << 32) ^ (seq << 8) ^
-             static_cast<uint64_t>(color + 1)) &
-       kTokenMask));
-  if (group->token == 0) group->token = 1;
-  int my_local = -1;
-  for (size_t i = 0; i < members.size(); ++i) {
-    group->members.push_back(members[i].world);
-    group->index.emplace(members[i].world, static_cast<int>(i));
-    if (members[i].world == world_rank_) my_local = static_cast<int>(i);
-  }
-  PPM_CHECK(my_local >= 0, "split: caller missing from its own color");
-  return Comm(world_, world_rank_, my_local, std::move(group));
 }
 
 }  // namespace ppm::mp

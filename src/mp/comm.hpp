@@ -17,9 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <span>
 #include <vector>
 
@@ -36,22 +34,12 @@ inline constexpr int kAnyTag = -1;
 inline constexpr int kMaxUserTag = (1 << 30) - 1;
 
 struct Status {
-  int source = kAnySource;  // rank within the receiving communicator
+  int source = kAnySource;
   int tag = kAnyTag;
   size_t bytes = 0;
 };
 
 class Comm;
-
-namespace detail {
-/// Membership of a sub-communicator: world ranks of the members (sorted by
-/// the split ordering) and the reverse index.
-struct CommGroup {
-  uint32_t token = 0;  // isolates matching between communicators
-  std::vector<int> members;            // local rank -> world rank
-  std::unordered_map<int, int> index;  // world rank -> local rank
-};
-}  // namespace detail
 
 /// Per-machine message-passing state shared by all ranks.
 class World {
@@ -76,7 +64,7 @@ class World {
   friend class Comm;
   struct RankState {
     std::deque<net::Message> unexpected;
-    std::unordered_map<uint32_t, uint64_t> collective_seq;  // per comm
+    uint64_t collective_seq = 0;
   };
 
   cluster::Machine& machine_;
@@ -98,22 +86,12 @@ class Request {
   int tag_ = kAnyTag;
 };
 
+/// A rank's handle on the world communicator (every rank of the machine;
+/// there are no sub-communicators).
 class Comm {
  public:
-  /// Rank within this communicator.
-  int rank() const { return local_rank_; }
-  /// Size of this communicator.
-  int size() const {
-    return group_ ? static_cast<int>(group_->members.size())
-                  : world_->size();
-  }
-  /// Rank within the world (endpoint identity).
-  int world_rank() const { return world_rank_; }
-
-  /// Split this communicator MPI_Comm_split-style: members with the same
-  /// `color` form a new communicator, ordered by (key, old rank).
-  /// Collective over this communicator.
-  Comm split(int color, int key);
+  int rank() const { return rank_; }
+  int size() const { return world_->size(); }
 
   // ---- Point-to-point ----
 
@@ -209,12 +187,7 @@ class Comm {
 
  private:
   friend class World;
-  Comm(World* world, int world_rank)
-      : world_(world), world_rank_(world_rank), local_rank_(world_rank) {}
-  Comm(World* world, int world_rank, int local_rank,
-       std::shared_ptr<const detail::CommGroup> group)
-      : world_(world), world_rank_(world_rank), local_rank_(local_rank),
-        group_(std::move(group)) {}
+  Comm(World* world, int rank) : world_(world), rank_(rank) {}
 
   void send_raw(int dst, uint64_t kind, Bytes data);
   Bytes recv_kind(int src, uint64_t kind);  // exact-kind matching receive
@@ -228,16 +201,9 @@ class Comm {
   /// sequences agree across ranks.
   uint64_t collective_kind(uint64_t seq, uint32_t round) const;
   uint64_t next_collective_seq();
-  /// World rank of a local rank in this communicator.
-  int to_world(int local) const {
-    return group_ ? group_->members[static_cast<size_t>(local)] : local;
-  }
-  uint32_t token() const { return group_ ? group_->token : 0; }
 
   World* world_;
-  int world_rank_;
-  int local_rank_;
-  std::shared_ptr<const detail::CommGroup> group_;  // null = world
+  int rank_;
 };
 
 }  // namespace ppm::mp

@@ -6,7 +6,7 @@
 // of phase-start shared values. That purity is what makes the program
 // differentially checkable: the committed state after every phase is fully
 // determined by (rank, phase, reads), so every runtime configuration —
-// schedules, node counts, overlap/combining/prefetch knobs, fault-injected
+// schedules, node counts, overlap/prefetch knobs, fault-injected
 // message timing — must commit bit-identical global state, and all of them
 // must match the straight-line golden interpreter (golden.hpp).
 //

@@ -27,12 +27,11 @@ struct PpmCtx {
     return s;
   }
   // Every accumulate flavor routes through accumulate()/accumulate_n():
-  // with the owner_side_accumulate knob on, remote global elements ship
-  // as kAccumList/kAccumBlock fragments applied at the owner; with it
-  // off — and always for local elements and node-shared arrays — the
-  // handle falls back to the plain deferred-write path. Both must commit
-  // bit-identical state, which is exactly what the differential matrix
-  // checks.
+  // remote global elements ship as kAccumList/kAccumBlock fragments
+  // applied at the owner, while local elements and node-shared arrays —
+  // every element of the 1-node reference config — take the plain
+  // deferred-write path. Both must commit bit-identical state, which is
+  // exactly what the differential matrix checks.
   void write(uint32_t a, uint64_t i, detail::WriteOp op, uint64_t v) const {
     if ((*spec).arrays[a].global) {
       auto& arr = (*g)[a];
@@ -186,12 +185,6 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
     c.runtime.prefetch_lookahead_blocks =
         static_cast<uint32_t>(rng.next_below(3));
     c.runtime.batch_fetches = rng.next_below(2) == 0;
-    c.runtime.strided_prefetch = rng.next_below(2) == 0;
-    c.runtime.bulk_access = rng.next_below(2) == 0;
-    c.runtime.combine_writes = rng.next_below(2) == 0;
-    // Mostly on (the default and the interesting path); off runs keep the
-    // fetch-based fallback honest as the equivalence oracle.
-    c.runtime.owner_side_accumulate = rng.next_below(4) != 0;
     c.runtime.adaptive_distribution = rng.next_below(2) == 0;
     c.runtime.migrate_remote_ratio = 1.0 + rng.next_double();
     c.runtime.migrate_max_blocks_per_phase =
@@ -221,14 +214,13 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
       c.machine.network.latency_ns = 1'000;
     }
     c.name = strfmt(
-        "cfg%d-%dn%dc-%s%s%s%s%s%s", i, c.machine.nodes,
+        "cfg%d-%dn%dc-%s%s%s%s%s", i, c.machine.nodes,
         c.machine.cores_per_node,
         c.runtime.schedule == SchedulePolicy::kDynamic ? "dyn" : "sta",
         bruck ? "-bruck" : "",
         c.machine.faults.delay_jitter ? "-faults" : "",
         c.runtime.adaptive_distribution ? "-adapt" : "",
-        c.runtime.validate_phases ? "" : "-nochk",
-        c.runtime.owner_side_accumulate ? "" : "-noacc");
+        c.runtime.validate_phases ? "" : "-nochk");
     out.push_back(std::move(c));
   }
   return out;

@@ -4,14 +4,16 @@
 // The contract under test: for exactly commutative/associative ops
 // (integer add/min/max/mul, a registered XOR), owner-side delivery through
 // the compact kAccumList/kAccumBlock fragments commits bit-identical
-// state to the plain fetch-free deferred-write path, under every
-// distribution, with and without write combining, across a migration
-// epoch — while never adding a fetch round-trip. Non-commutative user ops
-// on conflicting elements are a reportable ppm::check violation.
+// state to the plain fetch-free deferred-write path — the path every
+// element takes in a 1-node run — under every distribution, with
+// sender-side combining, across a migration epoch, while never adding a
+// fetch round-trip. Non-commutative user ops on conflicting elements are
+// a reportable ppm::check violation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,21 +28,25 @@ namespace {
 
 constexpr uint64_t kN = 96;
 constexpr uint64_t kVpsPerNode = 8;
+/// VPs of run_mixed on any node count: its 3-node runs and the 1-node
+/// reference run the same global ranks.
+constexpr uint64_t kMixedVps = 24;
 
-PpmConfig cfg(int nodes, bool owner_side, bool combine = true) {
+PpmConfig cfg(int nodes) {
   PpmConfig c;
   c.machine.nodes = nodes;
   c.machine.cores_per_node = 2;
-  c.runtime.owner_side_accumulate = owner_side;
-  c.runtime.combine_writes = combine;
   return c;
 }
 
 /// One accumulate-heavy program over a single array of the given
 /// distribution: seed, then three rounds mixing every accumulate flavor
 /// (scalar add/min/max/mul/xor plus an accumulate_n run), with scattered
-/// mostly-remote targets. Returns final contents (read on node 0) and the
-/// run statistics.
+/// mostly-remote targets. Every VP's add is a same-VP run of two, which
+/// the sender folds into one buffered item when the target is remote.
+/// kMixedVps VPs are split evenly over the nodes, so on one node every
+/// element takes the plain deferred-write path. Returns final contents
+/// (read on node 0) and the run statistics.
 std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
                                 bool rebalance_mid = false,
                                 RunResult* stats = nullptr) {
@@ -49,9 +55,8 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
     auto a = env.global_array<uint64_t>(kN, dist);
     env.register_accum_op<uint64_t>(
         a, 0, +[](uint64_t& x, const uint64_t& v) { x ^= v; });
-    auto vps = env.ppm_do(kVpsPerNode);
-    const uint64_t k_total =
-        kVpsPerNode * static_cast<uint64_t>(env.node_count());
+    const uint64_t k_total = kMixedVps;
+    auto vps = env.ppm_do(k_total / static_cast<uint64_t>(env.node_count()));
     vps.global_phase([&](Vp& vp) {
       for (uint64_t i = vp.global_rank(); i < kN; i += k_total) {
         a.set(i, i * 5 + 2);
@@ -65,6 +70,7 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
       vps.global_phase([&](Vp& vp) {
         const uint64_t r = vp.global_rank();
         a.accumulate((r * 13 + round) % 16, ReduceOp::kAdd, r + 1);
+        a.accumulate((r * 13 + round) % 16, ReduceOp::kAdd, round);
         a.accumulate(16 + (r * 29 + 1) % 16, ReduceOp::kMin, r * 3 + round);
         a.accumulate(32 + (r * 17 + 5) % 16, ReduceOp::kMax, r * 40);
         a.accumulate(48 + (r * 11 + 7) % 16, ReduceOp::kMul, 1 + round % 2);
@@ -87,24 +93,33 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
 
 TEST(CoreAccumulate, OwnerSideMatchesFetchPathEveryDistribution) {
   // The differential contract on a hand-sized program: owner-side
-  // fragment delivery and the plain deferred-write path commit the same
-  // bits under kBlock, kCyclic, and kAdaptive.
+  // fragment delivery on 3 nodes, with its same-VP runs folded at the
+  // sender, and the plain deferred-write path of the 1-node run, where
+  // every entry is logged and applied on its own, commit the same bits
+  // under kBlock, kCyclic, and kAdaptive.
+  RunResult local_stats;
+  const auto local = run_mixed(cfg(1), Distribution::kBlock,
+                               /*rebalance_mid=*/false, &local_stats);
+  ASSERT_EQ(local.size(), kN);
+  EXPECT_EQ(local_stats.accums_executed, 0u);
+  EXPECT_EQ(local_stats.entries_combined, 0u);
   for (const Distribution dist :
        {Distribution::kBlock, Distribution::kCyclic,
         Distribution::kAdaptive}) {
-    const auto on = run_mixed(cfg(3, /*owner_side=*/true), dist);
-    const auto off = run_mixed(cfg(3, /*owner_side=*/false), dist);
-    ASSERT_EQ(on.size(), kN);
-    EXPECT_EQ(on, off) << "distribution " << static_cast<int>(dist);
+    RunResult stats;
+    const auto got = run_mixed(cfg(3), dist, /*rebalance_mid=*/false, &stats);
+    EXPECT_EQ(got, local) << "distribution " << static_cast<int>(dist);
+    EXPECT_GT(stats.accums_executed, 0u);
+    EXPECT_GT(stats.entries_combined, 0u);
   }
 }
 
 TEST(CoreAccumulate, DistributionsAgreeWithEachOther) {
   // The program never reads mid-round, so its committed state is layout-
   // free: all three distributions must agree element-for-element.
-  const auto block = run_mixed(cfg(3, true), Distribution::kBlock);
-  const auto cyclic = run_mixed(cfg(3, true), Distribution::kCyclic);
-  const auto adaptive = run_mixed(cfg(3, true), Distribution::kAdaptive);
+  const auto block = run_mixed(cfg(3), Distribution::kBlock);
+  const auto cyclic = run_mixed(cfg(3), Distribution::kCyclic);
+  const auto adaptive = run_mixed(cfg(3), Distribution::kAdaptive);
   EXPECT_EQ(block, cyclic);
   EXPECT_EQ(block, adaptive);
 }
@@ -114,40 +129,30 @@ TEST(CoreAccumulate, BitIdenticalAcrossMigrationEpoch) {
   // that also carries staged accumulate fragments: block handoff must not
   // lose, duplicate, or reorder them.
   RunResult stats;
-  const auto on =
-      run_mixed(cfg(3, true), Distribution::kAdaptive, /*rebalance_mid=*/true,
+  const auto migrated =
+      run_mixed(cfg(3), Distribution::kAdaptive, /*rebalance_mid=*/true,
                 &stats);
-  const auto off =
-      run_mixed(cfg(3, false), Distribution::kAdaptive, /*rebalance_mid=*/true);
-  EXPECT_EQ(on, off);
+  EXPECT_EQ(migrated, run_mixed(cfg(1), Distribution::kAdaptive,
+                                /*rebalance_mid=*/true));
   // And against the never-migrating layouts.
-  EXPECT_EQ(on, run_mixed(cfg(3, true), Distribution::kBlock));
+  EXPECT_EQ(migrated, run_mixed(cfg(3), Distribution::kBlock));
   EXPECT_GT(stats.accums_executed, 0u);
-}
-
-TEST(CoreAccumulate, CombineWritesInterplay) {
-  // Sender-side folding of same-VP same-op accumulate runs must not
-  // change committed bits, with the owner-side path on or off.
-  const auto base = run_mixed(cfg(3, true, /*combine=*/true),
-                              Distribution::kBlock);
-  EXPECT_EQ(base, run_mixed(cfg(3, true, false), Distribution::kBlock));
-  EXPECT_EQ(base, run_mixed(cfg(3, false, true), Distribution::kBlock));
-  EXPECT_EQ(base, run_mixed(cfg(3, false, false), Distribution::kBlock));
 }
 
 TEST(CoreAccumulate, SameVpRunsAreCombined) {
   // A VP repeatedly accumulating the same element with one op is a
-  // foldable run: the combiner must shrink shipped entries while leaving
-  // the committed sum exact.
-  auto program = [](bool combine) {
-    PpmConfig c = cfg(2, true, combine);
+  // foldable run: the combiner must ship it exactly like one accumulate
+  // of the run's sum, while leaving the committed sum exact.
+  auto program = [](int repeats) {
     uint64_t got = 0;
-    RunResult r = run(c, [&](Env& env) {
+    RunResult r = run(cfg(2), [&](Env& env) {
       auto a = env.global_array<uint64_t>(16);
       auto vps = env.ppm_do(2);
       vps.global_phase([&](Vp& vp) {
-        for (int k = 0; k < 8; ++k) {
-          a.accumulate(12, ReduceOp::kAdd, vp.global_rank() + 1);
+        const uint64_t total = 8 * (vp.global_rank() + 1);
+        for (int k = 0; k < repeats; ++k) {
+          a.accumulate(12, ReduceOp::kAdd,
+                       total / static_cast<uint64_t>(repeats));
         }
       });
       vps.global_phase([&](Vp&) {
@@ -157,40 +162,63 @@ TEST(CoreAccumulate, SameVpRunsAreCombined) {
     EXPECT_EQ(got, 8u * (1 + 2 + 3 + 4));
     return r;
   };
-  const RunResult combined = program(true);
-  const RunResult plain = program(false);
-  EXPECT_GT(combined.entries_combined, 0u);
-  EXPECT_EQ(plain.entries_combined, 0u);
-  EXPECT_LE(combined.network_bytes, plain.network_bytes);
+  const RunResult run8 = program(8);
+  const RunResult once = program(1);
+  // Element 12 is node 1's: node 0's two VPs each fold 7 of their 8.
+  EXPECT_EQ(run8.entries_combined, 2u * 7u);
+  EXPECT_EQ(once.entries_combined, 0u);
+  EXPECT_EQ(run8.network_bytes, once.network_bytes);
+  EXPECT_EQ(run8.network_messages, once.network_messages);
 }
 
 TEST(CoreAccumulate, NoFetchRoundTripsAndFewerWireBytes) {
   // accumulate() is write-only at the caller: a program of pure remote
   // accumulates (no reads anywhere) must never enter the cold read path
   // or fetch a single block — the owner applies fragments in place — and
-  // the compact fragments must beat the plain bundle encoding on wire
-  // bytes (12 bytes per entry, counted in reduction_bytes_saved).
-  auto program = [](bool owner_side) {
-    return run(cfg(3, owner_side), [](Env& env) {
+  // the compact fragments must beat the plain bundle encoding that
+  // add()/max_update()/add_n() use on the same targets on wire bytes (12
+  // bytes per entry, counted in reduction_bytes_saved).
+  auto program = [](bool accumulate, uint64_t* remote_updates) {
+    std::atomic<uint64_t> remote{0};
+    RunResult r = run(cfg(3), [&](Env& env) {
       auto a = env.global_array<uint64_t>(kN);
       auto vps = env.ppm_do(kVpsPerNode);
       for (uint64_t round = 0; round < 3; ++round) {
         vps.global_phase([&](Vp& vp) {
           const uint64_t r = vp.global_rank();
-          a.accumulate((r * 13 + round) % 32, ReduceOp::kAdd, r + 1);
-          a.accumulate(32 + (r * 17 + 5) % 32, ReduceOp::kMax, r * 40);
+          const uint64_t add_at = (r * 13 + round) % 32;
+          const uint64_t max_at = 32 + (r * 17 + 5) % 32;
+          const uint64_t run_at = 64 + (r % 10) * 3;
           const uint64_t vals[3] = {round + 1, round + 2, round + 3};
-          a.accumulate_n(64 + (r % 10) * 3, 3, ReduceOp::kAdd, vals);
+          if (accumulate) {
+            a.accumulate(add_at, ReduceOp::kAdd, r + 1);
+            a.accumulate(max_at, ReduceOp::kMax, r * 40);
+            a.accumulate_n(run_at, 3, ReduceOp::kAdd, vals);
+          } else {
+            a.add(add_at, r + 1);
+            a.max_update(max_at, r * 40);
+            a.add_n(run_at, 3, vals);
+          }
+          for (const uint64_t i :
+               {add_at, max_at, run_at, run_at + 1, run_at + 2}) {
+            if (a.owner(i) != env.node_id()) ++remote;
+          }
         });
       }
     });
+    *remote_updates = remote.load();
+    return r;
   };
-  const RunResult on_stats = program(true);
-  const RunResult off_stats = program(false);
+  uint64_t remote = 0;
+  const RunResult on_stats = program(/*accumulate=*/true, &remote);
+  const RunResult off_stats = program(/*accumulate=*/false, &remote);
   EXPECT_EQ(on_stats.slow_path_reads, 0u);
   EXPECT_EQ(off_stats.slow_path_reads, 0u);
   EXPECT_EQ(on_stats.remote_blocks_fetched, 0u);
-  EXPECT_GT(on_stats.accums_executed, 0u);
+  // Every remote update, scalar or run element, is applied at its owner
+  // (no two of them fold: each VP touches an element once per phase).
+  ASSERT_GT(remote, 0u);
+  EXPECT_EQ(on_stats.accums_executed, remote);
   EXPECT_EQ(off_stats.accums_executed, 0u);
   EXPECT_GT(on_stats.reduction_bytes_saved, 0u);
   EXPECT_LT(on_stats.network_bytes, off_stats.network_bytes);
@@ -211,7 +239,7 @@ TEST(CoreAccumulate, ReduceAllOpsCorrectAndNodeAgreeing) {
     xr ^= v;
   }
   std::vector<std::vector<uint64_t>> per_node(kNodes);
-  run(cfg(kNodes, true), [&](Env& env) {
+  run(cfg(kNodes), [&](Env& env) {
     auto a = env.global_array<uint64_t>(kN);
     env.register_accum_op<uint64_t>(
         a, 0, +[](uint64_t& x, const uint64_t& v) { x ^= v; });
@@ -245,7 +273,7 @@ TEST(CoreAccumulate, ReduceDotMatchesLocalFold) {
     want += (static_cast<double>(i) + 0.5) * (2.0 - static_cast<double>(i % 3));
   }
   double got = 0;
-  RunResult stats = run(cfg(kNodes, true), [&](Env& env) {
+  RunResult stats = run(cfg(kNodes), [&](Env& env) {
     auto a = env.global_array<double>(kN);
     auto b = env.global_array<double>(kN);
     auto vps = env.ppm_do(kVpsPerNode);
@@ -347,7 +375,7 @@ struct ReduceRun {
 /// which lands in the slot block 0 vacated.
 ReduceRun run_reductions(int nodes, uint64_t n, Distribution dist,
                          bool migrate) {
-  PpmConfig c = cfg(nodes, true);
+  PpmConfig c = cfg(nodes);
   c.runtime.read_block_bytes = 32;  // 4-element migration blocks
   ReduceRun out;
   out.per_node.resize(static_cast<size_t>(nodes));
@@ -482,7 +510,7 @@ TEST(CoreAccumulate, ReduceSeedsWithFirstOwnedElement) {
   // 0.0 + (-0.0) is 0.0: a fold seeded with T{} would lose the sign of a
   // sum or dot product over a lone -0.0.
   double sum = 0, dot = 0;
-  run(cfg(2, true), [&](Env& env) {
+  run(cfg(2), [&](Env& env) {
     auto a = env.global_array<double>(1);
     auto b = env.global_array<double>(1);
     if (a.owner(0) == env.node_id()) {
@@ -507,7 +535,7 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
   // block/cyclic mismatch, or two kAdaptive arrays whose owner maps
   // diverged after one of them migrated, would silently multiply
   // unrelated elements, so registration must reject it loudly.
-  EXPECT_THROW(run(cfg(2, true),
+  EXPECT_THROW(run(cfg(2),
                    [](Env& env) {
                      auto a = env.global_array<double>(kN);
                      auto b = env.global_array<double>(
@@ -516,7 +544,7 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
                    }),
                Error);
   const auto diverged = [](bool rebalance_both) {
-    PpmConfig c = cfg(2, true);
+    PpmConfig c = cfg(2);
     c.runtime.read_block_bytes = 32;  // 24 four-element blocks
     return run(c, [&](Env& env) {
       auto a = env.global_array<double>(kN, Distribution::kAdaptive);
@@ -548,7 +576,7 @@ TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {
   // x = 2x + v does not commute with itself. Registering it as
   // non-commutative and firing two VPs at one element must produce a
   // kNonCommutativeAccum finding at the owner.
-  PpmConfig c = cfg(2, true);
+  PpmConfig c = cfg(2);
   c.runtime.validate_phases = true;
   const RunResult r = run(c, [](Env& env) {
     auto a = env.global_array<uint64_t>(16);
@@ -572,8 +600,9 @@ TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {
 TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
   // One entry per element is deterministic no matter the op: the checker
   // must not cry wolf, and both delivery paths agree on the result.
-  auto program = [](bool owner_side) {
-    PpmConfig c = cfg(2, owner_side);
+  // The 1-node run is the plain-path reference.
+  auto program = [](int nodes) {
+    PpmConfig c = cfg(nodes);
     c.runtime.validate_phases = true;
     uint64_t got = 0;
     const RunResult r = run(c, [&](Env& env) {
@@ -581,7 +610,7 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
       env.register_accum_op<uint64_t>(
           a, 0, +[](uint64_t& x, const uint64_t& v) { x = 2 * x + v; },
           /*commutative=*/false);
-      auto vps = env.ppm_do(2);
+      auto vps = env.ppm_do(4 / static_cast<uint64_t>(env.node_count()));
       vps.global_phase([&](Vp& vp) {
         a.set(vp.global_rank() + 8, 3);
       });
@@ -596,21 +625,22 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
     EXPECT_TRUE(r.check_report.clean()) << r.check_report.to_string();
     return got;
   };
-  const uint64_t on = program(true);
-  EXPECT_EQ(on, 6u);  // 2*3 + rank 0
-  EXPECT_EQ(on, program(false));
+  const uint64_t owner_side = program(2);
+  EXPECT_EQ(owner_side, 6u);  // 2*3 + rank 0
+  EXPECT_EQ(owner_side, program(1));
 }
 
 TEST(CoreAccumulate, CommutativeConflictsStayClean) {
   // Many VPs accumulating one element with a single commutative op is the
-  // model's histogram idiom — never a violation, either delivery path.
-  for (const bool owner_side : {true, false}) {
-    PpmConfig c = cfg(2, owner_side);
+  // model's histogram idiom — never a violation, either delivery path
+  // (owner-side on 2 nodes, plain on 1).
+  for (const int nodes : {2, 1}) {
+    PpmConfig c = cfg(nodes);
     c.runtime.validate_phases = true;
     uint64_t got = 0;
     const RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<uint64_t>(16);
-      auto vps = env.ppm_do(4);
+      auto vps = env.ppm_do(8 / static_cast<uint64_t>(env.node_count()));
       vps.global_phase([&](Vp& vp) {
         a.accumulate(12, ReduceOp::kAdd, vp.global_rank() + 1);
       });
@@ -626,7 +656,7 @@ TEST(CoreAccumulate, CommutativeConflictsStayClean) {
 TEST(CoreAccumulate, OutsidePhaseAccumulateIsImmediateLocal) {
   // Outside phases accumulate() degrades to the plain immediate write
   // path (local-only, like set outside phases).
-  PpmConfig c = cfg(1, true);
+  PpmConfig c = cfg(1);
   uint64_t got = 0;
   run(c, [&](Env& env) {
     auto a = env.global_array<uint64_t>(8);

@@ -1,7 +1,9 @@
 // The overlap engine: VP miss-switching, lookahead prefetch, and
-// sender-side write combining. The load-bearing property is that all
-// three are pure performance knobs — committed state is bit-identical
-// with them on or off — plus counters that prove each mechanism engaged.
+// sender-side write combining. The load-bearing property is that none of
+// them changes committed state — miss-switching and prefetch are
+// bit-identical on or off, and combined writes commit what the 1-node
+// run, which never combines, commits — plus counters that prove each
+// mechanism engaged.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -94,23 +96,19 @@ TEST(Overlap, CommittedStateBitIdenticalAcrossConfigs) {
   const Committed ref = run_mixed_workload(base);
   ASSERT_EQ(ref.vals.size(), 1024u);
   for (const bool overlap : {false, true}) {
-    for (const bool combine : {false, true}) {
-      for (const auto schedule :
-           {SchedulePolicy::kStatic, SchedulePolicy::kDynamic}) {
-        RuntimeOptions o;
-        o.overlap_reads = overlap;
-        o.combine_writes = combine;
-        o.schedule = schedule;
-        const Committed got = run_mixed_workload(o);
-        ASSERT_EQ(got.bins, ref.bins)
-            << "overlap=" << overlap << " combine=" << combine;
-        // Bitwise comparison: even -0.0 vs 0.0 would be a drift.
-        ASSERT_EQ(got.vals.size(), ref.vals.size());
-        ASSERT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
-                              got.vals.size() * sizeof(double)),
-                  0)
-            << "overlap=" << overlap << " combine=" << combine;
-      }
+    for (const auto schedule :
+         {SchedulePolicy::kStatic, SchedulePolicy::kDynamic}) {
+      RuntimeOptions o;
+      o.overlap_reads = overlap;
+      o.schedule = schedule;
+      const Committed got = run_mixed_workload(o);
+      ASSERT_EQ(got.bins, ref.bins) << "overlap=" << overlap;
+      // Bitwise comparison: even -0.0 vs 0.0 would be a drift.
+      ASSERT_EQ(got.vals.size(), ref.vals.size());
+      ASSERT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
+                            got.vals.size() * sizeof(double)),
+                0)
+          << "overlap=" << overlap;
     }
   }
 }
@@ -188,17 +186,21 @@ TEST(Overlap, AutomaticStreamPrefetchEngagesOnForwardWalk) {
   EXPECT_GT(r.prefetch_hits, 0u);
 }
 
-RunResult run_dup_writes(bool combine, double* out_val) {
+// Node 0's 4 VPs each add `adds` values summing to 36 into their own
+// remote bin (node 1 owns elements 32..63).
+RunResult run_dup_writes(int adds, double* out_val) {
   PpmConfig c = cfg(2, 1);
-  c.runtime.combine_writes = combine;
   return run(c, [&](Env& env) {
     auto a = env.global_array<double>(64);
     auto vps = env.ppm_do(env.node_id() == 0 ? 4 : 0);
     vps.global_phase([&](Vp& vp) {
-      // Each VP accumulates 8 times into its own remote bin.
       const uint64_t bin = 32 + vp.node_rank();
-      for (int t = 0; t < 8; ++t) {
-        a.add(bin, static_cast<double>(t + 1));
+      if (adds == 1) {
+        a.add(bin, 36.0);
+        return;
+      }
+      for (int t = 0; t < adds; ++t) {
+        a.add(bin, static_cast<double>(t + 1));  // 1+2+...+8
       }
     });
     auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
@@ -207,28 +209,32 @@ RunResult run_dup_writes(bool combine, double* out_val) {
 }
 
 TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
-  double val_off = 0, val_on = 0;
-  const RunResult off = run_dup_writes(false, &val_off);
-  const RunResult on = run_dup_writes(true, &val_on);
-  EXPECT_EQ(val_off, 36.0);  // 1+2+...+8
-  EXPECT_EQ(val_on, 36.0);
-  EXPECT_EQ(off.entries_combined, 0u);
-  EXPECT_EQ(on.entries_combined, 4u * 7u);
-  EXPECT_LT(on.network_bytes, off.network_bytes);
+  double val_run = 0, val_once = 0;
+  const RunResult runs = run_dup_writes(8, &val_run);
+  const RunResult once = run_dup_writes(1, &val_once);
+  EXPECT_EQ(val_run, 36.0);
+  EXPECT_EQ(val_once, 36.0);
+  EXPECT_EQ(runs.entries_combined, 4u * 7u);
+  EXPECT_EQ(once.entries_combined, 0u);
+  // Each VP's run of 8 ships as one entry: the wire carries exactly what
+  // one add of the run's sum carries.
+  EXPECT_EQ(runs.network_bytes, once.network_bytes);
+  EXPECT_EQ(runs.network_messages, once.network_messages);
   // write_entries counts issued writes, which combining does not change.
-  EXPECT_EQ(on.write_entries, off.write_entries);
+  EXPECT_EQ(runs.write_entries, 4u * 8u);
 }
 
+// On 2 nodes the element is remote and the writes combine; on 1 node it
+// is local and every entry commits on its own.
 TEST(Overlap, CombiningPreservesSetAddInterleavings) {
-  for (const bool combine : {false, true}) {
-    PpmConfig c = cfg(2, 1);
-    c.runtime.combine_writes = combine;
+  for (const int nodes : {2, 1}) {
+    PpmConfig c = cfg(nodes, 1);
     double got = -1;
     RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<double>(8);
       auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       vps.global_phase([&](Vp&) {
-        a.set(5, 5.0);   // remote element, owned by node 1
+        a.set(5, 5.0);   // on 2 nodes remote: node 1 owns it
         a.add(5, 3.0);
         a.set(5, 2.0);   // supersedes everything above
         a.add(5, 4.0);
@@ -237,9 +243,11 @@ TEST(Overlap, CombiningPreservesSetAddInterleavings) {
       auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
-    EXPECT_EQ(got, 7.0) << "combine=" << combine;
-    if (combine) {
+    EXPECT_EQ(got, 7.0) << "nodes=" << nodes;
+    if (nodes == 2) {
       EXPECT_GE(r.entries_combined, 1u);
+    } else {
+      EXPECT_EQ(r.entries_combined, 0u);
     }
   }
 }

@@ -1,8 +1,8 @@
 // The read-engine fast path: a phase whose working set is cached must
 // never re-enter the runtime's slow remote path, the bulk read_n/set_n/
-// add_n spans and batched fetch lists are pure performance knobs
-// (bit-identical committed state), and the strided detector extends
-// lookahead beyond adjacent-block streams.
+// add_n spans commit exactly what the per-element loops commit, and
+// batched fetch lists are a pure performance knob (bit-identical
+// committed state).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -77,9 +77,10 @@ TEST(ReadPath, FullyCachedSweepAddsZeroSlowPathReads) {
   }
 }
 
-// Mixed bulk workload: set_n/add_n/read_n spans crossing chunk
-// boundaries plus scattered per-element writes. Returns the committed
-// contents; must be bit-identical with the bulk path on or off.
+// Mixed bulk workload: runs that cross chunk boundaries, written and
+// read either through the set_n/add_n/read_n spans or through the
+// equivalent set/add/get loops. Returns the committed contents, which
+// must be bit-identical either way.
 struct Committed {
   std::vector<double> vals;
   RunResult r;
@@ -89,7 +90,6 @@ Committed run_bulk_workload(bool bulk, bool batch) {
   constexpr uint64_t kN = 1024;
   constexpr uint64_t kK = 8;  // VPs per node
   PpmConfig c = cfg(4, 2);
-  c.runtime.bulk_access = bulk;
   c.runtime.batch_fetches = batch;
   c.runtime.read_block_bytes = 256;  // 32 doubles per block
   Committed out;
@@ -105,15 +105,27 @@ Committed run_bulk_workload(bool bulk, bool batch) {
       for (uint64_t j = 0; j < 16; ++j) {
         v[j] = static_cast<double>(first + j) * 0.5;
       }
-      vals.set_n(first, 16, v.data());
+      if (bulk) {
+        vals.set_n(first, 16, v.data());
+      } else {
+        for (uint64_t j = 0; j < 16; ++j) vals.set(first + j, v[j]);
+      }
     });
-    // Scattered bulk accumulates on top, plus read_n round trips.
+    // Scattered accumulates on top, plus read round trips.
     vps.global_phase([&](Vp& vp) {
       const uint64_t first = mix(n * kK + vp.node_rank()) % (kN - 32);
       std::vector<double> got(32);
-      vals.read_n(first, 32, got.data());
+      if (bulk) {
+        vals.read_n(first, 32, got.data());
+      } else {
+        for (uint64_t j = 0; j < 32; ++j) got[j] = vals.get(first + j);
+      }
       for (auto& g : got) g = g * 0.25 + 1.0;
-      vals.add_n(first, 32, got.data());
+      if (bulk) {
+        vals.add_n(first, 32, got.data());
+      } else {
+        for (uint64_t j = 0; j < 32; ++j) vals.add(first + j, got[j]);
+      }
     });
     auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
     one.global_phase([&](Vp&) {
@@ -126,15 +138,15 @@ Committed run_bulk_workload(bool bulk, bool batch) {
 }
 
 TEST(ReadPath, BulkSpansBitIdenticalToElementwise) {
-  const Committed on = run_bulk_workload(/*bulk=*/true, /*batch=*/true);
-  const Committed off = run_bulk_workload(/*bulk=*/false, /*batch=*/true);
-  ASSERT_EQ(on.vals.size(), off.vals.size());
-  EXPECT_EQ(std::memcmp(on.vals.data(), off.vals.data(),
-                        on.vals.size() * sizeof(double)),
+  const Committed spans = run_bulk_workload(/*bulk=*/true, /*batch=*/true);
+  const Committed loops = run_bulk_workload(/*bulk=*/false, /*batch=*/true);
+  ASSERT_EQ(spans.vals.size(), loops.vals.size());
+  EXPECT_EQ(std::memcmp(spans.vals.data(), loops.vals.data(),
+                        spans.vals.size() * sizeof(double)),
             0);
-  // The span path ships contiguous runs as single range entries, so wire
-  // bytes may only shrink.
-  EXPECT_LE(on.r.network_bytes, off.r.network_bytes);
+  // The spans ship contiguous runs as single range entries, so wire bytes
+  // may only shrink.
+  EXPECT_LE(spans.r.network_bytes, loops.r.network_bytes);
 }
 
 TEST(ReadPath, BatchedFetchListsPreserveResults) {
@@ -157,7 +169,6 @@ TEST(ReadPath, PrefetchRangeCoversDemandedBand) {
   constexpr uint64_t kN = 4096;
   PpmConfig c = cfg(2, 1);
   c.runtime.prefetch_lookahead_blocks = 0;  // isolate the explicit hint
-  c.runtime.strided_prefetch = false;
   const RunResult r = run(c, [&](Env& env) {
     auto a = env.global_array<double>(kN);
     auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
@@ -185,7 +196,6 @@ TEST(ReadPath, BulkReadCountsCacheHitsLikeElementwiseGets) {
   auto cached_reads = [&](bool bulk, bool prefetched) {
     PpmConfig c = cfg(2, 1);
     c.runtime.prefetch_lookahead_blocks = 0;  // lookahead off
-    c.runtime.strided_prefetch = false;
     const RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<double>(kN);
       auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
@@ -227,35 +237,6 @@ TEST(ReadPath, TraceSummaryCountsBulkReadCacheHits) {
   EXPECT_EQ(r.trace_summary.cache_hits, r.remote_reads_served_from_cache);
   EXPECT_EQ(r.trace_summary.cache_misses,
             r.remote_blocks_fetched - r.prefetch_issued);
-}
-
-// A constant-stride walk two blocks apart: the adjacent-stream detector
-// cannot see it, the strided detector must.
-TEST(ReadPath, StridedDetectorExtendsLookahead) {
-  constexpr uint64_t kN = 1 << 15;
-  auto walk = [&](bool strided) {
-    PpmConfig c = cfg(2, 1);
-    c.runtime.strided_prefetch = strided;
-    const RunResult r = run(c, [&](Env& env) {
-      auto a = env.global_array<double>(kN);
-      auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
-      vps.global_phase([&](Vp&) {
-        double acc = 0;
-        // Stride of 512 doubles = 2 blocks: every read is a fresh block,
-        // never the forward-adjacent one.
-        for (uint64_t i = kN / 2; i < kN; i += 512) acc += a.get(i);
-        EXPECT_EQ(acc, 0.0);
-      });
-    });
-    return r;
-  };
-  const RunResult on = walk(true);
-  const RunResult off = walk(false);
-  EXPECT_GT(on.prefetch_issued, 0u);
-  EXPECT_GT(on.prefetch_hits, 0u);
-  EXPECT_EQ(off.prefetch_issued, 0u);
-  // The walk itself reads the same blocks either way.
-  EXPECT_EQ(on.remote_blocks_fetched, off.remote_blocks_fetched);
 }
 
 }  // namespace

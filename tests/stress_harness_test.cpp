@@ -152,7 +152,6 @@ TEST(StressHarness, PlantedDoubleApplyAccumBugIsCaught) {
   cfgs[0].name = "ref-1n1c";
   cfgs[1].machine.nodes = 2;
   cfgs[1].machine.cores_per_node = 2;
-  cfgs[1].runtime.owner_side_accumulate = true;
   cfgs[1].runtime.validate_phases = true;
   cfgs[1].name = "hand-2n2c-owneracc";
 

@@ -34,7 +34,7 @@ benches=(fig1_cg fig2_matgen fig3_barneshut ablation_overlap
 filter="."
 if [ "${smoke}" = 1 ]; then
   export PPM_BENCH_SCALE="${PPM_BENCH_SCALE:-0.25}"
-  # Smallest node counts only; keep all four overlap-engine configs and
+  # Smallest node counts only; keep both overlap-engine configs and
   # both locality-engine arms at the smallest node count. SimScale keeps
   # its 1- and 4-thread arms so the wall_speedup column is exercised;
   # the large modeled Fig.1 rows (64+ nodes) are full-run only.

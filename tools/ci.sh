@@ -18,6 +18,30 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 declare -A builddir=([default]=build [san]=build-san)
 
+echo "=== options table gate (docs/API.md vs RuntimeOptions) ==="
+# The RuntimeOptions table in docs/API.md must name exactly the fields of
+# the struct in src/core/options.hpp, so a field added or deleted without
+# its documentation row (or the reverse) fails here.
+python3 - src/core/options.hpp docs/API.md <<'PY'
+import re, sys
+with open(sys.argv[1]) as f:
+    src = f.read()
+body = re.search(r"struct RuntimeOptions \{(.*?)\n\};", src, re.S).group(1)
+body = re.sub(r"//[^\n]*", "", body)
+fields = re.findall(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;", body, re.M)
+with open(sys.argv[2]) as f:
+    doc = f.read()
+section = re.search(r"^## RuntimeOptions\n(.*?)(?=^## )", doc, re.S | re.M)
+rows = re.findall(r"^\| `(\w+)` \|", section.group(1), re.M)
+assert fields, "no RuntimeOptions fields parsed"
+missing = sorted(set(fields) - set(rows))
+extra = sorted(set(rows) - set(fields))
+if missing or extra or len(rows) != len(set(rows)):
+    sys.exit(f"FAIL: docs/API.md RuntimeOptions table out of sync: "
+             f"undocumented {missing}, not in the struct {extra}")
+print(f"options table OK: {len(fields)} fields")
+PY
+
 for preset in default san; do
   echo "=== configure+build preset: ${preset} ==="
   cmake --preset "${preset}"
@@ -31,15 +55,6 @@ for preset in default san; do
   # the test preset (error-path fiber abandonment is not a leak).
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     "${builddir[$preset]}/tools/ppm_stress" --smoke
-  # Owner-side accumulate (docs/MODEL.md): the matrix samples the
-  # owner_side_accumulate knob per config, but CI pins each delivery path
-  # once — owner-applied fragments and the fetch-based fallback — so a
-  # regression in either cannot hide behind what the sampler happened to
-  # draw. Same fixed seed set as --smoke.
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-    "${builddir[$preset]}/tools/ppm_stress" --smoke --owner-accum=1
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-    "${builddir[$preset]}/tools/ppm_stress" --smoke --owner-accum=0
   echo "=== windowed engine smoke preset: ${preset} ==="
   # Parallel conservative-window engine (docs/SIM.md) under each preset:
   # the san pass runs real host threads through the fiber switch and the

@@ -3,11 +3,9 @@
 //
 //   ppm_cli --app=cg --nodes=8 --cores=4 --size=20000
 //   ppm_cli --app=cg --matrix=system.mtx --tol=1e-10
-//   ppm_cli --app=pcg --nodes=4
 //   ppm_cli --app=matgen --levels=6
 //   ppm_cli --app=barneshut --size=5000 --steps=4
 //   ppm_cli --app=bfs --size=50000 --dist=cyclic
-//   ppm_cli --app=matmul --size=64
 //   ppm_cli --app=cg --profile          # per-phase breakdown
 //   ppm_cli --app=cg --json=out.json    # machine-readable RunResult
 #include <cinttypes>
@@ -25,7 +23,6 @@
 #include "apps/cg/cg_ppm.hpp"
 #include "apps/cg/mm_io.hpp"
 #include "apps/collocation/matgen_ppm.hpp"
-#include "apps/dense/dense.hpp"
 #include "apps/graph/graph_ppm.hpp"
 #include "apps/nbody/nbody_ppm.hpp"
 #include "core/ppm.hpp"
@@ -70,7 +67,7 @@ struct CliOptions {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--app=cg|pcg|matgen|barneshut|bfs|components|matmul]\n"
+      "usage: %s [--app=cg|matgen|barneshut|bfs|components]\n"
       "          [--nodes=N] [--cores=C] [--sim-threads=T] [--size=S]\n"
       "          [--steps=K]\n"
       "          [--levels=L] [--iters=I] [--tol=T] [--matrix=FILE.mtx]\n"
@@ -400,7 +397,7 @@ int execute_app(const CliOptions& opt, const PpmConfig& cfg,
     result = runtime.collect();
   };
 
-  if (opt.app == "cg" || opt.app == "pcg") {
+  if (opt.app == "cg") {
     apps::cg::CsrMatrix a;
     std::vector<double> b;
     apps::cg::ChimneyProblem problem;
@@ -429,9 +426,7 @@ int execute_app(const CliOptions& opt, const PpmConfig& cfg,
       apps::cg::PpmCgOutput out =
           !opt.matrix_file.empty()
               ? apps::cg::cg_solve_ppm_matrix(env, a, b, cg_opts)
-              : (opt.app == "pcg"
-                     ? apps::cg::cg_solve_ppm_ssor(env, problem, cg_opts)
-                     : apps::cg::cg_solve_ppm(env, problem, cg_opts));
+              : apps::cg::cg_solve_ppm(env, problem, cg_opts);
       if (env.node_id() == 0) {
         iters = out.iterations;
         converged = out.converged;
@@ -492,19 +487,6 @@ int execute_app(const CliOptions& opt, const PpmConfig& cfg,
                 static_cast<unsigned long long>(g.num_edges()),
                 opt.app == "bfs" ? "eccentricity" : "components",
                 static_cast<long long>(summary));
-  } else if (opt.app == "matmul") {
-    const uint64_t n = opt.size != 0 ? opt.size : 48;
-    const auto a = apps::dense::make_matrix(n, 1);
-    const auto b = apps::dense::make_matrix(n, 2);
-    double checksum = 0;
-    execute([&](Env& env) {
-      const auto c = apps::dense::matmul_ppm(env, a, b);
-      if (env.node_id() == 0) {
-        for (double v : c.data) checksum += v;
-      }
-    });
-    std::printf("matmul: n=%llu, checksum %.6f\n",
-                static_cast<unsigned long long>(n), checksum);
   } else {
     std::fprintf(stderr, "unknown app '%s'\n", opt.app.c_str());
     return 2;

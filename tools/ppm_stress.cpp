@@ -39,7 +39,6 @@ struct Args {
   int configs = kDefaultConfigs;
   bool has_replay = false;
   bool trace_on_failure = false;
-  int owner_accum = -1;  // -1 sampled per config, 0/1 forced matrix-wide
   uint64_t replay_seed = 0;
   size_t replay_config = 0;
   std::string json_path;
@@ -50,8 +49,7 @@ struct Args {
       rc == 0 ? stdout : stderr,
       "usage: ppm_stress [--smoke] [--minutes=N] [--seed=S] [--programs=P]\n"
       "                  [--configs=C] [--replay=SEED:CFG] [--json=FILE]\n"
-      "                  [--owner-accum=0|1] [--trace-on-failure]\n"
-      "                  [--verbose]\n");
+      "                  [--trace-on-failure] [--verbose]\n");
   std::exit(rc);
 }
 
@@ -76,8 +74,6 @@ Args parse(int argc, char** argv) {
       a.programs = std::atoi(val("--programs=").c_str());
     } else if (arg.rfind("--configs=", 0) == 0) {
       a.configs = std::atoi(val("--configs=").c_str());
-    } else if (arg.rfind("--owner-accum=", 0) == 0) {
-      a.owner_accum = std::atoi(val("--owner-accum=").c_str()) != 0 ? 1 : 0;
     } else if (arg.rfind("--json=", 0) == 0) {
       a.json_path = val("--json=");
     } else if (arg.rfind("--replay=", 0) == 0) {
@@ -97,30 +93,6 @@ Args parse(int argc, char** argv) {
   }
   if (a.programs <= 0 || a.configs <= 0) usage(2);
   return a;
-}
-
-// --owner-accum=0|1 pins the owner_side_accumulate knob across the whole
-// sampled config matrix (default: keep the per-config sampled values).
-// tools/ci.sh uses this so each kAccum delivery path — owner-applied
-// fragments and the fetch-based fallback — is gated deterministically
-// instead of depending on what the matrix happened to sample.
-std::vector<ppm::stress::StressConfig> configs_for(const Args& a,
-                                                   uint64_t seed, int count) {
-  auto cfgs = ppm::stress::sample_configs(seed, count);
-  if (a.owner_accum < 0) return cfgs;
-  const bool on = a.owner_accum != 0;
-  for (auto& c : cfgs) {
-    if (c.runtime.owner_side_accumulate == on) continue;
-    c.runtime.owner_side_accumulate = on;
-    const std::string tag = "-noacc";
-    const size_t pos = c.name.find(tag);
-    if (on && pos != std::string::npos) {
-      c.name.erase(pos, tag.size());
-    } else if (!on && pos == std::string::npos) {
-      c.name += tag;
-    }
-  }
-  return cfgs;
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -201,7 +173,7 @@ int main(int argc, char** argv) {
     const auto spec = ppm::stress::generate_program(a.replay_seed);
     const int count = std::max(a.configs,
                                static_cast<int>(a.replay_config) + 1);
-    const auto all = configs_for(a, a.replay_seed, count);
+    const auto all = ppm::stress::sample_configs(a.replay_seed, count);
     std::vector<ppm::stress::StressConfig> pair;
     pair.push_back(all[0]);
     if (a.replay_config != 0) pair.push_back(all[a.replay_config]);
@@ -220,7 +192,7 @@ int main(int argc, char** argv) {
   ppm::stress::RunTotals totals;
   const auto run_one = [&](uint64_t seed) {
     const auto spec = ppm::stress::generate_program(seed);
-    const auto cfgs = configs_for(a, seed, a.configs);
+    const auto cfgs = ppm::stress::sample_configs(seed, a.configs);
     if (a.verbose) {
       std::printf("seed=%" PRIu64 " k=%" PRIu64 " phases=%zu arrays=%zu\n",
                   seed, spec.k_total, spec.phases.size(), spec.arrays.size());
@@ -256,7 +228,7 @@ int main(int argc, char** argv) {
     // deterministic even though the throughput numbers above are not
     // (docs/TESTING.md documents the full record schema).
     const uint64_t rep_seed = a.smoke ? kSmokeSeeds[0] : a.seed;
-    const auto rep_cfgs = configs_for(a, rep_seed, a.configs);
+    const auto rep_cfgs = ppm::stress::sample_configs(rep_seed, a.configs);
     // The single-node reference config has no commit traffic and zero
     // modeled compute; trace the first multi-node config instead so the
     // phase structure is non-degenerate.
