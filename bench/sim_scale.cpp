@@ -13,13 +13,18 @@
 // single-core host the sweep measures pure windowing overhead (barrier
 // wakeups + cross-window merge), which is the honest baseline cost of
 // the machinery.
+//
+// BM_Sim_FiberSwitch times the primitive under every simulated core: one
+// fiber round trip (the engine resumes a fiber, the fiber yields back).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 
 #include "apps/cg/cg_ppm.hpp"
 #include "bench_common.hpp"
 #include "core/ppm.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -57,7 +62,36 @@ void BM_SimScale_Cg(benchmark::State& state) {
   state.counters["sim_threads"] = sim_threads;
 }
 
+// Two fibers on one kModeledOnly engine yield to each other `round_trips`
+// times each; only engine.run() is timed (not the stack mmaps of spawn).
+// Each yield is one round trip: an event pop, a switch into the fiber and
+// a switch back to the engine loop.
+void BM_Sim_FiberSwitch(benchmark::State& state) {
+  const int64_t round_trips = state.range(0);
+  double run_ns = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (const char* name : {"ping", "pong"}) {
+      engine.spawn(name, [&engine, round_trips] {
+        for (int64_t i = 0; i < round_trips; ++i) engine.yield();
+      });
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.run();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(engine.events_fired());
+    state.SetIterationTime(dt.count());
+    run_ns += dt.count() * 1e9;
+  }
+  state.counters["ns_per_round_trip"] =
+      run_ns / (static_cast<double>(state.iterations()) * 2 * round_trips);
+}
+
 }  // namespace
+
+BENCHMARK(BM_Sim_FiberSwitch)
+    ->Arg(100'000)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_SimScale_Cg)
     ->Args({16, 1})->Args({16, 2})->Args({16, 4})->Args({16, 8})

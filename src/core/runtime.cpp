@@ -440,10 +440,15 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
                                          uint64_t index) {
   // All coordinates on the wire are owner-local, which keeps the protocol
   // identical for every distribution.
-  ++counters_.slow_path_reads;
   const bool bundle = options().bundle_reads && rec.block_elems > 0;
   const int owner = rec.owner_of(index);
   const uint64_t llocal = rec.local_of(index);
+  // A read whose block is published would have been served by the
+  // handles' inline probe; read_elem (the kCyclic read_n fallback) gets
+  // here without probing, so only the others count as slow.
+  if (!bundle || !rec.block_published(owner, llocal)) {
+    ++counters_.slow_path_reads;
+  }
   const uint64_t olen = rec.owner_len(owner);
   const uint64_t block_elems = bundle ? rec.block_elems : 1;
   const uint64_t first = (llocal / block_elems) * block_elems;
@@ -960,14 +965,17 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     // Remote contiguous run: the segment's owner-local indices
     // [ll, ll+len) are contiguous. Pass 1 queues demand fetches for every
     // missing cache block (they coalesce into one list flush); pass 2
-    // waits where needed and copies block portions. Cache hits count as
-    // the per-element path would: every element of a block that was
-    // cached or in flight, all but the first of a block fetched here.
+    // waits where needed and copies block portions. Reads count as the
+    // per-element path would: one slow-path read per block not yet
+    // published in the direct-mapped table; cache hits for every element
+    // of a block that was cached or in flight, all but the first of a
+    // block fetched here.
     const uint64_t ll = rec.local_of(g);
     const uint64_t olen = rec.owner_len(owner);
     const uint64_t be = rec.block_elems;
     uint64_t fetched = 0;
     for (uint64_t b = (ll / be) * be; b < ll + len; b += be) {
+      if (!rec.block_published(owner, b)) ++counters_.slow_path_reads;
       const BlockKey key{
           rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
       if (block_cache_.contains(key) || pending_blocks_.contains(key)) {

@@ -227,6 +227,13 @@ struct ArrayRecord {
     return static_cast<uint64_t>(owner_of(i)) * blocks_per_chunk +
            local_of(i) / block_elems;
   }
+  /// True when the block holding owner-local element `local` of `owner`
+  /// is published in the table, i.e. the handles' inline probe hits it.
+  bool block_published(int owner, uint64_t local) const {
+    return !remote_block_ptr.empty() &&
+           remote_block_ptr[static_cast<uint64_t>(owner) * blocks_per_chunk +
+                            local / block_elems] != nullptr;
+  }
 };
 
 /// Deliberate-fault hook for the stress harness's self-test (ppm::stress):

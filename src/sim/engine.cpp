@@ -218,10 +218,16 @@ void Engine::resume(Fiber* fiber, int64_t at_ns) {
   // while the receiver is still "busy" is seen when the receiver is free.
   fiber->vclock_ns_ = std::max(fiber->vclock_ns_, at_ns);
   current_ = fiber;
-  slice_wall_start_ns_ = host_steady_ns();
-  asan_start_switch(&asan_fake_stack_, fiber->context_.uc_stack.ss_sp,
-                    fiber->context_.uc_stack.ss_size);
-  swapcontext(&engine_context_, &fiber->context_);
+  if (config_.calibration == CalibrationMode::kMeasured) {
+    slice_wall_start_ns_ = host_steady_ns();
+  }
+  asan_start_switch(&asan_fake_stack_, fiber->stack_bottom_,
+                    fiber->stack_bytes_);
+  // Engines migrate between pool threads, so the host side's TSan handle
+  // is taken afresh on every resume.
+  tsan_engine_fiber_ = tsan_current_fiber();
+  tsan_switch_to_fiber(fiber->tsan_fiber_);
+  ppm_sim_stack_switch(&engine_sp_, fiber->sp_);
   asan_finish_switch(asan_fake_stack_, nullptr, nullptr);
   current_ = nullptr;
   if (fiber->state_ == FiberState::kFinished && fiber->error_ &&
@@ -250,7 +256,8 @@ void Engine::switch_out(FiberState new_state) {
   asan_start_switch(
       new_state == FiberState::kFinished ? nullptr : &self->asan_fake_stack_,
       asan_engine_stack_bottom_, asan_engine_stack_size_);
-  swapcontext(&self->context_, &engine_context_);
+  tsan_switch_to_fiber(tsan_engine_fiber_);
+  ppm_sim_stack_switch(&self->sp_, engine_sp_);
   // Re-record the host-side stack bounds on every resume: under the
   // windowed driver the engine may run on a different pool thread (with a
   // different host stack) each window.

@@ -156,15 +156,18 @@ class Engine {
   uint64_t next_seq_ = 0;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   Fiber* current_ = nullptr;
-  ucontext_t engine_context_{};
-  // ASan bookkeeping for the engine's own (thread) stack: its fake-stack
-  // handle, and its bounds as reported by the first fiber entry. Unused
-  // outside sanitized builds.
+  void* engine_sp_ = nullptr;  // the engine loop's stack while a fiber runs
+  // Sanitizer bookkeeping for the engine's own (thread) stack: ASan's
+  // fake-stack handle and the stack's bounds as reported by the last fiber
+  // entry, and TSan's handle for the host thread that resumed the running
+  // fiber. Unused outside those builds.
   void* asan_fake_stack_ = nullptr;
   const void* asan_engine_stack_bottom_ = nullptr;
   size_t asan_engine_stack_size_ = 0;
+  void* tsan_engine_fiber_ = nullptr;
   int64_t engine_now_ns_ = 0;
   int64_t slice_wall_start_ns_ = 0;  // host steady_clock at slice start
+                                     // (kMeasured only)
   uint64_t events_fired_ = 0;
   bool running_ = false;
   std::exception_ptr pending_error_;

@@ -1,12 +1,12 @@
-// Cooperative fibers over POSIX ucontext.
+// Cooperative fibers on guarded mmap'd stacks.
 //
 // Each simulated hardware core runs application code on one fiber. Fibers
 // are scheduled exclusively by sim::Engine (single OS thread), which is what
-// makes the whole cluster simulation deterministic.
+// makes the whole cluster simulation deterministic. Control moves by a
+// register-only stack switch (sim/stack_switch.hpp).
 #pragma once
 
-#include <ucontext.h>
-
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -56,14 +56,15 @@ class Fiber {
   FiberState state_ = FiberState::kRunnable;
   int64_t vclock_ns_ = 0;
 
-  ucontext_t context_{};
-  void* asan_fake_stack_ = nullptr;  // ASan fake-stack handle (see
-                                     // sim/stack_switch.hpp); unused and
-                                     // null outside sanitized builds
-  void* stack_ = nullptr;       // mmap'd region including guard page
-  size_t stack_bytes_ = 0;      // usable stack size
-  size_t map_bytes_ = 0;        // total mapped size
-  std::exception_ptr error_;    // set if entry_ threw
+  void* sp_ = nullptr;             // saved stack pointer while switched out
+  char* stack_bottom_ = nullptr;   // lowest usable byte; the guard page is
+                                   // the page below it
+  size_t stack_bytes_ = 0;         // usable stack size
+  // Sanitizer handles (sim/stack_switch.hpp), null outside those builds:
+  // ASan's fake-stack handle and TSan's fiber.
+  void* asan_fake_stack_ = nullptr;
+  void* tsan_fiber_ = nullptr;
+  std::exception_ptr error_;  // set if entry_ threw
 };
 
 }  // namespace ppm::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -216,6 +217,44 @@ TEST(ReadPath, BulkReadCountsCacheHitsLikeElementwiseGets) {
   EXPECT_EQ(cached_reads(/*bulk=*/true, /*prefetched=*/false), 600u - 3);
   EXPECT_EQ(cached_reads(/*bulk=*/false, /*prefetched=*/true), 600u);
   EXPECT_EQ(cached_reads(/*bulk=*/true, /*prefetched=*/true), 600u);
+}
+
+// read_n enters the slow path as often as the per-element get loop: once
+// for each block not yet published in the direct-mapped table, which on a
+// cold span (lookahead stream on) is every block it touches. kCyclic spans
+// take read_n's element-by-element fallback, which must count the same.
+TEST(ReadPath, BulkReadCountsSlowPathReadsLikeElementwiseGets) {
+  constexpr uint64_t kN = 8192;
+  auto read_cold = [&](Distribution dist, uint64_t lo, bool bulk) {
+    return run(cfg(2, 1), [&](Env& env) {
+      auto a = env.global_array<double>(kN, dist);
+      auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+      vps.global_phase([&](Vp&) {
+        std::vector<double> out(kN - lo);
+        if (bulk) {
+          a.read_n(lo, kN - lo, out.data());
+        } else {
+          for (uint64_t i = lo; i < kN; ++i) out[i - lo] = a.get(i);
+        }
+      });
+    });
+  };
+  // kBlock: node 1's elements from owner-local 100 to the end of its
+  // chunk, the first of its sixteen 256-double blocks entered mid-block.
+  // kCyclic: the whole array; node 1's half is again sixteen blocks. Both
+  // spans end where node 1's storage does, so the get loop's lookahead
+  // fetches no block the span leaves out.
+  const std::pair<Distribution, uint64_t> cases[] = {
+      {Distribution::kBlock, kN / 2 + 100}, {Distribution::kCyclic, 0}};
+  for (const auto& [dist, lo] : cases) {
+    const RunResult gets = read_cold(dist, lo, /*bulk=*/false);
+    const RunResult span = read_cold(dist, lo, /*bulk=*/true);
+    const int d = static_cast<int>(dist);
+    EXPECT_EQ(gets.slow_path_reads, 16u) << "dist=" << d;
+    EXPECT_EQ(span.slow_path_reads, gets.slow_path_reads) << "dist=" << d;
+    EXPECT_EQ(span.remote_blocks_fetched, gets.remote_blocks_fetched)
+        << "dist=" << d;
+  }
 }
 
 // A traced run's block-cache summary (the bundling line of ppm_cli

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -222,6 +225,101 @@ TEST(Engine, FreeFunctionsWorkOnFiber) {
   });
   engine.run();
   EXPECT_EQ(t, 500);
+}
+
+
+struct LiveValues {
+  uint64_t u[8];
+  double d[4];
+};
+
+// Updates twelve values per round and calls `between` after each round, so
+// the compiler must keep them live across the call: in callee-saved
+// registers where it can, in stack slots otherwise. The values depend on
+// `seed`, so fibers that leak registers into each other get wrong results.
+template <typename Between>
+LiveValues churn(uint64_t seed, int rounds, Between between) {
+  uint64_t a = seed, b = seed * 3 + 1, c = seed ^ 0x9e3779b97f4a7c15ULL,
+           d = ~seed, e = seed << 17, f = seed * seed, g = seed + 12345,
+           h = seed * 0x2545f4914f6cdd1dULL;
+  double x = static_cast<double>(seed) * 0.25, y = 1.0 / (seed + 1.0),
+         z = static_cast<double>(seed) + 0.5, w = -static_cast<double>(seed);
+  for (int r = 0; r < rounds; ++r) {
+    a = a * 6364136223846793005ULL + 1442695040888963407ULL;
+    b ^= a >> 7;
+    c += b * 31;
+    d = (d ^ c) * 0x100000001b3ULL;
+    e += d >> 11;
+    f ^= e * 7;
+    g = g * 5 + f;
+    h += g ^ a;
+    x = x * 0.999 + static_cast<double>(a >> 40);
+    y += x / 3.0;
+    z = z * 0.5 + y;
+    w -= z / 7.0;
+    between();
+  }
+  return LiveValues{{a, b, c, d, e, f, g, h}, {x, y, z, w}};
+}
+
+TEST(Engine, FibersKeepCalleeSavedStateAcrossSwitches) {
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 150;
+  Engine engine;
+  std::vector<LiveValues> got(kFibers);
+  for (int i = 0; i < kFibers; ++i) {
+    engine.spawn("churn" + std::to_string(i), [&, i] {
+      got[i] = churn(i + 1, kRounds, [&] { engine.yield(); });
+    });
+  }
+  engine.run();
+  for (int i = 0; i < kFibers; ++i) {
+    const LiveValues want = churn(i + 1, kRounds, [] {});
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(got[i].u[k], want.u[k]) << "fiber " << i << " u" << k;
+    }
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_EQ(std::memcmp(&got[i].d[k], &want.d[k], sizeof(double)), 0)
+          << "fiber " << i << " d" << k << ": " << got[i].d[k]
+          << " != " << want.d[k];
+    }
+  }
+}
+
+TEST(Engine, RoundingModeIsPerFiber) {
+  // fesetround sets both the x87 control word and the MXCSR; fegetround
+  // reads the x87 word, and double division obeys the MXCSR. The switch
+  // must carry both, so neither fiber sees the other's rounding mode.
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest = one / three;
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  const double upward = one / three;
+  ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+  ASSERT_NE(nearest, upward);
+
+  Engine engine;
+  int a_mode = -1, b_mode = -1;
+  double a_before = 0, a_after = 0, b_quotient = 0;
+  engine.spawn("a", [&] {
+    std::fesetround(FE_UPWARD);
+    a_before = one / three;
+    engine.yield();
+    a_mode = std::fegetround();
+    a_after = one / three;
+    std::fesetround(FE_TONEAREST);
+  });
+  engine.spawn("b", [&] {
+    b_mode = std::fegetround();
+    b_quotient = one / three;
+  });
+  engine.run();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(b_mode, FE_TONEAREST);
+  EXPECT_EQ(b_quotient, nearest);
+  EXPECT_EQ(a_mode, FE_UPWARD);
+  EXPECT_EQ(a_before, upward);
+  EXPECT_EQ(a_after, upward);
 }
 
 }  // namespace

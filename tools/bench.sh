@@ -36,9 +36,10 @@ if [ "${smoke}" = 1 ]; then
   export PPM_BENCH_SCALE="${PPM_BENCH_SCALE:-0.25}"
   # Smallest node counts only; keep both overlap-engine configs and
   # both locality-engine arms at the smallest node count. SimScale keeps
-  # its 1- and 4-thread arms so the wall_speedup column is exercised;
-  # the large modeled Fig.1 rows (64+ nodes) are full-run only.
-  filter='(/1/|/2/|OverlapEngine|Locality/[01]/4|Trace|SimScale_Cg/16/[14]/)'
+  # its 1- and 4-thread arms so the wall_speedup column is exercised, and
+  # the fiber-switch row; the large modeled Fig.1 rows (64+ nodes) are
+  # full-run only.
+  filter='(/1/|/2/|OverlapEngine|Locality/[01]/4|Trace|SimScale_Cg/16/[14]/|Sim_FiberSwitch)'
 fi
 
 cmake --preset default >/dev/null

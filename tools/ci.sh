@@ -3,7 +3,10 @@
 # suite under each. The san preset runs the phase-validator tests under
 # ASan+UBSan as well — the validator's own bookkeeping is exercised by
 # every checked test, so this doubles as a memory-safety pass over
-# src/check/.
+# src/check/. The tsan preset runs the same suite and smokes under
+# ThreadSanitizer: the windowed engine runs engines (and their fibers) on
+# pool threads, and the fiber switch carries TSan's fiber annotations
+# (src/sim/stack_switch.hpp), so a host-thread race is reported as one.
 #
 # Leak detection is off for the san run (see CMakePresets.json): tests
 # that exercise error paths abandon blocked fibers without unwinding
@@ -16,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-declare -A builddir=([default]=build [san]=build-san)
+declare -A builddir=([default]=build [san]=build-san [tsan]=build-tsan)
 
 echo "=== options table gate (docs/API.md vs RuntimeOptions) ==="
 # The RuntimeOptions table in docs/API.md must name exactly the fields of
@@ -42,7 +45,7 @@ if missing or extra or len(rows) != len(set(rows)):
 print(f"options table OK: {len(fields)} fields")
 PY
 
-for preset in default san; do
+for preset in default san tsan; do
   echo "=== configure+build preset: ${preset} ==="
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}"
@@ -54,13 +57,16 @@ for preset in default san; do
   # docs/TESTING.md for how to reproduce locally. Same sanitizer env as
   # the test preset (error-path fiber abandonment is not a leak).
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+  TSAN_OPTIONS=halt_on_error=1 \
     "${builddir[$preset]}/tools/ppm_stress" --smoke
   echo "=== windowed engine smoke preset: ${preset} ==="
   # Parallel conservative-window engine (docs/SIM.md) under each preset:
   # the san pass runs real host threads through the fiber switch and the
-  # window-barrier exchange, so data races that ASan can see (use-after-
-  # free of migrated engine state) and UB in the merge path get caught.
+  # window-barrier exchange, so use-after-free of migrated engine state
+  # and UB in the merge path get caught, and the tsan pass reports any
+  # data race between the pool threads.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+  TSAN_OPTIONS=halt_on_error=1 \
     "${builddir[$preset]}/tools/ppm_cli" --app=cg --nodes=4 --cores=4 \
       --size=4096 --iters=8 --calibration=0 --sim-threads=4 >/dev/null
   echo "=== model fit smoke preset: ${preset} ==="
@@ -68,6 +74,7 @@ for preset in default san; do
   # (docs/OBSERVABILITY.md); the fitted-coefficients artifact is kept per
   # preset so a failing drift gate can be compared across default/san.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+  TSAN_OPTIONS=halt_on_error=1 \
     "${builddir[$preset]}/tools/ppm_cli" --app=cg --cores=4 --size=4096 \
       --iters=8 --model --json="${builddir[$preset]}/model_coeffs.json" \
       >/dev/null
@@ -314,4 +321,4 @@ for path in sys.argv[1:]:
 PY
 echo "model row schema gate OK"
 
-echo "CI OK: both presets built, all tests passed."
+echo "CI OK: all three presets built, all tests passed."
