@@ -1,9 +1,10 @@
-// Read-engine fast-path microbenchmark: per-element cost of the three
-// access flavors the hot-path campaign optimizes — the handle-inline
-// local read, the handle-inline cached-remote-block read, and the bulk
-// read_n span path. Reported as per_read_ns next to the figure rows in
-// BENCH_fig.json so per-element overhead regressions are visible without
-// rerunning the applications.
+// Read-engine fast-path microbenchmark: per-element cost of the access
+// flavors the hot-path campaign optimizes — the handle-inline local read,
+// the handle-inline cached-remote-block read (kBlock doubles, kAdaptive
+// doubles, 240-byte elements), the bulk read_n span path, and a
+// prefetch() over blocks already published. Reported as per_read_ns next
+// to the figure rows in BENCH_fig.json so per-element overhead
+// regressions are visible without rerunning the applications.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -15,20 +16,40 @@ namespace {
 
 using namespace ppm;
 
-// Arg0 selects the flavor (1/2 run in --smoke sweeps, see tools/bench.sh).
-enum ReadPath : int64_t { kLocalInline = 1, kCachedInline = 2, kBulkReadN = 3 };
+// Arg0 selects the flavor (all but 3 run in --smoke sweeps, see
+// tools/bench.sh).
+enum ReadPath : int64_t {
+  kLocalInline = 1,
+  kCachedInline = 2,
+  kBulkReadN = 3,
+  kCachedAdaptive = 4,
+  kCached240 = 5,
+  kPrefetchPublished = 6,
+};
+
+// Barnes-Hut's tree node size: 68 per 16 KiB cache block.
+struct Elem240 {
+  double v[30];
+};
 
 void BM_ReadElemFastPath(benchmark::State& state) {
   const auto path = static_cast<ReadPath>(state.range(0));
   constexpr uint64_t kN = 1 << 16;
   constexpr uint64_t kHalf = kN / 2;
+  constexpr uint64_t kBigN = 1 << 13;  // 240-byte elements
   constexpr int kSweeps = 8;
+  const Distribution dist =
+      path == kCachedAdaptive || path == kPrefetchPublished
+          ? Distribution::kAdaptive
+          : Distribution::kBlock;
   for (auto _ : state) {
     cluster::Machine machine(bench::bench_machine(2, /*cores=*/1));
     uint64_t reads = 0;
     const RunResult r =
         run_on(machine, bench::bench_runtime_options(), [&](Env& env) {
-          auto a = env.global_array<double>(kN);
+          auto a = env.global_array<double>(kN, dist);
+          GlobalShared<Elem240> big;
+          if (path == kCached240) big = env.global_array<Elem240>(kBigN);
           std::vector<double> buf(kHalf);
           auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
           vps.global_phase([&](Vp&) {
@@ -41,6 +62,7 @@ void BM_ReadElemFastPath(benchmark::State& state) {
                 reads = kSweeps * kHalf;
                 break;
               case kCachedInline:
+              case kCachedAdaptive:
                 // First sweep fills the block cache; the steady state is
                 // the handle-probe hit path.
                 for (int s = 0; s < kSweeps; ++s) {
@@ -48,6 +70,26 @@ void BM_ReadElemFastPath(benchmark::State& state) {
                 }
                 reads = kSweeps * kHalf;
                 break;
+              case kCached240:
+                // As many reads as the double rows: 64 sweeps of the
+                // 4,096 remote elements.
+                for (uint64_t s = 0; s < kSweeps * kHalf / (kBigN / 2); ++s) {
+                  for (uint64_t i = kBigN / 2; i < kBigN; ++i) {
+                    acc += big.view(i).v[0];
+                  }
+                }
+                reads = kSweeps * kHalf;
+                break;
+              case kPrefetchPublished: {
+                // One get() sweep publishes every remote block; each
+                // prefetch sweep after it finds them all in the table.
+                std::vector<uint64_t> remote(kHalf);
+                for (uint64_t i = 0; i < kHalf; ++i) remote[i] = kHalf + i;
+                for (uint64_t i = kHalf; i < kN; ++i) acc += a.get(i);
+                for (int s = 0; s < kSweeps; ++s) a.prefetch(remote);
+                reads = kSweeps * kHalf;
+                break;
+              }
               case kBulkReadN:
                 // Same cached-remote range through the span path: the
                 // first sweep fetches, later sweeps are per-block copies.
@@ -66,11 +108,12 @@ void BM_ReadElemFastPath(benchmark::State& state) {
     state.counters["slow_path_reads"] =
         static_cast<double>(r.slow_path_reads);
     state.counters["blocks"] = static_cast<double>(r.remote_blocks_fetched);
+    state.counters["prefetch_issued"] = static_cast<double>(r.prefetch_issued);
   }
 }
 
 }  // namespace
 
-BENCHMARK(BM_ReadElemFastPath)->Arg(1)->Arg(2)->Arg(3)->Iterations(1);
+BENCHMARK(BM_ReadElemFastPath)->DenseRange(1, 6)->Iterations(1);
 
 BENCHMARK_MAIN();

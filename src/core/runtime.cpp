@@ -28,6 +28,17 @@ uint64_t chunk_of(uint64_t n, int nodes) {
   return (n + static_cast<uint64_t>(nodes) - 1) / static_cast<uint64_t>(nodes);
 }
 
+/// End (capped at `end`) of the single-owner run of global array `rec`
+/// that starts at element g, owned by `owner`: the rest of g's migration
+/// block (kAdaptive) or of the owner's chunk (kBlock, one-node kCyclic).
+uint64_t segment_end(const detail::ArrayRecord& rec, uint64_t g,
+                     uint64_t end, int owner) {
+  if (rec.mig_block_elems != 0) {
+    return std::min(end, g - rec.mig_div.mod(g) + rec.mig_block_elems);
+  }
+  return std::min(end, (static_cast<uint64_t>(owner) + 1) * rec.chunk);
+}
+
 struct ParsedEntry {
   uint64_t vp_rank;
   uint32_t seq;
@@ -256,6 +267,7 @@ uint32_t NodeRuntime::create_array(bool global, uint64_t n,
   rec.ops = ops;
   rec.dist = dist;
   rec.nodes = node_count();
+  rec.nodes_div = Divisor(static_cast<uint64_t>(rec.nodes));
   if (global) {
     rec.chunk = chunk_of(n, node_count());
     if (dist == Distribution::kAdaptive) {
@@ -269,6 +281,7 @@ uint32_t NodeRuntime::create_array(bool global, uint64_t n,
       const uint64_t nodes64 = static_cast<uint64_t>(rec.nodes);
       rec.mig_block_elems =
           std::max<uint64_t>(1, options().read_block_bytes / ops.size);
+      rec.mig_div = Divisor(rec.mig_block_elems);
       rec.mig_blocks = (n + rec.mig_block_elems - 1) / rec.mig_block_elems;
       const uint64_t bpc = (rec.mig_blocks + nodes64 - 1) / nodes64;
       rec.cap_blocks = std::min(rec.mig_blocks, 2 * bpc);
@@ -313,12 +326,14 @@ uint32_t NodeRuntime::create_array(bool global, uint64_t n,
       // The direct-mapped remote-block table is allocated lazily by
       // ensure_block_table on the first published block; an array this
       // node only ever accesses locally never grows one.
+      rec.block_div = Divisor(rec.block_elems);
     }
   } else {
     rec.chunk = n;
     rec.chunk_base = 0;
     rec.chunk_len = n;
   }
+  rec.chunk_div = Divisor(rec.chunk);
   rec.storage.assign(rec.chunk_len * ops.size, std::byte{0});
   if (validator_) {
     validator_->on_array_created(rec.id, rec.global, rec.n, rec.ops.size,
@@ -412,13 +427,18 @@ void NodeRuntime::read_elem(uint32_t id, uint64_t index, std::byte* out) {
   note_access(rec, index);
   // Committed storage holds phase-start values during a phase (writes are
   // deferred), so local reads are plain loads.
-  if (!rec.global || rec.owner_of(index) == node_) {
-    const uint64_t local = rec.global ? rec.local_of(index) : index;
-    std::memcpy(out, rec.storage.data() + local * rec.ops.size,
+  if (!rec.global) {
+    std::memcpy(out, rec.storage.data() + index * rec.ops.size,
                 rec.ops.size);
     return;
   }
-  std::memcpy(out, remote_ref(rec, index), rec.ops.size);
+  const auto at = rec.place(index);
+  if (at.owner == node_) {
+    std::memcpy(out, rec.storage.data() + at.local * rec.ops.size,
+                rec.ops.size);
+    return;
+  }
+  std::memcpy(out, remote_ref(rec, at), rec.ops.size);
 }
 
 const std::byte* NodeRuntime::read_ref(uint32_t id, uint64_t index) {
@@ -427,32 +447,35 @@ const std::byte* NodeRuntime::read_ref(uint32_t id, uint64_t index) {
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
   charge_access();
-  if (validator_) [[unlikely]] validator_->on_read();
   note_access(rec, index);
-  if (!rec.global || rec.owner_of(index) == node_) {
-    const uint64_t local = rec.global ? rec.local_of(index) : index;
-    return rec.storage.data() + local * rec.ops.size;
+  if (!rec.global) return rec.storage.data() + index * rec.ops.size;
+  const auto at = rec.place(index);
+  if (at.owner == node_) {
+    return rec.storage.data() + at.local * rec.ops.size;
   }
-  return remote_ref(rec, index);
+  // kCyclic hits (the handles serve kBlock and kAdaptive hits inline).
+  if (const std::byte* block = rec.published_block(at.slot)) {
+    note_cache_hit();
+    return block + at.in_block * rec.ops.size;
+  }
+  if (validator_) [[unlikely]] validator_->on_read();
+  return remote_ref(rec, at);
 }
 
 const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
-                                         uint64_t index) {
+                                         const detail::ArrayRecord::Place& at) {
   // All coordinates on the wire are owner-local, which keeps the protocol
   // identical for every distribution.
   const bool bundle = options().bundle_reads && rec.block_elems > 0;
-  const int owner = rec.owner_of(index);
-  const uint64_t llocal = rec.local_of(index);
+  const int owner = at.owner;
+  const uint64_t llocal = at.local;
   // A read whose block is published would have been served by the
-  // handles' inline probe; read_elem (the kCyclic read_n fallback) gets
-  // here without probing, so only the others count as slow.
-  if (!bundle || !rec.block_published(owner, llocal)) {
-    ++counters_.slow_path_reads;
-  }
+  // handles' probe; read_elem (the kCyclic read_n fallback) gets here
+  // without probing, so only the others count as slow.
+  if (rec.published_block(at.slot) == nullptr) ++counters_.slow_path_reads;
   const uint64_t olen = rec.owner_len(owner);
-  const uint64_t block_elems = bundle ? rec.block_elems : 1;
-  const uint64_t first = (llocal / block_elems) * block_elems;
-  const uint64_t count = std::min(block_elems, olen - first);
+  const uint64_t first = bundle ? llocal - at.in_block : llocal;
+  const uint64_t count = bundle ? std::min(rec.block_elems, olen - first) : 1;
   const BlockKey key{rec.id,
                      (static_cast<uint64_t>(owner) << 40) | first};
 
@@ -532,8 +555,7 @@ std::shared_ptr<NodeRuntime::FetchSlot> NodeRuntime::issue_block_fetch(
   slot->key = BlockKey{
       rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
   slot->record = &arrays_[rec.id];
-  slot->block_slot = static_cast<uint64_t>(owner) * rec.blocks_per_chunk +
-                     first / rec.block_elems;
+  slot->block_slot = rec.block_slot(owner, first);
   slot->req_id = next_req_id();
   outstanding_[slot->req_id] = slot;
   pending_blocks_[slot->key] = slot;
@@ -687,25 +709,26 @@ void NodeRuntime::maybe_stream_prefetch(const detail::ArrayRecord& rec,
   if (lookahead == 0 || first == 0) return;
   // Fetch ahead only when the previous adjacent block was already wanted —
   // a detected forward stream. Random access then rarely pays for blocks
-  // it will never touch.
-  const BlockKey prev{rec.id,
-                      (static_cast<uint64_t>(owner) << kBlockOwnerShift) |
-                          (first - rec.block_elems)};
-  if (!block_cache_.contains(prev) && !pending_blocks_.contains(prev)) {
-    return;
-  }
+  // it will never touch. Published blocks are cached, so the table answers
+  // first and the hash maps only for unpublished blocks.
+  const uint64_t slot = rec.block_slot(owner, first);
+  if (!block_wanted(rec, owner, first - rec.block_elems, slot - 1)) return;
   uint64_t next = first + rec.block_elems;
   for (uint32_t j = 0; j < lookahead && next < owner_len;
        ++j, next += rec.block_elems) {
-    const BlockKey key{
-        rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | next};
-    if (block_cache_.contains(key) || pending_blocks_.contains(key)) {
-      continue;
-    }
+    if (block_wanted(rec, owner, next, slot + 1 + j)) continue;
     issue_block_fetch(rec, owner, next,
                       std::min(rec.block_elems, owner_len - next),
                       /*prefetch=*/true);
   }
+}
+
+bool NodeRuntime::block_wanted(const detail::ArrayRecord& rec, int owner,
+                               uint64_t first, uint64_t slot) const {
+  if (rec.published_block(slot) != nullptr) return true;
+  const BlockKey key{
+      rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
+  return block_cache_.contains(key) || pending_blocks_.contains(key);
 }
 
 void NodeRuntime::ensure_block_table(detail::ArrayRecord& rec) {
@@ -722,8 +745,8 @@ void NodeRuntime::publish_block(const detail::ArrayRecord& rec,
   const uint64_t first = key.block & ((uint64_t{1} << kBlockOwnerShift) - 1);
   ensure_block_table(mut);
   if (!mut.remote_block_ptr.empty()) {
-    mut.remote_block_ptr[owner * mut.blocks_per_chunk +
-                         first / mut.block_elems] = cached.data();
+    mut.remote_block_ptr[mut.block_slot(static_cast<int>(owner), first)] =
+        cached.data();
   }
   if (prefetched_keys_.erase(key) != 0) {
     ++counters_.prefetch_hits;
@@ -746,17 +769,12 @@ void NodeRuntime::prefetch_elems(uint32_t id,
     PPM_CHECK(index < rec.n, "prefetch index %llu out of range (size %llu)",
               static_cast<unsigned long long>(index),
               static_cast<unsigned long long>(rec.n));
-    const int owner = rec.owner_of(index);
-    if (owner == node_) continue;
-    const uint64_t llocal = rec.local_of(index);
-    const uint64_t first = (llocal / rec.block_elems) * rec.block_elems;
-    const BlockKey key{
-        rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
-    if (block_cache_.contains(key) || pending_blocks_.contains(key)) {
-      continue;
-    }
-    const uint64_t olen = rec.owner_len(owner);
-    issue_block_fetch(rec, owner, first,
+    const auto at = rec.place(index);
+    if (at.owner == node_) continue;
+    const uint64_t first = at.local - at.in_block;
+    if (block_wanted(rec, at.owner, first, at.slot)) continue;
+    const uint64_t olen = rec.owner_len(at.owner);
+    issue_block_fetch(rec, at.owner, first,
                       std::min(rec.block_elems, olen - first),
                       /*prefetch=*/true);
   }
@@ -774,29 +792,28 @@ void NodeRuntime::prefetch_range(uint32_t id, uint64_t lo, uint64_t hi) {
             static_cast<unsigned long long>(lo),
             static_cast<unsigned long long>(hi),
             static_cast<unsigned long long>(rec.n));
-  const auto want = [&](int owner, uint64_t first, uint64_t olen) {
-    const BlockKey key{
-        rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
-    if (block_cache_.contains(key) || pending_blocks_.contains(key)) return;
+  const auto want = [&](int owner, uint64_t first, uint64_t slot) {
+    if (block_wanted(rec, owner, first, slot)) return;
     issue_block_fetch(rec, owner, first,
-                      std::min(rec.block_elems, olen - first),
+                      std::min(rec.block_elems, rec.owner_len(owner) - first),
                       /*prefetch=*/true);
   };
-  if (rec.dist == Distribution::kCyclic && rec.mig_block_elems == 0) {
+  if (rec.dist == Distribution::kCyclic) {
     // Round-robin layout: every owner holds an interleaved share of
     // [lo, hi); walk each remote owner's local block range directly.
     const uint64_t p = static_cast<uint64_t>(rec.nodes);
     for (int owner = 0; owner < rec.nodes; ++owner) {
       if (owner == node_) continue;
       const uint64_t o = static_cast<uint64_t>(owner);
-      if (hi <= o) continue;               // owner's first element is o
-      const uint64_t last = (hi - 1 - o) / p;  // largest local idx in range
-      const uint64_t lfirst = lo > o ? (lo - o + p - 1) / p : 0;
+      if (hi <= o) continue;  // owner's first element is o
+      // Largest and smallest owner-local index in range.
+      const uint64_t last = rec.nodes_div.div(hi - 1 - o);
+      const uint64_t lfirst = lo > o ? rec.nodes_div.div(lo - o + p - 1) : 0;
       if (lfirst > last) continue;
-      const uint64_t olen = rec.owner_len(owner);
-      for (uint64_t b = (lfirst / rec.block_elems) * rec.block_elems;
-           b <= last; b += rec.block_elems) {
-        want(owner, b, olen);
+      uint64_t slot = rec.block_slot(owner, lfirst);
+      for (uint64_t b = lfirst - rec.block_div.mod(lfirst); b <= last;
+           b += rec.block_elems, ++slot) {
+        want(owner, b, slot);
       }
     }
     flush_fetch_backlog();
@@ -807,30 +824,22 @@ void NodeRuntime::prefetch_range(uint32_t id, uint64_t lo, uint64_t hi) {
   // O(range) — skipping whole owned chunks.
   uint64_t g = lo;
   while (g < hi) {
-    if (rec.mig_block_elems != 0) {
-      const uint64_t mb_end =
-          (g / rec.mig_block_elems + 1) * rec.mig_block_elems;
-      const int owner = rec.owner_of(g);
-      if (owner != node_) {
-        const uint64_t llocal = rec.local_of(g);
-        want(owner, (llocal / rec.block_elems) * rec.block_elems,
-             rec.owner_len(owner));
-      }
-      g = mb_end;
+    const auto at = rec.place(g);
+    const uint64_t first = at.local - at.in_block;
+    if (rec.dist == Distribution::kAdaptive) {
+      // One cache block is one migration block.
+      if (at.owner != node_) want(at.owner, first, at.slot);
+      g += rec.mig_block_elems - at.in_block;
       continue;
     }
-    const int owner = rec.owner_of(g);
-    const uint64_t chunk_end = (static_cast<uint64_t>(owner) + 1) * rec.chunk;
-    if (owner == node_) {
+    const auto owner = static_cast<uint64_t>(at.owner);
+    const uint64_t chunk_end = (owner + 1) * rec.chunk;
+    if (at.owner == node_) {
       g = chunk_end;
       continue;
     }
-    const uint64_t llocal = rec.local_of(g);
-    const uint64_t first = (llocal / rec.block_elems) * rec.block_elems;
-    want(owner, first, rec.owner_len(owner));
-    g = std::min(chunk_end,
-                 static_cast<uint64_t>(owner) * rec.chunk + first +
-                     rec.block_elems);
+    want(at.owner, first, at.slot);
+    g = std::min(chunk_end, owner * rec.chunk + first + rec.block_elems);
   }
   flush_fetch_backlog();
 }
@@ -938,26 +947,22 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
   const uint64_t end = first + count;
   uint64_t g = first;
   while (g < end) {
-    const int owner = rec.owner_of(g);
-    const uint64_t seg_end =
-        rec.mig_block_elems != 0
-            ? std::min(end, (g / rec.mig_block_elems + 1) *
-                                rec.mig_block_elems)
-            : std::min(end, (static_cast<uint64_t>(owner) + 1) * rec.chunk);
+    const auto at = rec.place(g);
+    const int owner = at.owner;
+    const uint64_t seg_end = segment_end(rec, g, end, owner);
     const uint64_t len = seg_end - g;
     if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[g / rec.mig_block_elems] += len;
+      rec.access_count[rec.mig_div.div(g)] += len;
     }
     std::byte* dst = out + (g - first) * esz;
     if (owner == node_) {
-      std::memcpy(dst, rec.storage.data() + rec.local_of(g) * esz,
-                  len * esz);
+      std::memcpy(dst, rec.storage.data() + at.local * esz, len * esz);
       g = seg_end;
       continue;
     }
     if (!options().bundle_reads || rec.block_elems == 0) {
       for (uint64_t j = 0; j < len; ++j) {
-        std::memcpy(dst + j * esz, remote_ref(rec, g + j), esz);
+        std::memcpy(dst + j * esz, remote_ref(rec, rec.place(g + j)), esz);
       }
       g = seg_end;
       continue;
@@ -969,24 +974,30 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     // per-element path would: one slow-path read per block not yet
     // published in the direct-mapped table; cache hits for every element
     // of a block that was cached or in flight, all but the first of a
-    // block fetched here.
-    const uint64_t ll = rec.local_of(g);
+    // block fetched here. Published blocks are cached, so the table
+    // answers first in both passes.
+    const uint64_t ll = at.local;
     const uint64_t olen = rec.owner_len(owner);
     const uint64_t be = rec.block_elems;
+    const uint64_t b0 = ll - at.in_block;
     uint64_t fetched = 0;
-    for (uint64_t b = (ll / be) * be; b < ll + len; b += be) {
-      if (!rec.block_published(owner, b)) ++counters_.slow_path_reads;
-      const BlockKey key{
-          rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
-      if (block_cache_.contains(key) || pending_blocks_.contains(key)) {
-        continue;
-      }
+    for (uint64_t b = b0, slot = at.slot; b < ll + len; b += be, ++slot) {
+      if (rec.published_block(slot) != nullptr) continue;
+      ++counters_.slow_path_reads;
+      if (block_wanted(rec, owner, b, slot)) continue;
       issue_block_fetch(rec, owner, b, std::min(be, olen - b),
                         /*prefetch=*/false);
       ++fetched;
     }
     counters_.reads_from_cache += len - fetched;
-    for (uint64_t b = (ll / be) * be; b < ll + len; b += be) {
+    for (uint64_t b = b0, slot = at.slot; b < ll + len; b += be, ++slot) {
+      const uint64_t lo = std::max(ll, b);
+      const uint64_t hi = std::min(ll + len, b + be);
+      if (const std::byte* block = rec.published_block(slot)) {
+        std::memcpy(dst + (lo - ll) * esz, block + (lo - b) * esz,
+                    (hi - lo) * esz);
+        continue;
+      }
       const BlockKey key{
           rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
       auto itc = block_cache_.find(key);
@@ -1001,8 +1012,6 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
                   "bulk read fetch did not populate the block cache");
       }
       publish_block(rec, key, itc->second);
-      const uint64_t lo = std::max(ll, b);
-      const uint64_t hi = std::min(ll + len, b + be);
       std::memcpy(dst + (lo - ll) * esz,
                   itc->second.data() + (lo - b) * esz, (hi - lo) * esz);
     }
@@ -1064,17 +1073,11 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
   uint64_t g = first;
   while (g < end) {
     const int owner = rec.global ? rec.owner_of(g) : node_;
-    uint64_t seg_end = end;
-    if (rec.global) {
-      seg_end = rec.mig_block_elems != 0
-                    ? std::min(end, (g / rec.mig_block_elems + 1) *
-                                        rec.mig_block_elems)
-                    : std::min(end,
-                               (static_cast<uint64_t>(owner) + 1) * rec.chunk);
-    }
+    const uint64_t seg_end =
+        rec.global ? segment_end(rec, g, end, owner) : end;
     const uint32_t len = static_cast<uint32_t>(seg_end - g);
     if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[g / rec.mig_block_elems] += len;
+      rec.access_count[rec.mig_div.div(g)] += len;
     }
     // One range entry per owner segment: ONE (vp_rank, seq) pair for the
     // whole run, committing as a unit at that position — bit-identical
@@ -1280,14 +1283,10 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
   uint64_t g = first;
   while (g < end) {
     const int owner = rec.owner_of(g);
-    const uint64_t seg_end =
-        rec.mig_block_elems != 0
-            ? std::min(end,
-                       (g / rec.mig_block_elems + 1) * rec.mig_block_elems)
-            : std::min(end, (static_cast<uint64_t>(owner) + 1) * rec.chunk);
+    const uint64_t seg_end = segment_end(rec, g, end, owner);
     const uint32_t len = static_cast<uint32_t>(seg_end - g);
     if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[g / rec.mig_block_elems] += len;
+      rec.access_count[rec.mig_div.div(g)] += len;
     }
     const std::byte* src = values + (g - first) * esz;
     if (owner != node_) {

@@ -38,6 +38,7 @@
 #include "core/wire.hpp"
 #include "sim/sync.hpp"
 #include "trace/recorder.hpp"
+#include "util/divisor.hpp"
 
 namespace ppm {
 
@@ -179,23 +180,68 @@ struct ArrayRecord {
     ops.apply(elem, value, op);
   }
 
-  /// Node owning global element i.
-  int owner_of(uint64_t i) const {
-    if (mig_block_elems != 0) return mig_owner[i / mig_block_elems];
-    return dist == Distribution::kBlock
-               ? static_cast<int>(i / chunk)
-               : static_cast<int>(i % static_cast<uint64_t>(nodes));
-  }
-  /// Owner-local storage index of global element i.
-  uint64_t local_of(uint64_t i) const {
-    if (mig_block_elems != 0) {
-      return static_cast<uint64_t>(mig_slot[i / mig_block_elems]) *
-                 mig_block_elems +
-             i % mig_block_elems;
+  // Remote-read fast path (global arrays with bundling enabled): a
+  // direct-mapped table with one slot per cache block of the whole array;
+  // a non-null slot points at the block's bytes inside the requester's
+  // block cache. Filled by the service fiber on fetch completion, wiped at
+  // every global commit. Shared handles consult it inline. A published
+  // block is always in the block cache too (both hold the same bytes and
+  // die at the same commit), so "published" answers "cached" without a
+  // hash lookup; the converse fails only for prefetched blocks not yet
+  // demanded.
+  uint64_t block_elems = 0;        // elements per cache block
+  uint64_t blocks_per_chunk = 0;   // blocks within one owner's chunk
+  std::vector<const std::byte*> remote_block_ptr;
+
+  // The element locator's divisors (create_array sets them with the
+  // fields they mirror): no element path issues a hardware divide.
+  Divisor chunk_div;   // chunk (kBlock)
+  Divisor nodes_div;   // nodes (kCyclic)
+  Divisor block_div;   // block_elems (bundled arrays)
+  Divisor mig_div;     // mig_block_elems (kAdaptive)
+
+  /// Where a global element lives.
+  struct Place {
+    int owner = 0;
+    uint64_t local = 0;     // owner-local storage index
+    uint64_t slot = 0;      // remote_block_ptr slot of its cache block
+    uint64_t in_block = 0;  // element offset within that cache block
+  };
+  /// The element locator: owner, storage index and cache-block position
+  /// of global element i (slot and in_block mean something only when
+  /// block_elems != 0). kAdaptive cache blocks are the migration slots
+  /// (both lengths are read_block_bytes / element size), so one division
+  /// resolves all four.
+  Place place(uint64_t i) const {
+    if (dist == Distribution::kAdaptive) {
+      const auto [b, r] = mig_div.divmod(i);
+      const auto owner = static_cast<uint64_t>(mig_owner[b]);
+      const uint64_t s = mig_slot[b];
+      return {static_cast<int>(owner), s * mig_block_elems + r,
+              owner * blocks_per_chunk + s, r};
     }
-    return dist == Distribution::kBlock
-               ? i % chunk
-               : i / static_cast<uint64_t>(nodes);
+    const bool block = dist == Distribution::kBlock;
+    const auto [q, r] = (block ? chunk_div : nodes_div).divmod(i);
+    const uint64_t owner = block ? q : r;
+    const uint64_t local = block ? r : q;
+    const auto [b, in_block] = block_div.divmod(local);
+    return {static_cast<int>(owner), local, owner * blocks_per_chunk + b,
+            in_block};
+  }
+  /// Node owning global element i.
+  int owner_of(uint64_t i) const { return place(i).owner; }
+  /// Owner-local storage index of global element i.
+  uint64_t local_of(uint64_t i) const { return place(i).local; }
+  /// Table slot of the cache block holding owner-local element `local`
+  /// of `owner`.
+  uint64_t block_slot(int owner, uint64_t local) const {
+    return static_cast<uint64_t>(owner) * blocks_per_chunk +
+           block_div.div(local);
+  }
+  /// The bytes of the block published in table slot `slot`, or nullptr
+  /// (always nullptr before the table exists, and with bundling off).
+  const std::byte* published_block(uint64_t slot) const {
+    return remote_block_ptr.empty() ? nullptr : remote_block_ptr[slot];
   }
   /// Element count stored by `owner` (slot capacity for owner-mapped
   /// arrays — slotted storage is sized for migration headroom, not for
@@ -207,32 +253,8 @@ struct ArrayRecord {
       const uint64_t base = std::min(n, chunk * static_cast<uint64_t>(owner));
       return std::min(chunk, n - base);
     }
-    return (n + static_cast<uint64_t>(nodes) - 1 -
-            static_cast<uint64_t>(owner)) /
-           static_cast<uint64_t>(nodes);
-  }
-
-  // Remote-read fast path (global arrays with bundling enabled): a
-  // direct-mapped table with one slot per cache block of the whole array;
-  // a non-null slot points at the block's bytes inside the requester's
-  // block cache. Filled by the service fiber on fetch completion, wiped at
-  // every global commit. Shared handles consult it inline.
-  uint64_t block_elems = 0;        // elements per cache block
-  uint64_t blocks_per_chunk = 0;   // blocks within one owner's chunk
-  std::vector<const std::byte*> remote_block_ptr;
-
-  /// Slot index of the block containing global element i (valid only for
-  /// remote global elements).
-  uint64_t block_slot(uint64_t i) const {
-    return static_cast<uint64_t>(owner_of(i)) * blocks_per_chunk +
-           local_of(i) / block_elems;
-  }
-  /// True when the block holding owner-local element `local` of `owner`
-  /// is published in the table, i.e. the handles' inline probe hits it.
-  bool block_published(int owner, uint64_t local) const {
-    return !remote_block_ptr.empty() &&
-           remote_block_ptr[static_cast<uint64_t>(owner) * blocks_per_chunk +
-                            local / block_elems] != nullptr;
+    return nodes_div.div(n + static_cast<uint64_t>(nodes) - 1 -
+                         static_cast<uint64_t>(owner));
   }
 };
 
@@ -341,7 +363,7 @@ class NodeRuntime {
   /// validator's null-pointer hooks).
   void note_access(const detail::ArrayRecord& rec, uint64_t index) {
     if (!rec.access_count.empty()) [[unlikely]] {
-      ++rec.access_count[index / rec.mig_block_elems];
+      ++rec.access_count[rec.mig_div.div(index)];
     }
   }
 
@@ -382,6 +404,9 @@ class NodeRuntime {
   void read_elem(uint32_t id, uint64_t index, std::byte* out);
   /// Zero-copy read: pointer to the element's phase-start bytes, valid
   /// until the current phase commits (local storage or a cached block).
+  /// The out-of-line half of GlobalShared::view: it serves every read the
+  /// handle does not serve inline (kCyclic and kAdaptive local elements,
+  /// kCyclic cache hits, blocks not yet published, bad indices).
   const std::byte* read_ref(uint32_t id, uint64_t index);
   void write_elem(uint32_t id, uint64_t index, const std::byte* value,
                   detail::WriteOp op);
@@ -640,10 +665,10 @@ class NodeRuntime {
   void handle_token(net::Message msg);
   void serve_deferred_gets();
 
-  // Requester-side read engine. Returns a pointer to the element's bytes,
-  // valid until the phase commits.
+  // Requester-side read engine: the remote element at `at`. Returns a
+  // pointer to its bytes, valid until the phase commits.
   const std::byte* remote_ref(const detail::ArrayRecord& rec,
-                              uint64_t index);
+                              const detail::ArrayRecord::Place& at);
   uint64_t next_req_id() { return req_id_counter_++; }
 
   // Overlap engine (requester side).
@@ -669,6 +694,11 @@ class NodeRuntime {
   /// block was already wanted (detected forward stream).
   void maybe_stream_prefetch(const detail::ArrayRecord& rec, int owner,
                              uint64_t first, uint64_t owner_len);
+  /// True when the cache block at owner-local `first` of `owner` (table
+  /// slot `slot`) is cached or in flight. Asks the direct-mapped table
+  /// first; the hash maps only see blocks it has not published.
+  bool block_wanted(const detail::ArrayRecord& rec, int owner,
+                    uint64_t first, uint64_t slot) const;
   /// Publish a cached block in the array's direct-mapped table and count
   /// the first demand touch of a prefetched block.
   void publish_block(const detail::ArrayRecord& rec, const BlockKey& key,

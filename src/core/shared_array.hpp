@@ -115,25 +115,18 @@ class GlobalShared {
       rt_->charge_access();
       return local_data_[rel];
     }
-    if (i < n_) {
-      // Cyclic and owner-mapped local elements.
-      if (rec_->dist != Distribution::kBlock &&
-          rec_->owner_of(i) == rt_->node_id()) {
+    // Remote element of a kBlock or kAdaptive array: the locator names
+    // its slot in the direct-mapped block table, and a published block
+    // serves it without a call. The table never publishes this node's
+    // own blocks, so kAdaptive local elements miss here too.
+    if (rec_->dist != Distribution::kCyclic && i < n_ &&
+        !rec_->remote_block_ptr.empty()) {
+      const auto at = rec_->place(i);
+      if (const std::byte* block = rec_->remote_block_ptr[at.slot]) {
         rt_->charge_access();
+        rt_->note_cache_hit();
         rt_->note_access(*rec_, i);
-        return local_data_[rec_->local_of(i)];
-      }
-      // Remote element: consult the array's direct-mapped block table; a
-      // hit resolves into the runtime's block cache without a call.
-      if (!rec_->remote_block_ptr.empty()) {
-        const std::byte* block = rec_->remote_block_ptr[rec_->block_slot(i)];
-        if (block != nullptr) {
-          rt_->charge_access();
-          rt_->note_cache_hit();
-          rt_->note_access(*rec_, i);
-          const uint64_t in_block = rec_->local_of(i) % rec_->block_elems;
-          return *reinterpret_cast<const T*>(block + in_block * sizeof(T));
-        }
+        return *reinterpret_cast<const T*>(block + at.in_block * sizeof(T));
       }
     }
     return *reinterpret_cast<const T*>(rt_->read_ref(id_, i));

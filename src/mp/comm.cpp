@@ -6,10 +6,14 @@ namespace ppm::mp {
 
 namespace {
 // Message kind layout:
-//   bit 63            collective flag
-//   p2p:  bits 31..0  user tag
-//   coll: bits 39..8  sequence, bits 7..0 round
+//   bit 63             collective flag
+//   p2p:  bits 31..0   user tag
+//   coll: bits 55..24  sequence, bits 23..0 round
+// (bits 62..56 stay clear: the fabric's trace keeps the top byte as the
+// message class). alltoallv and allgatherv run p−1 rounds, so 24 round
+// bits carry them to 2^24 ranks.
 constexpr uint64_t kCollectiveFlag = 1ULL << 63;
+constexpr int kRoundBits = 24;
 }  // namespace
 
 World::World(cluster::Machine& machine)
@@ -166,9 +170,9 @@ bool Comm::iprobe(int src, int tag, Status* status) {
 }
 
 uint64_t Comm::collective_kind(uint64_t seq, uint32_t round) const {
-  PPM_CHECK(round < 256, "collective round overflow");
+  PPM_CHECK(round < (1U << kRoundBits), "collective round overflow");
   PPM_CHECK(seq < (1ULL << 32), "collective sequence overflow");
-  return kCollectiveFlag | (seq << 8) | round;
+  return kCollectiveFlag | (seq << kRoundBits) | round;
 }
 
 uint64_t Comm::next_collective_seq() {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -255,6 +257,174 @@ TEST(ReadPath, BulkReadCountsSlowPathReadsLikeElementwiseGets) {
     EXPECT_EQ(span.remote_blocks_fetched, gets.remote_blocks_fetched)
         << "dist=" << d;
   }
+}
+
+// A 240-byte element, the size of Barnes–Hut's tree node: 16 KiB cache
+// blocks hold 68 of them, a block length that is not a power of two.
+struct Elem240 {
+  int64_t id;
+  double pad[29];
+};
+static_assert(sizeof(Elem240) == 240);
+
+template <typename T>
+T value_at(uint64_t i) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return static_cast<int64_t>(i * 7 + 3);
+  } else {
+    T v{};
+    v.id = static_cast<int64_t>(i * 7 + 3);
+    v.pad[28] = static_cast<double>(i) + 0.5;
+    return v;
+  }
+}
+
+template <typename T>
+bool same(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// How run_hit_path sweeps: two full sweeps; the same followed by a
+// prefetch sweep when every remote block is published; or a sweep over
+// the first half, the prefetch sweep, then a full sweep.
+enum class Sweeps { kTwo, kTwoThenPrefetch, kHalfPrefetchFull };
+
+struct HitPathRun {
+  RunResult r;
+  // Summed over nodes: remote reads, distinct remote cache blocks, and
+  // the blocks the first-half sweep touches.
+  uint64_t remote_reads = 0;
+  uint64_t remote_blocks = 0;
+  uint64_t half_reads = 0;
+  uint64_t half_blocks = 0;
+};
+
+// Every node's one VP reads the array after a deferred set() of every
+// element, through view() first and get() second; every read must see
+// the phase-start value. The expected cache block of element i comes
+// from the layout formulas with plain `/`, independent of the runtime's
+// locator.
+template <typename T>
+HitPathRun run_hit_path(Distribution dist, uint64_t n, Sweeps sweeps) {
+  constexpr int kNodes = 3;
+  PpmConfig c = cfg(kNodes, 1);
+  c.runtime.read_block_bytes = 16 * 1024;
+  c.runtime.prefetch_lookahead_blocks = 0;  // demand fetches only
+  const uint64_t be = c.runtime.read_block_bytes / sizeof(T);
+  const uint64_t chunk = (n + kNodes - 1) / kNodes;
+  const uint64_t half = n / 2;
+  std::vector<HitPathRun> per_node(kNodes);
+  HitPathRun out;
+  out.r = run(c, [&](Env& env) {
+    auto a = env.global_array<T>(n, dist);
+    const int me = env.node_id();
+    for (uint64_t i = 0; i < n; ++i) {
+      if (a.owner(i) == me) a.set(i, value_at<T>(i));
+    }
+    env.barrier();
+    auto vps = env.ppm_do(1);
+    vps.global_phase([&](Vp&) {
+      std::vector<uint64_t> all(n);
+      for (uint64_t i = 0; i < n; ++i) all[i] = i;
+      for (uint64_t i = 0; i < n; ++i) a.set(i, value_at<T>(i + 1));
+      HitPathRun& mine = per_node[static_cast<size_t>(me)];
+      std::set<std::pair<int, uint64_t>> blocks;  // (owner, block)
+      for (uint64_t i = 0; i < n; ++i) {
+        const int owner = a.owner(i);
+        if (owner == me) continue;
+        const uint64_t o = static_cast<uint64_t>(owner);
+        // The cache block holding i: its owner-local index over the block
+        // length (kAdaptive: the migration block i / be names it).
+        const uint64_t pos = dist == Distribution::kBlock    ? i - o * chunk
+                             : dist == Distribution::kCyclic ? i / kNodes
+                                                             : i;
+        blocks.emplace(owner, pos / be);
+        ++mine.remote_reads;
+        if (i < half) {
+          ++mine.half_reads;
+          mine.half_blocks = blocks.size();
+        }
+      }
+      mine.remote_blocks = blocks.size();
+      const uint64_t first_end =
+          sweeps == Sweeps::kHalfPrefetchFull ? half : n;
+      for (uint64_t i = 0; i < first_end; ++i) {
+        ASSERT_TRUE(same(a.view(i), value_at<T>(i))) << "view " << i;
+      }
+      if (sweeps == Sweeps::kHalfPrefetchFull) {
+        a.prefetch(all);
+        a.prefetch_range(0, n);
+      }
+      for (uint64_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same(a.get(i), value_at<T>(i))) << "get " << i;
+      }
+      if (sweeps == Sweeps::kTwoThenPrefetch) {
+        a.prefetch(all);
+        a.prefetch_range(0, n);
+      }
+    });
+  });
+  for (const HitPathRun& p : per_node) {
+    out.remote_reads += p.remote_reads;
+    out.remote_blocks += p.remote_blocks;
+    out.half_reads += p.half_reads;
+    out.half_blocks += p.half_blocks;
+  }
+  return out;
+}
+
+template <typename T>
+void check_hit_path(uint64_t n) {
+  ASSERT_NE(n % 3, 0u);
+  ASSERT_NE(n % (16 * 1024 / sizeof(T)), 0u);
+  for (const auto dist :
+       {Distribution::kBlock, Distribution::kCyclic, Distribution::kAdaptive}) {
+    const int d = static_cast<int>(dist);
+    // The first touch of each remote block is its one slow-path read and
+    // fetch; every other remote read is a cache hit.
+    const HitPathRun two = run_hit_path<T>(dist, n, Sweeps::kTwo);
+    ASSERT_GT(two.remote_blocks, 1u) << "dist=" << d;
+    EXPECT_EQ(two.r.slow_path_reads, two.remote_blocks) << "dist=" << d;
+    EXPECT_EQ(two.r.remote_blocks_fetched, two.remote_blocks)
+        << "dist=" << d;
+    EXPECT_EQ(two.r.remote_reads_served_from_cache,
+              2 * two.remote_reads - two.remote_blocks)
+        << "dist=" << d;
+    // A prefetch sweep over published blocks fetches, issues and hits
+    // nothing.
+    const HitPathRun swept = run_hit_path<T>(dist, n, Sweeps::kTwoThenPrefetch);
+    EXPECT_EQ(swept.r.remote_blocks_fetched, two.r.remote_blocks_fetched)
+        << "dist=" << d;
+    EXPECT_EQ(swept.r.prefetch_issued, 0u) << "dist=" << d;
+    EXPECT_EQ(swept.r.prefetch_hits, 0u) << "dist=" << d;
+    EXPECT_EQ(swept.r.slow_path_reads, two.r.slow_path_reads)
+        << "dist=" << d;
+    EXPECT_EQ(swept.r.remote_reads_served_from_cache,
+              two.r.remote_reads_served_from_cache)
+        << "dist=" << d;
+    // Half the blocks published: the sweep prefetches exactly the others,
+    // and each one's first demand touch is a slow-path read served from
+    // the cache (a prefetch hit).
+    const HitPathRun half = run_hit_path<T>(dist, n, Sweeps::kHalfPrefetchFull);
+    ASSERT_LT(half.half_blocks, half.remote_blocks) << "dist=" << d;
+    const uint64_t prefetched = half.remote_blocks - half.half_blocks;
+    EXPECT_EQ(half.r.prefetch_issued, prefetched) << "dist=" << d;
+    EXPECT_EQ(half.r.prefetch_hits, prefetched) << "dist=" << d;
+    EXPECT_EQ(half.r.remote_blocks_fetched, half.remote_blocks)
+        << "dist=" << d;
+    EXPECT_EQ(half.r.slow_path_reads, half.remote_blocks) << "dist=" << d;
+    EXPECT_EQ(half.r.remote_reads_served_from_cache,
+              half.half_reads - half.half_blocks + half.remote_reads)
+        << "dist=" << d;
+  }
+}
+
+TEST(ReadPath, HitPathCountsAndValuesInt64) {
+  check_hit_path<int64_t>(5 * 2048 + 7);  // 2,048-element blocks
+}
+
+TEST(ReadPath, HitPathCountsAndValues240ByteElements) {
+  check_hit_path<Elem240>(1000);  // 68-element blocks
 }
 
 // A traced run's block-cache summary (the bundling line of ppm_cli

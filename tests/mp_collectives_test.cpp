@@ -173,6 +173,40 @@ TEST_P(MpCollectives, BackToBackCollectivesDoNotCrossTalk) {
   for (long s : sums) EXPECT_EQ(s, expect);
 }
 
+// allgatherv and alltoallv run p−1 rounds, each tagged with its round
+// number: at 65 nodes × 4 cores that is 259 rounds, past what an 8-bit
+// round field can tell apart.
+TEST(MpCollectivesScale, RingAndPairwiseRoundsPast256Ranks) {
+  Machine machine({.nodes = 65, .cores_per_node = 4});
+  World world(machine);
+  const int p = world.size();
+  ASSERT_EQ(p, 260);
+  std::vector<std::vector<std::vector<int>>> gathered(static_cast<size_t>(p));
+  std::vector<std::vector<std::vector<int>>> inboxes(static_cast<size_t>(p));
+  machine.run_per_core([&](const Place& place) {
+    Comm comm = world.comm_at(place);
+    const std::vector<int> mine = {comm.rank()};
+    gathered[static_cast<size_t>(comm.rank())] =
+        comm.allgatherv(std::span<const int>(mine));
+    std::vector<std::vector<int>> blocks(static_cast<size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      blocks[static_cast<size_t>(d)] = {comm.rank() * 1000 + d};
+    }
+    inboxes[static_cast<size_t>(comm.rank())] = comm.alltoallv(blocks);
+  });
+  for (int me = 0; me < p; ++me) {
+    const auto& view = gathered[static_cast<size_t>(me)];
+    const auto& inbox = inboxes[static_cast<size_t>(me)];
+    ASSERT_EQ(view.size(), static_cast<size_t>(p));
+    ASSERT_EQ(inbox.size(), static_cast<size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(view[static_cast<size_t>(r)], std::vector<int>{r});
+      EXPECT_EQ(inbox[static_cast<size_t>(r)],
+                std::vector<int>{r * 1000 + me});
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MpCollectives,
     ::testing::Values(Shape{1, 1}, Shape{1, 4}, Shape{2, 2}, Shape{3, 1},

@@ -37,9 +37,10 @@ if [ "${smoke}" = 1 ]; then
   # Smallest node counts only; keep both overlap-engine configs and
   # both locality-engine arms at the smallest node count. SimScale keeps
   # its 1- and 4-thread arms so the wall_speedup column is exercised, and
-  # the fiber-switch row; the large modeled Fig.1 rows (64+ nodes) are
-  # full-run only.
-  filter='(/1/|/2/|OverlapEngine|Locality/[01]/4|Trace|SimScale_Cg/16/[14]/|Sim_FiberSwitch)'
+  # the fiber-switch row; the read-path rows keep their cached-remote
+  # kAdaptive, 240-byte and published-prefetch flavors; the large modeled
+  # Fig.1 rows (64+ nodes) are full-run only.
+  filter='(/1/|/2/|OverlapEngine|Locality/[01]/4|Trace|SimScale_Cg/16/[14]/|Sim_FiberSwitch|ReadElemFastPath/[456]/)'
 fi
 
 cmake --preset default >/dev/null
