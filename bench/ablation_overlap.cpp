@@ -82,9 +82,11 @@ uint64_t eng_mix(uint64_t x) {
 /// 512 VP reads), computes on them, and accumulates several partial
 /// results into one remote bin. Miss-switching pipelines the block round
 /// trips across a core's VPs; combining folds the same-VP adds into one
-/// wire entry.
+/// wire entry. The bins are integers (fixed point, 2^-10): combining
+/// folds only integral accumulates, which give the same bits in any
+/// grouping.
 void overlap_engine_workload(Env& env, GlobalShared<double>& tab,
-                             GlobalShared<double>& bins) {
+                             GlobalShared<int64_t>& bins) {
   const auto n = static_cast<uint64_t>(env.node_id());
   const auto nodes = static_cast<uint64_t>(env.node_count());
   auto vps = env.ppm_do(kEngVpsPerNode);
@@ -105,7 +107,7 @@ void overlap_engine_workload(Env& env, GlobalShared<double>& tab,
     const uint64_t bin =
         bin_owner * kEngBinsPerNode + (hb >> 8) % kEngBinsPerNode;
     for (int t = 0; t < kEngAddsPerVp; ++t) {
-      bins.add(bin, acc * (1.0 + t));
+      bins.add(bin, static_cast<int64_t>(acc * 1024.0 * (1.0 + t)));
     }
   });
 }
@@ -121,7 +123,7 @@ void BM_Ablation_OverlapEngine(benchmark::State& state) {
     cluster::Machine machine(bench::bench_machine(kEngNodes));
     const RunResult r = run_on(machine, opts, [&](Env& env) {
       auto tab = env.global_array<double>(kEngTableN);
-      auto bins = env.global_array<double>(kEngNodes * kEngBinsPerNode);
+      auto bins = env.global_array<int64_t>(kEngNodes * kEngBinsPerNode);
       // Fill the table so reads see nonzero data.
       {
         auto init = env.ppm_do(kEngBlocksPerNode);

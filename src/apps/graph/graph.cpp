@@ -11,27 +11,42 @@ namespace ppm::apps::graph {
 
 namespace {
 
-Graph from_edges(uint64_t vertices, std::vector<std::pair<uint64_t, uint64_t>>
-                                        edges) {
-  // Deduplicate, drop self-loops, symmetrize.
-  std::vector<std::pair<uint64_t, uint64_t>> sym;
-  sym.reserve(edges.size() * 2);
-  for (auto [u, v] : edges) {
-    if (u == v) continue;
-    sym.emplace_back(u, v);
-    sym.emplace_back(v, u);
-  }
-  std::sort(sym.begin(), sym.end());
-  sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
-
+Graph from_edges(uint64_t vertices,
+                 const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
+  // Symmetrize and drop self-loops straight into per-source rows (a
+  // counting pass sizes them), then sort and deduplicate each row in
+  // place: linear in the edges plus one short sort per row, instead of a
+  // sort of every symmetrized pair.
   Graph g;
   g.num_vertices = vertices;
   g.row_ptr.assign(vertices + 1, 0);
-  for (const auto& [u, v] : sym) ++g.row_ptr[u + 1];
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    ++g.row_ptr[u + 1];
+    ++g.row_ptr[v + 1];
+  }
   for (uint64_t i = 0; i < vertices; ++i) g.row_ptr[i + 1] += g.row_ptr[i];
-  g.adjacency.resize(sym.size());
+  g.adjacency.resize(g.row_ptr[vertices]);
   std::vector<uint64_t> cursor(g.row_ptr.begin(), g.row_ptr.end() - 1);
-  for (const auto& [u, v] : sym) g.adjacency[cursor[u]++] = v;
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    g.adjacency[cursor[u]++] = v;
+    g.adjacency[cursor[v]++] = u;
+  }
+  // Compact the deduplicated rows towards the front; row u's old extent
+  // is [begin, row_ptr[u + 1]) until row_ptr[u + 1] is rewritten.
+  uint64_t* const adj = g.adjacency.data();
+  uint64_t begin = 0, out = 0;
+  for (uint64_t u = 0; u < vertices; ++u) {
+    const uint64_t end = g.row_ptr[u + 1];
+    std::sort(adj + begin, adj + end);
+    uint64_t* const last = std::unique(adj + begin, adj + end);
+    if (out != begin) std::copy(adj + begin, last, adj + out);
+    out += static_cast<uint64_t>(last - (adj + begin));
+    g.row_ptr[u + 1] = out;
+    begin = end;
+  }
+  g.adjacency.resize(out);
   return g;
 }
 
@@ -62,7 +77,7 @@ Graph make_uniform_graph(uint64_t vertices, double avg_degree,
   for (uint64_t e = 0; e < edges_wanted; ++e) {
     edges.emplace_back(rng.next_below(vertices), rng.next_below(vertices));
   }
-  return from_edges(vertices, std::move(edges));
+  return from_edges(vertices, edges);
 }
 
 Graph make_rmat_graph(uint64_t vertices, double avg_degree, uint64_t seed) {
@@ -94,7 +109,7 @@ Graph make_rmat_graph(uint64_t vertices, double avg_degree, uint64_t seed) {
     }
     edges.emplace_back(u % vertices, v % vertices);
   }
-  return from_edges(vertices, std::move(edges));
+  return from_edges(vertices, edges);
 }
 
 std::vector<int64_t> bfs_serial(const Graph& g, uint64_t source) {

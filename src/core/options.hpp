@@ -168,8 +168,9 @@ struct RunResult {
   /// (counted at the owner; the fetch-free half of the accumulate win).
   uint64_t accums_executed = 0;
   /// Wire bytes avoided by the accumulate/reduction machinery vs the
-  /// plain paths: 12 bytes per kAccumList item / kAccumBlock record
-  /// (dropped vp_rank + seq), plus elem_size * (nodes - 1) per reduce()
+  /// plain paths: per shipped kAccumList item / kAccumBlock record, the
+  /// varint bytes of the (vp_rank, seq) pair it leaves out (2 when both
+  /// are below 128), plus elem_size * (nodes - 1) per reduce()
   /// per node (the root-gather messages a standalone allreduce would
   /// have sent; reduce partials share the commit's one allgather
   /// instead).

@@ -43,11 +43,39 @@ struct ParsedEntry {
   uint64_t vp_rank;
   uint32_t seq;
   uint32_t array;
-  uint8_t op;  // base WriteOp; range entries had kOpRangeBit stripped
+  uint8_t op;  // base WriteOp; range records had kOpRangeBit stripped
   uint64_t index;
-  uint32_t count;  // elements covered (1 for scalar entries)
+  uint32_t count;  // elements covered (1 for scalar records)
   const std::byte* value;
 };
+
+/// The one write-record parser (codec in core/wire.hpp): hand each record
+/// of `buf` to fn(const ParsedEntry&), in buffer order. Rejects with
+/// ppm::Error whatever get_record_head rejects, a record naming an
+/// unknown array, and values that run past the buffer (a trailing
+/// partial record included). Ordered records carry (vp_rank, seq);
+/// owner-side accumulate records do not, and parse with both 0.
+template <typename Fn>
+void for_each_record(std::span<const std::byte> buf, bool ordered,
+                     const std::deque<detail::ArrayRecord>& arrays, Fn&& fn) {
+  const std::byte* p = buf.data();
+  const std::byte* const end = p + buf.size();
+  detail::RecordHead h;
+  while (p != end) {
+    p = detail::get_record_head(p, end, ordered, &h);
+    PPM_CHECK(h.array < arrays.size(), "write record names unknown array %u",
+              h.array);
+    const size_t value_bytes =
+        static_cast<size_t>(h.count) * arrays[h.array].ops.size;
+    PPM_CHECK(value_bytes <= static_cast<size_t>(end - p),
+              "garbled write record: %u elements run past the payload",
+              h.count);
+    fn(ParsedEntry{h.vp_rank, h.seq, h.array,
+                   static_cast<uint8_t>(detail::entry_op(h.op)), h.index,
+                   h.count, p});
+    p += value_bytes;
+  }
+}
 
 }  // namespace
 
@@ -1079,18 +1107,23 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     if (!rec.access_count.empty()) [[unlikely]] {
       rec.access_count[rec.mig_div.div(g)] += len;
     }
-    // One range entry per owner segment: ONE (vp_rank, seq) pair for the
+    // One range record per owner segment: ONE (vp_rank, seq) pair for the
     // whole run, committing as a unit at that position — bit-identical
     // to len consecutive scalar writes (a VP's entries apply in seq
     // order either way).
-    const detail::WireEntryHeader hdr{
-        id,
-        static_cast<uint8_t>(static_cast<uint8_t>(op) | detail::kOpRangeBit),
-        g, vp->global_rank_, vp->next_seq_++};
+    const detail::RecordHead h{
+        .op = static_cast<uint8_t>(static_cast<uint8_t>(op) |
+                                   detail::kOpRangeBit),
+        .array = id,
+        .index = g,
+        .vp_rank = vp->global_rank_,
+        .seq = vp->next_seq_++,
+        .count = len};
     const std::byte* src = values + (g - first) * esz;
+    const size_t bytes = static_cast<size_t>(len) * esz;
     if (rec.global && owner != node_) {
       ByteWriter& buf = bundle_buffer(owner);
-      detail::put_range_entry(buf, hdr, src, len, esz);
+      detail::put_record(buf, h, /*ordered=*/true, src, bytes);
       // Later scalar writes must not fold into entries buffered BEFORE
       // this range: the fold keeps the old seq, which would commit before
       // the range instead of after. Dropping the map forfeits combining
@@ -1098,7 +1131,7 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
       reset_combine_map(owner);
       maybe_eager_flush(owner);
     } else {
-      detail::put_range_entry(local_log_, hdr, src, len, esz);
+      detail::put_record(local_log_, h, /*ordered=*/true, src, bytes);
     }
     g = seg_end;
   }
@@ -1135,35 +1168,38 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
             "global shared write inside a node phase");
   Vp* vp = current_vp();
   PPM_CHECK(vp != nullptr, "shared write inside a phase but outside a VP");
-  detail::WireEntryHeader hdr{id, static_cast<uint8_t>(op), index,
-                              vp->global_rank_, vp->next_seq_++};
+  const detail::RecordHead h{.op = static_cast<uint8_t>(op),
+                            .array = id,
+                            .index = index,
+                            .vp_rank = vp->global_rank_,
+                            .seq = vp->next_seq_++};
   ++counters_.write_entries;
   if (validator_) [[unlikely]] validator_->on_write();
 
   if (rec.global) {
     const int owner = rec.owner_of(index);
     if (owner != node_) {
-      if (try_combine(owner, hdr, value, rec)) {
+      if (try_combine(owner, h, value, rec)) {
         return;  // folded into a buffered entry; nothing new to flush
       }
       ByteWriter& buf = bundle_buffer(owner);
-      const size_t offset = buf.size();
-      detail::put_entry(buf, hdr, value, rec.ops.size);
-      peer(owner).combine[ElemKey{id, index}] =
-          CombineSlot{offset, hdr.vp_rank, hdr.op};
+      const size_t offset =
+          detail::put_record(buf, h, /*ordered=*/true, value, rec.ops.size);
+      auto& combine = peer(owner).combine;
+      combine[ElemKey{id, index}] = CombineSlot{offset, h.vp_rank, h.op};
+      if (combine.size() >= kCombineMapMax) reset_combine_map(owner);
       maybe_eager_flush(owner);
       return;
     }
   }
-  detail::put_entry(local_log_, hdr, value, rec.ops.size);
+  detail::put_record(local_log_, h, /*ordered=*/true, value, rec.ops.size);
 }
 
-bool NodeRuntime::try_combine(int dest_node,
-                              const detail::WireEntryHeader& hdr,
+bool NodeRuntime::try_combine(int dest_node, const detail::RecordHead& h,
                               const std::byte* value,
                               const detail::ArrayRecord& rec) {
   auto& map = peer(dest_node).combine;
-  const auto it = map.find(ElemKey{hdr.array_id, hdr.index});
+  const auto it = map.find(ElemKey{h.array, h.index});
   if (it == map.end()) return false;
   CombineSlot& slot = it->second;
   // Only the element's LAST buffered entry is tracked, so combining into
@@ -1173,18 +1209,22 @@ bool NodeRuntime::try_combine(int dest_node,
   // and writes by other VPs order entirely before or after this VP's run
   // by rank either way. The merged entry keeps the OLD seq (its committed
   // position) and absorbs the new value.
-  if (slot.vp_rank != hdr.vp_rank || slot.op != hdr.op) {
+  if (slot.vp_rank != h.vp_rank || slot.op != h.op) {
     return false;  // caller appends and re-points the map at the new entry
   }
-  std::byte* entry_value = dest_buffer(dest_node).data() + slot.offset +
-                           detail::kEntryHeaderBytes;
-  if (static_cast<detail::WriteOp>(hdr.op) == detail::WriteOp::kSet) {
+  const auto op = static_cast<detail::WriteOp>(h.op);
+  // A non-integral accumulate run must not fold: floating-point
+  // accumulates are not associative, and the fold's cut points would
+  // follow eager-flush timing. A superseded set is exact for every type.
+  if (op != detail::WriteOp::kSet && !rec.ops.integral) return false;
+  std::byte* entry_value = dest_buffer(dest_node).data() + slot.offset;
+  if (op == detail::WriteOp::kSet) {
     // Superseded set: the old entry's slot now carries the newest value.
     std::memcpy(entry_value, value, rec.ops.size);
   } else {
     // Same-VP accumulate run: pre-reduce into the buffered value
     // (apply_op so user slots fold through their registered thunk).
-    rec.apply_op(entry_value, value, static_cast<detail::WriteOp>(hdr.op));
+    rec.apply_op(entry_value, value, op);
   }
   ++counters_.entries_combined;
   return true;
@@ -1204,12 +1244,14 @@ void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
   PPM_CHECK(index < rec.n, "accumulate index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  // Local elements, node-shared arrays and writes outside global phases
-  // take the plain deferred-write path (which does its own accounting) —
-  // the path a 1-node run takes for every element, and so the
-  // equivalence oracle the stress harness compares against.
+  // Local elements, node-shared arrays, non-integral element types and
+  // writes outside global phases take the plain deferred-write path
+  // (which does its own accounting) — the path a 1-node run takes for
+  // every element, and so the equivalence oracle the stress harness
+  // compares against. The owner-side apply groups items by source node,
+  // which would reorder floating-point accumulates.
   if (phase_scope_ != PhaseScope::kGlobal || !rec.global ||
-      rec.owner_of(index) == node_) {
+      !rec.ops.integral || rec.owner_of(index) == node_) {
     write_elem(id, index, value, op);
     return;
   }
@@ -1222,17 +1264,15 @@ void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
   ++counters_.write_entries;
   if (validator_) [[unlikely]] validator_->on_write();
   const int owner = rec.owner_of(index);
-  // 12 bytes smaller per item than the kBundle scalar entry it replaces
-  // (no vp_rank + seq on the wire).
-  counters_.reduction_bytes_saved += 12;
   if (try_combine_accum(owner, id, index, value, op, rec)) return;
+  // The item is the kBundle record it replaces minus (vp_rank, seq).
+  counters_.reduction_bytes_saved += detail::varint_bytes(vp->global_rank_) +
+                                     detail::varint_bytes(vp->next_seq_);
   PeerState& ps = peer(owner);
   ByteWriter& buf = accum_list_buffer(owner);
-  const size_t offset = buf.size();
-  buf.put(id);
-  buf.put(static_cast<uint8_t>(op));
-  buf.put(index);
-  buf.put_raw(value, rec.ops.size);
+  const size_t offset = detail::put_record(
+      buf, {.op = static_cast<uint8_t>(op), .array = id, .index = index},
+      /*ordered=*/false, value, rec.ops.size);
   ++ps.accum_list_items;
   ps.accum_combine[ElemKey{id, index}] =
       CombineSlot{offset, vp->global_rank_, static_cast<uint8_t>(op)};
@@ -1257,7 +1297,8 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
             static_cast<unsigned long long>(rec.n));
   if (count == 0) return;
   const uint32_t esz = rec.ops.size;
-  if (phase_scope_ != PhaseScope::kGlobal || !rec.global) {
+  if (phase_scope_ != PhaseScope::kGlobal || !rec.global ||
+      !rec.ops.integral) {
     write_span(id, first, count, values, op);
     return;
   }
@@ -1290,16 +1331,20 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
     }
     const std::byte* src = values + (g - first) * esz;
     if (owner != node_) {
-      // One self-delimiting kAccumBlock record per owner segment: 12
-      // bytes smaller than the kBundle range entry it replaces.
-      counters_.reduction_bytes_saved += 12;
+      // One kAccumBlock range record per owner segment: the kBundle range
+      // record it replaces minus (vp_rank, seq).
+      counters_.reduction_bytes_saved +=
+          detail::varint_bytes(vp->global_rank_) +
+          detail::varint_bytes(vp->next_seq_);
       PeerState& ps = peer(owner);
-      ByteWriter& buf = accum_block_buffer(owner);
-      buf.put(id);
-      buf.put(static_cast<uint8_t>(op));
-      buf.put(g);
-      buf.put(len);
-      buf.put_raw(src, static_cast<size_t>(len) * esz);
+      detail::put_record(accum_block_buffer(owner),
+                         {.op = static_cast<uint8_t>(static_cast<uint8_t>(op) |
+                                                     detail::kOpRangeBit),
+                          .array = id,
+                          .index = g,
+                          .count = len},
+                         /*ordered=*/false, src,
+                         static_cast<size_t>(len) * esz);
       // Later scalar accumulates must not fold into list items buffered
       // BEFORE this record — the fold would reorder them past it. Dropping
       // the map forfeits combining, never correctness.
@@ -1310,15 +1355,18 @@ void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
         flush_accum_buffers(owner);
       }
     } else {
-      // Local segment: plain deferred range entry (same as write_span's
+      // Local segment: plain deferred range record (same as write_span's
       // local arm — applies in the ordered batch before any owner-side
       // accums, which is exactly the fetch path's position for it).
-      const detail::WireEntryHeader hdr{
-          id,
-          static_cast<uint8_t>(static_cast<uint8_t>(op) |
-                               detail::kOpRangeBit),
-          g, vp->global_rank_, vp->next_seq_++};
-      detail::put_range_entry(local_log_, hdr, src, len, esz);
+      detail::put_record(local_log_,
+                         {.op = static_cast<uint8_t>(static_cast<uint8_t>(op) |
+                                                     detail::kOpRangeBit),
+                          .array = id,
+                          .index = g,
+                          .vp_rank = vp->global_rank_,
+                          .seq = vp->next_seq_++,
+                          .count = len},
+                         /*ordered=*/true, src, static_cast<size_t>(len) * esz);
     }
     g = seg_end;
   }
@@ -1340,10 +1388,7 @@ bool NodeRuntime::try_combine_accum(int dest_node, uint32_t array,
       slot.op != static_cast<uint8_t>(op)) {
     return false;
   }
-  std::byte* item_value = ps.accum_list.data() + slot.offset +
-                          sizeof(uint32_t) + sizeof(uint8_t) +
-                          sizeof(uint64_t);
-  rec.apply_op(item_value, value, op);
+  rec.apply_op(ps.accum_list.data() + slot.offset, value, op);
   ++counters_.entries_combined;
   return true;
 }
@@ -2082,45 +2127,68 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
 
 void NodeRuntime::apply_staged_entries(
     std::vector<std::span<const std::byte>> buffers) {
-  std::vector<ParsedEntry> entries;
-  // Reserve by the tightest possible entry size: commits are the hot path
-  // of every phase, and vector regrowth here showed up in measured runs.
-  size_t total_bytes = 0;
-  for (const auto& buf : buffers) total_bytes += buf.size();
-  entries.reserve(total_bytes / (detail::kEntryHeaderBytes + 1));
-  uint8_t op_mask = 0;  // bit per WriteOp value seen in this batch
+  // Pass 1 validates the whole batch before any element changes, counts
+  // its records and collects what picks the apply order below.
+  size_t records = 0;
+  uint8_t op_mask = 0;    // bit per WriteOp value seen in this batch
+  bool integral = true;   // every record targets an integral array
   for (const auto& buf : buffers) {
-    ByteReader r(buf);
-    while (!r.exhausted()) {
-      ParsedEntry e{};
-      e.array = r.get<uint32_t>();
-      const uint8_t raw_op = r.get<uint8_t>();
-      e.op = static_cast<uint8_t>(raw_op & ~detail::kOpRangeBit);
-      e.index = r.get<uint64_t>();
-      e.vp_rank = r.get<uint64_t>();
-      e.seq = r.get<uint32_t>();
-      PPM_CHECK(e.array < arrays_.size(),
-                "write bundle names unknown array %u", e.array);
-      e.count = detail::entry_is_range(raw_op) ? r.get<uint32_t>() : 1;
-      const auto value =
-          r.view(static_cast<size_t>(e.count) * arrays_[e.array].ops.size);
-      e.value = value.data();
-      op_mask |= static_cast<uint8_t>(1u << e.op);
-      if (validator_) [[unlikely]] {
-        for (uint32_t j = 0; j < e.count; ++j) {
-          validator_->on_commit_entry(e.array, e.index + j, e.op, e.vp_rank);
-        }
-      }
-      entries.push_back(e);
-    }
+    for_each_record(buf, /*ordered=*/true, arrays_,
+                    [&](const ParsedEntry& e) {
+                      ++records;
+                      op_mask |= static_cast<uint8_t>(1u << e.op);
+                      integral = integral && arrays_[e.array].ops.integral;
+                      if (validator_) [[unlikely]] {
+                        for (uint32_t j = 0; j < e.count; ++j) {
+                          validator_->on_commit_entry(e.array, e.index + j,
+                                                      e.op, e.vp_rank);
+                        }
+                      }
+                    });
   }
+  const auto apply = [&](const ParsedEntry& e) {
+    auto& rec = arrays_[e.array];
+    PPM_CHECK(!rec.global || rec.owner_of(e.index) == node_,
+              "write entry for element %llu not owned by node %d",
+              static_cast<unsigned long long>(e.index), node_);
+    const uint64_t local = rec.global ? rec.local_of(e.index) : e.index;
+    if (e.count == 1) {
+      PPM_CHECK(local < rec.chunk_len,
+                "write entry for element %llu out of local range",
+                static_cast<unsigned long long>(e.index));
+      rec.apply_op(rec.storage.data() + local * rec.ops.size, e.value,
+                   static_cast<detail::WriteOp>(e.op));
+      return;
+    }
+    // Range entry: the writer segmented the run so it stays inside one
+    // owner's contiguous local storage (kBlock chunk / kAdaptive
+    // migration block / node-shared array).
+    PPM_CHECK(!rec.global || rec.owner_of(e.index + e.count - 1) == node_,
+              "range entry [%llu, +%u) crosses an ownership boundary",
+              static_cast<unsigned long long>(e.index), e.count);
+    PPM_CHECK(local + e.count <= rec.chunk_len,
+              "range entry [%llu, +%u) out of local range",
+              static_cast<unsigned long long>(e.index), e.count);
+    std::byte* dst = rec.storage.data() + local * rec.ops.size;
+    if (static_cast<detail::WriteOp>(e.op) == detail::WriteOp::kSet) {
+      std::memcpy(dst, e.value, static_cast<size_t>(e.count) * rec.ops.size);
+    } else {
+      for (uint32_t j = 0; j < e.count; ++j) {
+        rec.apply_op(dst + static_cast<size_t>(j) * rec.ops.size,
+                     e.value + static_cast<size_t>(j) * rec.ops.size,
+                     static_cast<detail::WriteOp>(e.op));
+      }
+    }
+  };
   // Deterministic conflict resolution: ascending (global VP rank, VP-local
   // sequence); plain sets resolve to the highest-ranked writer's last
-  // write. A batch that uses exactly one accumulate op (all-adds, or
-  // all-mins, ...) — the common histogram/BFS/relaxation shape — skips
-  // ordering entirely: a single commutative op yields the same result in
-  // any order. Mixed op kinds do NOT commute with each other (min after
-  // add differs from add after min), so they take the ordered path.
+  // write. A batch of integral arrays that uses exactly one accumulate op
+  // (all-adds, or all-mins, ...) — the common histogram/BFS/relaxation
+  // shape — skips ordering entirely: a single exactly commutative and
+  // associative op yields the same result in any order, so it applies
+  // straight off the buffers. Mixed op kinds do NOT commute with each
+  // other (min after add differs from add after min), and floating-point
+  // accumulates are not associative, so both take the ordered path.
   //
   // The ordered path is a bucket pass keyed on (vp_rank, seq) rather than
   // a comparison sort of the whole batch: each VP's entries already sit in
@@ -2137,9 +2205,22 @@ void NodeRuntime::apply_staged_entries(
       (1u << static_cast<uint8_t>(detail::WriteOp::kUser1)) |
       (1u << static_cast<uint8_t>(detail::WriteOp::kUser2));
   const bool single_commutative_op =
-      (op_mask & (op_mask - 1)) == 0 &&
+      integral && (op_mask & (op_mask - 1)) == 0 &&
       (op_mask & (1u << static_cast<uint8_t>(detail::WriteOp::kSet))) == 0 &&
       (op_mask & kUserOpMask) == 0;
+  if (single_commutative_op) {
+    for (const auto& buf : buffers) {
+      for_each_record(buf, /*ordered=*/true, arrays_, apply);
+    }
+    return;
+  }
+  // The parse vector holds exactly the records pass 1 counted.
+  std::vector<ParsedEntry> entries;
+  entries.reserve(records);
+  for (const auto& buf : buffers) {
+    for_each_record(buf, /*ordered=*/true, arrays_,
+                    [&](const ParsedEntry& e) { entries.push_back(e); });
+  }
   std::vector<uint32_t> order;
   const auto seq_less = [&](uint32_t a, uint32_t b) {
     return entries[a].seq < entries[b].seq;
@@ -2159,7 +2240,7 @@ void NodeRuntime::apply_staged_entries(
       lo = hi;
     }
   };
-  if (!single_commutative_op && !entries.empty()) {
+  if (!entries.empty()) {
     uint64_t min_rank = entries[0].vp_rank, max_rank = entries[0].vp_rank;
     for (const ParsedEntry& e : entries) {
       min_rank = std::min(min_rank, e.vp_rank);
@@ -2198,51 +2279,13 @@ void NodeRuntime::apply_staged_entries(
       }
     }
     fix_seq_runs();
-  } else {
-    order.resize(entries.size());
-    for (uint32_t idx = 0; idx < entries.size(); ++idx) order[idx] = idx;
   }
-  if (detail::g_stress_flip_commit_order && !single_commutative_op)
-      [[unlikely]] {
+  if (detail::g_stress_flip_commit_order) [[unlikely]] {
     // Planted fault for the stress harness's self-test: apply the ordered
     // batch backwards. The differential oracle must catch this.
     std::reverse(order.begin(), order.end());
   }
-  for (const uint32_t idx : order) {
-    const ParsedEntry& e = entries[idx];
-    auto& rec = arrays_[e.array];
-    PPM_CHECK(!rec.global || rec.owner_of(e.index) == node_,
-              "write entry for element %llu not owned by node %d",
-              static_cast<unsigned long long>(e.index), node_);
-    const uint64_t local = rec.global ? rec.local_of(e.index) : e.index;
-    if (e.count == 1) {
-      PPM_CHECK(local < rec.chunk_len,
-                "write entry for element %llu out of local range",
-                static_cast<unsigned long long>(e.index));
-      rec.apply_op(rec.storage.data() + local * rec.ops.size, e.value,
-                   static_cast<detail::WriteOp>(e.op));
-      continue;
-    }
-    // Range entry: the writer segmented the run so it stays inside one
-    // owner's contiguous local storage (kBlock chunk / kAdaptive
-    // migration block / node-shared array).
-    PPM_CHECK(!rec.global || rec.owner_of(e.index + e.count - 1) == node_,
-              "range entry [%llu, +%u) crosses an ownership boundary",
-              static_cast<unsigned long long>(e.index), e.count);
-    PPM_CHECK(local + e.count <= rec.chunk_len,
-              "range entry [%llu, +%u) out of local range",
-              static_cast<unsigned long long>(e.index), e.count);
-    std::byte* dst = rec.storage.data() + local * rec.ops.size;
-    if (static_cast<detail::WriteOp>(e.op) == detail::WriteOp::kSet) {
-      std::memcpy(dst, e.value, static_cast<size_t>(e.count) * rec.ops.size);
-    } else {
-      for (uint32_t j = 0; j < e.count; ++j) {
-        rec.apply_op(dst + static_cast<size_t>(j) * rec.ops.size,
-                     e.value + static_cast<size_t>(j) * rec.ops.size,
-                     static_cast<detail::WriteOp>(e.op));
-      }
-    }
-  }
+  for (const uint32_t idx : order) apply(entries[idx]);
 }
 
 void NodeRuntime::apply_staged_accums() {
@@ -2264,62 +2307,41 @@ void NodeRuntime::apply_staged_accums() {
   uint64_t applied = 0;
   for (int round = 0; round < rounds; ++round) {
     for (const StagedAccum& f : frags) {
-      ByteReader r(f.payload);
-      (void)r.get<uint64_t>();  // epoch (validated at arrival)
       // Synthetic writer id for the conflict scan: owner-side entries
       // carry no vp_rank, so tag them per source node above the VP rank
       // space (bit 63 is never a real rank).
       const uint64_t writer =
           (uint64_t{1} << 63) | static_cast<uint64_t>(f.src);
-      if (f.list) {
-        const auto n = r.get<uint32_t>();
-        for (uint32_t k = 0; k < n; ++k) {
-          const auto id = r.get<uint32_t>();
-          const auto op = static_cast<detail::WriteOp>(r.get<uint8_t>());
-          const auto index = r.get<uint64_t>();
-          auto& rec = arrays_[id];
-          const auto value = r.view(rec.ops.size);
-          PPM_CHECK(rec.owner_of(index) == node_,
-                    "accumulate item for element %llu not owned by node %d",
-                    static_cast<unsigned long long>(index), node_);
-          if (validator_) [[unlikely]] {
-            validator_->on_commit_entry(id, index,
-                                        static_cast<uint8_t>(op), writer);
-          }
-          rec.apply_op(
-              rec.storage.data() + rec.local_of(index) * rec.ops.size,
-              value.data(), op);
-          ++applied;
-        }
-      } else {
-        while (!r.exhausted()) {
-          const auto id = r.get<uint32_t>();
-          const auto op = static_cast<detail::WriteOp>(r.get<uint8_t>());
-          const auto first = r.get<uint64_t>();
-          const auto count = r.get<uint32_t>();
-          auto& rec = arrays_[id];
-          const uint32_t esz = rec.ops.size;
-          const auto values = r.view(static_cast<size_t>(count) * esz);
-          PPM_CHECK(rec.owner_of(first) == node_ &&
-                        rec.owner_of(first + count - 1) == node_,
-                    "accumulate range [%llu, +%u) not owned by node %d",
-                    static_cast<unsigned long long>(first), count, node_);
-          const uint64_t local = rec.local_of(first);
-          PPM_CHECK(local + count <= rec.chunk_len,
-                    "accumulate range [%llu, +%u) out of local range",
-                    static_cast<unsigned long long>(first), count);
-          std::byte* dst = rec.storage.data() + local * esz;
-          for (uint32_t j = 0; j < count; ++j) {
-            if (validator_) [[unlikely]] {
-              validator_->on_commit_entry(id, first + j,
-                                          static_cast<uint8_t>(op), writer);
+      // Past the fragment header (validated at arrival), scalar items and
+      // range records apply alike.
+      const size_t header =
+          f.list ? kAccumListHeaderBytes : kAccumBlockHeaderBytes;
+      for_each_record(
+          std::span<const std::byte>(f.payload).subspan(header),
+          /*ordered=*/false, arrays_, [&](const ParsedEntry& e) {
+            auto& rec = arrays_[e.array];
+            const auto op = static_cast<detail::WriteOp>(e.op);
+            const uint32_t esz = rec.ops.size;
+            PPM_CHECK(rec.owner_of(e.index) == node_ &&
+                          rec.owner_of(e.index + e.count - 1) == node_,
+                      "accumulate range [%llu, +%u) not owned by node %d",
+                      static_cast<unsigned long long>(e.index), e.count,
+                      node_);
+            const uint64_t local = rec.local_of(e.index);
+            PPM_CHECK(local + e.count <= rec.chunk_len,
+                      "accumulate range [%llu, +%u) out of local range",
+                      static_cast<unsigned long long>(e.index), e.count);
+            std::byte* dst = rec.storage.data() + local * esz;
+            for (uint32_t j = 0; j < e.count; ++j) {
+              if (validator_) [[unlikely]] {
+                validator_->on_commit_entry(e.array, e.index + j, e.op,
+                                            writer);
+              }
+              rec.apply_op(dst + static_cast<size_t>(j) * esz,
+                           e.value + static_cast<size_t>(j) * esz, op);
             }
-            rec.apply_op(dst + static_cast<size_t>(j) * esz,
-                         values.data() + static_cast<size_t>(j) * esz, op);
-          }
-          applied += count;
-        }
-      }
+            applied += e.count;
+          });
     }
   }
   counters_.accums_executed += applied;
@@ -2709,50 +2731,34 @@ void NodeRuntime::handle_bundle(net::Message msg) {
 void NodeRuntime::handle_accum(net::Message msg, bool list) {
   // Validate the whole frame up front (like the fetch handlers): a
   // garbled fragment is rejected at arrival with a protocol error instead
-  // of corrupting a later commit. ByteReader throws on truncation.
+  // of corrupting a later commit. ByteReader and the record parser throw
+  // on truncated or garbled bytes.
   ByteReader r(msg.payload);
   const auto epoch = r.get<uint64_t>();
   PPM_CHECK(epoch >= epoch_,
             "accumulate fragment for already-committed epoch %llu (at %llu)",
             static_cast<unsigned long long>(epoch),
             static_cast<unsigned long long>(epoch_));
-  const auto check_item_head = [&](uint32_t id, uint8_t op) {
-    PPM_CHECK(id < arrays_.size(),
-              "accumulate fragment names unknown array %u", id);
-    PPM_CHECK(op < 8 &&
-                  detail::is_accum_op(static_cast<detail::WriteOp>(op)),
-              "accumulate fragment carries invalid op %u",
-              static_cast<unsigned>(op));
-    PPM_CHECK(arrays_[id].global,
-              "accumulate fragment targets node-shared array %u", id);
-  };
-  if (list) {
-    const auto n = r.get<uint32_t>();
-    for (uint32_t k = 0; k < n; ++k) {
-      const auto id = r.get<uint32_t>();
-      const auto op = r.get<uint8_t>();
-      check_item_head(id, op);
-      const auto index = r.get<uint64_t>();
-      PPM_CHECK(index < arrays_[id].n,
-                "accumulate item index %llu out of range",
-                static_cast<unsigned long long>(index));
-      (void)r.view(arrays_[id].ops.size);
-    }
-    PPM_CHECK(r.exhausted(), "garbled kAccumList payload (trailing bytes)");
-  } else {
-    while (!r.exhausted()) {
-      const auto id = r.get<uint32_t>();
-      const auto op = r.get<uint8_t>();
-      check_item_head(id, op);
-      const auto first = r.get<uint64_t>();
-      const auto count = r.get<uint32_t>();
-      const auto& rec = arrays_[id];
-      PPM_CHECK(count > 0 && count <= rec.n && first <= rec.n - count,
-                "accumulate range [%llu, +%u) out of range",
-                static_cast<unsigned long long>(first), count);
-      (void)r.view(static_cast<size_t>(count) * rec.ops.size);
-    }
-  }
+  const uint32_t items = list ? r.get<uint32_t>() : 0;
+  uint32_t seen = 0;
+  for_each_record(
+      r.view(r.remaining()), /*ordered=*/false, arrays_,
+      [&](const ParsedEntry& e) {
+        PPM_CHECK(detail::is_accum_op(static_cast<detail::WriteOp>(e.op)),
+                  "accumulate fragment carries invalid op %u",
+                  static_cast<unsigned>(e.op));
+        const auto& rec = arrays_[e.array];
+        PPM_CHECK(rec.global,
+                  "accumulate fragment targets node-shared array %u",
+                  e.array);
+        PPM_CHECK(e.count <= rec.n && e.index <= rec.n - e.count,
+                  "accumulate range [%llu, +%u) out of range",
+                  static_cast<unsigned long long>(e.index), e.count);
+        ++seen;
+      });
+  PPM_CHECK(!list || seen == items,
+            "garbled kAccumList payload: %u records for an item count of %u",
+            seen, items);
   StagedAccum sa;
   sa.src = msg.src_node;
   sa.list = list;

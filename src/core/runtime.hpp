@@ -79,6 +79,11 @@ struct ElemOps {
   uint32_t size = 0;
   void (*apply)(std::byte* elem, const std::byte* value, WriteOp op) =
       nullptr;
+  // Integral element type: accumulates are exact under any grouping and
+  // order, so commit may apply them unordered and senders may pre-fold
+  // them. Every other type (floating point above all) commits its
+  // accumulates one by one in (VP rank, seq) order.
+  bool integral = false;
 };
 
 template <typename T>
@@ -86,6 +91,7 @@ template <typename T>
 ElemOps elem_ops() {
   ElemOps ops;
   ops.size = sizeof(T);
+  ops.integral = std::is_integral_v<T>;
   ops.apply = [](std::byte* elem, const std::byte* value, WriteOp op) {
     if (op == WriteOp::kSet) {
       std::memcpy(elem, value, sizeof(T));
@@ -716,6 +722,13 @@ class NodeRuntime {
       sizeof(uint64_t) + sizeof(uint8_t);
   static constexpr size_t kBundleLastOffset = sizeof(uint64_t);
   static constexpr size_t kBundlePoolMax = 16;
+  // A destination's combine map forgets its entries once it tracks this
+  // many elements, so its footprint stays bounded however many compact
+  // records a fragment holds (~3,900 int64 updates per 64 KiB); a map
+  // that grows with them costs the write path cache misses on every
+  // insert. Forgetting forfeits combining with the older entries, never
+  // correctness.
+  static constexpr size_t kCombineMapMax = 2048;
   ByteWriter& dest_buffer(int dest_node);
   /// dest_buffer plus lazily written fragment header.
   ByteWriter& bundle_buffer(int dest_node);
@@ -724,7 +737,7 @@ class NodeRuntime {
   void flush_bundle(int dest_node, bool last);
   /// Fold this write into an earlier buffered entry for the same (array,
   /// element) when legal (same VP, compatible op). True when combined.
-  bool try_combine(int dest_node, const detail::WireEntryHeader& hdr,
+  bool try_combine(int dest_node, const detail::RecordHead& h,
                    const std::byte* value, const detail::ArrayRecord& rec);
   void maybe_eager_flush(int dest_node);
   /// End the epoch's write stream: ship every pending fragment and this
@@ -855,7 +868,7 @@ class NodeRuntime {
     }
   };
   struct CombineSlot {
-    size_t offset = 0;  // entry start within the dest buffer
+    size_t offset = 0;  // the entry's value bytes within the dest buffer
     uint64_t vp_rank = 0;
     uint8_t op = 0;
   };

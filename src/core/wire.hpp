@@ -1,13 +1,17 @@
 // Wire protocol of the PPM runtime: message kinds carried over each node's
-// service port, and the serialized write-entry format used in bundles.
+// service port, and the write-record codec used in bundles, the local log
+// and owner-side accumulate fragments.
 //
 // The runtime is the only consumer of the service port, so these kinds
 // cannot collide with mp:: traffic (which uses the per-core rank ports).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "util/byte_buffer.hpp"
+#include "util/error.hpp"
 
 namespace ppm::detail {
 
@@ -42,21 +46,19 @@ enum class RtMsg : uint8_t {
   // kPrefetchBlock's drop rule).
   kGetBlockList = 9,
   // Owner-side accumulate fragment, range form: contiguous accumulate runs
-  // (accumulate_n) for one destination. Payload: u64 epoch, then repeated
-  // records of u32 array, u8 op, u64 first (global index), u32 count,
-  // count * elem_size value bytes. Commutative ops carry no (vp_rank, seq)
-  // — the owner applies them after the ordered entry batch of the same
-  // commit, grouped by source node ascending — which is what makes each
-  // record 12 bytes smaller than the kBundle range entry it replaces.
-  // Flushed before the sender's final kBundle last-marker, so the
-  // per-(src, dst, port) FIFO floor guarantees arrival before the commit
-  // that consumes it; no reply.
+  // (accumulate_n) for one destination. Payload: u64 epoch, then range
+  // write records without (vp_rank, seq) (record codec below). Exactly
+  // commutative ops need no position — the owner applies them after the
+  // ordered entry batch of the same commit, grouped by source node
+  // ascending — so each record is the varint bytes of that pair smaller
+  // than the kBundle range record it replaces. Flushed before the sender's
+  // final kBundle last-marker, so the per-(src, dst, port) FIFO floor
+  // guarantees arrival before the commit that consumes it; no reply.
   kAccumBlock = 10,
   // Owner-side accumulate fragment, scalar form: individual accumulate(i)
-  // items. Payload: u64 epoch, u32 item count, then per item u32 array,
-  // u8 op, u64 index (global), elem_size value bytes — 12 bytes smaller
-  // per item than the kBundle scalar entry (vp_rank + seq dropped). Same
-  // ordering and flush contract as kAccumBlock.
+  // items. Payload: u64 epoch, u32 item count, then that many scalar
+  // write records without (vp_rank, seq). Same ordering and flush
+  // contract as kAccumBlock.
   kAccumList = 11,
 };
 
@@ -100,12 +102,12 @@ inline bool is_user_op(WriteOp op) {
   return static_cast<uint8_t>(op) >= static_cast<uint8_t>(WriteOp::kUser0);
 }
 
-/// Range-entry marker: a write entry whose op byte has this bit set covers
-/// a contiguous element run instead of a single element. The header's
-/// index names the first element; a u32 element count follows the header,
-/// then count * elem_size value bytes. The whole run carries ONE
-/// (vp_rank, seq) pair and commits as a unit at that position, so bulk
-/// writes (GlobalShared::set_n/add_n) cost one header per owner segment
+/// Range-record marker: a write record whose op byte has this bit set
+/// covers a contiguous element run instead of a single element. Its index
+/// names the first element and its count field the run length (see the
+/// record codec below). The whole run carries ONE (vp_rank, seq) pair and
+/// commits as a unit at that position, so bulk writes
+/// (GlobalShared::set_n/add_n) cost one record head per owner segment
 /// instead of one per element.
 inline constexpr uint8_t kOpRangeBit = 0x80;
 
@@ -114,59 +116,139 @@ inline WriteOp entry_op(uint8_t op) {
 }
 inline bool entry_is_range(uint8_t op) { return (op & kOpRangeBit) != 0; }
 
-/// Serialized write-entry header; followed by elem_size value bytes.
-struct WireEntryHeader {
-  uint32_t array_id;
-  uint8_t op;
-  uint64_t index;
-  uint64_t vp_rank;
-  uint32_t seq;  // per-VP write sequence (program order within the VP)
-};
+/// Write records. Every write the runtime logs or ships (kBundle entries,
+/// the local log, kAccumList items and kAccumBlock records) is one record
+/// of this stateless codec, each field at its information content:
+///
+///   u8      op       WriteOp, | kOpRangeBit for a range record
+///   varint  array    shared-array id
+///   varint  index    global element index (a range's first element)
+///   varint  vp_rank  writer's global VP rank     ordered records only
+///   varint  seq      writer's write sequence     ordered records only
+///   varint  count    elements covered            range records only
+///   count * elem_size value bytes (count is 1 for a scalar record)
+///
+/// Varints are unsigned LEB128: seven value bits per byte, low group
+/// first, the high bit set on every byte but the last, so a value below
+/// 128 takes one byte and a 64-bit value at most ten. Ordered records
+/// commit in (vp_rank, seq) order; owner-side accumulate records omit the
+/// pair (see kAccumList), which keeps each strictly smaller than the
+/// ordered record it replaces.
+inline constexpr size_t kMaxVarintBytes = 10;
 
-/// Serialized entry header size (fields written individually — the struct
-/// itself has padding and is never memcpy'd as a whole).
-inline constexpr size_t kEntryHeaderBytes =
-    sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint64_t) +
-    sizeof(uint64_t) + sizeof(uint32_t);
-
-inline void put_entry(ByteWriter& w, const WireEntryHeader& h,
-                      const std::byte* value, uint32_t elem_size) {
-  // One growth operation per entry: this sits on the hot path of every
-  // shared write.
-  std::byte* out = w.extend(kEntryHeaderBytes + elem_size);
-  std::memcpy(out, &h.array_id, sizeof(h.array_id));
-  out += sizeof(h.array_id);
-  std::memcpy(out, &h.op, sizeof(h.op));
-  out += sizeof(h.op);
-  std::memcpy(out, &h.index, sizeof(h.index));
-  out += sizeof(h.index);
-  std::memcpy(out, &h.vp_rank, sizeof(h.vp_rank));
-  out += sizeof(h.vp_rank);
-  std::memcpy(out, &h.seq, sizeof(h.seq));
-  out += sizeof(h.seq);
-  std::memcpy(out, value, elem_size);
+inline constexpr size_t varint_bytes(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-/// Append a range entry (kOpRangeBit must be set in h.op): header, u32
-/// element count, then the packed element values.
-inline void put_range_entry(ByteWriter& w, const WireEntryHeader& h,
-                            const std::byte* values, uint32_t count,
-                            uint32_t elem_size) {
-  std::byte* out = w.extend(kEntryHeaderBytes + sizeof(uint32_t) +
-                            static_cast<size_t>(count) * elem_size);
-  std::memcpy(out, &h.array_id, sizeof(h.array_id));
-  out += sizeof(h.array_id);
-  std::memcpy(out, &h.op, sizeof(h.op));
-  out += sizeof(h.op);
-  std::memcpy(out, &h.index, sizeof(h.index));
-  out += sizeof(h.index);
-  std::memcpy(out, &h.vp_rank, sizeof(h.vp_rank));
-  out += sizeof(h.vp_rank);
-  std::memcpy(out, &h.seq, sizeof(h.seq));
-  out += sizeof(h.seq);
-  std::memcpy(out, &count, sizeof(count));
-  out += sizeof(count);
-  std::memcpy(out, values, static_cast<size_t>(count) * elem_size);
+inline std::byte* put_varint(std::byte* out, uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<std::byte>(v | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<std::byte>(v);
+  return out;
+}
+
+/// Decode one varint at [p, end) into *v and return the position after
+/// it. Throws ppm::Error on a varint cut off by `end`, one longer than 10
+/// bytes, or one whose value does not fit 64 bits.
+inline const std::byte* get_varint(const std::byte* p, const std::byte* end,
+                                   uint64_t* v) {
+  uint64_t value = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    PPM_CHECK(p != end, "garbled write record: truncated varint");
+    const auto b = static_cast<uint8_t>(*p++);
+    if (shift == 63) {  // the tenth byte holds bit 63 and must end it
+      PPM_CHECK(b < 0x80, "garbled write record: varint longer than %zu "
+                "bytes", kMaxVarintBytes);
+      PPM_CHECK(b <= 1, "garbled write record: varint overflows 64 bits");
+    }
+    value |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if (b < 0x80) {
+      *v = value;
+      return p;
+    }
+  }
+}
+
+/// A write record without its value bytes.
+struct RecordHead {
+  uint8_t op = 0;  // WriteOp, | kOpRangeBit for a range record
+  uint32_t array = 0;
+  uint64_t index = 0;
+  uint64_t vp_rank = 0;  // ordered records only
+  uint32_t seq = 0;      // ordered records only
+  uint32_t count = 1;    // encoded for range records only
+};
+
+// op, array, index, vp_rank, seq, count
+inline constexpr size_t kMaxRecordHeadBytes = 1 + 5 + 10 + 10 + 5 + 5;
+
+/// Encode `h` at `out` (room for kMaxRecordHeadBytes); returns the bytes
+/// written.
+inline size_t put_record_head(std::byte* out, const RecordHead& h,
+                              bool ordered) {
+  std::byte* p = out;
+  *p++ = static_cast<std::byte>(h.op);
+  p = put_varint(p, h.array);
+  p = put_varint(p, h.index);
+  if (ordered) {
+    p = put_varint(p, h.vp_rank);
+    p = put_varint(p, h.seq);
+  }
+  if (entry_is_range(h.op)) p = put_varint(p, h.count);
+  return static_cast<size_t>(p - out);
+}
+
+/// Append one record, head then `value_bytes` of values, and return the
+/// offset of the values in `w` (write combining folds later values into
+/// them in place).
+inline size_t put_record(ByteWriter& w, const RecordHead& h, bool ordered,
+                         const std::byte* values, size_t value_bytes) {
+  std::byte head[kMaxRecordHeadBytes];
+  const size_t n = put_record_head(head, h, ordered);
+  // One growth operation per record: this sits on the hot path of every
+  // shared write.
+  std::byte* out = w.extend(n + value_bytes);
+  std::memcpy(out, head, n);
+  std::memcpy(out + n, values, value_bytes);
+  return w.size() - value_bytes;
+}
+
+/// Decode one record head at [p, end) into *h and return the position of
+/// its value bytes. Throws ppm::Error on a garbled varint (see
+/// get_varint), an op outside [0, 8), a field wider than its type or an
+/// empty range. The caller checks the array and the value bytes.
+inline const std::byte* get_record_head(const std::byte* p,
+                                        const std::byte* end, bool ordered,
+                                        RecordHead* h) {
+  PPM_CHECK(p != end, "garbled write record: truncated op");
+  h->op = static_cast<uint8_t>(*p++);
+  PPM_CHECK(static_cast<uint8_t>(entry_op(h->op)) < 8,
+            "garbled write record: invalid op %u",
+            static_cast<unsigned>(entry_op(h->op)));
+  uint64_t v = 0;
+  const auto get_u32 = [&](uint32_t* out, const char* field) {
+    p = get_varint(p, end, &v);
+    PPM_CHECK(v <= UINT32_MAX, "garbled write record: %s %llu too wide",
+              field, static_cast<unsigned long long>(v));
+    *out = static_cast<uint32_t>(v);
+  };
+  get_u32(&h->array, "array id");
+  p = get_varint(p, end, &h->index);
+  if (ordered) {
+    p = get_varint(p, end, &h->vp_rank);
+    get_u32(&h->seq, "seq");
+  } else {
+    h->vp_rank = 0;
+    h->seq = 0;
+  }
+  h->count = 1;
+  if (entry_is_range(h->op)) {
+    get_u32(&h->count, "count");
+    PPM_CHECK(h->count > 0, "garbled write record: empty range");
+  }
+  return p;
 }
 
 }  // namespace ppm::detail

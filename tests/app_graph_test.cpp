@@ -51,6 +51,31 @@ TEST(GraphGen, DeterministicFromSeed) {
   EXPECT_NE(a.adjacency, c.adjacency);
 }
 
+/// FNV-1a over the vertex count, the row offsets and the adjacency.
+uint64_t digest(const Graph& g) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(g.num_vertices);
+  for (const uint64_t v : g.row_ptr) mix(v);
+  for (const uint64_t v : g.adjacency) mix(v);
+  return h;
+}
+
+TEST(GraphGen, GeneratorOutputIsPinned) {
+  // Digests recorded while the CSR build still sorted every symmetrized
+  // pair at once: the per-row build must produce the same graphs, so the
+  // components benchmark input (R-MAT, 200,000 vertices, degree 8, seed
+  // 7), its self-test size and every graph workload's vtime stay put.
+  EXPECT_EQ(digest(make_rmat_graph(200'000, 8.0, 7)), 0x3bde2091a66bb02dull);
+  EXPECT_EQ(digest(make_rmat_graph(2'000, 8.0, 7)), 0xd82b0a80fff96a95ull);
+  EXPECT_EQ(digest(make_uniform_graph(5'000, 6.0, 3)), 0xf50586aa7a851d3full);
+}
+
 TEST(GraphGen, RowSliceKeepsGlobalIds) {
   const Graph g = make_uniform_graph(100, 5.0, 3);
   const Graph s = g.row_slice(40, 60);

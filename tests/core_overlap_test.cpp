@@ -186,22 +186,17 @@ TEST(Overlap, AutomaticStreamPrefetchEngagesOnForwardWalk) {
   EXPECT_GT(r.prefetch_hits, 0u);
 }
 
-// Node 0's 4 VPs each add `adds` values summing to 36 into their own
-// remote bin (node 1 owns elements 32..63).
-RunResult run_dup_writes(int adds, double* out_val) {
+// Node 0's 4 VPs each set their own remote bin (node 1 owns elements
+// 32..63) to `base`, then add `step` to it `adds` times in the next phase.
+template <typename T>
+RunResult run_dup_writes(int adds, T base, T step, T* out_val) {
   PpmConfig c = cfg(2, 1);
   return run(c, [&](Env& env) {
-    auto a = env.global_array<double>(64);
+    auto a = env.global_array<T>(64);
     auto vps = env.ppm_do(env.node_id() == 0 ? 4 : 0);
+    vps.global_phase([&](Vp& vp) { a.set(32 + vp.node_rank(), base); });
     vps.global_phase([&](Vp& vp) {
-      const uint64_t bin = 32 + vp.node_rank();
-      if (adds == 1) {
-        a.add(bin, 36.0);
-        return;
-      }
-      for (int t = 0; t < adds; ++t) {
-        a.add(bin, static_cast<double>(t + 1));  // 1+2+...+8
-      }
+      for (int t = 0; t < adds; ++t) a.add(32 + vp.node_rank(), step);
     });
     auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
     one.global_phase([&](Vp&) { *out_val = a.get(32); });
@@ -209,19 +204,37 @@ RunResult run_dup_writes(int adds, double* out_val) {
 }
 
 TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
-  double val_run = 0, val_once = 0;
-  const RunResult runs = run_dup_writes(8, &val_run);
-  const RunResult once = run_dup_writes(1, &val_once);
-  EXPECT_EQ(val_run, 36.0);
-  EXPECT_EQ(val_once, 36.0);
+  int64_t val_run = 0, val_once = 0;
+  const RunResult runs = run_dup_writes<int64_t>(8, 0, 5, &val_run);
+  const RunResult once = run_dup_writes<int64_t>(1, 0, 40, &val_once);
+  EXPECT_EQ(val_run, 40);
+  EXPECT_EQ(val_once, 40);
   EXPECT_EQ(runs.entries_combined, 4u * 7u);
   EXPECT_EQ(once.entries_combined, 0u);
   // Each VP's run of 8 ships as one entry: the wire carries exactly what
   // one add of the run's sum carries.
   EXPECT_EQ(runs.network_bytes, once.network_bytes);
   EXPECT_EQ(runs.network_messages, once.network_messages);
-  // write_entries counts issued writes, which combining does not change.
-  EXPECT_EQ(runs.write_entries, 4u * 8u);
+  // write_entries counts issued writes (the 4 sets included), which
+  // combining does not change.
+  EXPECT_EQ(runs.write_entries, 4u + 4u * 8u);
+}
+
+// Floating-point adds do not associate, so a run of them ships
+// uncombined and commits the (VP rank, seq)-order fold. On a base of
+// 2^60 (ulp 256) each add of 100 rounds away, so that fold is the base
+// itself, while the pre-folded run (one add of 800) lands on base + 768.
+TEST(Overlap, FloatingPointRunsShipUncombined) {
+  const double base = 0x1p60;
+  double val_run = 0, val_once = 0;
+  const RunResult runs = run_dup_writes<double>(8, base, 100.0, &val_run);
+  const RunResult once = run_dup_writes<double>(1, base, 800.0, &val_once);
+  EXPECT_EQ(val_run, base);
+  EXPECT_EQ(val_once, base + 768.0);
+  EXPECT_EQ(runs.entries_combined, 0u);
+  // All 8 entries of each VP ship.
+  EXPECT_GT(runs.network_bytes, once.network_bytes);
+  EXPECT_EQ(runs.write_entries, 4u + 4u * 8u);
 }
 
 // On 2 nodes the element is remote and the writes combine; on 1 node it
@@ -229,26 +242,53 @@ TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
 TEST(Overlap, CombiningPreservesSetAddInterleavings) {
   for (const int nodes : {2, 1}) {
     PpmConfig c = cfg(nodes, 1);
-    double got = -1;
+    int64_t got = -1;
     RunResult r = run(c, [&](Env& env) {
-      auto a = env.global_array<double>(8);
+      auto a = env.global_array<int64_t>(8);
       auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       vps.global_phase([&](Vp&) {
-        a.set(5, 5.0);   // on 2 nodes remote: node 1 owns it
-        a.add(5, 3.0);
-        a.set(5, 2.0);   // supersedes everything above
-        a.add(5, 4.0);
-        a.add(5, 1.0);   // folds into the previous add when combining
+        a.set(5, 5);   // on 2 nodes remote: node 1 owns it
+        a.add(5, 3);
+        a.set(5, 2);   // supersedes everything above
+        a.add(5, 4);
+        a.add(5, 1);   // folds into the previous add when combining
       });
       auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
-    EXPECT_EQ(got, 7.0) << "nodes=" << nodes;
+    EXPECT_EQ(got, 7) << "nodes=" << nodes;
     if (nodes == 2) {
       EXPECT_GE(r.entries_combined, 1u);
     } else {
       EXPECT_EQ(r.entries_combined, 0u);
     }
+  }
+}
+
+// The same interleaving on doubles, around a 2^60 set whose ulp (256)
+// swallows each later add: in (VP rank, seq) order the element ends at
+// exactly 2^60 on both node counts, where folding the two adds (4 + 1 on
+// top of 2^60 - 3) would not. Nothing combines: the supersede candidates
+// are separated by adds, and the adds are floating point.
+TEST(Overlap, FloatingPointSetAddInterleavingsCommitInOrder) {
+  for (const int nodes : {2, 1}) {
+    PpmConfig c = cfg(nodes, 1);
+    double got = -1;
+    RunResult r = run(c, [&](Env& env) {
+      auto a = env.global_array<double>(8);
+      auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+      vps.global_phase([&](Vp&) {
+        a.set(5, 5.0);
+        a.add(5, 3.0);
+        a.set(5, 0x1p60);
+        a.add(5, 100.0);  // below half an ulp of 2^60: rounds away
+        a.add(5, 100.0);  // folded with the previous: 200 rounds up
+      });
+      auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+      one.global_phase([&](Vp&) { got = a.get(5); });
+    });
+    EXPECT_EQ(got, 0x1p60) << "nodes=" << nodes;
+    EXPECT_EQ(r.entries_combined, 0u) << "nodes=" << nodes;
   }
 }
 

@@ -6,6 +6,8 @@
 // per-VP sequence) order regardless of execution order.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -117,6 +119,69 @@ TEST(ScheduleDeterminism, ChunkSizeDoesNotChangeCommittedState) {
   EXPECT_EQ(coarse.contents, fine.contents);
   EXPECT_EQ(coarse.stencil, fine.stencil);
   EXPECT_EQ(coarse.result.write_entries, fine.result.write_entries);
+}
+
+/// Floating-point adds do not associate, so a double that many VPs add
+/// into commits one exact value only if every schedule folds the adds in
+/// (VP rank, seq) order. Each VP adds 1e16, -1e16 or 1 + r/1000 by its
+/// rank r mod 3: folded in rank order the small terms are absorbed and
+/// re-exposed in one fixed pattern, and any other order or grouping keeps
+/// a different subset of them. Before its add, each VP reads one element
+/// of the next node's chunk, from a block picked by its rank, so
+/// miss-switching and parked cores run the VPs out of rank order.
+double fp_term(uint64_t r) {
+  if (r % 3 == 0) return 1e16;
+  if (r % 3 == 1) return -1e16;
+  return 1.0 + static_cast<double>(r) * 1e-3;
+}
+
+double fp_sum(int nodes, SchedulePolicy policy, bool overlap_reads) {
+  PpmConfig cfg;
+  cfg.machine.nodes = nodes;
+  cfg.machine.cores_per_node = 4;
+  cfg.runtime.schedule = policy;
+  cfg.runtime.overlap_reads = overlap_reads;
+  cfg.runtime.validate_phases = true;
+  cfg.runtime.read_block_bytes = 32 * sizeof(double);
+  constexpr uint64_t kVpsPerNode = 256;
+  constexpr uint64_t kProbePerNode = 8 * 32;  // 8 blocks per node
+  double got = 0;
+  const RunResult r = run(cfg, [&](Env& env) {
+    auto sum = env.global_array<double>(1);
+    auto probe = env.global_array<double>(static_cast<uint64_t>(nodes) *
+                                          kProbePerNode);
+    const auto next = static_cast<uint64_t>((env.node_id() + 1) % nodes);
+    auto vps = env.ppm_do(kVpsPerNode);
+    vps.global_phase([&](Vp& vp) {
+      const double seen =
+          probe.get(next * kProbePerNode + (vp.global_rank() % 8) * 32);
+      sum.add(0, fp_term(vp.global_rank()) + seen);  // probe holds zeros
+    });
+    auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
+    one.global_phase([&](Vp&) { got = sum.get(0); });
+  });
+  EXPECT_TRUE(r.check_report.clean());
+  return got;
+}
+
+TEST(ScheduleDeterminism, FloatingPointAddsCommitInRankOrder) {
+  for (const int nodes : {2, 3}) {
+    double want = 0;
+    for (uint64_t r = 0; r < static_cast<uint64_t>(nodes) * 256; ++r) {
+      want += fp_term(r);
+    }
+    const double st = fp_sum(nodes, SchedulePolicy::kStatic, true);
+    const double dy = fp_sum(nodes, SchedulePolicy::kDynamic, true);
+    const double dy_no_overlap = fp_sum(nodes, SchedulePolicy::kDynamic, false);
+    EXPECT_EQ(std::bit_cast<uint64_t>(st), std::bit_cast<uint64_t>(want))
+        << "kStatic, nodes=" << nodes << ": " << st << " vs " << want;
+    EXPECT_EQ(std::bit_cast<uint64_t>(dy), std::bit_cast<uint64_t>(want))
+        << "kDynamic, nodes=" << nodes << ": " << dy << " vs " << want;
+    EXPECT_EQ(std::bit_cast<uint64_t>(dy_no_overlap),
+              std::bit_cast<uint64_t>(want))
+        << "kDynamic without overlap_reads, nodes=" << nodes << ": "
+        << dy_no_overlap << " vs " << want;
+  }
 }
 
 }  // namespace

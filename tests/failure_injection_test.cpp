@@ -3,6 +3,10 @@
 // silently corrupt.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <initializer_list>
+#include <string>
+
 #include "cluster/machine.hpp"
 #include "core/ppm.hpp"
 #include "core/wire.hpp"
@@ -108,6 +112,16 @@ void inject(cluster::Machine& machine, detail::RtMsg kind, Bytes payload) {
   m.kind = detail::rt_kind(kind);
   m.payload = std::move(payload);
   machine.fabric().send(std::move(m));
+}
+
+// Append one write-record head in the runtime's record codec.
+void put_head(ByteWriter& w, const detail::RecordHead& h, bool ordered) {
+  std::byte buf[detail::kMaxRecordHeadBytes];
+  w.put_raw(buf, detail::put_record_head(buf, h, ordered));
+}
+
+void put_bytes(ByteWriter& w, std::initializer_list<uint8_t> bytes) {
+  for (const uint8_t b : bytes) w.put(b);
 }
 }  // namespace
 
@@ -248,12 +262,13 @@ TEST(FailureInjection, AccumBlockUnknownArrayRejected) {
         nr.start();
         if (node == 0) {
           ByteWriter w;
-          w.put<uint64_t>(0);   // epoch
-          w.put<uint32_t>(42);  // no such array
-          w.put<uint8_t>(1);    // kAdd
-          w.put<uint64_t>(0);   // first
-          w.put<uint32_t>(1);   // count
-          w.put<uint64_t>(7);   // one "element"
+          w.put<uint64_t>(0);  // epoch
+          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
+                       .array = 42,                    // no such array
+                       .index = 0,
+                       .count = 1},
+                   /*ordered=*/false);
+          w.put<uint64_t>(7);  // one "element"
           inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
         }
         Env env(nr);
@@ -277,12 +292,11 @@ TEST(FailureInjection, AccumListInvalidOpRejected) {
         auto a = env.global_array<uint64_t>(8);
         if (node == 0) {
           ByteWriter w;
-          w.put<uint64_t>(0);      // epoch
-          w.put<uint32_t>(1);      // one item
-          w.put(a.id());
-          w.put<uint8_t>(0);       // WriteOp::kSet — invalid here
-          w.put<uint64_t>(0);      // index
-          w.put<uint64_t>(9);      // value
+          w.put<uint64_t>(0);  // epoch
+          w.put<uint32_t>(1);  // one item
+          put_head(w, {.op = 0, .array = a.id(), .index = 0},  // kSet
+                   /*ordered=*/false);
+          w.put<uint64_t>(9);  // value
           inject(machine, detail::RtMsg::kAccumList, std::move(w).take());
         }
         env.barrier();
@@ -306,10 +320,9 @@ TEST(FailureInjection, AccumListTrailingBytesRejected) {
           ByteWriter w;
           w.put<uint64_t>(0);  // epoch
           w.put<uint32_t>(1);  // one item
-          w.put(a.id());
-          w.put<uint8_t>(1);   // kAdd
-          w.put<uint64_t>(0);  // index
-          w.put<uint64_t>(9);  // value
+          put_head(w, {.op = 1, .array = a.id(), .index = 0},  // kAdd
+                   /*ordered=*/false);
+          w.put<uint64_t>(9);    // value
           w.put<uint8_t>(0xcc);  // trailing garbage
           inject(machine, detail::RtMsg::kAccumList, std::move(w).take());
         }
@@ -332,11 +345,12 @@ TEST(FailureInjection, AccumRangeOutOfBoundsRejected) {
         auto a = env.global_array<uint64_t>(8);
         if (node == 0) {
           ByteWriter w;
-          w.put<uint64_t>(0);   // epoch
-          w.put(a.id());
-          w.put<uint8_t>(1);    // kAdd
-          w.put<uint64_t>(6);   // first
-          w.put<uint32_t>(4);   // count: 6 + 4 > 8
+          w.put<uint64_t>(0);  // epoch
+          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
+                       .array = a.id(),
+                       .index = 6,   // first
+                       .count = 4},  // 6 + 4 > 8
+                   /*ordered=*/false);
           for (int i = 0; i < 4; ++i) w.put<uint64_t>(1);
           inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
         }
@@ -365,10 +379,11 @@ TEST(FailureInjection, StaleAccumFragmentRejected) {
         if (node == 0) {
           ByteWriter w;
           w.put<uint64_t>(0);  // epoch 0: already committed
-          w.put(a.id());
-          w.put<uint8_t>(1);   // kAdd
-          w.put<uint64_t>(0);  // first
-          w.put<uint32_t>(1);  // count
+          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
+                       .array = a.id(),
+                       .index = 0,
+                       .count = 1},
+                   /*ordered=*/false);
           w.put<uint64_t>(9);  // value
           inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
         }
@@ -377,6 +392,101 @@ TEST(FailureInjection, StaleAccumFragmentRejected) {
         nr.finish();
       }),
       Error);
+}
+
+namespace {
+// Node 0 injects a raw kBundle fragment for epoch 0 (not a last marker)
+// carrying `records(array id)` ahead of its real fragments; node 1, which
+// owns elements 4..7, must reject the batch when its first commit parses
+// it, with an error that names `why`.
+void expect_bundle_rejected(
+    const std::function<void(ByteWriter&, uint32_t)>& records,
+    const std::string& why) {
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8);
+      if (node == 0) {
+        ByteWriter w;
+        w.put<uint64_t>(0);  // epoch
+        w.put<uint8_t>(0);   // not the last marker
+        records(w, a.id());
+        inject(machine, detail::RtMsg::kBundle, std::move(w).take());
+      }
+      auto vps = env.ppm_do(1);
+      vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 1); });
+      nr.finish();
+    });
+    ADD_FAILURE() << "garbled kBundle fragment accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+// Head bytes of an ordered scalar kSet record for element 4 from VP 0.
+void put_set_head(ByteWriter& w, uint32_t array, uint32_t seq = 0) {
+  put_head(w, {.op = 0, .array = array, .index = 4, .vp_rank = 0, .seq = seq},
+           /*ordered=*/true);
+}
+}  // namespace
+
+TEST(FailureInjection, BundleTruncatedVarintRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    // kSet, the array, then an index varint whose continuation bit
+    // promises a byte the payload does not have.
+    put_bytes(w, {0x00, static_cast<uint8_t>(array), 0x84});
+  }, "truncated varint");
+}
+
+TEST(FailureInjection, BundleElevenByteVarintRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {0x00, static_cast<uint8_t>(array)});
+    // Index 0 spelled in 11 bytes: ten continuation bytes, then the end.
+    for (int i = 0; i < 10; ++i) w.put<uint8_t>(0x80);
+    w.put<uint8_t>(0x00);
+    put_bytes(w, {0x00, 0x00});  // vp_rank, seq
+    w.put<uint64_t>(1);
+  }, "varint longer than 10 bytes");
+}
+
+TEST(FailureInjection, BundleInvalidOpRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_head(w, {.op = 9, .array = array, .index = 4}, /*ordered=*/true);
+    w.put<uint64_t>(1);
+  }, "invalid op 9");
+}
+
+TEST(FailureInjection, BundleUnknownArrayRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t) {
+    put_set_head(w, 42);  // no such array
+    w.put<uint64_t>(1);
+  }, "unknown array 42");
+}
+
+TEST(FailureInjection, BundleRangeCountPastPayloadRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_head(w, {.op = detail::kOpRangeBit,  // kSet range
+                 .array = array,
+                 .index = 4,
+                 .count = 4},
+             /*ordered=*/true);
+    w.put<uint64_t>(1);  // two of the four values
+    w.put<uint64_t>(2);
+  }, "4 elements run past the payload");
+}
+
+TEST(FailureInjection, BundleTrailingPartialRecordRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_set_head(w, array);  // one whole record...
+    w.put<uint64_t>(1);
+    put_set_head(w, array, 1);  // ...then a head with 3 of 8 value bytes
+    put_bytes(w, {0x01, 0x02, 0x03});
+  }, "1 elements run past the payload");
 }
 
 namespace {

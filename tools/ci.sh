@@ -157,39 +157,48 @@ PY
 done
 echo "parallel engine determinism OK"
 
-echo "=== perf smoke (modeled CG vtime gate) ==="
+echo "=== perf smoke (modeled CG and components vtime gates) ==="
 # Modeled-only calibration makes the virtual clock a pure function of the
-# cost model and the read/write stream, so this run is bit-deterministic
-# and cheap (<1s). Gate: CG vtime at 8 nodes must stay within
+# cost model and the read/write stream, so these runs are bit-deterministic
+# and cheap (<1s each). Gate: vtime at 8 nodes must stay within
 # max_regression_ratio of the checked-in baseline (bench/perf_baseline.json)
-# so hot-path regressions fail CI instead of silently eroding the Fig.1
-# numbers. Network bytes must not grow at all — the optimization campaign's
-# wire-neutrality invariant. Regenerate the baseline (command is recorded
-# in the JSON) only for intentional model changes.
+# so hot-path regressions fail CI instead of silently eroding the figure
+# numbers. Network bytes must not grow at all — the optimization
+# campaign's wire-neutrality invariant. CG's bytes are block fetches;
+# components' are remote write records (label propagation's min_updates),
+# so a regression in either wire format fails here. Regenerate a baseline
+# (commands are recorded in the JSON) only for intentional model changes.
 perf_json="build/perf_smoke.json"
+perf_cc_json="build/perf_smoke_components.json"
 ASAN_OPTIONS=detect_leaks=0 \
   build/tools/ppm_cli --app=cg --nodes=8 --cores=4 --size=27648 --iters=8 \
     --calibration=0 --json="${perf_json}" >/dev/null
-python3 - "${perf_json}" bench/perf_baseline.json <<'PY'
+ASAN_OPTIONS=detect_leaks=0 \
+  build/tools/ppm_cli --app=components --nodes=8 --cores=4 --calibration=0 \
+    --json="${perf_cc_json}" >/dev/null
+python3 - "${perf_json}" "${perf_cc_json}" bench/perf_baseline.json <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
-    run = json.load(f)
+    cg = json.load(f)
 with open(sys.argv[2]) as f:
+    cc = json.load(f)
+with open(sys.argv[3]) as f:
     base = json.load(f)
 assert base["schema"] == "ppm_perf_baseline/v1", base.get("schema")
-ratio = run["duration_ns"] / base["duration_ns"]
-print(f"perf smoke: duration {run['duration_ns']} ns vs baseline "
-      f"{base['duration_ns']} ns (ratio {ratio:.3f}, "
-      f"limit {base['max_regression_ratio']:.2f}); "
-      f"net {run['network_bytes']} B vs baseline {base['network_bytes']} B")
-if ratio > base["max_regression_ratio"]:
-    sys.exit(f"FAIL: modeled CG vtime regressed {ratio:.3f}x "
-             f"(> {base['max_regression_ratio']:.2f}x baseline)")
-if run["network_bytes"] > base["network_bytes"]:
-    sys.exit(f"FAIL: modeled CG network bytes grew "
-             f"{run['network_bytes']} > {base['network_bytes']}")
+limit = base["max_regression_ratio"]
+for app, run, pin in (("CG", cg, base), ("components", cc, base["components"])):
+    ratio = run["duration_ns"] / pin["duration_ns"]
+    print(f"perf smoke {app}: duration {run['duration_ns']} ns vs baseline "
+          f"{pin['duration_ns']} ns (ratio {ratio:.3f}, limit {limit:.2f}); "
+          f"net {run['network_bytes']} B vs baseline {pin['network_bytes']} B")
+    if ratio > limit:
+        sys.exit(f"FAIL: modeled {app} vtime regressed {ratio:.3f}x "
+                 f"(> {limit:.2f}x baseline)")
+    if run["network_bytes"] > pin["network_bytes"]:
+        sys.exit(f"FAIL: modeled {app} network bytes grew "
+                 f"{run['network_bytes']} > {pin['network_bytes']}")
 PY
-echo "perf smoke OK (artifact kept at ${perf_json})"
+echo "perf smoke OK (artifacts kept at ${perf_json}, ${perf_cc_json})"
 
 echo "=== model validation gate (ppm::model vs simulator) ==="
 # The compositional performance model (docs/OBSERVABILITY.md) must
