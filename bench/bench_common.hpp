@@ -85,8 +85,6 @@ inline void report_run_counters(benchmark::State& state,
       static_cast<double>(r.fetch_stall_ns);
   state.counters["prefetch_hits"] = static_cast<double>(r.prefetch_hits);
   state.counters["combined"] = static_cast<double>(r.entries_combined);
-  state.counters["accums_executed"] =
-      static_cast<double>(r.accums_executed);
   state.counters["reduction_bytes_saved"] =
       static_cast<double>(r.reduction_bytes_saved);
   state.counters["blocks_migrated"] =

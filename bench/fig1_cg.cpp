@@ -82,10 +82,10 @@ void BM_Fig1_CgMpi(benchmark::State& state) {
 // host process. Args are {nodes, sim_threads}; the 256-node row runs at
 // both thread counts so BENCH_fig.json carries a wall_speedup column.
 // The 8-node row is the reduction-primitive pin: CG's dot-product phases
-// ride Env::reduce/reduce_dot, so its accums_executed /
-// reduction_bytes_saved counters and the message/byte totals record the
-// owner-side win over the fetch-based dot path (bench/perf_baseline.json
-// pins the same shape for the CI gate).
+// ride Env::reduce/reduce_dot, so its reduction_bytes_saved counter and
+// the message/byte totals record the commit-barrier win over the
+// fetch-based dot path (bench/perf_baseline.json pins the same shape for
+// the CI gate).
 void BM_Fig1_CgPpmModeled(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   const int sim_threads = static_cast<int>(state.range(1));

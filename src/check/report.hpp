@@ -41,9 +41,9 @@ enum class ViolationKind : uint8_t {
   kShapeHazard = 3,
   /// (e) An accumulate op registered as non-commutative (see
   /// Env::register_accum_op) hit an element that received more than one
-  /// entry in a single phase. Owner-side application is grouped by source
-  /// node, not VP rank, so only exactly-commutative ops (or single-entry
-  /// elements) are deterministic there.
+  /// entry in a single phase. Commit applies the entries in (VP rank, seq)
+  /// order, so the result depends on that order, not on program intent;
+  /// only single-entry elements are order-free for such an op.
   kNonCommutativeAccum = 4,
 };
 

@@ -256,8 +256,8 @@ uint64_t PhaseValidator::finish_commit() {
       }
       v.detail = strfmt(
           "element %llu of array %u received multiple entries including "
-          "non-commutative accumulate op(s) {%s} in one phase; owner-side "
-          "application order (by source node) is not the VP rank order",
+          "non-commutative accumulate op(s) {%s} in one phase; the result "
+          "depends on the (VP rank, seq) commit order, not on program intent",
           static_cast<unsigned long long>(v.element), v.array_id,
           ops.c_str());
       ++report_.conflicts_by_array[v.array_id];

@@ -305,7 +305,7 @@ class Env {
     return acc;
   }
 
-  // ---- Owner-side accumulate / remote reduction ----
+  // ---- User accumulate ops / remote reduction ----
 
   /// Register the user accumulate function `fn` into one of an array's
   /// three user slots (usable as ReduceOp::kUser0 + slot). SPMD-collective
@@ -313,8 +313,9 @@ class Env {
   /// in the same slot (the sanitizer's lockstep fingerprint covers the
   /// registration). Declare commutative=false when fn does not commute —
   /// ppm::check then reports any element the op hits more than once in a
-  /// single phase, because owner-side application order (by source node)
-  /// is not the VP rank order.
+  /// single phase: commit applies the entries in VP rank order, and a
+  /// non-commutative op makes the result depend on that order rather
+  /// than on program intent.
   template <typename T>
   void register_accum_op(const GlobalShared<T>& a, int slot,
                          void (*fn)(T&, const T&), bool commutative = true) {

@@ -164,16 +164,13 @@ struct RunResult {
   /// Write entries folded into an earlier buffered entry by sender-side
   /// write combining (never shipped or committed individually).
   uint64_t entries_combined = 0;
-  /// Elements updated by owner-side accumulate fragments at commit
-  /// (counted at the owner; the fetch-free half of the accumulate win).
+  /// Always 0. Kept only because the repository benchmark's runner reads
+  /// it (its core.write.accums metric).
   uint64_t accums_executed = 0;
-  /// Wire bytes avoided by the accumulate/reduction machinery vs the
-  /// plain paths: per shipped kAccumList item / kAccumBlock record, the
-  /// varint bytes of the (vp_rank, seq) pair it leaves out (2 when both
-  /// are below 128), plus elem_size * (nodes - 1) per reduce()
-  /// per node (the root-gather messages a standalone allreduce would
-  /// have sent; reduce partials share the commit's one allgather
-  /// instead).
+  /// Wire bytes avoided by commit-barrier reductions: elem_size *
+  /// (nodes - 1) per reduce() per node (the root-gather messages a
+  /// standalone allreduce would have sent; reduce partials share the
+  /// commit's one allgather instead).
   uint64_t reduction_bytes_saved = 0;
   /// Locality engine: migration blocks that changed owners (counted at the
   /// sending side) and the element bytes they carried over the wire.

@@ -53,16 +53,15 @@ struct ParsedEntry {
 /// of `buf` to fn(const ParsedEntry&), in buffer order. Rejects with
 /// ppm::Error whatever get_record_head rejects, a record naming an
 /// unknown array, and values that run past the buffer (a trailing
-/// partial record included). Ordered records carry (vp_rank, seq);
-/// owner-side accumulate records do not, and parse with both 0.
+/// partial record included).
 template <typename Fn>
-void for_each_record(std::span<const std::byte> buf, bool ordered,
+void for_each_record(std::span<const std::byte> buf,
                      const std::deque<detail::ArrayRecord>& arrays, Fn&& fn) {
   const std::byte* p = buf.data();
   const std::byte* const end = p + buf.size();
   detail::RecordHead h;
   while (p != end) {
-    p = detail::get_record_head(p, end, ordered, &h);
+    p = detail::get_record_head(p, end, &h);
     PPM_CHECK(h.array < arrays.size(), "write record names unknown array %u",
               h.array);
     const size_t value_bytes =
@@ -139,7 +138,6 @@ RunResult Runtime::collect() const {
     r.prefetch_issued += c.prefetch_issued;
     r.prefetch_hits += c.prefetch_hits;
     r.entries_combined += c.entries_combined;
-    r.accums_executed += c.accums_executed;
     r.reduction_bytes_saved += c.reduction_bytes_saved;
     r.blocks_migrated += c.blocks_migrated;
     r.migration_bytes += c.migration_bytes;
@@ -169,7 +167,6 @@ RunResult Runtime::collect() const {
       {"prefetch_issued", &NodeRuntime::Counters::prefetch_issued},
       {"prefetch_hits", &NodeRuntime::Counters::prefetch_hits},
       {"entries_combined", &NodeRuntime::Counters::entries_combined},
-      {"accums_executed", &NodeRuntime::Counters::accums_executed},
       {"reduction_bytes_saved",
        &NodeRuntime::Counters::reduction_bytes_saved},
       {"blocks_migrated", &NodeRuntime::Counters::blocks_migrated},
@@ -1123,7 +1120,7 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     const size_t bytes = static_cast<size_t>(len) * esz;
     if (rec.global && owner != node_) {
       ByteWriter& buf = bundle_buffer(owner);
-      detail::put_record(buf, h, /*ordered=*/true, src, bytes);
+      detail::put_record(buf, h, src, bytes);
       // Later scalar writes must not fold into entries buffered BEFORE
       // this range: the fold keeps the old seq, which would commit before
       // the range instead of after. Dropping the map forfeits combining
@@ -1131,7 +1128,7 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
       reset_combine_map(owner);
       maybe_eager_flush(owner);
     } else {
-      detail::put_record(local_log_, h, /*ordered=*/true, src, bytes);
+      detail::put_record(local_log_, h, src, bytes);
     }
     g = seg_end;
   }
@@ -1183,8 +1180,7 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
         return;  // folded into a buffered entry; nothing new to flush
       }
       ByteWriter& buf = bundle_buffer(owner);
-      const size_t offset =
-          detail::put_record(buf, h, /*ordered=*/true, value, rec.ops.size);
+      const size_t offset = detail::put_record(buf, h, value, rec.ops.size);
       auto& combine = peer(owner).combine;
       combine[ElemKey{id, index}] = CombineSlot{offset, h.vp_rank, h.op};
       if (combine.size() >= kCombineMapMax) reset_combine_map(owner);
@@ -1192,7 +1188,7 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
       return;
     }
   }
-  detail::put_record(local_log_, h, /*ordered=*/true, value, rec.ops.size);
+  detail::put_record(local_log_, h, value, rec.ops.size);
 }
 
 bool NodeRuntime::try_combine(int dest_node, const detail::RecordHead& h,
@@ -1228,223 +1224,6 @@ bool NodeRuntime::try_combine(int dest_node, const detail::RecordHead& h,
   }
   ++counters_.entries_combined;
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Owner-side accumulate (sender side)
-// ---------------------------------------------------------------------------
-
-void NodeRuntime::accumulate_elem(uint32_t id, uint64_t index,
-                                  const std::byte* value,
-                                  detail::WriteOp op) {
-  PPM_CHECK(id < arrays_.size(), "unknown shared array id %u", id);
-  PPM_CHECK(detail::is_accum_op(op),
-            "accumulate() requires an accumulate op, not set");
-  auto& rec = arrays_[id];
-  PPM_CHECK(index < rec.n, "accumulate index %llu out of range (size %llu)",
-            static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(rec.n));
-  // Local elements, node-shared arrays, non-integral element types and
-  // writes outside global phases take the plain deferred-write path
-  // (which does its own accounting) — the path a 1-node run takes for
-  // every element, and so the equivalence oracle the stress harness
-  // compares against. The owner-side apply groups items by source node,
-  // which would reorder floating-point accumulates.
-  if (phase_scope_ != PhaseScope::kGlobal || !rec.global ||
-      !rec.ops.integral || rec.owner_of(index) == node_) {
-    write_elem(id, index, value, op);
-    return;
-  }
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(opts_.access_overhead_ns);
-  }
-  note_access(rec, index);
-  Vp* vp = current_vp();
-  PPM_CHECK(vp != nullptr, "shared write inside a phase but outside a VP");
-  ++counters_.write_entries;
-  if (validator_) [[unlikely]] validator_->on_write();
-  const int owner = rec.owner_of(index);
-  if (try_combine_accum(owner, id, index, value, op, rec)) return;
-  // The item is the kBundle record it replaces minus (vp_rank, seq).
-  counters_.reduction_bytes_saved += detail::varint_bytes(vp->global_rank_) +
-                                     detail::varint_bytes(vp->next_seq_);
-  PeerState& ps = peer(owner);
-  ByteWriter& buf = accum_list_buffer(owner);
-  const size_t offset = detail::put_record(
-      buf, {.op = static_cast<uint8_t>(op), .array = id, .index = index},
-      /*ordered=*/false, value, rec.ops.size);
-  ++ps.accum_list_items;
-  ps.accum_combine[ElemKey{id, index}] =
-      CombineSlot{offset, vp->global_rank_, static_cast<uint8_t>(op)};
-  if (options().eager_flush &&
-      ps.accum_list.size() + ps.accum_block.size() >=
-          options().flush_threshold_bytes) {
-    flush_accum_buffers(owner);
-  }
-}
-
-void NodeRuntime::accumulate_span(uint32_t id, uint64_t first,
-                                  uint64_t count, const std::byte* values,
-                                  detail::WriteOp op) {
-  PPM_CHECK(id < arrays_.size(), "unknown shared array id %u", id);
-  PPM_CHECK(detail::is_accum_op(op),
-            "accumulate_n() requires an accumulate op, not set");
-  auto& rec = arrays_[id];
-  PPM_CHECK(count <= rec.n && first <= rec.n - count,
-            "accumulate span [%llu, +%llu) out of range (size %llu)",
-            static_cast<unsigned long long>(first),
-            static_cast<unsigned long long>(count),
-            static_cast<unsigned long long>(rec.n));
-  if (count == 0) return;
-  const uint32_t esz = rec.ops.size;
-  if (phase_scope_ != PhaseScope::kGlobal || !rec.global ||
-      !rec.ops.integral) {
-    write_span(id, first, count, values, op);
-    return;
-  }
-  // Cyclic multi-node: a range record would degenerate to one element per
-  // owner switch — route elementwise (mirrors write_span's rule).
-  if (rec.dist == Distribution::kCyclic && node_count() > 1 &&
-      rec.mig_block_elems == 0) {
-    for (uint64_t j = 0; j < count; ++j) {
-      accumulate_elem(id, first + j, values + j * esz, op);
-    }
-    return;
-  }
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(
-        opts_.access_overhead_ns *
-        static_cast<int64_t>(std::max<uint64_t>(1, count / 8)));
-  }
-  Vp* vp = current_vp();
-  PPM_CHECK(vp != nullptr, "shared write inside a phase but outside a VP");
-  counters_.write_entries += count;
-  if (validator_) [[unlikely]] validator_->on_write(count);
-  const uint64_t end = first + count;
-  uint64_t g = first;
-  while (g < end) {
-    const int owner = rec.owner_of(g);
-    const uint64_t seg_end = segment_end(rec, g, end, owner);
-    const uint32_t len = static_cast<uint32_t>(seg_end - g);
-    if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[rec.mig_div.div(g)] += len;
-    }
-    const std::byte* src = values + (g - first) * esz;
-    if (owner != node_) {
-      // One kAccumBlock range record per owner segment: the kBundle range
-      // record it replaces minus (vp_rank, seq).
-      counters_.reduction_bytes_saved +=
-          detail::varint_bytes(vp->global_rank_) +
-          detail::varint_bytes(vp->next_seq_);
-      PeerState& ps = peer(owner);
-      detail::put_record(accum_block_buffer(owner),
-                         {.op = static_cast<uint8_t>(static_cast<uint8_t>(op) |
-                                                     detail::kOpRangeBit),
-                          .array = id,
-                          .index = g,
-                          .count = len},
-                         /*ordered=*/false, src,
-                         static_cast<size_t>(len) * esz);
-      // Later scalar accumulates must not fold into list items buffered
-      // BEFORE this record — the fold would reorder them past it. Dropping
-      // the map forfeits combining, never correctness.
-      if (!ps.accum_combine.empty()) ps.accum_combine.clear();
-      if (options().eager_flush &&
-          ps.accum_list.size() + ps.accum_block.size() >=
-              options().flush_threshold_bytes) {
-        flush_accum_buffers(owner);
-      }
-    } else {
-      // Local segment: plain deferred range record (same as write_span's
-      // local arm — applies in the ordered batch before any owner-side
-      // accums, which is exactly the fetch path's position for it).
-      detail::put_record(local_log_,
-                         {.op = static_cast<uint8_t>(static_cast<uint8_t>(op) |
-                                                     detail::kOpRangeBit),
-                          .array = id,
-                          .index = g,
-                          .vp_rank = vp->global_rank_,
-                          .seq = vp->next_seq_++,
-                          .count = len},
-                         /*ordered=*/true, src, static_cast<size_t>(len) * esz);
-    }
-    g = seg_end;
-  }
-}
-
-bool NodeRuntime::try_combine_accum(int dest_node, uint32_t array,
-                                    uint64_t index, const std::byte* value,
-                                    detail::WriteOp op,
-                                    const detail::ArrayRecord& rec) {
-  PeerState& ps = peer(dest_node);
-  const auto it = ps.accum_combine.find(ElemKey{array, index});
-  if (it == ps.accum_combine.end()) return false;
-  const CombineSlot& slot = it->second;
-  Vp* vp = current_vp();
-  // Same rule as try_combine: fold only when this accumulate extends the
-  // same VP's same-op run on the element's LAST buffered item — per-source
-  // item order (the owner's apply order) is then preserved exactly.
-  if (slot.vp_rank != vp->global_rank_ ||
-      slot.op != static_cast<uint8_t>(op)) {
-    return false;
-  }
-  rec.apply_op(ps.accum_list.data() + slot.offset, value, op);
-  ++counters_.entries_combined;
-  return true;
-}
-
-ByteWriter& NodeRuntime::accum_list_buffer(int dest_node) {
-  PeerState& ps = peer(dest_node);
-  ByteWriter& buf = ps.accum_list;
-  if (buf.size() == 0) {
-    note_marker_owed(dest_node, ps);
-    buf.put(epoch_);
-    buf.put<uint32_t>(0);  // item count, patched at flush
-  }
-  return buf;
-}
-
-ByteWriter& NodeRuntime::accum_block_buffer(int dest_node) {
-  PeerState& ps = peer(dest_node);
-  ByteWriter& buf = ps.accum_block;
-  if (buf.size() == 0) {
-    note_marker_owed(dest_node, ps);
-    buf.put(epoch_);
-  }
-  return buf;
-}
-
-void NodeRuntime::flush_accum_buffers(int dest_node) {
-  PeerState& ps = peer(dest_node);
-  // Each payload is detached and its buffer reseeded before its send: a
-  // send's overhead can switch fibers, and whatever another core
-  // accumulates meanwhile must start the next fragment, not vanish in the
-  // reseed or land behind an already patched item count.
-  if (ps.accum_block.size() > kAccumBlockHeaderBytes) {
-    Bytes block = std::move(ps.accum_block).take();
-    ps.accum_block = ByteWriter(pool_take());
-    if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kAccumFlush,
-                static_cast<uint64_t>(dest_node), block.size());
-    }
-    rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumBlock),
-            std::move(block));
-  }
-  if (ps.accum_list_items > 0) {
-    std::memcpy(ps.accum_list.data() + sizeof(uint64_t),
-                &ps.accum_list_items, sizeof(uint32_t));
-    Bytes list = std::move(ps.accum_list).take();
-    ps.accum_list = ByteWriter(pool_take());
-    ps.accum_list_items = 0;
-    if (!ps.accum_combine.empty()) ps.accum_combine.clear();
-    if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kAccumFlush,
-                static_cast<uint64_t>(dest_node), list.size(), 0,
-                trace::kFlagBit0);
-    }
-    rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumList),
-            std::move(list));
-  }
 }
 
 void NodeRuntime::register_user_op(uint32_t id, int slot,
@@ -1544,9 +1323,6 @@ void NodeRuntime::maybe_eager_flush(int dest_node) {
 
 int NodeRuntime::flush_all_bundles_final() {
   const int p = node_count();
-  // A peer's last marker follows its accum fragments: the per-(src, dst,
-  // port) FIFO then guarantees the owner staged every fragment before the
-  // marker it waits for.
   if (p > 1 && !plan_allgather(shared_.machine().config().network, p).direct) {
     // Sparse form: p−1 marker sends would cost more than ⌈log2 p⌉ relay
     // hops (plan_allgather's rule), so only the peers written this epoch
@@ -1559,7 +1335,6 @@ int NodeRuntime::flush_all_bundles_final() {
     std::sort(marker_peers_.begin(), marker_peers_.end());
     std::vector<uint32_t> owed(static_cast<size_t>(p), 0);
     for (const int dest : marker_peers_) {
-      flush_accum_buffers(dest);
       flush_bundle(dest, /*last=*/true);
       owed[static_cast<size_t>(dest)] = 1;
     }
@@ -1572,7 +1347,6 @@ int NodeRuntime::flush_all_bundles_final() {
     // phase (possibly header-only), and the p−1 markers back are the
     // phase's barrier.
     if (peers_.find(dest) != peers_.end()) {
-      flush_accum_buffers(dest);
       flush_bundle(dest, /*last=*/true);
       continue;
     }
@@ -1649,7 +1423,6 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
     profile.entries_combined = counters_.entries_combined;
     profile.blocks_migrated = counters_.blocks_migrated;
     profile.migration_bytes = counters_.migration_bytes;
-    profile.accums_executed = counters_.accums_executed;
     profile.reduction_bytes_saved = counters_.reduction_bytes_saved;
   }
 
@@ -1701,8 +1474,6 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
         counters_.blocks_migrated - profile.blocks_migrated;
     profile.migration_bytes =
         counters_.migration_bytes - profile.migration_bytes;
-    profile.accums_executed =
-        counters_.accums_executed - profile.accums_executed;
     profile.reduction_bytes_saved =
         counters_.reduction_bytes_saved - profile.reduction_bytes_saved;
     phase_profiles_.push_back(profile);
@@ -1817,23 +1588,25 @@ void NodeRuntime::commit_global() {
   //    so the counters are final and ready to ship.
   const bool migrate_round = migration_round_due();
 
-  // 4. Apply local log + staged fragments in deterministic order, then
-  //    the epoch's owner-side accumulate fragments (source node
-  //    ascending). Every fragment is in: each channel is FIFO and its
-  //    source's last marker arrived. No peer can still read this epoch's
-  //    snapshot here: a peer's demand reads complete before it sends its
-  //    marker (direct form) or its census counts (sparse form), so the
-  //    marker quorum or the census is the phase's barrier. Reduce partials
-  //    below fold post-commit values.
+  // 4. Apply local log + staged fragments in deterministic order. Every
+  //    fragment is in: each channel is FIFO and its source's last marker
+  //    arrived. No peer can still read this epoch's snapshot here: a
+  //    peer's demand reads complete before it sends its marker (direct
+  //    form) or its census counts (sparse form), so the marker quorum or
+  //    the census is the phase's barrier. Reduce partials below fold
+  //    post-commit values.
   std::vector<std::span<const std::byte>> buffers;
   buffers.emplace_back(local_log_.bytes());
   auto staged = staged_bundles_.find(epoch_);
   if (staged != staged_bundles_.end()) {
-    for (const Bytes& b : staged->second) buffers.emplace_back(b);
+    // The planted at-least-once fault stages each delivered fragment twice.
+    const int copies = detail::g_stress_double_apply_bundles ? 2 : 1;
+    for (int copy = 0; copy < copies; ++copy) {
+      for (const Bytes& b : staged->second) buffers.emplace_back(b);
+    }
   }
   if (validator_) validator_->begin_commit(/*global_phase=*/true, epoch_);
   apply_staged_entries(std::move(buffers));
-  apply_staged_accums();
   validate_commit_finish();
   local_log_.clear();  // keep the allocation for the next phase
   if (staged != staged_bundles_.end()) {
@@ -2128,23 +1901,28 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
 void NodeRuntime::apply_staged_entries(
     std::vector<std::span<const std::byte>> buffers) {
   // Pass 1 validates the whole batch before any element changes, counts
-  // its records and collects what picks the apply order below.
+  // its records and collects what picks the apply order below. A record
+  // must lie inside its array before the apply pass's locator reads the
+  // owner map.
   size_t records = 0;
   uint8_t op_mask = 0;    // bit per WriteOp value seen in this batch
   bool integral = true;   // every record targets an integral array
   for (const auto& buf : buffers) {
-    for_each_record(buf, /*ordered=*/true, arrays_,
-                    [&](const ParsedEntry& e) {
-                      ++records;
-                      op_mask |= static_cast<uint8_t>(1u << e.op);
-                      integral = integral && arrays_[e.array].ops.integral;
-                      if (validator_) [[unlikely]] {
-                        for (uint32_t j = 0; j < e.count; ++j) {
-                          validator_->on_commit_entry(e.array, e.index + j,
-                                                      e.op, e.vp_rank);
-                        }
-                      }
-                    });
+    for_each_record(buf, arrays_, [&](const ParsedEntry& e) {
+      const auto& rec = arrays_[e.array];
+      PPM_CHECK(e.count <= rec.n && e.index <= rec.n - e.count,
+                "write record [%llu, +%u) out of range (array %u, size %llu)",
+                static_cast<unsigned long long>(e.index), e.count, e.array,
+                static_cast<unsigned long long>(rec.n));
+      ++records;
+      op_mask |= static_cast<uint8_t>(1u << e.op);
+      integral = integral && rec.ops.integral;
+      if (validator_) [[unlikely]] {
+        for (uint32_t j = 0; j < e.count; ++j) {
+          validator_->on_commit_entry(e.array, e.index + j, e.op, e.vp_rank);
+        }
+      }
+    });
   }
   const auto apply = [&](const ParsedEntry& e) {
     auto& rec = arrays_[e.array];
@@ -2210,7 +1988,7 @@ void NodeRuntime::apply_staged_entries(
       (op_mask & kUserOpMask) == 0;
   if (single_commutative_op) {
     for (const auto& buf : buffers) {
-      for_each_record(buf, /*ordered=*/true, arrays_, apply);
+      for_each_record(buf, arrays_, apply);
     }
     return;
   }
@@ -2218,7 +1996,7 @@ void NodeRuntime::apply_staged_entries(
   std::vector<ParsedEntry> entries;
   entries.reserve(records);
   for (const auto& buf : buffers) {
-    for_each_record(buf, /*ordered=*/true, arrays_,
+    for_each_record(buf, arrays_,
                     [&](const ParsedEntry& e) { entries.push_back(e); });
   }
   std::vector<uint32_t> order;
@@ -2286,70 +2064,6 @@ void NodeRuntime::apply_staged_entries(
     std::reverse(order.begin(), order.end());
   }
   for (const uint32_t idx : order) apply(entries[idx]);
-}
-
-void NodeRuntime::apply_staged_accums() {
-  PPM_CHECK(staged_accums_.empty() ||
-                staged_accums_.begin()->first >= epoch_,
-            "stale accumulate fragments left behind");
-  const auto it = staged_accums_.find(epoch_);
-  if (it == staged_accums_.end()) return;
-  auto& frags = it->second;
-  // Owner-side order: source node ascending, per-source arrival order
-  // (= that source's program order — fragments between one src/dst pair
-  // deliver in order, and items within a fragment are appended in program
-  // order). stable_sort keeps the per-source sequence.
-  std::stable_sort(frags.begin(), frags.end(),
-                   [](const StagedAccum& a, const StagedAccum& b) {
-                     return a.src < b.src;
-                   });
-  const int rounds = detail::g_stress_double_apply_accums ? 2 : 1;
-  uint64_t applied = 0;
-  for (int round = 0; round < rounds; ++round) {
-    for (const StagedAccum& f : frags) {
-      // Synthetic writer id for the conflict scan: owner-side entries
-      // carry no vp_rank, so tag them per source node above the VP rank
-      // space (bit 63 is never a real rank).
-      const uint64_t writer =
-          (uint64_t{1} << 63) | static_cast<uint64_t>(f.src);
-      // Past the fragment header (validated at arrival), scalar items and
-      // range records apply alike.
-      const size_t header =
-          f.list ? kAccumListHeaderBytes : kAccumBlockHeaderBytes;
-      for_each_record(
-          std::span<const std::byte>(f.payload).subspan(header),
-          /*ordered=*/false, arrays_, [&](const ParsedEntry& e) {
-            auto& rec = arrays_[e.array];
-            const auto op = static_cast<detail::WriteOp>(e.op);
-            const uint32_t esz = rec.ops.size;
-            PPM_CHECK(rec.owner_of(e.index) == node_ &&
-                          rec.owner_of(e.index + e.count - 1) == node_,
-                      "accumulate range [%llu, +%u) not owned by node %d",
-                      static_cast<unsigned long long>(e.index), e.count,
-                      node_);
-            const uint64_t local = rec.local_of(e.index);
-            PPM_CHECK(local + e.count <= rec.chunk_len,
-                      "accumulate range [%llu, +%u) out of local range",
-                      static_cast<unsigned long long>(e.index), e.count);
-            std::byte* dst = rec.storage.data() + local * esz;
-            for (uint32_t j = 0; j < e.count; ++j) {
-              if (validator_) [[unlikely]] {
-                validator_->on_commit_entry(e.array, e.index + j, e.op,
-                                            writer);
-              }
-              rec.apply_op(dst + static_cast<size_t>(j) * esz,
-                           e.value + static_cast<size_t>(j) * esz, op);
-            }
-            applied += e.count;
-          });
-    }
-  }
-  counters_.accums_executed += applied;
-  if (tracer_) [[unlikely]] {
-    trace_rec(trace::EventKind::kAccumApply, frags.size(), applied);
-  }
-  for (StagedAccum& f : frags) pool_put(std::move(f.payload));
-  staged_accums_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -2553,12 +2267,6 @@ void NodeRuntime::service_loop() {
       case detail::RtMsg::kBundle:
         handle_bundle(std::move(msg));
         break;
-      case detail::RtMsg::kAccumBlock:
-        handle_accum(std::move(msg), /*list=*/false);
-        break;
-      case detail::RtMsg::kAccumList:
-        handle_accum(std::move(msg), /*list=*/true);
-        break;
       case detail::RtMsg::kMigrateBlock: {
         // Stage only: run_migration_round applies arrivals after all of
         // this node's outbound slots are serialized, so an inbound block
@@ -2717,6 +2425,13 @@ void NodeRuntime::serve_deferred_gets() {
 void NodeRuntime::handle_bundle(net::Message msg) {
   ByteReader r(msg.payload);
   const auto epoch = r.get<uint64_t>();
+  // A sender flushes every fragment of an epoch before its last marker,
+  // and this node commits the epoch only after that marker, so a fragment
+  // for a committed epoch is protocol misuse: no commit would read it.
+  PPM_CHECK(epoch >= epoch_,
+            "write bundle for already-committed epoch %llu (at %llu)",
+            static_cast<unsigned long long>(epoch),
+            static_cast<unsigned long long>(epoch_));
   const auto last = r.get<uint8_t>();
   const auto entries = r.view(r.remaining());
   staged_bundles_[epoch].emplace_back(entries.begin(), entries.end());
@@ -2726,44 +2441,6 @@ void NodeRuntime::handle_bundle(net::Message msg) {
   }
   // The delivered buffer's capacity feeds the sender-side free pool.
   pool_put(std::move(msg.payload));
-}
-
-void NodeRuntime::handle_accum(net::Message msg, bool list) {
-  // Validate the whole frame up front (like the fetch handlers): a
-  // garbled fragment is rejected at arrival with a protocol error instead
-  // of corrupting a later commit. ByteReader and the record parser throw
-  // on truncated or garbled bytes.
-  ByteReader r(msg.payload);
-  const auto epoch = r.get<uint64_t>();
-  PPM_CHECK(epoch >= epoch_,
-            "accumulate fragment for already-committed epoch %llu (at %llu)",
-            static_cast<unsigned long long>(epoch),
-            static_cast<unsigned long long>(epoch_));
-  const uint32_t items = list ? r.get<uint32_t>() : 0;
-  uint32_t seen = 0;
-  for_each_record(
-      r.view(r.remaining()), /*ordered=*/false, arrays_,
-      [&](const ParsedEntry& e) {
-        PPM_CHECK(detail::is_accum_op(static_cast<detail::WriteOp>(e.op)),
-                  "accumulate fragment carries invalid op %u",
-                  static_cast<unsigned>(e.op));
-        const auto& rec = arrays_[e.array];
-        PPM_CHECK(rec.global,
-                  "accumulate fragment targets node-shared array %u",
-                  e.array);
-        PPM_CHECK(e.count <= rec.n && e.index <= rec.n - e.count,
-                  "accumulate range [%llu, +%u) out of range",
-                  static_cast<unsigned long long>(e.index), e.count);
-        ++seen;
-      });
-  PPM_CHECK(!list || seen == items,
-            "garbled kAccumList payload: %u records for an item count of %u",
-            seen, items);
-  StagedAccum sa;
-  sa.src = msg.src_node;
-  sa.list = list;
-  sa.payload = std::move(msg.payload);
-  staged_accums_[epoch].push_back(std::move(sa));
 }
 
 void NodeRuntime::handle_token(net::Message msg) {

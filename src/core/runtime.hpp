@@ -270,13 +270,13 @@ struct ArrayRecord {
 /// differential oracle must flag. Never set outside tests.
 inline bool g_stress_flip_commit_order = false;
 
-/// Second planted bug, for the owner-side accumulate path: when set, every
-/// staged kAccumList/kAccumBlock fragment is applied twice at commit — the
-/// classic at-least-once-delivery bug an idempotence-free accumulate
-/// protocol must never have. The stress harness's self-test proves the
-/// differential oracle catches it with a shrunk repro. Never set outside
-/// tests.
-inline bool g_stress_double_apply_accums = false;
+/// Second planted bug, an at-least-once delivery: when set, commit_global
+/// stages every delivered kBundle fragment twice (the local log once), so
+/// each remote write applies twice — also on the unordered single-op apply
+/// arm that g_stress_flip_commit_order cannot reach. The stress harness's
+/// self-test proves the differential oracle catches it with a shrunk
+/// repro. Never set outside tests.
+inline bool g_stress_double_apply_bundles = false;
 
 }  // namespace detail
 
@@ -443,25 +443,6 @@ class NodeRuntime {
   void write_span(uint32_t id, uint64_t first, uint64_t count,
                   const std::byte* values, detail::WriteOp op);
 
-  /// Owner-side accumulate: a commutative read-modify-write executed at
-  /// the element's owner during commit, shipped through the compact
-  /// kAccumList wire fragments (no per-entry (vp_rank, seq)). Inside a
-  /// phase the visible semantics match write_elem with the same accumulate
-  /// op: reads keep seeing the phase-start value, the update lands at
-  /// commit. The op must be exactly commutative and associative over T
-  /// (integer add/min/max/mul, XOR, ...) OR touch each element from at
-  /// most one writer per phase — owner-side application is grouped by
-  /// source node, not interleaved by VP rank, which is indistinguishable
-  /// exactly under that contract (ppm::check enforces it for ops
-  /// registered non-commutative). Local elements, node-shared arrays and
-  /// writes outside global phases take the plain write_elem path.
-  void accumulate_elem(uint32_t id, uint64_t index, const std::byte* value,
-                       detail::WriteOp op);
-  /// Contiguous accumulate run: accumulate_elem over [first, first+count),
-  /// shipped as one kAccumBlock range record per owner segment.
-  void accumulate_span(uint32_t id, uint64_t first, uint64_t count,
-                       const std::byte* values, detail::WriteOp op);
-
   /// Register a user accumulate function for one of the kUser0..kUser2
   /// slots of an array (SPMD-collective, outside phases). See
   /// Env::register_accum_op for the typed front end.
@@ -546,7 +527,6 @@ class NodeRuntime {
     uint64_t prefetch_issued = 0;   // lookahead block fetches sent
     uint64_t prefetch_hits = 0;     // prefetched blocks demanded before use
     uint64_t entries_combined = 0;  // writes folded into buffered entries
-    uint64_t accums_executed = 0;   // owner-side accum elements applied
     uint64_t reduction_bytes_saved = 0;  // see RunResult
     uint64_t blocks_migrated = 0;   // migration blocks sent to a new owner
     uint64_t migration_bytes = 0;   // element bytes those blocks carried
@@ -595,8 +575,7 @@ class NodeRuntime {
     uint64_t entries_combined = 0;   // writes combined away in it
     uint64_t blocks_migrated = 0;    // blocks this node shipped at commit
     uint64_t migration_bytes = 0;    // bytes those blocks carried
-    uint64_t accums_executed = 0;    // owner-side accumulates applied in it
-    uint64_t reduction_bytes_saved = 0;  // accum/reduce wire-byte savings
+    uint64_t reduction_bytes_saved = 0;  // reduce wire-byte savings
 
     int64_t compute_ns() const { return compute_done_ns - start_ns; }
     int64_t commit_ns() const { return committed_ns - compute_done_ns; }
@@ -665,9 +644,6 @@ class NodeRuntime {
   void handle_get(net::Message msg);
   void serve_get(const net::Message& msg);
   void handle_bundle(net::Message msg);
-  /// Stage one kAccumList/kAccumBlock fragment for its epoch's commit
-  /// (validating the payload frame up front, like handle_bundle).
-  void handle_accum(net::Message msg, bool list);
   void handle_token(net::Message msg);
   void serve_deferred_gets();
 
@@ -746,26 +722,6 @@ class NodeRuntime {
   /// must wait for.
   int flush_all_bundles_final();
 
-  // Owner-side accumulate (sender side). Scalar items collect in a
-  // per-peer kAccumList buffer (u64 epoch + u32 item count header, count
-  // patched at flush), contiguous runs in a kAccumBlock buffer (u64 epoch
-  // header, self-delimiting records). Both flush at the eager-flush
-  // threshold and, unconditionally, right before the peer's final kBundle
-  // last-marker — pairwise FIFO then guarantees the owner staged every
-  // fragment before the marker it waits for at commit.
-  static constexpr size_t kAccumListHeaderBytes =
-      sizeof(uint64_t) + sizeof(uint32_t);
-  static constexpr size_t kAccumBlockHeaderBytes = sizeof(uint64_t);
-  ByteWriter& accum_list_buffer(int dest_node);
-  ByteWriter& accum_block_buffer(int dest_node);
-  /// Ship a peer's pending accum fragments (no-op when empty).
-  void flush_accum_buffers(int dest_node);
-  /// Fold a scalar accumulate into the peer's latest buffered item for
-  /// the same (array, element) when it came from the same VP with the
-  /// same op (mirrors try_combine). True when folded.
-  bool try_combine_accum(int dest_node, uint32_t array, uint64_t index,
-                         const std::byte* value, detail::WriteOp op,
-                         const detail::ArrayRecord& rec);
   Bytes pool_take();
   void pool_put(Bytes b);
   /// Clear a destination's combine map but keep its table at high-water
@@ -790,10 +746,6 @@ class NodeRuntime {
   void commit_global();
   void commit_node();
   void apply_staged_entries(std::vector<std::span<const std::byte>> buffers);
-  /// Apply the current epoch's staged kAccumList/kAccumBlock fragments,
-  /// grouped by source node ascending (per-source arrival order = that
-  /// source's program order), after the ordered entry batch.
-  void apply_staged_accums();
 
   // Pending-reduce plumbing (commit side). Partial blobs are appended to
   // the commit allgather's payload AFTER the migration counter vectors;
@@ -935,21 +887,14 @@ class NodeRuntime {
     std::unordered_map<ElemKey, CombineSlot, ElemKeyHash> combine;
     size_t combine_hwm = 0;
     std::vector<QueuedFetch> fetch_backlog;
-    // Owner-side accumulate fragments (epoch headers inline; see
-    // accum_list_buffer/accum_block_buffer). accum_combine mirrors the
-    // bundle combine map, with offsets into accum_list.
-    ByteWriter accum_list;
-    ByteWriter accum_block;
-    uint32_t accum_list_items = 0;
-    std::unordered_map<ElemKey, CombineSlot, ElemKeyHash> accum_combine;
   };
   std::unordered_map<int, PeerState> peers_;
   PeerState& peer(int dest_node) { return peers_[dest_node]; }
-  // Peers whose bundle or accumulate buffer was seeded this epoch, eager
-  // flushes included: exactly the peers a fragment goes to. Cleared by
-  // the final flush.
+  // Peers whose bundle buffer was seeded this epoch, eager flushes
+  // included: exactly the peers a fragment goes to. Cleared by the final
+  // flush.
   std::vector<int> marker_peers_;
-  /// Called when a buffer for `dest_node` is seeded: list the peer in
+  /// Called when the bundle for `dest_node` is seeded: list the peer in
   /// marker_peers_ once per epoch.
   void note_marker_owed(int dest_node, PeerState& ps) {
     if (ps.marker_epoch == epoch_) return;
@@ -960,16 +905,6 @@ class NodeRuntime {
   // Bundle staging (service side), keyed by epoch.
   std::map<uint64_t, std::vector<Bytes>> staged_bundles_;
   std::map<uint64_t, int> staged_last_markers_;
-
-  // Accumulate-fragment staging (service side), keyed by epoch. Fragments
-  // keep their source node so the commit can apply them grouped by source
-  // ascending (per-source arrival order = that source's program order).
-  struct StagedAccum {
-    int src = 0;
-    bool list = false;  // kAccumList payload (else kAccumBlock)
-    Bytes payload;
-  };
-  std::map<uint64_t, std::vector<StagedAccum>> staged_accums_;
 
   // Reductions registered for the next global commit. Resolved entries
   // stay until the program re-registers (handles are indices); the

@@ -42,6 +42,16 @@ static_assert(static_cast<uint8_t>(ReduceOp::kAdd) ==
                   static_cast<uint8_t>(detail::WriteOp::kUser2),
               "ReduceOp must mirror detail::WriteOp");
 
+namespace detail {
+/// The write op an accumulate selector names. Rejects a cast value that
+/// would name kSet: accumulate() is never a plain set.
+inline WriteOp accum_write_op(ReduceOp op) {
+  const auto w = static_cast<WriteOp>(op);
+  PPM_CHECK(is_accum_op(w), "accumulate() requires an accumulate op, not set");
+  return w;
+}
+}  // namespace detail
+
 /// One logical array distributed block-wise across all nodes
 /// (PPM_global_shared).
 template <typename T>
@@ -82,25 +92,20 @@ class GlobalShared {
                     detail::WriteOp::kMax);
   }
 
-  /// Owner-side accumulate: same committed result as add()/min_update()/
-  /// ... with the matching op, but remote elements ship their (op, value)
-  /// to the owner through the compact kAccumList/kAccumBlock wire
-  /// fragments and apply there at commit — no per-entry (vp_rank, seq)
-  /// bytes, no fetch round trip. See NodeRuntime::accumulate_elem for the
-  /// commutativity contract.
+  /// Accumulate with a selectable op: the generic form of add()/
+  /// min_update()/max_update(), and the way to reach kMul and the
+  /// registered user slots. Same deferred write, same wire record, same
+  /// (VP rank, seq) commit position.
   void accumulate(uint64_t i, ReduceOp op, const T& v) {
-    rt_->accumulate_elem(id_, i, reinterpret_cast<const std::byte*>(&v),
-                         static_cast<detail::WriteOp>(op));
+    rt_->write_elem(id_, i, reinterpret_cast<const std::byte*>(&v),
+                    detail::accum_write_op(op));
   }
 
   /// Bulk accumulate over [first, first+count) — as if accumulate() were
-  /// called at consecutive indices in order; remote segments ship as one
-  /// kAccumBlock range record per owner.
+  /// called at consecutive indices in order (add_n with a selectable op).
   void accumulate_n(uint64_t first, uint64_t count, ReduceOp op,
                     const T* values) {
-    rt_->accumulate_span(id_, first, count,
-                         reinterpret_cast<const std::byte*>(values),
-                         static_cast<detail::WriteOp>(op));
+    write_n(first, count, values, detail::accum_write_op(op));
   }
 
   /// Zero-copy read: a reference to the element's phase-start value,
@@ -290,19 +295,14 @@ class NodeShared {
                     detail::WriteOp::kMax);
   }
 
-  /// Accumulate with a selectable op. Node-shared storage is always
-  /// local, so this is the plain deferred-write path; the selector exists
-  /// for parity with GlobalShared::accumulate (one generator/test body
-  /// can drive both array kinds).
+  /// Accumulate with a selectable op; see GlobalShared::accumulate.
   void accumulate(uint64_t i, ReduceOp op, const T& v) {
-    rt_->accumulate_elem(id_, i, reinterpret_cast<const std::byte*>(&v),
-                         static_cast<detail::WriteOp>(op));
+    rt_->write_elem(id_, i, reinterpret_cast<const std::byte*>(&v),
+                    detail::accum_write_op(op));
   }
   void accumulate_n(uint64_t first, uint64_t count, ReduceOp op,
                     const T* values) {
-    rt_->accumulate_span(id_, first, count,
-                         reinterpret_cast<const std::byte*>(values),
-                         static_cast<detail::WriteOp>(op));
+    write_n(first, count, values, detail::accum_write_op(op));
   }
 
   // -- Span-style bulk access; see GlobalShared for semantics.

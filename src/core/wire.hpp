@@ -1,6 +1,6 @@
 // Wire protocol of the PPM runtime: message kinds carried over each node's
-// service port, and the write-record codec used in bundles, the local log
-// and owner-side accumulate fragments.
+// service port, and the write-record codec used in bundles and the local
+// log.
 //
 // The runtime is the only consumer of the service port, so these kinds
 // cannot collide with mp:: traffic (which uses the per-core rank ports).
@@ -45,21 +45,6 @@ enum class RtMsg : uint8_t {
   // epoch is legal only when every item is a prefetch (mirrors
   // kPrefetchBlock's drop rule).
   kGetBlockList = 9,
-  // Owner-side accumulate fragment, range form: contiguous accumulate runs
-  // (accumulate_n) for one destination. Payload: u64 epoch, then range
-  // write records without (vp_rank, seq) (record codec below). Exactly
-  // commutative ops need no position — the owner applies them after the
-  // ordered entry batch of the same commit, grouped by source node
-  // ascending — so each record is the varint bytes of that pair smaller
-  // than the kBundle range record it replaces. Flushed before the sender's
-  // final kBundle last-marker, so the per-(src, dst, port) FIFO floor
-  // guarantees arrival before the commit that consumes it; no reply.
-  kAccumBlock = 10,
-  // Owner-side accumulate fragment, scalar form: individual accumulate(i)
-  // items. Payload: u64 epoch, u32 item count, then that many scalar
-  // write records without (vp_rank, seq). Same ordering and flush
-  // contract as kAccumBlock.
-  kAccumList = 11,
 };
 
 inline uint64_t rt_kind(RtMsg m) {
@@ -116,24 +101,23 @@ inline WriteOp entry_op(uint8_t op) {
 }
 inline bool entry_is_range(uint8_t op) { return (op & kOpRangeBit) != 0; }
 
-/// Write records. Every write the runtime logs or ships (kBundle entries,
-/// the local log, kAccumList items and kAccumBlock records) is one record
-/// of this stateless codec, each field at its information content:
+/// Write records. Every write the runtime logs or ships (kBundle entries
+/// and the local log; set, the built-in accumulates and the user slots
+/// alike) is one record of this stateless codec, each field at its
+/// information content:
 ///
 ///   u8      op       WriteOp, | kOpRangeBit for a range record
 ///   varint  array    shared-array id
 ///   varint  index    global element index (a range's first element)
-///   varint  vp_rank  writer's global VP rank     ordered records only
-///   varint  seq      writer's write sequence     ordered records only
+///   varint  vp_rank  writer's global VP rank
+///   varint  seq      writer's write sequence
 ///   varint  count    elements covered            range records only
 ///   count * elem_size value bytes (count is 1 for a scalar record)
 ///
 /// Varints are unsigned LEB128: seven value bits per byte, low group
 /// first, the high bit set on every byte but the last, so a value below
-/// 128 takes one byte and a 64-bit value at most ten. Ordered records
-/// commit in (vp_rank, seq) order; owner-side accumulate records omit the
-/// pair (see kAccumList), which keeps each strictly smaller than the
-/// ordered record it replaces.
+/// 128 takes one byte and a 64-bit value at most ten. Records commit in
+/// (vp_rank, seq) order.
 inline constexpr size_t kMaxVarintBytes = 10;
 
 inline constexpr size_t varint_bytes(uint64_t v) {
@@ -176,9 +160,9 @@ struct RecordHead {
   uint8_t op = 0;  // WriteOp, | kOpRangeBit for a range record
   uint32_t array = 0;
   uint64_t index = 0;
-  uint64_t vp_rank = 0;  // ordered records only
-  uint32_t seq = 0;      // ordered records only
-  uint32_t count = 1;    // encoded for range records only
+  uint64_t vp_rank = 0;
+  uint32_t seq = 0;
+  uint32_t count = 1;  // encoded for range records only
 };
 
 // op, array, index, vp_rank, seq, count
@@ -186,16 +170,13 @@ inline constexpr size_t kMaxRecordHeadBytes = 1 + 5 + 10 + 10 + 5 + 5;
 
 /// Encode `h` at `out` (room for kMaxRecordHeadBytes); returns the bytes
 /// written.
-inline size_t put_record_head(std::byte* out, const RecordHead& h,
-                              bool ordered) {
+inline size_t put_record_head(std::byte* out, const RecordHead& h) {
   std::byte* p = out;
   *p++ = static_cast<std::byte>(h.op);
   p = put_varint(p, h.array);
   p = put_varint(p, h.index);
-  if (ordered) {
-    p = put_varint(p, h.vp_rank);
-    p = put_varint(p, h.seq);
-  }
+  p = put_varint(p, h.vp_rank);
+  p = put_varint(p, h.seq);
   if (entry_is_range(h.op)) p = put_varint(p, h.count);
   return static_cast<size_t>(p - out);
 }
@@ -203,10 +184,10 @@ inline size_t put_record_head(std::byte* out, const RecordHead& h,
 /// Append one record, head then `value_bytes` of values, and return the
 /// offset of the values in `w` (write combining folds later values into
 /// them in place).
-inline size_t put_record(ByteWriter& w, const RecordHead& h, bool ordered,
+inline size_t put_record(ByteWriter& w, const RecordHead& h,
                          const std::byte* values, size_t value_bytes) {
   std::byte head[kMaxRecordHeadBytes];
-  const size_t n = put_record_head(head, h, ordered);
+  const size_t n = put_record_head(head, h);
   // One growth operation per record: this sits on the hot path of every
   // shared write.
   std::byte* out = w.extend(n + value_bytes);
@@ -220,8 +201,7 @@ inline size_t put_record(ByteWriter& w, const RecordHead& h, bool ordered,
 /// get_varint), an op outside [0, 8), a field wider than its type or an
 /// empty range. The caller checks the array and the value bytes.
 inline const std::byte* get_record_head(const std::byte* p,
-                                        const std::byte* end, bool ordered,
-                                        RecordHead* h) {
+                                        const std::byte* end, RecordHead* h) {
   PPM_CHECK(p != end, "garbled write record: truncated op");
   h->op = static_cast<uint8_t>(*p++);
   PPM_CHECK(static_cast<uint8_t>(entry_op(h->op)) < 8,
@@ -236,13 +216,8 @@ inline const std::byte* get_record_head(const std::byte* p,
   };
   get_u32(&h->array, "array id");
   p = get_varint(p, end, &h->index);
-  if (ordered) {
-    p = get_varint(p, end, &h->vp_rank);
-    get_u32(&h->seq, "seq");
-  } else {
-    h->vp_rank = 0;
-    h->seq = 0;
-  }
+  p = get_varint(p, end, &h->vp_rank);
+  get_u32(&h->seq, "seq");
   h->count = 1;
   if (entry_is_range(h->op)) {
     get_u32(&h->count, "count");

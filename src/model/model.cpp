@@ -190,7 +190,6 @@ Observation observe(int nodes, int cores, const RunResult& r) {
     o.compute_critical_ns += p.compute_max_ns;
     o.commit_critical_ns += p.commit_max_ns;
   }
-  o.accums_executed = r.accums_executed;
   o.reduction_bytes_saved = r.reduction_bytes_saved;
   return o;
 }
@@ -257,8 +256,7 @@ Model fit(std::span<const Observation> obs, const MachineCosts& costs) {
   fit_counter(3, [](const Observation& o) { return o.fetches; });
   fit_counter(4, [](const Observation& o) { return o.stall_ns; });
   fit_counter(5, [](const Observation& o) { return o.payload_commits; });
-  fit_counter(6, [](const Observation& o) { return o.accums_executed; });
-  fit_counter(7,
+  fit_counter(6,
               [](const Observation& o) { return o.reduction_bytes_saved; });
 
   // Layer 2: ridge-regularized NNLS of vtime over the analytic terms,
@@ -357,8 +355,7 @@ Prediction Model::predict(int nodes) const {
   p.fetches = counter(3);
   p.stall_ns = counter(4);
   const double payload_commits = counter(5);
-  p.accums_executed = counter(6);
-  p.reduction_bytes_saved = counter(7);
+  p.reduction_bytes_saved = counter(6);
   const std::vector<double> drivers =
       term_drivers(costs, n, compute, p.messages, p.bytes, p.fetches,
                    p.stall_ns, payload_commits);

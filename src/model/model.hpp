@@ -58,7 +58,6 @@ struct Observation {
   uint64_t node_phases = 0;        // per node
   int64_t compute_critical_ns = 0;  // sum of per-phase max compute legs
   int64_t commit_critical_ns = 0;   // sum of per-phase max commit legs
-  uint64_t accums_executed = 0;
   uint64_t reduction_bytes_saved = 0;
 };
 
@@ -114,7 +113,6 @@ struct Prediction {
   double bytes = 0;
   double fetches = 0;
   double stall_ns = 0;
-  double accums_executed = 0;
   double reduction_bytes_saved = 0;
   /// Per-term share of vtime_ns, aligned with Model::terms.
   std::vector<double> term_ns;
@@ -122,10 +120,9 @@ struct Prediction {
 
 /// Names of the counter shapes a Model carries, in storage order.
 inline constexpr const char* kCounterNames[] = {
-    "compute_critical_ns", "messages", "bytes", "fetches",
-    "stall_ns",            "payload_commits", "accums_executed",
-    "reduction_bytes_saved"};
-inline constexpr size_t kCounters = 8;
+    "compute_critical_ns", "messages",        "bytes", "fetches",
+    "stall_ns",            "payload_commits", "reduction_bytes_saved"};
+inline constexpr size_t kCounters = 7;
 
 /// Names of the composed vtime terms, in storage order.
 inline constexpr const char* kTermNames[] = {

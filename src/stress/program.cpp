@@ -247,14 +247,14 @@ ProgramSpec generate_program(uint64_t seed, const GenLimits& limits) {
       op.ib = rng.next_below(64);
       // Full accumulate spectrum: add/min/max/mul plus the registered
       // kUser0 XOR slot — each commutes exactly with itself on uint64, so
-      // overlapping index sets stay check-clean and bit-reproducible no
-      // matter whether the runtime ships them as bundle entries or
-      // owner-side kAccum fragments.
+      // overlapping index sets stay check-clean and bit-reproducible
+      // whether the commit applies them in (VP rank, seq) order or, for a
+      // single-op batch, straight off the buffers.
       op.accum_op = static_cast<uint8_t>(1 + rng.next_below(5));
       if (op.kind == OpKind::kBulk) {
         // Run length, plus a flavor: set runs stay on set_n; accumulate
-        // runs go through accumulate_n, mixing kAccumBlock range records
-        // with the scalar kAccumList traffic in the same phase.
+        // runs go through accumulate_n, mixing range records with the
+        // scalar accumulate records in the same phase.
         op.gather_count = 1 + static_cast<uint32_t>(rng.next_below(6));
         op.accum_op = rng.next_below(2) == 0
                           ? static_cast<uint8_t>(detail::WriteOp::kSet)

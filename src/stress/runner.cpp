@@ -26,12 +26,12 @@ struct PpmCtx {
     for (const uint64_t v : (*g)[a].gather(idx)) s += v;
     return s;
   }
-  // Every accumulate flavor routes through accumulate()/accumulate_n():
-  // remote global elements ship as kAccumList/kAccumBlock fragments
-  // applied at the owner, while local elements and node-shared arrays —
-  // every element of the 1-node reference config — take the plain
-  // deferred-write path. Both must commit bit-identical state, which is
-  // exactly what the differential matrix checks.
+  // Every accumulate flavor routes through accumulate()/accumulate_n(),
+  // the selectable-op form of the deferred write: remote global elements
+  // ship as kBundle records, local elements and node-shared arrays —
+  // every element of the 1-node reference config — stay in the local
+  // log. Both must commit bit-identical state, which is exactly what the
+  // differential matrix checks.
   void write(uint32_t a, uint64_t i, detail::WriteOp op, uint64_t v) const {
     if ((*spec).arrays[a].global) {
       auto& arr = (*g)[a];
@@ -400,8 +400,6 @@ Verdict run_differential(const ProgramSpec& spec,
             wdiff("fetch_stall_ns", ref.fetch_stall_ns, b.fetch_stall_ns),
             wdiff("entries_combined", ref.entries_combined,
                   b.entries_combined),
-            wdiff("accums_executed", ref.accums_executed,
-                  b.accums_executed),
             wdiff("reduction_bytes_saved", ref.reduction_bytes_saved,
                   b.reduction_bytes_saved),
             wdiff("blocks_migrated", ref.blocks_migrated,

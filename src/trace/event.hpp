@@ -38,11 +38,7 @@ enum class EventKind : uint8_t {
   kBundleFlush,  // a = destination node, b = payload bytes,
                  // flags bit0 = phase-final (last-marker) fragment
 
-  // Owner-side accumulate / remote reduction.
-  kAccumFlush,   // sender ships accum fragments: a = destination node,
-                 // b = payload bytes, flags bit0 = kAccumList (else block)
-  kAccumApply,   // owner applied staged accum fragments at commit:
-                 // a = fragments, b = elements applied
+  // Remote reduction.
   kCommitReduce, // reductions resolved on this commit's allgather:
                  // a = reductions, b = partial-blob bytes carried
 

@@ -17,8 +17,6 @@ const char* kind_name(EventKind kind) {
     case EventKind::kFetchStall: return "fetch_stall";
     case EventKind::kPrefetchHit: return "prefetch_hit";
     case EventKind::kBundleFlush: return "bundle_flush";
-    case EventKind::kAccumFlush: return "accum_flush";
-    case EventKind::kAccumApply: return "accum_apply";
     case EventKind::kCommitReduce: return "commit_reduce";
     case EventKind::kMigrationPlan: return "migration_plan";
     case EventKind::kMigrationMove: return "migration_move";

@@ -111,6 +111,30 @@ TEST(CheckValidator, MixedAccumulateOpsDetected) {
   EXPECT_NE(v.detail.find("min"), std::string::npos);
 }
 
+TEST(CheckValidator, MixedAccumulateOpsFromOneRemoteNodeDetected) {
+  // Two VPs on node 0 accumulate node 1's element 5 with different ops:
+  // every record carries its VP rank, so the owner sees two writers and
+  // reports the conflict exactly as it does for add() + min_update().
+  const RunResult r = run(checked_cfg(2, 2), [](Env& env) {
+    auto a = env.global_array<int64_t>(8);  // node 1 owns [4, 8)
+    auto vps = env.ppm_do(env.node_id() == 0 ? 2 : 0);
+    vps.global_phase([&](Vp& vp) {
+      if (vp.global_rank() == 0) {
+        a.accumulate(5, ReduceOp::kAdd, 10);
+      } else {
+        a.accumulate(5, ReduceOp::kMin, -5);
+      }
+    });
+  });
+  EXPECT_EQ(r.check_report.mixed_op_conflicts, 1u);
+  ASSERT_EQ(r.check_report.violations.size(), 1u);
+  const check::Violation& v = r.check_report.violations.front();
+  EXPECT_EQ(v.kind, check::ViolationKind::kMixedOpConflict);
+  EXPECT_EQ(v.node, 1);  // detected by the owner
+  EXPECT_EQ(v.element, 5u);
+  EXPECT_NE(v.vp_a, v.vp_b);
+}
+
 TEST(CheckValidator, SetPlusAccumulateDetected) {
   const RunResult r = run(checked_cfg(1, 2), [](Env& env) {
     auto a = env.global_array<int64_t>(4);

@@ -1,19 +1,18 @@
-// SharedArray::accumulate / accumulate_n and Env::reduce / reduce_dot —
-// the phase-semantics-safe owner-side operations (docs/MODEL.md).
+// SharedArray::accumulate / accumulate_n and Env::reduce / reduce_dot
+// (docs/MODEL.md).
 //
-// The contract under test: for exactly commutative/associative ops
-// (integer add/min/max/mul, a registered XOR), owner-side delivery through
-// the compact kAccumList/kAccumBlock fragments commits bit-identical
-// state to the plain fetch-free deferred-write path — the path every
-// element takes in a 1-node run — under every distribution, with
-// sender-side combining, across a migration epoch, while never adding a
-// fetch round-trip. Non-commutative user ops on conflicting elements are
-// a reportable ppm::check violation.
+// The contract under test: accumulate() is the generic-op form of add():
+// for exactly commutative/associative ops (integer add/min/max/mul, a
+// registered XOR), remote records shipped in write bundles commit
+// bit-identical state to the local log — the path every element takes in
+// a 1-node run — under every distribution, with sender-side combining,
+// across a migration epoch; accumulate ships exactly the bytes of the
+// matching add()/max_update()/add_n() and never fetches. Non-commutative
+// user ops on conflicting elements are a reportable ppm::check violation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -91,25 +90,25 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
   return out;
 }
 
-TEST(CoreAccumulate, OwnerSideMatchesFetchPathEveryDistribution) {
-  // The differential contract on a hand-sized program: owner-side
-  // fragment delivery on 3 nodes, with its same-VP runs folded at the
-  // sender, and the plain deferred-write path of the 1-node run, where
-  // every entry is logged and applied on its own, commit the same bits
-  // under kBlock, kCyclic, and kAdaptive.
+TEST(CoreAccumulate, MultiNodeMatchesOneNodeEveryDistribution) {
+  // The differential contract on a hand-sized program: remote records
+  // shipped in bundles on 3 nodes, with their same-VP runs folded at the
+  // sender, and the local log of the 1-node run, where every entry is
+  // logged and applied on its own, commit the same bits under kBlock,
+  // kCyclic, and kAdaptive.
   RunResult local_stats;
   const auto local = run_mixed(cfg(1), Distribution::kBlock,
                                /*rebalance_mid=*/false, &local_stats);
   ASSERT_EQ(local.size(), kN);
-  EXPECT_EQ(local_stats.accums_executed, 0u);
   EXPECT_EQ(local_stats.entries_combined, 0u);
+  EXPECT_EQ(local_stats.network_bytes, 0u);
   for (const Distribution dist :
        {Distribution::kBlock, Distribution::kCyclic,
         Distribution::kAdaptive}) {
     RunResult stats;
     const auto got = run_mixed(cfg(3), dist, /*rebalance_mid=*/false, &stats);
     EXPECT_EQ(got, local) << "distribution " << static_cast<int>(dist);
-    EXPECT_GT(stats.accums_executed, 0u);
+    EXPECT_EQ(stats.write_entries, local_stats.write_entries);
     EXPECT_GT(stats.entries_combined, 0u);
   }
 }
@@ -126,17 +125,15 @@ TEST(CoreAccumulate, DistributionsAgreeWithEachOther) {
 
 TEST(CoreAccumulate, BitIdenticalAcrossMigrationEpoch) {
   // rebalance() mid-program forces a migration planning round at a commit
-  // that also carries staged accumulate fragments: block handoff must not
+  // that also carries staged accumulate records: block handoff must not
   // lose, duplicate, or reorder them.
-  RunResult stats;
   const auto migrated =
-      run_mixed(cfg(3), Distribution::kAdaptive, /*rebalance_mid=*/true,
-                &stats);
+      run_mixed(cfg(3), Distribution::kAdaptive, /*rebalance_mid=*/true);
+  ASSERT_EQ(migrated.size(), kN);
   EXPECT_EQ(migrated, run_mixed(cfg(1), Distribution::kAdaptive,
                                 /*rebalance_mid=*/true));
   // And against the never-migrating layouts.
   EXPECT_EQ(migrated, run_mixed(cfg(3), Distribution::kBlock));
-  EXPECT_GT(stats.accums_executed, 0u);
 }
 
 TEST(CoreAccumulate, SameVpRunsAreCombined) {
@@ -171,16 +168,17 @@ TEST(CoreAccumulate, SameVpRunsAreCombined) {
   EXPECT_EQ(run8.network_messages, once.network_messages);
 }
 
-TEST(CoreAccumulate, NoFetchRoundTripsAndFewerWireBytes) {
-  // accumulate() is write-only at the caller: a program of pure remote
+TEST(CoreAccumulate, ShipsTheBytesOfAddAndFetchesNothing) {
+  // accumulate() is the generic-op form of add(): a program of pure remote
   // accumulates (no reads anywhere) must never enter the cold read path
-  // or fetch a single block — the owner applies fragments in place — and
-  // the compact fragments must beat the plain bundle encoding that
-  // add()/max_update()/add_n() use on the same targets on wire bytes (12
-  // bytes per entry, counted in reduction_bytes_saved).
-  auto program = [](bool accumulate, uint64_t* remote_updates) {
-    std::atomic<uint64_t> remote{0};
-    RunResult r = run(cfg(3), [&](Env& env) {
+  // or fetch a block, and it must ship exactly the records — bytes and
+  // messages — and commit exactly the values of the same program written
+  // with add()/max_update()/add_n().
+  // Each node's owned elements after the last commit, by node.
+  using Owned = std::vector<Bytes>;
+  auto program = [](bool accumulate, Owned* owned) {
+    owned->assign(3, Bytes{});
+    return run(cfg(3), [&](Env& env) {
       auto a = env.global_array<uint64_t>(kN);
       auto vps = env.ppm_do(kVpsPerNode);
       for (uint64_t round = 0; round < 3; ++round) {
@@ -199,29 +197,26 @@ TEST(CoreAccumulate, NoFetchRoundTripsAndFewerWireBytes) {
             a.max_update(max_at, r * 40);
             a.add_n(run_at, 3, vals);
           }
-          for (const uint64_t i :
-               {add_at, max_at, run_at, run_at + 1, run_at + 2}) {
-            if (a.owner(i) != env.node_id()) ++remote;
-          }
         });
       }
+      (*owned)[static_cast<size_t>(env.node_id())] =
+          env.runtime().pack_owned_elems(a.id());
     });
-    *remote_updates = remote.load();
-    return r;
   };
-  uint64_t remote = 0;
-  const RunResult on_stats = program(/*accumulate=*/true, &remote);
-  const RunResult off_stats = program(/*accumulate=*/false, &remote);
-  EXPECT_EQ(on_stats.slow_path_reads, 0u);
-  EXPECT_EQ(off_stats.slow_path_reads, 0u);
-  EXPECT_EQ(on_stats.remote_blocks_fetched, 0u);
-  // Every remote update, scalar or run element, is applied at its owner
-  // (no two of them fold: each VP touches an element once per phase).
-  ASSERT_GT(remote, 0u);
-  EXPECT_EQ(on_stats.accums_executed, remote);
-  EXPECT_EQ(off_stats.accums_executed, 0u);
-  EXPECT_GT(on_stats.reduction_bytes_saved, 0u);
-  EXPECT_LT(on_stats.network_bytes, off_stats.network_bytes);
+  Owned acc_values, add_values;
+  const RunResult acc = program(/*accumulate=*/true, &acc_values);
+  const RunResult add = program(/*accumulate=*/false, &add_values);
+  EXPECT_EQ(acc.slow_path_reads, 0u);
+  EXPECT_EQ(acc.remote_blocks_fetched, 0u);
+  ASSERT_GT(acc.network_bytes, 0u);
+  EXPECT_EQ(acc.network_bytes, add.network_bytes);
+  EXPECT_EQ(acc.network_messages, add.network_messages);
+  EXPECT_EQ(acc.write_entries, add.write_entries);
+  EXPECT_EQ(acc.duration_ns, add.duration_ns);
+  EXPECT_EQ(acc_values, add_values);
+  size_t owned_bytes = 0;
+  for (const Bytes& b : acc_values) owned_bytes += b.size();
+  EXPECT_EQ(owned_bytes, kN * sizeof(uint64_t));
 }
 
 TEST(CoreAccumulate, ReduceAllOpsCorrectAndNodeAgreeing) {
@@ -599,8 +594,8 @@ TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {
 
 TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
   // One entry per element is deterministic no matter the op: the checker
-  // must not cry wolf, and both delivery paths agree on the result.
-  // The 1-node run is the plain-path reference.
+  // must not cry wolf, and the remote record commits what the 1-node
+  // run's local log does.
   auto program = [](int nodes) {
     PpmConfig c = cfg(nodes);
     c.runtime.validate_phases = true;
@@ -625,15 +620,15 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
     EXPECT_TRUE(r.check_report.clean()) << r.check_report.to_string();
     return got;
   };
-  const uint64_t owner_side = program(2);
-  EXPECT_EQ(owner_side, 6u);  // 2*3 + rank 0
-  EXPECT_EQ(owner_side, program(1));
+  const uint64_t two_nodes = program(2);
+  EXPECT_EQ(two_nodes, 6u);  // 2*3 + rank 0
+  EXPECT_EQ(two_nodes, program(1));
 }
 
 TEST(CoreAccumulate, CommutativeConflictsStayClean) {
   // Many VPs accumulating one element with a single commutative op is the
-  // model's histogram idiom — never a violation, either delivery path
-  // (owner-side on 2 nodes, plain on 1).
+  // model's histogram idiom — never a violation, remote records on 2
+  // nodes or the local log on 1.
   for (const int nodes : {2, 1}) {
     PpmConfig c = cfg(nodes);
     c.runtime.validate_phases = true;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,44 +17,42 @@ namespace {
 
 using detail::RecordHead;
 
-RecordHead round_trip(const RecordHead& h, bool ordered, size_t want_bytes) {
+RecordHead round_trip(const RecordHead& h, size_t want_bytes) {
   std::byte buf[detail::kMaxRecordHeadBytes];
-  const size_t n = detail::put_record_head(buf, h, ordered);
+  const size_t n = detail::put_record_head(buf, h);
   EXPECT_EQ(n, want_bytes);
   RecordHead got;
-  const std::byte* end = detail::get_record_head(buf, buf + n, ordered, &got);
+  const std::byte* end = detail::get_record_head(buf, buf + n, &got);
   EXPECT_EQ(end, buf + n);
   return got;
 }
 
 TEST(WireCodec, RecordHeadRoundTripsAtTheExtremes) {
-  for (const bool ordered : {true, false}) {
-    for (const bool range : {false, true}) {
-      const RecordHead h{
-          .op = static_cast<uint8_t>(
-              static_cast<uint8_t>(detail::WriteOp::kUser2) |
-              (range ? detail::kOpRangeBit : 0)),
-          .array = UINT32_MAX,
-          .index = UINT64_MAX,
-          .vp_rank = UINT64_MAX,
-          .seq = UINT32_MAX,
-          .count = UINT32_MAX};
-      // op, array (32 bits: 5 bytes), index (64 bits: 10 bytes), then
-      // vp_rank (10) and seq (5) when ordered, count (5) for a range.
-      const size_t want = 1 + 5 + 10 + (ordered ? 10 + 5 : 0) + (range ? 5 : 0);
-      const RecordHead got = round_trip(h, ordered, want);
-      EXPECT_EQ(got.op, h.op);
-      EXPECT_EQ(got.array, h.array);
-      EXPECT_EQ(got.index, h.index);
-      EXPECT_EQ(got.vp_rank, ordered ? h.vp_rank : 0u);
-      EXPECT_EQ(got.seq, ordered ? h.seq : 0u);
-      EXPECT_EQ(got.count, range ? h.count : 1u);
-    }
+  for (const bool range : {false, true}) {
+    const RecordHead h{
+        .op = static_cast<uint8_t>(
+            static_cast<uint8_t>(detail::WriteOp::kUser2) |
+            (range ? detail::kOpRangeBit : 0)),
+        .array = UINT32_MAX,
+        .index = UINT64_MAX,
+        .vp_rank = UINT64_MAX,
+        .seq = UINT32_MAX,
+        .count = UINT32_MAX};
+    // op, array (32 bits: 5 bytes), index (64 bits: 10 bytes), vp_rank
+    // (10), seq (5), then count (5) for a range.
+    const size_t want = 1 + 5 + 10 + 10 + 5 + (range ? 5 : 0);
+    const RecordHead got = round_trip(h, want);
+    EXPECT_EQ(got.op, h.op);
+    EXPECT_EQ(got.array, h.array);
+    EXPECT_EQ(got.index, h.index);
+    EXPECT_EQ(got.vp_rank, h.vp_rank);
+    EXPECT_EQ(got.seq, h.seq);
+    EXPECT_EQ(got.count, range ? h.count : 1u);
   }
   // The smallest record head: every field below 128.
   const RecordHead small{.op = 1, .array = 3, .index = 127, .vp_rank = 0,
                          .seq = 5};
-  const RecordHead got = round_trip(small, /*ordered=*/true, 5);
+  const RecordHead got = round_trip(small, 5);
   EXPECT_EQ(got.index, 127u);
   EXPECT_EQ(got.seq, 5u);
 }
@@ -74,6 +73,19 @@ TEST(WireCodec, VarintTakesTheBytesItsValueNeeds) {
   }
 }
 
+// get_record_head over `bytes` must throw a ppm::Error naming `why`.
+template <size_t N>
+void expect_head_rejected(const std::byte (&bytes)[N], const std::string& why) {
+  RecordHead h;
+  try {
+    detail::get_record_head(bytes, bytes + N, &h);
+    ADD_FAILURE() << "garbled record head accepted; wanted: " << why;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(WireCodec, GarbledVarintsAndHeadsRejected) {
   uint64_t v = 0;
   const std::byte truncated[] = {std::byte{0x81}, std::byte{0x81}};
@@ -88,22 +100,20 @@ TEST(WireCodec, GarbledVarintsAndHeadsRejected) {
   wide[9] = std::byte{0x02};
   EXPECT_THROW(detail::get_varint(wide, wide + 10, &v), Error);
 
-  RecordHead h;
   // op 8 (kOpRangeBit stripped) is outside WriteOp.
   const std::byte bad_op[] = {std::byte{0x88}, std::byte{0}, std::byte{0},
-                              std::byte{1}};
-  EXPECT_THROW(detail::get_record_head(bad_op, bad_op + 4, false, &h), Error);
+                              std::byte{0}, std::byte{0}, std::byte{1}};
+  expect_head_rejected(bad_op, "invalid op 8");
   // An array id past 32 bits.
   std::byte wide_array[8] = {std::byte{1}};
   detail::put_varint(wide_array + 1, uint64_t{1} << 32);
-  EXPECT_THROW(detail::get_record_head(wide_array, wide_array + 8, false, &h),
-               Error);
-  // A range of zero elements.
+  expect_head_rejected(wide_array, "array id 4294967296 too wide");
+  // A range of zero elements: op, array 0, index 0, VP rank 0, seq 0,
+  // count 0. Every field is present, so only the empty count can fail.
   const std::byte empty_range[] = {std::byte{0x81}, std::byte{0},
-                                   std::byte{0}, std::byte{0}};
-  EXPECT_THROW(detail::get_record_head(empty_range, empty_range + 4, false,
-                                       &h),
-               Error);
+                                   std::byte{0},    std::byte{0},
+                                   std::byte{0},    std::byte{0}};
+  expect_head_rejected(empty_range, "empty range");
 }
 
 // Two nodes; node 0's one VP sends `updates` int64 min_updates to

@@ -115,9 +115,9 @@ void inject(cluster::Machine& machine, detail::RtMsg kind, Bytes payload) {
 }
 
 // Append one write-record head in the runtime's record codec.
-void put_head(ByteWriter& w, const detail::RecordHead& h, bool ordered) {
+void put_head(ByteWriter& w, const detail::RecordHead& h) {
   std::byte buf[detail::kMaxRecordHeadBytes];
-  w.put_raw(buf, detail::put_record_head(buf, h, ordered));
+  w.put_raw(buf, detail::put_record_head(buf, h));
 }
 
 void put_bytes(ByteWriter& w, std::initializer_list<uint8_t> bytes) {
@@ -230,9 +230,9 @@ TEST(FailureInjection, StalePrefetchSilentlyDropped) {
   EXPECT_EQ(seen, 5u);
 }
 
-TEST(FailureInjection, TruncatedAccumBlockRejected) {
-  // An owner-side accumulate fragment too short to carry its epoch header
-  // must be caught by the bounds-checked deserializer at arrival.
+TEST(FailureInjection, TruncatedBundleRejected) {
+  // A write-bundle fragment too short to carry its epoch header must be
+  // caught by the bounds-checked deserializer at arrival.
   cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
   Runtime runtime(machine, RuntimeOptions{});
   EXPECT_THROW(
@@ -240,8 +240,7 @@ TEST(FailureInjection, TruncatedAccumBlockRejected) {
         NodeRuntime& nr = runtime.node(node);
         nr.start();
         if (node == 0) {
-          inject(machine, detail::RtMsg::kAccumBlock,
-                 Bytes(3, std::byte{0x21}));
+          inject(machine, detail::RtMsg::kBundle, Bytes(3, std::byte{0x21}));
         }
         Env env(nr);
         env.barrier();
@@ -250,158 +249,12 @@ TEST(FailureInjection, TruncatedAccumBlockRejected) {
       Error);
 }
 
-TEST(FailureInjection, AccumBlockUnknownArrayRejected) {
-  // Well-formed kAccumBlock record header naming an array id that was
-  // never allocated: handle_accum must reject the whole frame before
-  // staging it, not corrupt a later commit.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint64_t>(0);  // epoch
-          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
-                       .array = 42,                    // no such array
-                       .index = 0,
-                       .count = 1},
-                   /*ordered=*/false);
-          w.put<uint64_t>(7);  // one "element"
-          inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
-        }
-        Env env(nr);
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, AccumListInvalidOpRejected) {
-  // kSet (op 0) is not an accumulate op: a list item carrying it is a
-  // protocol violation (set entries must ride the ordered kBundle path,
-  // where (vp_rank, seq) makes them deterministic).
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        Env env(nr);
-        auto a = env.global_array<uint64_t>(8);
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint64_t>(0);  // epoch
-          w.put<uint32_t>(1);  // one item
-          put_head(w, {.op = 0, .array = a.id(), .index = 0},  // kSet
-                   /*ordered=*/false);
-          w.put<uint64_t>(9);  // value
-          inject(machine, detail::RtMsg::kAccumList, std::move(w).take());
-        }
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, AccumListTrailingBytesRejected) {
-  // A list frame whose item count is satisfied but which carries extra
-  // trailing bytes is garbled — rejected, never silently ignored.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        Env env(nr);
-        auto a = env.global_array<uint64_t>(8);
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint64_t>(0);  // epoch
-          w.put<uint32_t>(1);  // one item
-          put_head(w, {.op = 1, .array = a.id(), .index = 0},  // kAdd
-                   /*ordered=*/false);
-          w.put<uint64_t>(9);    // value
-          w.put<uint8_t>(0xcc);  // trailing garbage
-          inject(machine, detail::RtMsg::kAccumList, std::move(w).take());
-        }
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, AccumRangeOutOfBoundsRejected) {
-  // A range record whose [first, first+count) spills past the array end
-  // must be rejected before any element is touched.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        Env env(nr);
-        auto a = env.global_array<uint64_t>(8);
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint64_t>(0);  // epoch
-          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
-                       .array = a.id(),
-                       .index = 6,   // first
-                       .count = 4},  // 6 + 4 > 8
-                   /*ordered=*/false);
-          for (int i = 0; i < 4; ++i) w.put<uint64_t>(1);
-          inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
-        }
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, StaleAccumFragmentRejected) {
-  // Accumulate fragments are flushed before the sender's last-marker
-  // bundle, so one arriving for an epoch the receiver already committed
-  // can only be protocol misuse — rejected loudly, unlike stale
-  // prefetches (which a requester legitimately abandons).
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        Env env(nr);
-        auto a = env.global_array<uint64_t>(8);
-        auto vps = env.ppm_do(1);
-        vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 1); });
-        vps.global_phase([&](Vp&) {});  // two commits: epoch_ is now 2
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint64_t>(0);  // epoch 0: already committed
-          put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
-                       .array = a.id(),
-                       .index = 0,
-                       .count = 1},
-                   /*ordered=*/false);
-          w.put<uint64_t>(9);  // value
-          inject(machine, detail::RtMsg::kAccumBlock, std::move(w).take());
-        }
-        env.barrier();
-        vps.global_phase([&](Vp&) {});
-        nr.finish();
-      }),
-      Error);
-}
-
-namespace {
-// Node 0 injects a raw kBundle fragment for epoch 0 (not a last marker)
-// carrying `records(array id)` ahead of its real fragments; node 1, which
-// owns elements 4..7, must reject the batch when its first commit parses
-// it, with an error that names `why`.
-void expect_bundle_rejected(
-    const std::function<void(ByteWriter&, uint32_t)>& records,
-    const std::string& why) {
+TEST(FailureInjection, StaleBundleFragmentRejected) {
+  // A sender flushes every fragment of an epoch before its last marker,
+  // and the owner commits the epoch only after that marker, so a fragment
+  // arriving for an epoch the receiver already committed can only be
+  // protocol misuse — rejected loudly, not staged where no commit reads
+  // it (unlike stale prefetches, which a requester legitimately abandons).
   cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
   Runtime runtime(machine, RuntimeOptions{});
   try {
@@ -410,6 +263,45 @@ void expect_bundle_rejected(
       nr.start();
       Env env(nr);
       auto a = env.global_array<uint64_t>(8);
+      auto vps = env.ppm_do(1);
+      vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 1); });
+      vps.global_phase([&](Vp&) {});  // two commits: epoch_ is now 2
+      if (node == 0) {
+        ByteWriter w;
+        w.put<uint64_t>(0);  // epoch 0: already committed
+        w.put<uint8_t>(0);   // not the last marker
+        put_head(w, {.op = 1, .array = a.id(), .index = 4});  // kAdd
+        w.put<uint64_t>(9);  // value
+        inject(machine, detail::RtMsg::kBundle, std::move(w).take());
+      }
+      env.barrier();
+      vps.global_phase([&](Vp&) {});
+      nr.finish();
+    });
+    ADD_FAILURE() << "stale kBundle fragment accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("already-committed epoch 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+namespace {
+// Node 0 injects a raw kBundle fragment for epoch 0 (not a last marker)
+// carrying `records(array id)` ahead of its real fragments; node 1, which
+// owns elements 4..7 of the 8-element array, must reject the batch when
+// its first commit parses it, with an error that names `why`.
+void expect_bundle_rejected(
+    const std::function<void(ByteWriter&, uint32_t)>& records,
+    const std::string& why, Distribution dist = Distribution::kBlock) {
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8, dist);
       if (node == 0) {
         ByteWriter w;
         w.put<uint64_t>(0);  // epoch
@@ -428,10 +320,9 @@ void expect_bundle_rejected(
   }
 }
 
-// Head bytes of an ordered scalar kSet record for element 4 from VP 0.
+// Head bytes of a scalar kSet record for element 4 from VP 0.
 void put_set_head(ByteWriter& w, uint32_t array, uint32_t seq = 0) {
-  put_head(w, {.op = 0, .array = array, .index = 4, .vp_rank = 0, .seq = seq},
-           /*ordered=*/true);
+  put_head(w, {.op = 0, .array = array, .index = 4, .vp_rank = 0, .seq = seq});
 }
 }  // namespace
 
@@ -456,7 +347,7 @@ TEST(FailureInjection, BundleElevenByteVarintRejected) {
 
 TEST(FailureInjection, BundleInvalidOpRejected) {
   expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
-    put_head(w, {.op = 9, .array = array, .index = 4}, /*ordered=*/true);
+    put_head(w, {.op = 9, .array = array, .index = 4});
     w.put<uint64_t>(1);
   }, "invalid op 9");
 }
@@ -473,8 +364,7 @@ TEST(FailureInjection, BundleRangeCountPastPayloadRejected) {
     put_head(w, {.op = detail::kOpRangeBit,  // kSet range
                  .array = array,
                  .index = 4,
-                 .count = 4},
-             /*ordered=*/true);
+                 .count = 4});
     w.put<uint64_t>(1);  // two of the four values
     w.put<uint64_t>(2);
   }, "4 elements run past the payload");
@@ -489,8 +379,26 @@ TEST(FailureInjection, BundleTrailingPartialRecordRejected) {
   }, "1 elements run past the payload");
 }
 
+TEST(FailureInjection, BundleIndexPastArrayEndRejected) {
+  // A record whose elements run past its array's end must be rejected
+  // before the apply pass's locator reads the owner map with them: on a
+  // kAdaptive array that read would run past mig_owner.
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_head(w, {.op = 1, .array = array, .index = uint64_t{1} << 20});
+    w.put<uint64_t>(1);
+  }, "out of range", Distribution::kAdaptive);
+  // A range that starts inside the array and spills past its end.
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_head(w, {.op = 1 | detail::kOpRangeBit,  // kAdd range
+                 .array = array,
+                 .index = 6,
+                 .count = 4});  // 6 + 4 > 8
+    for (int i = 0; i < 4; ++i) w.put<uint64_t>(1);
+  }, "out of range", Distribution::kAdaptive);
+}
+
 namespace {
-// Accumulate-heavy program with plenty of remote owner-side traffic:
+// Accumulate-heavy program with plenty of remote traffic:
 // every VP accumulates into a shifted window of a global array with a mix
 // of add/min/max/xor, over several epochs. Returns the final contents.
 std::vector<uint64_t> run_accum_program(bool faults) {
@@ -529,10 +437,10 @@ std::vector<uint64_t> run_accum_program(bool faults) {
 }  // namespace
 
 TEST(FailureInjection, FaultDelayedAccumTrafficIsDeterministic) {
-  // Seeded fabric jitter delays kAccumList/kAccumBlock fragments, but the
-  // per-(src,dst,port) FIFO plus source-ascending owner-side apply keep
-  // the committed state bit-identical to the fault-free run — and the
-  // faulted run replays byte-for-byte.
+  // Seeded fabric jitter delays the kBundle fragments that carry the
+  // accumulates, but the per-(src,dst,port) FIFO plus the commit's
+  // (VP rank, seq) apply order keep the committed state bit-identical to
+  // the fault-free run — and the faulted run replays byte-for-byte.
   const std::vector<uint64_t> clean = run_accum_program(false);
   const std::vector<uint64_t> faulted1 = run_accum_program(true);
   const std::vector<uint64_t> faulted2 = run_accum_program(true);

@@ -205,7 +205,6 @@ TEST(Observe, ExtractsCountersFromRunResult) {
   r.global_phases = 24;  // per runtime already (Runtime::collect divides)
   r.payload_commits = 16;
   r.node_phases = 8;
-  r.accums_executed = 16;
   r.reduction_bytes_saved = 192;
   r.trace_summary.events = 1000;
   trace::PhaseCritical p1;
@@ -223,7 +222,6 @@ TEST(Observe, ExtractsCountersFromRunResult) {
   EXPECT_EQ(o.payload_commits, 16u);
   EXPECT_EQ(o.compute_critical_ns, 2000);
   EXPECT_EQ(o.commit_critical_ns, 500);
-  EXPECT_EQ(o.accums_executed, 16u);
   EXPECT_EQ(o.reduction_bytes_saved, 192u);
 }
 

@@ -121,18 +121,20 @@ TEST(StressHarness, PlantedCommitOrderBugIsCaught) {
   EXPECT_GT(caught, 0);
 }
 
-// RAII guard for the planted owner-side-accumulate double-apply fault.
+// RAII guard for the planted at-least-once (double-apply) fault.
 struct DoubleApplyGuard {
-  DoubleApplyGuard() { detail::g_stress_double_apply_accums = true; }
-  ~DoubleApplyGuard() { detail::g_stress_double_apply_accums = false; }
+  DoubleApplyGuard() { detail::g_stress_double_apply_bundles = true; }
+  ~DoubleApplyGuard() { detail::g_stress_double_apply_bundles = false; }
 };
 
 TEST(StressHarness, PlantedDoubleApplyAccumBugIsCaught) {
   // A hand-crafted program guaranteed to route kAdd accumulates to REMOTE
   // owners (index = rank + 8 over a 16-element block array on 2 nodes):
-  // applying each staged kAccum fragment twice shifts every touched
-  // element by the fragment's sum, so the multi-node owner-side config
-  // diverges from the single-node reference and from golden.
+  // staging each delivered kBundle fragment twice applies every remote
+  // record twice, so the multi-node config diverges from the single-node
+  // reference and from golden. The batch is all kAdd on uint64, so it
+  // takes the unordered single-op apply arm, which the flipped-order
+  // fault above never reaches.
   DoubleApplyGuard guard;
   ProgramSpec spec;
   spec.seed = 0;
@@ -153,7 +155,7 @@ TEST(StressHarness, PlantedDoubleApplyAccumBugIsCaught) {
   cfgs[1].machine.nodes = 2;
   cfgs[1].machine.cores_per_node = 2;
   cfgs[1].runtime.validate_phases = true;
-  cfgs[1].name = "hand-2n2c-owneracc";
+  cfgs[1].name = "hand-2n2c";
 
   const auto v = run_differential(spec, cfgs);
   ASSERT_FALSE(v.ok) << "planted double-apply bug went undetected";
@@ -167,9 +169,9 @@ TEST(StressHarness, PlantedDoubleApplyAccumBugIsCaught) {
   EXPECT_FALSE(vs.ok) << "shrunk double-apply repro passes";
 
   // Sanity: with the fault withdrawn the same pair is clean again.
-  detail::g_stress_double_apply_accums = false;
+  detail::g_stress_double_apply_bundles = false;
   EXPECT_TRUE(run_differential(spec, cfgs).ok);
-  detail::g_stress_double_apply_accums = true;  // guard dtor resets
+  detail::g_stress_double_apply_bundles = true;  // guard dtor resets
 }
 
 TEST(StressHarness, ReplaySubsetReproducesConfig) {

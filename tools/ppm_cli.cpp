@@ -180,12 +180,12 @@ CliOptions parse(int argc, char** argv) {
 
 void print_profile(NodeRuntime& rt) {
   std::printf("phase profile (node 0):\n");
-  std::printf("  %-5s %-6s %-12s %10s %12s %12s %8s %8s %10s\n", "#",
-              "scope", "label", "VPs", "compute_us", "commit_us", "writes",
-              "accums", "red_saved");
+  std::printf("  %-5s %-6s %-12s %10s %12s %12s %8s %10s\n", "#", "scope",
+              "label", "VPs", "compute_us", "commit_us", "writes",
+              "red_saved");
   for (const auto& p : rt.phase_profiles()) {
     std::printf(
-        "  %-5llu %-6s %-12s %10llu %12.1f %12.1f %8llu %8llu %10llu\n",
+        "  %-5llu %-6s %-12s %10llu %12.1f %12.1f %8llu %10llu\n",
         static_cast<unsigned long long>(p.phase_index),
         p.global ? "global" : "node",
         p.label.empty() ? "-" : p.label.c_str(),
@@ -193,7 +193,6 @@ void print_profile(NodeRuntime& rt) {
         static_cast<double>(p.compute_ns()) * 1e-3,
         static_cast<double>(p.commit_ns()) * 1e-3,
         static_cast<unsigned long long>(p.write_entries),
-        static_cast<unsigned long long>(p.accums_executed),
         static_cast<unsigned long long>(p.reduction_bytes_saved));
   }
 }
@@ -290,11 +289,10 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
               "\"label\": \"%s\", \"vps\": %" PRIu64
               ", \"compute_ns\": %" PRId64 ", \"commit_ns\": %" PRId64
               ", \"write_entries\": %" PRIu64 ", \"fetch_stall_ns\": %" PRIu64
-              ", \"accums_executed\": %" PRIu64
               ", \"reduction_bytes_saved\": %" PRIu64 "}%s\n",
               p.phase_index, p.global ? "global" : "node", p.label.c_str(),
               p.k_local, p.compute_ns(), p.commit_ns(), p.write_entries,
-              p.fetch_stall_ns, p.accums_executed, p.reduction_bytes_saved,
+              p.fetch_stall_ns, p.reduction_bytes_saved,
               i + 1 < profiles.size() ? "," : "");
     }
     out += " ]";
@@ -556,10 +554,9 @@ std::string model_to_json(const CliOptions& opt, const model::Model& mdl,
     appendf(out,
             "  {\"nodes\": %d, \"vtime_ns\": %.1f, \"messages\": %.1f, "
             "\"bytes\": %.1f, \"fetches\": %.1f, \"stall_ns\": %.1f, "
-            "\"accums_executed\": %.1f, \"reduction_bytes_saved\": %.1f, "
-            "\"terms_ns\": {",
+            "\"reduction_bytes_saved\": %.1f, \"terms_ns\": {",
             p.nodes, p.vtime_ns, p.messages, p.bytes, p.fetches, p.stall_ns,
-            p.accums_executed, p.reduction_bytes_saved);
+            p.reduction_bytes_saved);
     for (size_t t = 0; t < model::kTerms; ++t) {
       appendf(out, "%s\"%s\": %.1f", t != 0 ? ", " : "",
               model::kTermNames[t], p.term_ns[t]);
