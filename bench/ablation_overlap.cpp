@@ -80,11 +80,10 @@ uint64_t eng_mix(uint64_t x) {
 /// Every VP reads a few scattered elements from remote cache blocks (each
 /// read a likely miss: the table has 448 remote blocks per node and only
 /// 512 VP reads), computes on them, and accumulates several partial
-/// results into one remote bin. Miss-switching pipelines the block round
-/// trips across a core's VPs; combining folds the same-VP adds into one
-/// wire entry. The bins are integers (fixed point, 2^-10): combining
-/// folds only integral accumulates, which give the same bits in any
-/// grouping.
+/// results into one remote bin, one write record per add. Miss-switching
+/// pipelines the block round trips across a core's VPs. The bins are
+/// integers (fixed point, 2^-10), which give the same bits in any
+/// order.
 void overlap_engine_workload(Env& env, GlobalShared<double>& tab,
                              GlobalShared<int64_t>& bins) {
   const auto n = static_cast<uint64_t>(env.node_id());

@@ -61,11 +61,11 @@ inline RuntimeOptions bench_runtime_options() {
   // sizes the walks/reads touch large remote regions, so bigger blocks
   // amortize per-message latency further (ablation_bundling sweeps this).
   opts.read_block_bytes = 16 * 1024;
-  // No additional modeled per-access cost: the *real* cost of going
-  // through the runtime library on every shared access is measured by the
-  // calibrated virtual clock, and it is already the dominant PPM-side
-  // overhead the paper describes ("accesses to the PPM shared variables go
-  // through the PPM runtime library, which will bring in some overhead").
+  // The cost of going through the runtime library on every shared access
+  // is measured by the calibrated virtual clock; it is the dominant
+  // PPM-side overhead the paper describes ("accesses to the PPM shared
+  // variables go through the PPM runtime library, which will bring in
+  // some overhead").
   return opts;
 }
 
@@ -84,7 +84,6 @@ inline void report_run_counters(benchmark::State& state,
   state.counters["fetch_stall_ns"] =
       static_cast<double>(r.fetch_stall_ns);
   state.counters["prefetch_hits"] = static_cast<double>(r.prefetch_hits);
-  state.counters["combined"] = static_cast<double>(r.entries_combined);
   state.counters["reduction_bytes_saved"] =
       static_cast<double>(r.reduction_bytes_saved);
   state.counters["blocks_migrated"] =

@@ -85,13 +85,6 @@ struct RuntimeOptions {
   /// NodeRuntime::phase_profiles). Small constant overhead per phase.
   bool profile_phases = false;
 
-  /// Modeled per-shared-access software overhead, charged to the accessing
-  /// core's virtual clock. Models the paper's observation that "accesses to
-  /// the PPM shared variables go through the PPM runtime library, which
-  /// will bring in some overhead". Zero disables the modeled component
-  /// (the real code cost still shows up under measured calibration).
-  int64_t access_overhead_ns = 0;
-
   /// Enable the ppm::trace event recorder (docs/OBSERVABILITY.md). Each
   /// node then records phase, scheduling, read/write-engine, migration
   /// and message-send events into its own ring buffer (one track per
@@ -161,8 +154,9 @@ struct RunResult {
   /// detection) and how many were demanded before going unused.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  /// Write entries folded into an earlier buffered entry by sender-side
-  /// write combining (never shipped or committed individually).
+  /// Always 0: every remote write ships as its own record. Kept only
+  /// because the repository benchmark's runner reads it (its
+  /// core.write.combined metric).
   uint64_t entries_combined = 0;
   /// Always 0. Kept only because the repository benchmark's runner reads
   /// it (its core.write.accums metric).

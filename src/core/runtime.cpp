@@ -137,7 +137,6 @@ RunResult Runtime::collect() const {
     r.fetch_stall_ns += c.fetch_stall_ns;
     r.prefetch_issued += c.prefetch_issued;
     r.prefetch_hits += c.prefetch_hits;
-    r.entries_combined += c.entries_combined;
     r.reduction_bytes_saved += c.reduction_bytes_saved;
     r.blocks_migrated += c.blocks_migrated;
     r.migration_bytes += c.migration_bytes;
@@ -166,7 +165,6 @@ RunResult Runtime::collect() const {
       {"fetch_stall_ns", &NodeRuntime::Counters::fetch_stall_ns},
       {"prefetch_issued", &NodeRuntime::Counters::prefetch_issued},
       {"prefetch_hits", &NodeRuntime::Counters::prefetch_hits},
-      {"entries_combined", &NodeRuntime::Counters::entries_combined},
       {"reduction_bytes_saved",
        &NodeRuntime::Counters::reduction_bytes_saved},
       {"blocks_migrated", &NodeRuntime::Counters::blocks_migrated},
@@ -445,9 +443,6 @@ void NodeRuntime::read_elem(uint32_t id, uint64_t index, std::byte* out) {
   PPM_CHECK(index < rec.n, "read index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(opts_.access_overhead_ns);
-  }
   if (validator_) [[unlikely]] validator_->on_read();
   note_access(rec, index);
   // Committed storage holds phase-start values during a phase (writes are
@@ -471,7 +466,6 @@ const std::byte* NodeRuntime::read_ref(uint32_t id, uint64_t index) {
   PPM_CHECK(index < rec.n, "read index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  charge_access();
   note_access(rec, index);
   if (!rec.global) return rec.storage.data() + index * rec.ops.size;
   const auto at = rec.place(index);
@@ -873,11 +867,6 @@ void NodeRuntime::gather_elems(uint32_t id,
                                std::span<const uint64_t> indices,
                                std::byte* out) {
   const auto& rec = array(id);
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(
-        opts_.access_overhead_ns *
-        static_cast<int64_t>(std::max<size_t>(1, indices.size() / 8)));
-  }
   if (validator_) [[unlikely]] validator_->on_read(indices.size());
   // Partition by owner; local indices are copied directly, remote owners
   // each get exactly one indexed-get request (explicit bundling). Owners
@@ -955,13 +944,6 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
       read_elem(id, first + j, out + j * rec.ops.size);
     }
     return;
-  }
-  // Bulk accounting: overhead at the gather rate (ownership and bounds
-  // resolve once per segment, not per element), one validator count.
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(
-        opts_.access_overhead_ns *
-        static_cast<int64_t>(std::max<uint64_t>(1, count / 8)));
   }
   if (validator_) [[unlikely]] validator_->on_read(count);
   const uint32_t esz = rec.ops.size;
@@ -1065,11 +1047,6 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     }
     return;
   }
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(
-        opts_.access_overhead_ns *
-        static_cast<int64_t>(std::max<uint64_t>(1, count / 8)));
-  }
   if (phase_scope_ == PhaseScope::kNone) {
     // Outside phases only the node program runs; writes apply
     // immediately, and remote global writes are not allowed (same rule
@@ -1119,13 +1096,7 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     const std::byte* src = values + (g - first) * esz;
     const size_t bytes = static_cast<size_t>(len) * esz;
     if (rec.global && owner != node_) {
-      ByteWriter& buf = bundle_buffer(owner);
-      detail::put_record(buf, h, src, bytes);
-      // Later scalar writes must not fold into entries buffered BEFORE
-      // this range: the fold keeps the old seq, which would commit before
-      // the range instead of after. Dropping the map forfeits combining
-      // across the range, never correctness.
-      reset_combine_map(owner);
+      detail::put_record(bundle_buffer(owner), h, src, bytes);
       maybe_eager_flush(owner);
     } else {
       detail::put_record(local_log_, h, src, bytes);
@@ -1141,9 +1112,6 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   PPM_CHECK(index < rec.n, "write index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  if (opts_.access_overhead_ns > 0) {
-    engine_->advance_ns(opts_.access_overhead_ns);
-  }
   note_access(rec, index);
 
   if (phase_scope_ == PhaseScope::kNone) {
@@ -1176,54 +1144,12 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   if (rec.global) {
     const int owner = rec.owner_of(index);
     if (owner != node_) {
-      if (try_combine(owner, h, value, rec)) {
-        return;  // folded into a buffered entry; nothing new to flush
-      }
-      ByteWriter& buf = bundle_buffer(owner);
-      const size_t offset = detail::put_record(buf, h, value, rec.ops.size);
-      auto& combine = peer(owner).combine;
-      combine[ElemKey{id, index}] = CombineSlot{offset, h.vp_rank, h.op};
-      if (combine.size() >= kCombineMapMax) reset_combine_map(owner);
+      detail::put_record(bundle_buffer(owner), h, value, rec.ops.size);
       maybe_eager_flush(owner);
       return;
     }
   }
   detail::put_record(local_log_, h, value, rec.ops.size);
-}
-
-bool NodeRuntime::try_combine(int dest_node, const detail::RecordHead& h,
-                              const std::byte* value,
-                              const detail::ArrayRecord& rec) {
-  auto& map = peer(dest_node).combine;
-  const auto it = map.find(ElemKey{h.array, h.index});
-  if (it == map.end()) return false;
-  CombineSlot& slot = it->second;
-  // Only the element's LAST buffered entry is tracked, so combining into
-  // it is safe exactly when this write extends the same VP's same-op run:
-  // commit applies a VP's entries contiguously in seq order, no other
-  // entry for this element sits between the buffered one and this write,
-  // and writes by other VPs order entirely before or after this VP's run
-  // by rank either way. The merged entry keeps the OLD seq (its committed
-  // position) and absorbs the new value.
-  if (slot.vp_rank != h.vp_rank || slot.op != h.op) {
-    return false;  // caller appends and re-points the map at the new entry
-  }
-  const auto op = static_cast<detail::WriteOp>(h.op);
-  // A non-integral accumulate run must not fold: floating-point
-  // accumulates are not associative, and the fold's cut points would
-  // follow eager-flush timing. A superseded set is exact for every type.
-  if (op != detail::WriteOp::kSet && !rec.ops.integral) return false;
-  std::byte* entry_value = dest_buffer(dest_node).data() + slot.offset;
-  if (op == detail::WriteOp::kSet) {
-    // Superseded set: the old entry's slot now carries the newest value.
-    std::memcpy(entry_value, value, rec.ops.size);
-  } else {
-    // Same-VP accumulate run: pre-reduce into the buffered value
-    // (apply_op so user slots fold through their registered thunk).
-    rec.apply_op(entry_value, value, op);
-  }
-  ++counters_.entries_combined;
-  return true;
 }
 
 void NodeRuntime::register_user_op(uint32_t id, int slot,
@@ -1242,10 +1168,6 @@ void NodeRuntime::register_user_op(uint32_t id, int slot,
                              slot),
         op.commutative);
   }
-}
-
-ByteWriter& NodeRuntime::dest_buffer(int dest_node) {
-  return peer(dest_node).bundle;
 }
 
 ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
@@ -1278,8 +1200,6 @@ void NodeRuntime::flush_bundle(int dest_node, bool last) {
   // allocation pool keeps steady-state flushes off the allocator.
   Bytes payload = std::move(buf).take();
   buf = ByteWriter(pool_take());
-  // Buffered-entry offsets died with the detached payload.
-  reset_combine_map(dest_node);
   rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
           std::move(payload));
   ++counters_.bundles_sent;
@@ -1299,21 +1219,9 @@ void NodeRuntime::pool_put(Bytes b) {
   }
 }
 
-void NodeRuntime::reset_combine_map(int dest_node) {
-  PeerState& ps = peer(dest_node);
-  auto& map = ps.combine;
-  size_t& hwm = ps.combine_hwm;
-  hwm = std::max(hwm, map.size());
-  map.clear();
-  // clear() keeps the bucket array in practice, but that is not
-  // guaranteed; re-reserving the high-water size makes the no-rehash
-  // steady state explicit.
-  map.reserve(hwm);
-}
-
 void NodeRuntime::maybe_eager_flush(int dest_node) {
   if (!options().eager_flush) return;
-  if (dest_buffer(dest_node).size() <
+  if (peer(dest_node).bundle.size() <
       options().flush_threshold_bytes + kBundleHeaderBytes) {
     return;
   }
@@ -1420,7 +1328,6 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
     profile.bundles_sent = counters_.bundles_sent;
     profile.fetch_stall_ns = counters_.fetch_stall_ns;
     profile.prefetch_hits = counters_.prefetch_hits;
-    profile.entries_combined = counters_.entries_combined;
     profile.blocks_migrated = counters_.blocks_migrated;
     profile.migration_bytes = counters_.migration_bytes;
     profile.reduction_bytes_saved = counters_.reduction_bytes_saved;
@@ -1468,8 +1375,6 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
     profile.fetch_stall_ns =
         counters_.fetch_stall_ns - profile.fetch_stall_ns;
     profile.prefetch_hits = counters_.prefetch_hits - profile.prefetch_hits;
-    profile.entries_combined =
-        counters_.entries_combined - profile.entries_combined;
     profile.blocks_migrated =
         counters_.blocks_migrated - profile.blocks_migrated;
     profile.migration_bytes =

@@ -352,14 +352,6 @@ class NodeRuntime {
 
   const detail::ArrayRecord& array(uint32_t id) const;
 
-  /// Charge the modeled per-access software overhead to the calling core.
-  /// Inline: it sits on the fast path of every shared read.
-  void charge_access() {
-    if (opts_.access_overhead_ns > 0) {
-      engine_->advance_ns(opts_.access_overhead_ns);
-    }
-  }
-
   /// Bump the bundling counter from the handles' inline cached-read path.
   void note_cache_hit() { ++counters_.reads_from_cache; }
 
@@ -432,8 +424,7 @@ class NodeRuntime {
   /// Bulk contiguous read: elements [first, first+count) of the array's
   /// phase-start snapshot into `out`. Equivalent to count read_elem calls
   /// but resolves ownership per contiguous segment (memcpy for local or
-  /// cached runs, batched fetches for missing blocks) and charges the
-  /// modeled per-access overhead at the gather rate (one per 8 elements).
+  /// cached runs, batched fetches for missing blocks).
   void read_span(uint32_t id, uint64_t first, uint64_t count,
                  std::byte* out);
   /// Bulk contiguous deferred write: equivalent to count write_elem calls
@@ -526,7 +517,6 @@ class NodeRuntime {
     uint64_t fetch_stall_ns = 0;    // VP time parked on remote fetches
     uint64_t prefetch_issued = 0;   // lookahead block fetches sent
     uint64_t prefetch_hits = 0;     // prefetched blocks demanded before use
-    uint64_t entries_combined = 0;  // writes folded into buffered entries
     uint64_t reduction_bytes_saved = 0;  // see RunResult
     uint64_t blocks_migrated = 0;   // migration blocks sent to a new owner
     uint64_t migration_bytes = 0;   // element bytes those blocks carried
@@ -572,7 +562,6 @@ class NodeRuntime {
     uint64_t bundles_sent = 0;
     uint64_t fetch_stall_ns = 0;     // VP time parked on fetches in it
     uint64_t prefetch_hits = 0;      // prefetched blocks demanded in it
-    uint64_t entries_combined = 0;   // writes combined away in it
     uint64_t blocks_migrated = 0;    // blocks this node shipped at commit
     uint64_t migration_bytes = 0;    // bytes those blocks carried
     uint64_t reduction_bytes_saved = 0;  // reduce wire-byte savings
@@ -698,23 +687,12 @@ class NodeRuntime {
       sizeof(uint64_t) + sizeof(uint8_t);
   static constexpr size_t kBundleLastOffset = sizeof(uint64_t);
   static constexpr size_t kBundlePoolMax = 16;
-  // A destination's combine map forgets its entries once it tracks this
-  // many elements, so its footprint stays bounded however many compact
-  // records a fragment holds (~3,900 int64 updates per 64 KiB); a map
-  // that grows with them costs the write path cache misses on every
-  // insert. Forgetting forfeits combining with the older entries, never
-  // correctness.
-  static constexpr size_t kCombineMapMax = 2048;
-  ByteWriter& dest_buffer(int dest_node);
-  /// dest_buffer plus lazily written fragment header.
+  /// The destination's pending-write buffer, fragment header written
+  /// lazily.
   ByteWriter& bundle_buffer(int dest_node);
   /// Patch the last-flag, detach the payload, reseed the buffer from the
-  /// pool and reset the destination's combine map, then ship the payload.
+  /// pool, then ship the payload.
   void flush_bundle(int dest_node, bool last);
-  /// Fold this write into an earlier buffered entry for the same (array,
-  /// element) when legal (same VP, compatible op). True when combined.
-  bool try_combine(int dest_node, const detail::RecordHead& h,
-                   const std::byte* value, const detail::ArrayRecord& rec);
   void maybe_eager_flush(int dest_node);
   /// End the epoch's write stream: ship every pending fragment and this
   /// node's last markers, in the direct or the sparse form that
@@ -724,9 +702,6 @@ class NodeRuntime {
 
   Bytes pool_take();
   void pool_put(Bytes b);
-  /// Clear a destination's combine map but keep its table at high-water
-  /// capacity, so steady-state flushes stop rehashing from empty.
-  void reset_combine_map(int dest_node);
 
   // Locality engine (all nodes run these at the same global commits).
   /// Deterministic cluster-wide predicate: does this commit run a
@@ -805,26 +780,6 @@ class NodeRuntime {
   ByteWriter local_log_;
   std::vector<Bytes> bundle_pool_;
 
-  // Sender-side write combining: per destination, the buffer offset of the
-  // last entry written to each (array, element) plus the VP/op that wrote
-  // it. Cleared whenever the destination's buffer is flushed.
-  struct ElemKey {
-    uint32_t array;
-    uint64_t index;
-    bool operator==(const ElemKey&) const = default;
-  };
-  struct ElemKeyHash {
-    size_t operator()(const ElemKey& k) const {
-      return std::hash<uint64_t>()((static_cast<uint64_t>(k.array) << 48) ^
-                                   k.index * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-  struct CombineSlot {
-    size_t offset = 0;  // the entry's value bytes within the dest buffer
-    uint64_t vp_rank = 0;
-    uint8_t op = 0;
-  };
-
   // Locality engine state. mig_inbox_ stages inbound kMigrateBlock
   // payloads (appended by the service fiber, applied by the commit path
   // once its own outbound copies are serialized).
@@ -884,8 +839,6 @@ class NodeRuntime {
   struct PeerState {
     ByteWriter bundle;  // pending write entries (fragment header inline)
     uint64_t marker_epoch = ~uint64_t{0};  // last epoch in marker_peers_
-    std::unordered_map<ElemKey, CombineSlot, ElemKeyHash> combine;
-    size_t combine_hwm = 0;
     std::vector<QueuedFetch> fetch_backlog;
   };
   std::unordered_map<int, PeerState> peers_;

@@ -117,7 +117,6 @@ class GlobalShared {
     // distributions, so this branch cannot trigger for them).
     const uint64_t rel = i - chunk_base_;
     if (rel < chunk_len_) [[likely]] {
-      rt_->charge_access();
       return local_data_[rel];
     }
     // Remote element of a kBlock or kAdaptive array: the locator names
@@ -128,7 +127,6 @@ class GlobalShared {
         !rec_->remote_block_ptr.empty()) {
       const auto at = rec_->place(i);
       if (const std::byte* block = rec_->remote_block_ptr[at.slot]) {
-        rt_->charge_access();
         rt_->note_cache_hit();
         rt_->note_access(*rec_, i);
         return *reinterpret_cast<const T*>(block + at.in_block * sizeof(T));
@@ -270,7 +268,6 @@ class NodeShared {
 
   T get(uint64_t i) const {
     if (i < n_) [[likely]] {
-      rt_->charge_access();
       return data_[i];  // committed storage: phase-start values
     }
     T out;

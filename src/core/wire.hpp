@@ -181,11 +181,9 @@ inline size_t put_record_head(std::byte* out, const RecordHead& h) {
   return static_cast<size_t>(p - out);
 }
 
-/// Append one record, head then `value_bytes` of values, and return the
-/// offset of the values in `w` (write combining folds later values into
-/// them in place).
-inline size_t put_record(ByteWriter& w, const RecordHead& h,
-                         const std::byte* values, size_t value_bytes) {
+/// Append one record, head then `value_bytes` of values.
+inline void put_record(ByteWriter& w, const RecordHead& h,
+                       const std::byte* values, size_t value_bytes) {
   std::byte head[kMaxRecordHeadBytes];
   const size_t n = put_record_head(head, h);
   // One growth operation per record: this sits on the hot path of every
@@ -193,7 +191,6 @@ inline size_t put_record(ByteWriter& w, const RecordHead& h,
   std::byte* out = w.extend(n + value_bytes);
   std::memcpy(out, head, n);
   std::memcpy(out + n, values, value_bytes);
-  return w.size() - value_bytes;
 }
 
 /// Decode one record head at [p, end) into *h and return the position of

@@ -18,7 +18,7 @@
 //     VPs hit distinct elements), or a single accumulate kind (kAdd/kMin/
 //     kMax/kMul and the registered kUser0 XOR all commute exactly with
 //     themselves on uint64, so the commit may apply a single-op batch
-//     unordered and the sender may fold same-VP runs);
+//     unordered);
 //   * values written to GLOBAL arrays never read node-shared state (whose
 //     contents legitimately depend on the node count);
 //   * node phases touch node-shared arrays only.

@@ -191,7 +191,7 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
         1 + static_cast<uint32_t>(rng.next_below(64));
     c.runtime.chunk_size = rng.next_below(2) == 0 ? 0 : 1 + rng.next_below(4);
     c.runtime.profile_phases = rng.next_below(4) == 0;
-    c.runtime.access_overhead_ns = rng.next_below(2) == 0 ? 0 : 20;
+    (void)rng.next_below(2);  // unused; keeps later draws and --replay stable
     c.runtime.validate_phases = rng.next_below(4) != 0;
     c.runtime.validate_fail_fast = c.runtime.validate_phases;
     if (c.machine.nodes > 1 && rng.next_below(2) == 0) {
@@ -398,8 +398,6 @@ Verdict run_differential(const ProgramSpec& spec,
             wdiff("reads_from_cache", ref.remote_reads_served_from_cache,
                   b.remote_reads_served_from_cache),
             wdiff("fetch_stall_ns", ref.fetch_stall_ns, b.fetch_stall_ns),
-            wdiff("entries_combined", ref.entries_combined,
-                  b.entries_combined),
             wdiff("reduction_bytes_saved", ref.reduction_bytes_saved,
                   b.reduction_bytes_saved),
             wdiff("blocks_migrated", ref.blocks_migrated,

@@ -5,10 +5,11 @@
 // for exactly commutative/associative ops (integer add/min/max/mul, a
 // registered XOR), remote records shipped in write bundles commit
 // bit-identical state to the local log — the path every element takes in
-// a 1-node run — under every distribution, with sender-side combining,
-// across a migration epoch; accumulate ships exactly the bytes of the
-// matching add()/max_update()/add_n() and never fetches. Non-commutative
-// user ops on conflicting elements are a reportable ppm::check violation.
+// a 1-node run — under every distribution and across a migration epoch;
+// accumulate ships exactly the bytes of the matching add()/max_update()/
+// add_n() and never fetches. Non-commutative user ops on conflicting
+// elements are a reportable ppm::check violation, and commit alike on
+// every node count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,8 +42,7 @@ PpmConfig cfg(int nodes) {
 /// One accumulate-heavy program over a single array of the given
 /// distribution: seed, then three rounds mixing every accumulate flavor
 /// (scalar add/min/max/mul/xor plus an accumulate_n run), with scattered
-/// mostly-remote targets. Every VP's add is a same-VP run of two, which
-/// the sender folds into one buffered item when the target is remote.
+/// mostly-remote targets. Every VP's add is a same-VP run of two records.
 /// kMixedVps VPs are split evenly over the nodes, so on one node every
 /// element takes the plain deferred-write path. Returns final contents
 /// (read on node 0) and the run statistics.
@@ -92,15 +92,12 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
 
 TEST(CoreAccumulate, MultiNodeMatchesOneNodeEveryDistribution) {
   // The differential contract on a hand-sized program: remote records
-  // shipped in bundles on 3 nodes, with their same-VP runs folded at the
-  // sender, and the local log of the 1-node run, where every entry is
-  // logged and applied on its own, commit the same bits under kBlock,
-  // kCyclic, and kAdaptive.
+  // shipped in bundles on 3 nodes and the local log of the 1-node run
+  // commit the same bits under kBlock, kCyclic, and kAdaptive.
   RunResult local_stats;
   const auto local = run_mixed(cfg(1), Distribution::kBlock,
                                /*rebalance_mid=*/false, &local_stats);
   ASSERT_EQ(local.size(), kN);
-  EXPECT_EQ(local_stats.entries_combined, 0u);
   EXPECT_EQ(local_stats.network_bytes, 0u);
   for (const Distribution dist :
        {Distribution::kBlock, Distribution::kCyclic,
@@ -109,7 +106,6 @@ TEST(CoreAccumulate, MultiNodeMatchesOneNodeEveryDistribution) {
     const auto got = run_mixed(cfg(3), dist, /*rebalance_mid=*/false, &stats);
     EXPECT_EQ(got, local) << "distribution " << static_cast<int>(dist);
     EXPECT_EQ(stats.write_entries, local_stats.write_entries);
-    EXPECT_GT(stats.entries_combined, 0u);
   }
 }
 
@@ -134,38 +130,6 @@ TEST(CoreAccumulate, BitIdenticalAcrossMigrationEpoch) {
                                 /*rebalance_mid=*/true));
   // And against the never-migrating layouts.
   EXPECT_EQ(migrated, run_mixed(cfg(3), Distribution::kBlock));
-}
-
-TEST(CoreAccumulate, SameVpRunsAreCombined) {
-  // A VP repeatedly accumulating the same element with one op is a
-  // foldable run: the combiner must ship it exactly like one accumulate
-  // of the run's sum, while leaving the committed sum exact.
-  auto program = [](int repeats) {
-    uint64_t got = 0;
-    RunResult r = run(cfg(2), [&](Env& env) {
-      auto a = env.global_array<uint64_t>(16);
-      auto vps = env.ppm_do(2);
-      vps.global_phase([&](Vp& vp) {
-        const uint64_t total = 8 * (vp.global_rank() + 1);
-        for (int k = 0; k < repeats; ++k) {
-          a.accumulate(12, ReduceOp::kAdd,
-                       total / static_cast<uint64_t>(repeats));
-        }
-      });
-      vps.global_phase([&](Vp&) {
-        if (env.node_id() == 0) got = a.get(12);
-      });
-    });
-    EXPECT_EQ(got, 8u * (1 + 2 + 3 + 4));
-    return r;
-  };
-  const RunResult run8 = program(8);
-  const RunResult once = program(1);
-  // Element 12 is node 1's: node 0's two VPs each fold 7 of their 8.
-  EXPECT_EQ(run8.entries_combined, 2u * 7u);
-  EXPECT_EQ(once.entries_combined, 0u);
-  EXPECT_EQ(run8.network_bytes, once.network_bytes);
-  EXPECT_EQ(run8.network_messages, once.network_messages);
 }
 
 TEST(CoreAccumulate, ShipsTheBytesOfAddAndFetchesNothing) {
@@ -623,6 +587,40 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
   const uint64_t two_nodes = program(2);
   EXPECT_EQ(two_nodes, 6u);  // 2*3 + rank 0
   EXPECT_EQ(two_nodes, program(1));
+}
+
+TEST(CoreAccumulate, NonCommutativeSameVpRunCommitsAlikeOnEveryNodeCount) {
+  // One VP applies x = 2x + v twice to one element. Each write is its own
+  // record, applied in seq order at the owner, so the element commits
+  // 2 * (2 * 5 + 1) + 1 = 23 whether it is local (1 node) or remote (on
+  // 2 nodes node 1 owns it), and ppm::check sees both entries either way.
+  for (const int nodes : {1, 2}) {
+    PpmConfig c;
+    c.machine.nodes = nodes;
+    c.machine.cores_per_node = 1;
+    c.runtime.validate_phases = true;
+    uint64_t got = 0;
+    const RunResult r = run(c, [&](Env& env) {
+      auto a = env.global_array<uint64_t>(16);
+      env.register_accum_op<uint64_t>(
+          a, 0, +[](uint64_t& x, const uint64_t& v) { x = 2 * x + v; },
+          /*commutative=*/false);
+      auto vps = env.ppm_do(1);
+      vps.global_phase([&](Vp& vp) {
+        if (vp.global_rank() == 0) a.set(12, 5);
+      });
+      vps.global_phase([&](Vp& vp) {
+        if (vp.global_rank() != 0) return;
+        a.accumulate(12, ReduceOp::kUser0, 1);
+        a.accumulate(12, ReduceOp::kUser0, 1);
+      });
+      vps.global_phase([&](Vp& vp) {
+        if (vp.global_rank() == 0) got = a.get(12);
+      });
+    });
+    EXPECT_EQ(got, 23u) << "nodes=" << nodes;
+    EXPECT_EQ(r.check_report.non_commutative_accums, 1u) << "nodes=" << nodes;
+  }
 }
 
 TEST(CoreAccumulate, CommutativeConflictsStayClean) {

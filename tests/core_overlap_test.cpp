@@ -1,8 +1,8 @@
-// The overlap engine: VP miss-switching, lookahead prefetch, and
-// sender-side write combining. The load-bearing property is that none of
-// them changes committed state — miss-switching and prefetch are
-// bit-identical on or off, and combined writes commit what the 1-node
-// run, which never combines, commits — plus counters that prove each
+// The overlap engine: VP miss-switching and lookahead prefetch, plus the
+// write records a run of duplicate writes ships. The load-bearing
+// property is that none of them changes committed state — miss-switching
+// and prefetch are bit-identical on or off, and remote records commit
+// what the 1-node run's local log commits — plus counters that prove each
 // mechanism engaged.
 #include <gtest/gtest.h>
 
@@ -203,47 +203,38 @@ RunResult run_dup_writes(int adds, T base, T step, T* out_val) {
   });
 }
 
-TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
+// Every write ships as its own record: a run of 8 adds carries more bytes
+// than one add of the run's sum, and commits the (VP rank, seq)-order
+// fold. On int64 that fold is exact. On a double base of 2^60 (ulp 256)
+// each add of 100 rounds away, so the fold is the base itself, while one
+// add of 800 lands on base + 768.
+TEST(Overlap, DuplicateWritesShipEveryRecord) {
   int64_t val_run = 0, val_once = 0;
   const RunResult runs = run_dup_writes<int64_t>(8, 0, 5, &val_run);
   const RunResult once = run_dup_writes<int64_t>(1, 0, 40, &val_once);
   EXPECT_EQ(val_run, 40);
   EXPECT_EQ(val_once, 40);
-  EXPECT_EQ(runs.entries_combined, 4u * 7u);
-  EXPECT_EQ(once.entries_combined, 0u);
-  // Each VP's run of 8 ships as one entry: the wire carries exactly what
-  // one add of the run's sum carries.
-  EXPECT_EQ(runs.network_bytes, once.network_bytes);
-  EXPECT_EQ(runs.network_messages, once.network_messages);
-  // write_entries counts issued writes (the 4 sets included), which
-  // combining does not change.
-  EXPECT_EQ(runs.write_entries, 4u + 4u * 8u);
-}
-
-// Floating-point adds do not associate, so a run of them ships
-// uncombined and commits the (VP rank, seq)-order fold. On a base of
-// 2^60 (ulp 256) each add of 100 rounds away, so that fold is the base
-// itself, while the pre-folded run (one add of 800) lands on base + 768.
-TEST(Overlap, FloatingPointRunsShipUncombined) {
-  const double base = 0x1p60;
-  double val_run = 0, val_once = 0;
-  const RunResult runs = run_dup_writes<double>(8, base, 100.0, &val_run);
-  const RunResult once = run_dup_writes<double>(1, base, 800.0, &val_once);
-  EXPECT_EQ(val_run, base);
-  EXPECT_EQ(val_once, base + 768.0);
-  EXPECT_EQ(runs.entries_combined, 0u);
-  // All 8 entries of each VP ship.
   EXPECT_GT(runs.network_bytes, once.network_bytes);
+  // write_entries counts issued writes, the 4 sets included.
   EXPECT_EQ(runs.write_entries, 4u + 4u * 8u);
+
+  const double base = 0x1p60;
+  double fp_run = 0, fp_once = 0;
+  const RunResult fp_runs = run_dup_writes<double>(8, base, 100.0, &fp_run);
+  const RunResult fp_one = run_dup_writes<double>(1, base, 800.0, &fp_once);
+  EXPECT_EQ(fp_run, base);
+  EXPECT_EQ(fp_once, base + 768.0);
+  EXPECT_GT(fp_runs.network_bytes, fp_one.network_bytes);
+  EXPECT_EQ(fp_runs.write_entries, 4u + 4u * 8u);
 }
 
-// On 2 nodes the element is remote and the writes combine; on 1 node it
-// is local and every entry commits on its own.
-TEST(Overlap, CombiningPreservesSetAddInterleavings) {
+// On 2 nodes the element is remote and its five records ship in one
+// bundle; on 1 node it is local. Either way they commit in seq order.
+TEST(Overlap, SetAddInterleavingsCommitInOrder) {
   for (const int nodes : {2, 1}) {
     PpmConfig c = cfg(nodes, 1);
     int64_t got = -1;
-    RunResult r = run(c, [&](Env& env) {
+    run(c, [&](Env& env) {
       auto a = env.global_array<int64_t>(8);
       auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       vps.global_phase([&](Vp&) {
@@ -251,30 +242,23 @@ TEST(Overlap, CombiningPreservesSetAddInterleavings) {
         a.add(5, 3);
         a.set(5, 2);   // supersedes everything above
         a.add(5, 4);
-        a.add(5, 1);   // folds into the previous add when combining
+        a.add(5, 1);
       });
       auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
     EXPECT_EQ(got, 7) << "nodes=" << nodes;
-    if (nodes == 2) {
-      EXPECT_GE(r.entries_combined, 1u);
-    } else {
-      EXPECT_EQ(r.entries_combined, 0u);
-    }
   }
 }
 
 // The same interleaving on doubles, around a 2^60 set whose ulp (256)
 // swallows each later add: in (VP rank, seq) order the element ends at
-// exactly 2^60 on both node counts, where folding the two adds (4 + 1 on
-// top of 2^60 - 3) would not. Nothing combines: the supersede candidates
-// are separated by adds, and the adds are floating point.
+// exactly 2^60 on both node counts, where folding the two adds would not.
 TEST(Overlap, FloatingPointSetAddInterleavingsCommitInOrder) {
   for (const int nodes : {2, 1}) {
     PpmConfig c = cfg(nodes, 1);
     double got = -1;
-    RunResult r = run(c, [&](Env& env) {
+    run(c, [&](Env& env) {
       auto a = env.global_array<double>(8);
       auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       vps.global_phase([&](Vp&) {
@@ -282,13 +266,12 @@ TEST(Overlap, FloatingPointSetAddInterleavingsCommitInOrder) {
         a.add(5, 3.0);
         a.set(5, 0x1p60);
         a.add(5, 100.0);  // below half an ulp of 2^60: rounds away
-        a.add(5, 100.0);  // folded with the previous: 200 rounds up
+        a.add(5, 100.0);  // 200 in one add would round up
       });
       auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
     EXPECT_EQ(got, 0x1p60) << "nodes=" << nodes;
-    EXPECT_EQ(r.entries_combined, 0u) << "nodes=" << nodes;
   }
 }
 

@@ -332,22 +332,6 @@ TEST(RuntimeMisuse, ZeroSizedArrayRejected) {
                Error);
 }
 
-TEST(RuntimeOverhead, ModeledAccessOverheadChargesTime) {
-  PpmConfig slow = cfg(1, 1);
-  slow.runtime.access_overhead_ns = 100;
-  PpmConfig fast = cfg(1, 1);
-  fast.runtime.access_overhead_ns = 0;
-
-  auto program = [](Env& env) {
-    auto a = env.node_array<double>(1000);
-    auto vps = env.ppm_do(1000);
-    vps.node_phase([&](Vp& vp) { a.set(vp.node_rank(), 1.0); });
-  };
-  const RunResult r_slow = run(slow, program);
-  const RunResult r_fast = run(fast, program);
-  EXPECT_GE(r_slow.duration_ns, r_fast.duration_ns + 1000 * 100);
-}
-
 TEST(RuntimeAsync, DifferentNodesDifferentWork) {
   // The paper's asynchronous mode: nodes run different K, node phases only.
   std::vector<int64_t> per_node(4, -1);

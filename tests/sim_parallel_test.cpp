@@ -136,7 +136,6 @@ void expect_equal_runs(const RunResult& x, const RunResult& y) {
   EXPECT_EQ(x.write_entries, y.write_entries);
   EXPECT_EQ(x.bundles_sent, y.bundles_sent);
   EXPECT_EQ(x.fetch_stall_ns, y.fetch_stall_ns);
-  EXPECT_EQ(x.entries_combined, y.entries_combined);
   EXPECT_EQ(x.reduction_bytes_saved, y.reduction_bytes_saved);
 }
 

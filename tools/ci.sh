@@ -21,28 +21,32 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 declare -A builddir=([default]=build [san]=build-san [tsan]=build-tsan)
 
-echo "=== options table gate (docs/API.md vs RuntimeOptions) ==="
-# The RuntimeOptions table in docs/API.md must name exactly the fields of
-# the struct in src/core/options.hpp, so a field added or deleted without
-# its documentation row (or the reverse) fails here.
+echo "=== struct table gate (docs/API.md vs RuntimeOptions, RunResult) ==="
+# The RuntimeOptions and RunResult tables in docs/API.md must each name
+# exactly the fields of their struct in src/core/options.hpp, so a field
+# added or deleted without its documentation row (or the reverse) fails
+# here. Nested structs (RunResult::CounterRollup) are not rows.
 python3 - src/core/options.hpp docs/API.md <<'PY'
 import re, sys
 with open(sys.argv[1]) as f:
     src = f.read()
-body = re.search(r"struct RuntimeOptions \{(.*?)\n\};", src, re.S).group(1)
-body = re.sub(r"//[^\n]*", "", body)
-fields = re.findall(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;", body, re.M)
 with open(sys.argv[2]) as f:
     doc = f.read()
-section = re.search(r"^## RuntimeOptions\n(.*?)(?=^## )", doc, re.S | re.M)
-rows = re.findall(r"^\| `(\w+)` \|", section.group(1), re.M)
-assert fields, "no RuntimeOptions fields parsed"
-missing = sorted(set(fields) - set(rows))
-extra = sorted(set(rows) - set(fields))
-if missing or extra or len(rows) != len(set(rows)):
-    sys.exit(f"FAIL: docs/API.md RuntimeOptions table out of sync: "
-             f"undocumented {missing}, not in the struct {extra}")
-print(f"options table OK: {len(fields)} fields")
+for struct in ("RuntimeOptions", "RunResult"):
+    body = re.search(r"struct %s \{(.*?)\n\};" % struct, src, re.S).group(1)
+    body = re.sub(r"//[^\n]*", "", body)
+    body = re.sub(r"\n\s*struct \w+ \{.*?\n\s*\};", "", body, flags=re.S)
+    fields = re.findall(r"^\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;", body, re.M)
+    section = re.search(r"^## %s\n(.*?)(?=^## )" % struct, doc, re.S | re.M)
+    assert section, f"docs/API.md has no ## {struct} section"
+    rows = re.findall(r"^\| `(\w+)` \|", section.group(1), re.M)
+    assert fields, f"no {struct} fields parsed"
+    missing = sorted(set(fields) - set(rows))
+    extra = sorted(set(rows) - set(fields))
+    if missing or extra or len(rows) != len(set(rows)):
+        sys.exit(f"FAIL: docs/API.md {struct} table out of sync: "
+                 f"undocumented {missing}, not in the struct {extra}")
+    print(f"{struct} table OK: {len(fields)} fields")
 PY
 
 for preset in default san tsan; do

@@ -263,8 +263,7 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
   appendf(out, "\"bundles_sent\": %" PRIu64 ",\n ", r.bundles_sent);
   appendf(out, "\"fetch_stall_ns\": %" PRIu64 ", ", r.fetch_stall_ns);
   appendf(out, "\"prefetch_issued\": %" PRIu64 ", ", r.prefetch_issued);
-  appendf(out, "\"prefetch_hits\": %" PRIu64 ", ", r.prefetch_hits);
-  appendf(out, "\"entries_combined\": %" PRIu64 ",\n ", r.entries_combined);
+  appendf(out, "\"prefetch_hits\": %" PRIu64 ",\n ", r.prefetch_hits);
   appendf(out, "\"blocks_migrated\": %" PRIu64 ", ", r.blocks_migrated);
   appendf(out, "\"migration_bytes\": %" PRIu64 ", ", r.migration_bytes);
   appendf(out, "\"remote_to_local_conversions\": %" PRIu64 ",\n",
