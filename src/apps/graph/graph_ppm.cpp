@@ -109,14 +109,7 @@ std::vector<int64_t> components_ppm(Env& env, const Graph& full,
   // Push-style label propagation: every vertex offers its label to all
   // neighbors; min_update keeps the smallest. Fixpoint when no label
   // changed anywhere.
-  for (int round = 0;; ++round) {
-    if (round == 1) {
-      // One propagation round has profiled the real access pattern; for
-      // owner-mapped arrays, ask the locality engine to pull hot label
-      // blocks toward their dominant readers at the next commit (no-op
-      // for static layouts or when automatic migration is already on).
-      env.rebalance(label);
-    }
+  for (;;) {
     uint64_t changed_local = 0;
     vps.global_phase([&](Vp& vp) {
       const uint64_t v = part.vertices[vp.node_rank()];

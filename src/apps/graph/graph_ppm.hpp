@@ -8,10 +8,9 @@
 // communication implicit.
 //
 // Pass Distribution::kAdaptive for the vertex-state arrays (with
-// RuntimeOptions::adaptive_distribution, or relying on the rebalance()
-// hint in components_ppm) to let the locality engine migrate hot blocks
-// toward their dominant readers; results are bit-identical under every
-// distribution.
+// RuntimeOptions::adaptive_distribution) to let the locality engine
+// migrate hot blocks toward their dominant readers; results are
+// bit-identical under every distribution.
 #pragma once
 
 #include "apps/graph/graph.hpp"

@@ -66,13 +66,11 @@ struct RuntimeOptions {
   /// arrays. Off, kAdaptive arrays keep their initial block-aligned layout
   /// unless a program requests a one-shot planning round through
   /// rebalance(). Either way the plan is computed identically on every
-  /// node from allgathered access counters, so no extra coordination
-  /// rounds are needed and committed logical contents are unaffected.
+  /// node from allgathered read-epoch counters (a block moves only to a
+  /// node that read it in strictly more epochs than its owner did), so no
+  /// extra coordination rounds are needed and committed logical contents
+  /// are unaffected.
   bool adaptive_distribution = false;
-  /// Migrate a block only when its dominant remote accessor recorded at
-  /// least this many times the owner's own accesses since the last
-  /// planning round (hysteresis against ping-ponging).
-  double migrate_remote_ratio = 2.0;
   /// Cap on blocks moved per planning round across all arrays (bounds the
   /// commit-time migration burst).
   uint32_t migrate_max_blocks_per_phase = 64;
@@ -170,8 +168,10 @@ struct RunResult {
   /// sending side) and the element bytes they carried over the wire.
   uint64_t blocks_migrated = 0;
   uint64_t migration_bytes = 0;
-  /// Accesses the planner observed going remote that its accepted moves
-  /// turned local (each counted once, on the node that gains the block).
+  /// Read-epochs the planner observed going remote that its accepted
+  /// moves turned local: per moved block, the epochs in which the gaining
+  /// node read it since the last planning round (each counted once, on
+  /// the node that gains the block).
   uint64_t remote_to_local_conversions = 0;
   /// Findings of the phase-semantics sanitizer, merged over all nodes.
   /// Populated only when RuntimeOptions::validate_phases was set.

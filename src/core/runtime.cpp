@@ -327,6 +327,7 @@ uint32_t NodeRuntime::create_array(bool global, uint64_t n,
         }
       }
       rec.access_count.assign(rec.mig_blocks, 0);
+      rec.access_epoch.assign(rec.mig_blocks, ~uint64_t{0});  // no epoch
       // Slotted storage: cap_blocks full slots per node. Setting chunk to
       // the slot extent makes the bundling setup below size the block
       // table so read-cache blocks coincide with migration slots.
@@ -880,7 +881,6 @@ void NodeRuntime::gather_elems(uint32_t id,
     const uint64_t index = indices[pos];
     PPM_CHECK(index < rec.n, "gather index %llu out of range",
               static_cast<unsigned long long>(index));
-    note_access(rec, index);
     const int owner = rec.global ? rec.owner_of(index) : node_;
     if (owner == node_) {
       const uint64_t local = rec.global ? rec.local_of(index) : index;
@@ -958,9 +958,7 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     const int owner = at.owner;
     const uint64_t seg_end = segment_end(rec, g, end, owner);
     const uint64_t len = seg_end - g;
-    if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[rec.mig_div.div(g)] += len;
-    }
+    note_access(rec, g);  // a kAdaptive segment lies in one migration block
     std::byte* dst = out + (g - first) * esz;
     if (owner == node_) {
       std::memcpy(dst, rec.storage.data() + at.local * esz, len * esz);
@@ -1053,7 +1051,6 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     // as write_elem).
     for (uint64_t j = 0; j < count; ++j) {
       const uint64_t g = first + j;
-      note_access(rec, g);
       if (rec.global) {
         PPM_CHECK(rec.owner_of(g) == node_,
                   "write to remote global element outside a phase");
@@ -1078,9 +1075,6 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
     const uint64_t seg_end =
         rec.global ? segment_end(rec, g, end, owner) : end;
     const uint32_t len = static_cast<uint32_t>(seg_end - g);
-    if (!rec.access_count.empty()) [[unlikely]] {
-      rec.access_count[rec.mig_div.div(g)] += len;
-    }
     // One range record per owner segment: ONE (vp_rank, seq) pair for the
     // whole run, committing as a unit at that position — bit-identical
     // to len consecutive scalar writes (a VP's entries apply in seq
@@ -1112,7 +1106,6 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   PPM_CHECK(index < rec.n, "write index %llu out of range (size %llu)",
             static_cast<unsigned long long>(index),
             static_cast<unsigned long long>(rec.n));
-  note_access(rec, index);
 
   if (phase_scope_ == PhaseScope::kNone) {
     // Outside phases only the node program runs; writes apply immediately.
@@ -1522,11 +1515,11 @@ void NodeRuntime::commit_global() {
   staged_last_markers_.erase(epoch_);
 
   // 5. A planning round or a registered reduction needs every node's
-  //    payload: one allgather carries migration access counters first and
-  //    reduce partial blobs at the tail. A commit without either exchanges
-  //    nothing more. Peers that finish first tag their next reads with the
-  //    next epoch, which this node serves only after step 6's bump (and so
-  //    after its own migration round).
+  //    payload: one allgather carries migration read-epoch counters first
+  //    and reduce partial blobs at the tail. A commit without either
+  //    exchanges nothing more. Peers that finish first tag their next
+  //    reads with the next epoch, which this node serves only after step
+  //    6's bump (and so after its own migration round).
   const size_t reduce_tail = pending_reduce_blob_bytes();
   const size_t reduce_count = pending_reduces_.size() - reduces_resolved_;
   std::vector<Bytes> payloads;
@@ -1558,7 +1551,7 @@ void NodeRuntime::commit_global() {
   if (reduce_tail > 0) combine_reduce_partials(payloads, reduce_tail);
 
   // 5d. Migration planning round: every node computes the identical plan
-  //     from allgathered access counters, rewrites the owner maps, and
+  //     from allgathered read-epoch counters, rewrites the owner maps, and
   //     exchanges the moving block payloads. Must run after the apply
   //     above (this phase's writes were routed by the old map) and before
   //     the epoch bump below (peers' new-epoch gets stay deferred until
@@ -1641,7 +1634,7 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   rebalance_requests_.clear();
 
   // 1. Decode the counter exchange that rode on the commit allgather:
-  //    `all[n]` holds node n's access counters for the planned arrays.
+  //    `all[n]` holds node n's read-epoch counters for the planned arrays.
   const int p = node_count();
   // counts[node][array position in ids][migration block]
   std::vector<std::vector<std::vector<uint64_t>>> counts(
@@ -1656,10 +1649,13 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   }
 
   // 2. Greedy plan, computed identically everywhere from identical
-  //    inputs: a block is a candidate when some remote node out-accessed
-  //    the owner by migrate_remote_ratio; candidates move best-gain-first
-  //    (ties broken by array then block) until the per-round budget or
-  //    the destination's free slots run out. Applying a move updates the
+  //    inputs: a block is a candidate when the node that read it in the
+  //    most epochs read it in strictly more epochs than its owner. A
+  //    read-epoch is one block fetch, so the gain is the fetches the move
+  //    saves the new owner net of those it costs the old one (third
+  //    readers fetch either way). Candidates move best-gain-first (ties
+  //    broken by array then block) until the per-round budget or the
+  //    destination's free slots run out. Applying a move updates the
   //    replicated owner map and the free-slot heaps in the same
   //    deterministic order on every node.
   struct Move {
@@ -1684,13 +1680,8 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
           best_c = counts[static_cast<size_t>(n)][a][b];
         }
       }
-      if (best == cur || best_c == 0) continue;
       const uint64_t cur_c = counts[static_cast<size_t>(cur)][a][b];
-      if (static_cast<double>(best_c) <
-          opts_.migrate_remote_ratio *
-              static_cast<double>(std::max<uint64_t>(1, cur_c))) {
-        continue;
-      }
+      if (best_c <= cur_c) continue;  // a tie keeps the owner
       cands.push_back(Move{ids[a], b, cur, best, 0, 0, best_c - cur_c});
     }
   }
@@ -1747,8 +1738,9 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   for (const Move& m : plan) {
     if (m.to == node_) {
       ++expected;
-      // Accesses this node made remotely that the move turns local, each
-      // counted once cluster-wide (on the node gaining the block).
+      // Read-epochs this node spent on the block remotely that the move
+      // turns local, each counted once cluster-wide (on the node gaining
+      // the block).
       counters_.remote_to_local_conversions +=
           counts[static_cast<size_t>(node_)][pos_of_array[m.array]][m.block];
     }

@@ -159,10 +159,15 @@ struct ArrayRecord {
   // Per-node min-heaps of unoccupied slots, replicated and updated
   // identically everywhere by the planner (deterministic slot choice).
   std::vector<std::vector<uint32_t>> free_slots;
-  // Locality profiler: accesses per migration block since the last
-  // planning round. Mutable: recorded through const handles on the read
-  // fast path. Empty unless the array is owner-mapped.
+  // Locality profiler: per migration block, the epochs since the last
+  // planning round in which this node read the block through the
+  // block-cache read paths (get, view, read_n), and the last epoch that
+  // counted. A reader pays at most one block fetch per epoch however many
+  // elements it reads, so an epoch is the unit a move can save. Writes
+  // and gathers are not counted. Mutable: recorded through const handles
+  // on the read fast path. Empty unless the array is owner-mapped.
   mutable std::vector<uint64_t> access_count;
+  mutable std::vector<uint64_t> access_epoch;
 
   // User accumulate slots (WriteOp::kUser0..kUser2), registered through
   // Env::register_accum_op before any phase uses them. SPMD-collective:
@@ -355,13 +360,19 @@ class NodeRuntime {
   /// Bump the bundling counter from the handles' inline cached-read path.
   void note_cache_hit() { ++counters_.reads_from_cache; }
 
-  /// Locality profiler hook, called on every element access of the read/
-  /// write paths. Static-layout arrays keep access_count empty, so the
-  /// hook reduces to one never-taken branch there (same trick as the
-  /// validator's null-pointer hooks).
+  /// Locality profiler hook of the block-cache read paths (get, view,
+  /// read_n), local or remote: counts the epoch once per migration block,
+  /// on its first read in the epoch, so the count does not depend on how
+  /// the node's VPs interleave. Static-layout arrays keep access_count
+  /// empty, so the hook reduces to one never-taken branch there (same
+  /// trick as the validator's null-pointer hooks).
   void note_access(const detail::ArrayRecord& rec, uint64_t index) {
     if (!rec.access_count.empty()) [[unlikely]] {
-      ++rec.access_count[rec.mig_div.div(index)];
+      const uint64_t b = rec.mig_div.div(index);
+      if (rec.access_epoch[b] != epoch_) {
+        rec.access_epoch[b] = epoch_;
+        ++rec.access_count[b];
+      }
     }
   }
 
@@ -520,7 +531,7 @@ class NodeRuntime {
     uint64_t reduction_bytes_saved = 0;  // see RunResult
     uint64_t blocks_migrated = 0;   // migration blocks sent to a new owner
     uint64_t migration_bytes = 0;   // element bytes those blocks carried
-    uint64_t remote_to_local_conversions = 0;  // see RunResult
+    uint64_t remote_to_local_conversions = 0;  // read-epochs; see RunResult
     // Reads that entered the runtime's cold remote path (remote_ref) —
     // i.e. missed both the handle-inline local and cached-block fast
     // paths. A fully cached phase keeps this at zero.
@@ -710,9 +721,9 @@ class NodeRuntime {
   /// Arrays the next planning round covers, in ascending id order
   /// (identical on every node).
   std::vector<uint32_t> planned_array_ids() const;
-  /// From the allgathered access counters, compute the identical greedy
-  /// plan on every node, rewrite the owner maps, move block payloads via
-  /// kMigrateBlock, and reset the profiler.
+  /// From the allgathered read-epoch counters, compute the identical
+  /// greedy plan on every node, rewrite the owner maps, move block
+  /// payloads via kMigrateBlock, and reset the profiler.
   void run_migration_round(std::vector<Bytes> all_counts);
 
   // Phase engine.

@@ -186,7 +186,7 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
         static_cast<uint32_t>(rng.next_below(3));
     c.runtime.batch_fetches = rng.next_below(2) == 0;
     c.runtime.adaptive_distribution = rng.next_below(2) == 0;
-    c.runtime.migrate_remote_ratio = 1.0 + rng.next_double();
+    (void)rng.next_double();  // unused; keeps later draws and --replay stable
     c.runtime.migrate_max_blocks_per_phase =
         1 + static_cast<uint32_t>(rng.next_below(64));
     c.runtime.chunk_size = rng.next_below(2) == 0 ? 0 : 1 + rng.next_below(4);

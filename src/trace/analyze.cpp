@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -57,9 +58,8 @@ double Summary::bundling_efficiency() const {
 
 double Summary::overlap_efficiency() const {
   if (fetch_latency_ns == 0) return 0.0;
-  const double ratio = static_cast<double>(stall_ns) /
-                       static_cast<double>(fetch_latency_ns);
-  return std::max(0.0, 1.0 - ratio);
+  return 1.0 - static_cast<double>(fetch_exposed_ns) /
+                   static_cast<double>(fetch_latency_ns);
 }
 
 Summary analyze(const Trace& trace) {
@@ -78,8 +78,15 @@ Summary analyze(const Trace& trace) {
   const int nodes = trace.nodes();
   for (int n = 0; n < nodes; ++n) {
     const Recorder& rec = trace.node(n);
-    // Issue time per in-flight request id, for fetch-latency matching.
-    std::unordered_map<uint64_t, int64_t> issue_t;
+    // Per request id: issue time, counted response time, and the start
+    // of the earliest stall parked on it, for fetch-latency matching.
+    struct Fetch {
+      int64_t issued = 0;
+      int64_t done = 0;
+      bool counted = false;
+      int64_t first_park = std::numeric_limits<int64_t>::max();
+    };
+    std::unordered_map<uint64_t, Fetch> fetch_of;
     // The phase currently open on this node, for stall attribution.
     NodePhase* open = nullptr;
     for (const Event& e : rec.ordered()) {
@@ -121,17 +128,17 @@ Summary analyze(const Trace& trace) {
           break;
         case EventKind::kFetchIssued:
           ++s.fetches;
-          issue_t[e.c] = e.t_ns;
+          fetch_of[e.c] = Fetch{.issued = e.t_ns};
           ++blocks[{static_cast<uint32_t>(e.a), e.b}].fetches;
           break;
         case EventKind::kFetchDone: {
-          const auto it = issue_t.find(e.c);
-          if (it != issue_t.end()) {
-            if ((e.flags & kFlagBit0) == 0 && e.t_ns > it->second) {
-              s.fetch_latency_ns +=
-                  static_cast<uint64_t>(e.t_ns - it->second);
-            }
-            issue_t.erase(it);
+          const auto it = fetch_of.find(e.c);
+          if (it != fetch_of.end() && (e.flags & kFlagBit0) == 0 &&
+              e.t_ns > it->second.issued) {
+            it->second.done = e.t_ns;
+            it->second.counted = true;
+            s.fetch_latency_ns +=
+                static_cast<uint64_t>(e.t_ns - it->second.issued);
           }
           break;
         }
@@ -141,6 +148,9 @@ Summary analyze(const Trace& trace) {
               e.t_ns > since ? static_cast<uint64_t>(e.t_ns - since) : 0;
           s.stall_ns += stalled;
           if (open != nullptr) open->stall_ns += stalled;
+          if (const auto it = fetch_of.find(e.a); it != fetch_of.end()) {
+            it->second.first_park = std::min(it->second.first_park, since);
+          }
           break;
         }
         case EventKind::kMsgSend:
@@ -150,6 +160,15 @@ Summary analyze(const Trace& trace) {
         default:
           break;
       }
+    }
+    // Exposed latency: from the earliest parked waiter to the response,
+    // over the fetches the latency sum counts. Clamping the park into
+    // [issue, response] keeps each fetch's share within its latency; a
+    // fetch no waiter parked on clamps to its response and exposes 0.
+    for (const auto& [req, f] : fetch_of) {
+      if (!f.counted) continue;
+      s.fetch_exposed_ns += static_cast<uint64_t>(
+          f.done - std::clamp(f.first_park, f.issued, f.done));
     }
   }
 
@@ -287,11 +306,12 @@ std::string Summary::to_string() const {
              static_cast<unsigned long long>(cache_hits),
              static_cast<unsigned long long>(cache_misses));
   out += fmt(buf, sizeof(buf),
-             "  overlap efficiency %.3f (stall %.1f us / fetch latency "
-             "%.1f us over %llu fetches)\n",
-             overlap_efficiency(), static_cast<double>(stall_ns) * 1e-3,
+             "  overlap efficiency %.3f (exposed %.1f us / fetch latency "
+             "%.1f us over %llu fetches; VP stall %.1f us)\n",
+             overlap_efficiency(), static_cast<double>(fetch_exposed_ns) * 1e-3,
              static_cast<double>(fetch_latency_ns) * 1e-3,
-             static_cast<unsigned long long>(fetches));
+             static_cast<unsigned long long>(fetches),
+             static_cast<double>(stall_ns) * 1e-3);
   if (messages > 0 || fault_delay_ns > 0) {
     out += fmt(buf, sizeof(buf),
                "  fabric: %llu messages, fault-injected delay %.1f us\n",

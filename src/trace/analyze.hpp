@@ -77,6 +77,9 @@ struct Summary {
   uint64_t cache_misses = 0;
   uint64_t fetches = 0;
   uint64_t fetch_latency_ns = 0;  // issue->response, matched by request id
+  /// Of fetch_latency_ns, the part some VP waited out: per counted fetch,
+  /// its earliest parked waiter's stall start -> response.
+  uint64_t fetch_exposed_ns = 0;
   uint64_t stall_ns = 0;          // VP time actually parked on fetches
   uint64_t messages = 0;          // fabric sends recorded
   uint64_t fault_delay_ns = 0;    // fault-injected extra delay, summed
@@ -85,7 +88,8 @@ struct Summary {
   /// after the first of a block was served locally.
   double bundling_efficiency() const;
   /// Fraction of in-flight fetch latency hidden behind computation:
-  /// 1 - stall/latency. 1 means fetches never parked a VP.
+  /// 1 - exposed/latency, in [0, 1]. 1 means fetches never parked a VP.
+  /// Waiters parked on one fetch expose its latency once, not per VP.
   double overlap_efficiency() const;
 
   /// Human-readable report, printed by `ppm_cli --profile` under tracing.

@@ -139,10 +139,10 @@ TEST(Migration, ContentsMatchStaticLayoutsAndBlocksMove) {
 }
 
 TEST(Migration, SchedulePolicyDoesNotChangeThePlan) {
-  // Access counters sum per-element contributions, so they are identical
-  // under any VP-to-core schedule — and with them the migration plan and
-  // the traffic it saves. Static vs dynamic scheduling must agree on the
-  // counters, not just on contents.
+  // A node's read-epoch counter counts each block once per epoch, however
+  // its VPs interleave, so it is identical under any VP-to-core schedule
+  // — and with it the migration plan and the traffic it saves. Static vs
+  // dynamic scheduling must agree on the counters, not just on contents.
   auto run_sched = [&](SchedulePolicy sched) {
     PpmConfig c = cfg(3, 3);
     c.runtime.adaptive_distribution = true;
@@ -193,6 +193,86 @@ TEST(Migration, SkewedAccessSavesNetworkBytes) {
     return r.network_bytes;
   };
   EXPECT_LT(traffic(true), traffic(false));
+}
+
+// ---------------------------------------------------------------------------
+// The profile's unit: read-epochs through the block cache
+// ---------------------------------------------------------------------------
+
+TEST(Migration, EveryNodeReadingEveryBlockMovesNothing) {
+  // A reader pays one block fetch per epoch however many elements it
+  // reads. When every node reads every block in every epoch, no move
+  // saves a fetch, so none may happen — even though node 0 reads 64
+  // times the elements of any other node.
+  PpmConfig c = cfg(4);
+  c.runtime.adaptive_distribution = true;
+  const uint64_t n = 24 * 16;  // 48 blocks of 8 int64s, 12 per node
+  const RunResult r = run(c, [&](Env& env) {
+    auto a = env.global_array<int64_t>(n, Distribution::kAdaptive);
+    const bool heavy = env.node_id() == 0;
+    auto vps = env.ppm_do(1);
+    for (int round = 0; round < 4; ++round) {
+      vps.global_phase([&](Vp&) {
+        // Node 0: every element 8 times. The others: one per block.
+        for (int rep = 0; rep < (heavy ? 8 : 1); ++rep) {
+          for (uint64_t i = 0; i < n; i += heavy ? 1 : 8) (void)a.get(i);
+        }
+      });
+    }
+  });
+  EXPECT_EQ(r.blocks_migrated, 0u);
+  EXPECT_EQ(r.remote_to_local_conversions, 0u);
+}
+
+TEST(Migration, RemoteWritesAloneMoveNothing) {
+  // A remote write is one streamed record that never stalls a VP, so
+  // writes alone do not price a move: each node accumulating into the
+  // other's half leaves every block with its owner.
+  PpmConfig c = cfg(2);
+  c.runtime.adaptive_distribution = true;
+  const uint64_t n = 24 * 8;  // 24 blocks of 8 int64s, 12 per node
+  const uint64_t half = n / 2;
+  std::vector<int64_t> content;
+  const RunResult r = run(c, [&](Env& env) {
+    auto a = env.global_array<int64_t>(n, Distribution::kAdaptive);
+    auto vps = env.ppm_do(half);
+    for (int round = 0; round < 6; ++round) {
+      vps.global_phase([&](Vp& vp) {
+        a.add((vp.global_rank() + half) % n, 1);
+      });
+    }
+    if (env.node_id() == 0) content = a.gather(std::vector<uint64_t>{0, n - 1});
+    env.barrier();
+  });
+  EXPECT_EQ(r.blocks_migrated, 0u);
+  EXPECT_EQ(content, (std::vector<int64_t>{6, 6}));
+}
+
+TEST(Migration, FinalGatherMovesNothing) {
+  // A gather fetches elements, not blocks: collecting the whole array on
+  // node 0 in one VP — the usual last phase of a program — must not pull
+  // node 0's free slots' worth of blocks over at its commit.
+  PpmConfig c = cfg(4);
+  c.runtime.adaptive_distribution = true;
+  const uint64_t n = 24 * 16;  // 48 blocks of 8 int64s, 12 per node
+  std::vector<int64_t> content;
+  const RunResult r = run(c, [&](Env& env) {
+    auto a = env.global_array<int64_t>(n, Distribution::kAdaptive);
+    auto vps = env.ppm_do(n / static_cast<uint64_t>(env.node_count()));
+    vps.global_phase([&](Vp& vp) {
+      a.set(vp.global_rank(), 3 * static_cast<int64_t>(vp.global_rank()));
+    });
+    std::vector<uint64_t> all(n);
+    for (uint64_t i = 0; i < n; ++i) all[i] = i;
+    vps.global_phase([&](Vp& vp) {
+      if (env.node_id() == 0 && vp.node_rank() == 0) content = a.gather(all);
+    });
+  });
+  EXPECT_EQ(r.blocks_migrated, 0u);
+  ASSERT_EQ(content.size(), n);
+  for (uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(content[i], 3 * static_cast<int64_t>(i)) << "element " << i;
+  }
 }
 
 TEST(Migration, ExplicitRebalanceRunsOneShot) {

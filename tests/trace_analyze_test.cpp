@@ -110,9 +110,32 @@ TEST(TraceAnalyzeTest, FetchAndCacheTotals) {
   EXPECT_EQ(s.fetch_latency_ns, 60u)
       << "abandoned responses must not count toward latency";
   EXPECT_EQ(s.stall_ns, 50u);
+  EXPECT_EQ(s.fetch_exposed_ns, 50u);  // one waiter, parked 30 -> 80
   EXPECT_NEAR(s.bundling_efficiency(), 2.0 / 3.0, 1e-9);
   // 1 - 50/60 overlap.
   EXPECT_NEAR(s.overlap_efficiency(), 1.0 - 50.0 / 60.0, 1e-9);
+}
+
+TEST(TraceAnalyzeTest, OverlapExposesEachFetchOnceForAllWaiters) {
+  // Two VPs park on one fetch (issued at 100, response at 200), from 120
+  // and from 130: VP stall sums both parks, more than the fetch's whole
+  // latency, but the fetch exposed only the span from its earliest
+  // waiter to the response. A second fetch is fully hidden, and a stall
+  // on an indexed get (no kFetchIssued) exposes no block-fetch latency.
+  Trace t(/*nodes=*/1, /*capacity_per_track=*/64);
+  Recorder& n0 = t.node(0);
+  n0.record(make(EventKind::kFetchIssued, 100, 1, 0, /*req=*/3));
+  n0.record(make(EventKind::kFetchIssued, 110, 1, 8, /*req=*/4));
+  n0.record(make(EventKind::kFetchDone, 150, 1, 8, /*req=*/4));
+  n0.record(make(EventKind::kFetchDone, 200, 1, 0, /*req=*/3));
+  n0.record(make(EventKind::kFetchStall, 200, /*req=*/3, 0, /*start=*/120));
+  n0.record(make(EventKind::kFetchStall, 200, /*req=*/3, 0, /*start=*/130));
+  n0.record(make(EventKind::kFetchStall, 260, /*req=*/5, 0, /*start=*/230));
+  const Summary s = analyze(t);
+  EXPECT_EQ(s.fetch_latency_ns, 140u);  // 100 + 40
+  EXPECT_EQ(s.stall_ns, 180u);          // 80 + 70 + 30, per VP
+  EXPECT_EQ(s.fetch_exposed_ns, 80u);   // 200 - 120, once
+  EXPECT_NEAR(s.overlap_efficiency(), 1.0 - 80.0 / 140.0, 1e-9);
 }
 
 TEST(TraceAnalyzeTest, HotBlocksDecodeOwnerAndElement) {

@@ -170,27 +170,37 @@ echo "=== perf smoke (modeled CG and components vtime gates) ==="
 # numbers. Network bytes must not grow at all — the optimization
 # campaign's wire-neutrality invariant. CG's bytes are block fetches;
 # components' are remote write records (label propagation's min_updates),
-# so a regression in either wire format fails here. Regenerate a baseline
-# (commands are recorded in the JSON) only for intentional model changes.
+# so a regression in either wire format fails here. The adaptive
+# components run adds the locality engine: a planner that moves blocks
+# the wrong way shows up as vtime. Regenerate a baseline (commands are
+# recorded in the JSON) only for intentional model changes.
 perf_json="build/perf_smoke.json"
 perf_cc_json="build/perf_smoke_components.json"
+perf_cca_json="build/perf_smoke_components_adaptive.json"
 ASAN_OPTIONS=detect_leaks=0 \
   build/tools/ppm_cli --app=cg --nodes=8 --cores=4 --size=27648 --iters=8 \
     --calibration=0 --json="${perf_json}" >/dev/null
 ASAN_OPTIONS=detect_leaks=0 \
   build/tools/ppm_cli --app=components --nodes=8 --cores=4 --calibration=0 \
     --json="${perf_cc_json}" >/dev/null
-python3 - "${perf_json}" "${perf_cc_json}" bench/perf_baseline.json <<'PY'
+ASAN_OPTIONS=detect_leaks=0 \
+  build/tools/ppm_cli --app=components --nodes=8 --cores=4 --calibration=0 \
+    --dist=adaptive --json="${perf_cca_json}" >/dev/null
+python3 - "${perf_json}" "${perf_cc_json}" "${perf_cca_json}" \
+  bench/perf_baseline.json <<'PY'
 import json, sys
-with open(sys.argv[1]) as f:
-    cg = json.load(f)
-with open(sys.argv[2]) as f:
-    cc = json.load(f)
-with open(sys.argv[3]) as f:
+runs = []
+for path in sys.argv[1:4]:
+    with open(path) as f:
+        runs.append(json.load(f))
+cg, cc, cca = runs
+with open(sys.argv[4]) as f:
     base = json.load(f)
 assert base["schema"] == "ppm_perf_baseline/v1", base.get("schema")
 limit = base["max_regression_ratio"]
-for app, run, pin in (("CG", cg, base), ("components", cc, base["components"])):
+for app, run, pin in (("CG", cg, base), ("components", cc, base["components"]),
+                      ("components adaptive", cca,
+                       base["components_adaptive"])):
     ratio = run["duration_ns"] / pin["duration_ns"]
     print(f"perf smoke {app}: duration {run['duration_ns']} ns vs baseline "
           f"{pin['duration_ns']} ns (ratio {ratio:.3f}, limit {limit:.2f}); "
@@ -202,7 +212,8 @@ for app, run, pin in (("CG", cg, base), ("components", cc, base["components"])):
         sys.exit(f"FAIL: modeled {app} network bytes grew "
                  f"{run['network_bytes']} > {pin['network_bytes']}")
 PY
-echo "perf smoke OK (artifacts kept at ${perf_json}, ${perf_cc_json})"
+echo "perf smoke OK (artifacts kept at ${perf_json}, ${perf_cc_json}," \
+  "${perf_cca_json})"
 
 echo "=== model validation gate (ppm::model vs simulator) ==="
 # The compositional performance model (docs/OBSERVABILITY.md) must
