@@ -29,19 +29,6 @@ Partition partition_for(Env& env, const Graph& full,
   return part;
 }
 
-/// Assemble the full contents of a small global array on every node.
-std::vector<int64_t> collect_full(Env& env, GlobalShared<int64_t>& arr) {
-  std::vector<int64_t> full;
-  auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
-  vps.global_phase([&](Vp&) {
-    std::vector<uint64_t> idx(arr.size());
-    for (uint64_t i = 0; i < arr.size(); ++i) idx[i] = i;
-    full = arr.gather(idx);
-  });
-  env.broadcast(full, /*root=*/0);
-  return full;
-}
-
 }  // namespace
 
 std::vector<int64_t> bfs_ppm(Env& env, const Graph& full, uint64_t source,
@@ -87,7 +74,7 @@ std::vector<int64_t> bfs_ppm(Env& env, const Graph& full, uint64_t source,
     if (active == 0) break;
   }
 
-  auto result = collect_full(env, level);
+  auto result = env.allgather_array(level);
   for (int64_t& d : result) {
     if (d == kInf) d = kUnreached;
   }
@@ -129,7 +116,7 @@ std::vector<int64_t> components_ppm(Env& env, const Graph& full,
         changed_local, [](uint64_t a, uint64_t b) { return a + b; });
     if (changed == 0) break;
   }
-  return collect_full(env, label);
+  return env.allgather_array(label);
 }
 
 }  // namespace ppm::apps::graph

@@ -139,28 +139,13 @@ void simulate_ppm(Env& env, PpmNbodyState& st, const NbodyOptions& options) {
 
 BodySet snapshot_ppm(Env& env, PpmNbodyState& st) {
   BodySet out;
-  out.resize(st.n);
-  std::vector<uint64_t> idx(st.n);
-  std::iota(idx.begin(), idx.end(), 0);
-  auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
-  std::vector<double>* fields[7] = {&out.px, &out.py, &out.pz, &out.vx,
-                                    &out.vy, &out.vz, &out.mass};
-  GlobalShared<double>* arrays[7] = {&st.px, &st.py, &st.pz, &st.vx,
-                                     &st.vy, &st.vz, &st.mass};
-  vps.global_phase([&](Vp& vp) {
-    (void)vp;
-    for (int f = 0; f < 7; ++f) {
-      *fields[f] = arrays[f]->gather(idx);
-    }
-  });
-  // Ship to the other nodes so every caller returns the same snapshot.
-  env.broadcast(out.px, 0);
-  env.broadcast(out.py, 0);
-  env.broadcast(out.pz, 0);
-  env.broadcast(out.vx, 0);
-  env.broadcast(out.vy, 0);
-  env.broadcast(out.vz, 0);
-  env.broadcast(out.mass, 0);
+  out.px = env.allgather_array(st.px);
+  out.py = env.allgather_array(st.py);
+  out.pz = env.allgather_array(st.pz);
+  out.vx = env.allgather_array(st.vx);
+  out.vy = env.allgather_array(st.vy);
+  out.vz = env.allgather_array(st.vz);
+  out.mass = env.allgather_array(st.mass);
   return out;
 }
 

@@ -38,7 +38,8 @@ std::vector<Vec3> accelerations_ppm(Env& env, PpmNbodyState& state,
 void simulate_ppm(Env& env, PpmNbodyState& state,
                   const NbodyOptions& options);
 
-/// Copy the full particle set out of the shared arrays (any node).
+/// Copy the full particle set out of the shared arrays. Collective; every
+/// node receives the whole set.
 BodySet snapshot_ppm(Env& env, PpmNbodyState& state);
 
 }  // namespace ppm::apps::nbody

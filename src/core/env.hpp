@@ -279,6 +279,23 @@ class Env {
     return out;
   }
 
+  /// The whole logical contents of a global array, in index order, on
+  /// every node. Collective, outside phases. Each node contributes its
+  /// owned elements to one allgather and places the others' through the
+  /// owner map, under any distribution. A node sends only the elements it
+  /// owns, so no link carries the whole array ⌈log2 p⌉ times, as the
+  /// root's does in a gather followed by broadcast().
+  template <typename T>
+  std::vector<T> allgather_array(const GlobalShared<T>& a) {
+    const std::vector<Bytes> owned = rt_->allgather_owned_elems(a.id());
+    // Allocated after the allgather, so the result and the allgather's
+    // in-flight copies are never all resident at once.
+    std::vector<T> out(a.size());
+    rt_->place_owned_elems(a.id(), owned,
+                           reinterpret_cast<std::byte*>(out.data()));
+    return out;
+  }
+
   /// Broadcast a vector from `root` to all nodes (binomial tree).
   template <typename T>
     requires std::is_trivially_copyable_v<T>

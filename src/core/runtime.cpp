@@ -409,6 +409,71 @@ Bytes NodeRuntime::pack_owned_elems(uint32_t id) const {
   return out;
 }
 
+std::vector<Bytes> NodeRuntime::allgather_owned_elems(uint32_t id) {
+  PPM_CHECK(array(id).global,
+            "allgather_array needs a global shared array (%u)", id);
+  PPM_CHECK(phase_scope_ == PhaseScope::kNone,
+            "allgather_array inside a phase");
+  return allgather_bytes(pack_owned_elems(id));
+}
+
+void NodeRuntime::place_owned_elems(uint32_t id,
+                                    const std::vector<Bytes>& owned,
+                                    std::byte* out) const {
+  const auto& rec = array(id);
+  const size_t esz = rec.ops.size;
+  // A blob whose length disagrees with this node's owner map means the
+  // maps diverged (or the call is out of lockstep): place nothing wrong.
+  const auto blob = [&](int owner, uint64_t elems) -> const Bytes& {
+    const Bytes& b = owned[static_cast<size_t>(owner)];
+    PPM_CHECK(b.size() == elems * esz,
+              "owned elements of array %u: node %d sent %zu bytes, its "
+              "owner map here says %llu",
+              id, owner, b.size(),
+              static_cast<unsigned long long>(elems * esz));
+    return b;
+  };
+  if (rec.dist == Distribution::kAdaptive) {
+    // Each node packed its blocks in ascending block order, so walking the
+    // blocks in order consumes every blob front to back.
+    std::vector<uint64_t> elems(static_cast<size_t>(rec.nodes), 0);
+    for (uint64_t b = 0; b < rec.mig_blocks; ++b) {
+      const uint64_t first = b * rec.mig_block_elems;
+      elems[static_cast<size_t>(rec.mig_owner[b])] +=
+          std::min(rec.mig_block_elems, rec.n - first);
+    }
+    std::vector<const std::byte*> cursor(static_cast<size_t>(rec.nodes));
+    for (int m = 0; m < rec.nodes; ++m) {
+      cursor[static_cast<size_t>(m)] =
+          blob(m, elems[static_cast<size_t>(m)]).data();
+    }
+    for (uint64_t b = 0; b < rec.mig_blocks; ++b) {
+      const uint64_t first = b * rec.mig_block_elems;
+      const size_t len = std::min(rec.mig_block_elems, rec.n - first) * esz;
+      const std::byte*& from = cursor[static_cast<size_t>(rec.mig_owner[b])];
+      std::memcpy(out + first * esz, from, len);
+      from += len;
+    }
+    return;
+  }
+  for (int m = 0; m < rec.nodes; ++m) {
+    const uint64_t len = rec.owner_len(m);
+    const Bytes& b = blob(m, len);
+    if (rec.dist == Distribution::kBlock) {
+      const uint64_t base =
+          std::min(rec.n, rec.chunk * static_cast<uint64_t>(m));
+      if (len != 0) std::memcpy(out + base * esz, b.data(), b.size());
+      continue;
+    }
+    // kCyclic: node m's j-th element is global element j·nodes + m.
+    const size_t stride = static_cast<size_t>(rec.nodes) * esz;
+    std::byte* to = out + static_cast<size_t>(m) * esz;
+    for (size_t off = 0; off < b.size(); off += esz, to += stride) {
+      std::memcpy(to, b.data() + off, esz);
+    }
+  }
+}
+
 int NodeRuntime::owner_of(uint32_t id, uint64_t index) const {
   const auto& rec = array(id);
   PPM_CHECK(index < rec.n, "index %llu out of range (array size %llu)",

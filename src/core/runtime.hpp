@@ -403,10 +403,23 @@ class NodeRuntime {
   /// elements packed in ascending global-index order, at O(owned) cost.
   /// Unlike committed_bytes this is layout-free — owner-mapped (kAdaptive)
   /// slot storage and cyclic striding are flattened out — so an
-  /// allgather_bytes of it plus owner_of() reassembles the logical array
-  /// contents under any distribution. Introspection hook for tools
-  /// (ppm::stress snapshots); call outside phases.
+  /// allgather of it plus place_owned_elems reassembles the logical array
+  /// contents under any distribution; call outside phases.
   Bytes pack_owned_elems(uint32_t id) const;
+
+  /// Every node's pack_owned_elems of global array `id`, indexed by node:
+  /// one allgather_bytes. SPMD-collective, outside phases. The first half
+  /// of Env::allgather_array.
+  std::vector<Bytes> allgather_owned_elems(uint32_t id);
+  /// The second half: write the logical contents of global array `id`,
+  /// all n elements in index order, to `out` (n × element size bytes)
+  /// from every node's packed owned elements (`owned[m]` is node m's),
+  /// through this node's copy of the owner map, which every node holds
+  /// identically: one copy per owner under kBlock, one per migration
+  /// block under kAdaptive, a strided scatter under kCyclic. A blob whose
+  /// size disagrees with that map is an error.
+  void place_owned_elems(uint32_t id, const std::vector<Bytes>& owned,
+                         std::byte* out) const;
 
   // ---- Element access (phase-start read / deferred write semantics) ----
 

@@ -74,38 +74,31 @@ struct PpmCtx {
   }
 };
 
-// Collective: every node reassembles the full logical state from each
-// array's packed owned elements; the caller keeps node 0's copy.
+// Collective: every node reassembles the full logical state, one
+// allgather per array in array order; the caller keeps node 0's copy.
 Snapshot collect_snapshot(const ProgramSpec& spec, Env& env,
-                          const std::vector<uint32_t>& ids) {
+                          const std::vector<GlobalShared<uint64_t>>& g,
+                          const std::vector<NodeShared<uint64_t>>& nd) {
   NodeRuntime& rt = env.runtime();
   const int nodes = env.node_count();
   Snapshot s;
   s.global_arrays.resize(spec.arrays.size());
   s.node_arrays.resize(spec.arrays.size());
   for (size_t a = 0; a < spec.arrays.size(); ++a) {
-    const auto all = rt.allgather_bytes(rt.pack_owned_elems(ids[a]));
-    const uint64_t n = spec.arrays[a].n;
     if (spec.arrays[a].global) {
-      const auto& rec = rt.array(ids[a]);
-      std::vector<uint64_t> out(n);
-      std::vector<size_t> cursor(all.size(), 0);
-      for (uint64_t i = 0; i < n; ++i) {
-        const auto o = static_cast<size_t>(rec.owner_of(i));
-        std::memcpy(&out[i], all[o].data() + cursor[o], sizeof(uint64_t));
-        cursor[o] += sizeof(uint64_t);
-      }
-      s.global_arrays[a] = std::move(out);
-    } else {
-      auto& per = s.node_arrays[a];
-      per.resize(static_cast<size_t>(nodes));
-      for (int m = 0; m < nodes; ++m) {
-        const Bytes& b = all[static_cast<size_t>(m)];
-        PPM_CHECK(b.size() == n * sizeof(uint64_t),
-                  "snapshot size mismatch for node array");
-        per[static_cast<size_t>(m)].resize(n);
-        std::memcpy(per[static_cast<size_t>(m)].data(), b.data(), b.size());
-      }
+      s.global_arrays[a] = env.allgather_array(g[a]);
+      continue;
+    }
+    const auto all = rt.allgather_bytes(rt.pack_owned_elems(nd[a].id()));
+    const uint64_t n = spec.arrays[a].n;
+    auto& per = s.node_arrays[a];
+    per.resize(static_cast<size_t>(nodes));
+    for (int m = 0; m < nodes; ++m) {
+      const Bytes& b = all[static_cast<size_t>(m)];
+      PPM_CHECK(b.size() == n * sizeof(uint64_t),
+                "snapshot size mismatch for node array");
+      per[static_cast<size_t>(m)].resize(n);
+      std::memcpy(per[static_cast<size_t>(m)].data(), b.data(), b.size());
     }
   }
   return s;
@@ -257,15 +250,12 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
     const int nodes = env.node_count();
     std::vector<GlobalShared<uint64_t>> g(spec.arrays.size());
     std::vector<NodeShared<uint64_t>> nd(spec.arrays.size());
-    std::vector<uint32_t> ids(spec.arrays.size());
     for (size_t a = 0; a < spec.arrays.size(); ++a) {
       if (spec.arrays[a].global) {
         g[a] = env.global_array<uint64_t>(spec.arrays[a].n,
                                           spec.arrays[a].dist);
-        ids[a] = g[a].id();
       } else {
         nd[a] = env.node_array<uint64_t>(spec.arrays[a].n);
-        ids[a] = nd[a].id();
       }
     }
     // The harness's one user accumulate slot: kUser0 = XOR, exactly
@@ -297,7 +287,7 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
         vps.node_phase(body);
       }
     }
-    Snapshot local = collect_snapshot(spec, env, ids);
+    Snapshot local = collect_snapshot(spec, env, g, nd);
     if (env.node_id() == 0) snap = std::move(local);
   };
   try {

@@ -34,8 +34,9 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count);
 
 /// The committed state a config run ends with, in golden shape: logical
 /// global-array contents plus per-node node-array instances. Collected on
-/// node 0 via NodeRuntime::pack_owned_elems + allgather, so it is layout-
-/// free (identical no matter where blocks migrated to).
+/// node 0 via Env::allgather_array (node arrays: pack_owned_elems +
+/// allgather), so it is layout-free (identical no matter where blocks
+/// migrated to).
 using Snapshot = GoldenState;
 
 /// Optional observability side-channel of run_under_config. Set `trace`

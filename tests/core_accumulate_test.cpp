@@ -44,8 +44,11 @@ PpmConfig cfg(int nodes) {
 /// (scalar add/min/max/mul/xor plus an accumulate_n run), with scattered
 /// mostly-remote targets. Every VP's add is a same-VP run of two records.
 /// kMixedVps VPs are split evenly over the nodes, so on one node every
-/// element takes the plain deferred-write path. Returns final contents
-/// (read on node 0) and the run statistics.
+/// element takes the plain deferred-write path. With rebalance_mid, a
+/// read-only round first has VP r read element 4r + 32, which sits in the
+/// next node's third of the array, and round 1 requests a migration
+/// planning round for its commit. Returns final contents (read on node 0)
+/// and the run statistics.
 std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
                                 bool rebalance_mid = false,
                                 RunResult* stats = nullptr) {
@@ -61,6 +64,11 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
         a.set(i, i * 5 + 2);
       }
     });
+    if (rebalance_mid) {
+      vps.global_phase([&](Vp& vp) {
+        (void)a.get((vp.global_rank() * 4 + 32) % kN);
+      });
+    }
     for (uint64_t round = 0; round < 3; ++round) {
       if (rebalance_mid && round == 1) a.rebalance();
       // Each op class owns a disjoint 16-element region (the bulk-add
@@ -122,11 +130,20 @@ TEST(CoreAccumulate, DistributionsAgreeWithEachOther) {
 TEST(CoreAccumulate, BitIdenticalAcrossMigrationEpoch) {
   // rebalance() mid-program forces a migration planning round at a commit
   // that also carries staged accumulate records: block handoff must not
-  // lose, duplicate, or reorder them.
-  const auto migrated =
-      run_mixed(cfg(3), Distribution::kAdaptive, /*rebalance_mid=*/true);
+  // lose, duplicate, or reorder them. Four-element blocks give the array
+  // 24 migration blocks, and the read round makes each node the only
+  // reader of blocks another node owns, so the plan moves blocks.
+  const auto small_blocks = [](int nodes) {
+    PpmConfig c = cfg(nodes);
+    c.runtime.read_block_bytes = 4 * sizeof(uint64_t);
+    return c;
+  };
+  RunResult stats;
+  const auto migrated = run_mixed(small_blocks(3), Distribution::kAdaptive,
+                                  /*rebalance_mid=*/true, &stats);
+  EXPECT_GT(stats.blocks_migrated, 0u);
   ASSERT_EQ(migrated.size(), kN);
-  EXPECT_EQ(migrated, run_mixed(cfg(1), Distribution::kAdaptive,
+  EXPECT_EQ(migrated, run_mixed(small_blocks(1), Distribution::kAdaptive,
                                 /*rebalance_mid=*/true));
   // And against the never-migrating layouts.
   EXPECT_EQ(migrated, run_mixed(cfg(3), Distribution::kBlock));

@@ -2,8 +2,10 @@
 // system variables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,17 @@ PpmConfig cfg(int nodes, int cores = 1) {
   c.machine.nodes = nodes;
   c.machine.cores_per_node = cores;
   return c;
+}
+
+/// The default link, which runs allgathers direct at these node counts,
+/// and a link whose per-message cost far above the wire latency makes p-1
+/// direct sends lose to ceil(log2 p) relay hops from 4 nodes on, so it
+/// runs Bruck dissemination.
+std::vector<PpmConfig> both_links(int nodes) {
+  PpmConfig bruck = cfg(nodes);
+  bruck.machine.network.send_overhead_ns = 5'000;
+  bruck.machine.network.latency_ns = 1'000;
+  return {cfg(nodes), bruck};
 }
 
 class EnvCollectives : public ::testing::TestWithParam<int> {};
@@ -47,15 +60,10 @@ TEST_P(EnvCollectives, AllreduceSum) {
 
 TEST_P(EnvCollectives, AllgatherIndexedByNode) {
   const int nodes = GetParam();
-  // The default link goes direct at these sizes. A per-message cost far
-  // above the wire latency makes p-1 direct sends lose to ceil(log2 p)
-  // relay hops from 4 nodes on, so that link runs Bruck dissemination.
-  PpmConfig bruck = cfg(nodes);
-  bruck.machine.network.send_overhead_ns = 5'000;
-  bruck.machine.network.latency_ns = 1'000;
-  EXPECT_EQ(plan_allgather(bruck.machine.network, nodes).direct,
+  const std::vector<PpmConfig> links = both_links(nodes);
+  EXPECT_EQ(plan_allgather(links[1].machine.network, nodes).direct,
             nodes == 2 || nodes == 3);
-  for (const PpmConfig& c : {cfg(nodes), bruck}) {
+  for (const PpmConfig& c : links) {
     std::vector<std::vector<int>> views;
     run(c, [&](Env& env) {
       views.push_back(env.allgather(env.node_id() * 11));
@@ -165,6 +173,140 @@ TEST_P(EnvCollectives, CollectivesComposeWithPhases) {
   const uint64_t covered = (32 / static_cast<uint64_t>(nodes)) *
                            static_cast<uint64_t>(nodes);
   for (double n2 : norms) EXPECT_DOUBLE_EQ(n2, 4.0 * covered);
+}
+
+// ---------------------------------------------------------------------------
+// Env::allgather_array
+// ---------------------------------------------------------------------------
+
+/// The logical contents the allgather_array tests write: distinct per
+/// element, and never the zero an element nobody placed would keep.
+int64_t content(uint64_t i) { return static_cast<int64_t>(i * 7 + 3); }
+
+std::vector<int64_t> contents(uint64_t n) {
+  std::vector<int64_t> want(n);
+  for (uint64_t i = 0; i < n; ++i) want[i] = content(i);
+  return want;
+}
+
+TEST_P(EnvCollectives, AllgatherArrayEveryLayoutAndSize) {
+  const int nodes = GetParam();
+  // 37 is a multiple of no node count here; 1 and 3 leave nodes that own
+  // nothing. Two-element migration blocks give kAdaptive many runs, and a
+  // clipped last block at odd n.
+  for (PpmConfig c : both_links(nodes)) {
+    c.runtime.read_block_bytes = 2 * sizeof(int64_t);
+    for (const uint64_t n : {uint64_t{1}, uint64_t{3}, uint64_t{37}}) {
+      for (const auto dist : {Distribution::kBlock, Distribution::kCyclic,
+                              Distribution::kAdaptive}) {
+        std::vector<std::vector<int64_t>> got;
+        run(c, [&](Env& env) {
+          auto a = env.global_array<int64_t>(n, dist);
+          // VP r sets the elements i with floor(i / 3) mod nodes == r:
+          // runs of three, mostly remote under every layout.
+          auto vps = env.ppm_do(1);
+          vps.global_phase([&](Vp& vp) {
+            for (uint64_t i = 0; i < n; ++i) {
+              if ((i / 3) % static_cast<uint64_t>(nodes) == vp.global_rank()) {
+                a.set(i, content(i));
+              }
+            }
+          });
+          got.push_back(env.allgather_array(a));
+        });
+        ASSERT_EQ(got.size(), static_cast<size_t>(nodes));
+        for (const auto& view : got) {
+          EXPECT_EQ(view, contents(n))
+              << "n " << n << " dist " << static_cast<int>(dist)
+              << " send overhead " << c.machine.network.send_overhead_ns;
+        }
+      }
+    }
+  }
+}
+
+TEST(AllgatherArray, AdaptiveLayoutAfterMigration) {
+  // Each node reads the first block of its right neighbour's initial
+  // chunk, which that neighbour never reads, so the rebalance moves it to
+  // the reader (at 5 nodes the last node starts with no block and ends
+  // with one). A write round after the moves lands on the migrated blocks
+  // before the collective runs.
+  for (const int nodes : {3, 5}) {
+    for (PpmConfig c : both_links(nodes)) {
+      c.runtime.read_block_bytes = 4 * sizeof(int64_t);
+      const uint64_t n = 61;  // 16 blocks, the last one clipped to 1
+      std::vector<std::vector<int64_t>> got;
+      const RunResult r = run(c, [&](Env& env) {
+        auto a = env.global_array<int64_t>(n, Distribution::kAdaptive);
+        const auto p = static_cast<uint64_t>(nodes);
+        const uint64_t per_node = (16 + p - 1) / p * 4;  // initial chunk
+        const uint64_t right =
+            (static_cast<uint64_t>(env.node_id()) + 1) % p * per_node;
+        auto vps = env.ppm_do(1);
+        vps.global_phase([&](Vp& vp) {
+          for (uint64_t i = vp.global_rank(); i < n; i += p) a.set(i, 1);
+        });
+        env.rebalance(a);
+        vps.global_phase([&](Vp&) {
+          for (uint64_t i = right; i < std::min(n, right + 4); ++i) {
+            EXPECT_EQ(a.get(i), 1);
+          }
+        });
+        vps.global_phase([&](Vp& vp) {
+          for (uint64_t i = vp.global_rank(); i < n; i += p) {
+            a.add(i, content(i) - 1);
+          }
+        });
+        got.push_back(env.allgather_array(a));
+      });
+      EXPECT_GT(r.blocks_migrated, 0u) << nodes << " nodes";
+      ASSERT_EQ(got.size(), static_cast<size_t>(nodes));
+      for (const auto& view : got) {
+        EXPECT_EQ(view, contents(n))
+            << nodes << " nodes, send overhead "
+            << c.machine.network.send_overhead_ns;
+      }
+    }
+  }
+}
+
+TEST(AllgatherArray, InsidePhaseRejected) {
+  try {
+    run(cfg(2), [](Env& env) {
+      auto a = env.global_array<int64_t>(8);
+      env.ppm_do(1).global_phase([&](Vp&) { (void)env.allgather_array(a); });
+    });
+    ADD_FAILURE() << "allgather_array inside a phase accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("allgather_array inside a phase"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AllgatherArray, BlobThatDisagreesWithOwnerMapRejected) {
+  // Owner maps are replicated in lockstep, so a node's blob can only
+  // disagree with another node's map through a runtime fault: placement
+  // must refuse it, not read past the blob or leave elements unset.
+  for (const auto dist : {Distribution::kBlock, Distribution::kCyclic,
+                          Distribution::kAdaptive}) {
+    try {
+      run(cfg(2), [&](Env& env) {
+        auto a = env.global_array<int64_t>(8, dist);
+        std::vector<Bytes> owned =
+            env.runtime().allgather_owned_elems(a.id());
+        owned[0].resize(owned[0].size() - sizeof(int64_t));
+        std::vector<int64_t> out(8);
+        env.runtime().place_owned_elems(
+            a.id(), owned, reinterpret_cast<std::byte*>(out.data()));
+      });
+      ADD_FAILURE() << "short blob accepted, dist " << static_cast<int>(dist);
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("node 0 sent"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, EnvCollectives,
