@@ -53,14 +53,6 @@ struct RuntimeOptions {
   /// prefetch() API works regardless.
   uint32_t prefetch_lookahead_blocks = 1;
 
-  /// Coalesce block-fetch requests: while a core is miss-switching through
-  /// ready VPs, their fetch requests queue per owner and ship as one
-  /// kGetBlockList message when the core finally parks (prefetch sweeps
-  /// flush at their end). Cuts per-message send overhead and message count
-  /// on fan-out miss patterns; strictly fewer wire bytes (singletons still
-  /// go out as plain per-block requests). Committed results are unaffected.
-  bool batch_fetches = true;
-
   /// Locality engine: run the migration planner automatically at every
   /// global-phase commit for owner-mapped (Distribution::kAdaptive)
   /// arrays. Off, kAdaptive arrays keep their initial block-aligned layout

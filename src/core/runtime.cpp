@@ -347,9 +347,9 @@ uint32_t NodeRuntime::create_array(bool global, uint64_t n,
           std::max<uint64_t>(1, options().read_block_bytes / ops.size);
       rec.blocks_per_chunk =
           (rec.chunk + rec.block_elems - 1) / rec.block_elems;
-      // The direct-mapped remote-block table is allocated lazily by
-      // ensure_block_table on the first published block; an array this
-      // node only ever accesses locally never grows one.
+      // The remote-block table is allocated lazily by issue_block_fetch
+      // on the first block fetch; an array this node only ever accesses
+      // locally never grows one.
       rec.block_div = Divisor(rec.block_elems);
     }
   } else {
@@ -561,58 +561,36 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
   const uint64_t olen = rec.owner_len(owner);
   const uint64_t first = bundle ? llocal - at.in_block : llocal;
   const uint64_t count = bundle ? std::min(rec.block_elems, olen - first) : 1;
-  const BlockKey key{rec.id,
-                     (static_cast<uint64_t>(owner) << 40) | first};
-
-  auto elem_of = [&](const Bytes& data) -> const std::byte* {
-    PPM_CHECK(data.size() == count * rec.ops.size,
-              "short get response (%zu bytes for %llu elements)", data.size(),
-              static_cast<unsigned long long>(count));
-    return data.data() + (llocal - first) * rec.ops.size;
-  };
+  const uint64_t offset = (llocal - first) * rec.ops.size;
 
   if (bundle) {
-    if (const auto it = block_cache_.find(key); it != block_cache_.end()) {
+    if (FetchSlot* block = touched_block(rec, at.slot)) {
+      // Cached, or request combining: another VP (or the lookahead
+      // engine) already asked for this block, so wait for that fetch.
+      const bool combined = !block->done;
+      if (combined) wait_fetch(*block);
       ++counters_.reads_from_cache;
       if (tracer_) [[unlikely]] {
-        trace_rec(trace::EventKind::kCacheHit, rec.id, key.block);
+        trace_rec(trace::EventKind::kCacheHit, rec.id, first, /*c=*/0,
+                  combined ? trace::kFlagBit0 : 0,
+                  static_cast<uint32_t>(owner));
       }
-      publish_block(rec, key, it->second);
-      return elem_of(it->second);
-    }
-    if (const auto it = pending_blocks_.find(key);
-        it != pending_blocks_.end()) {
-      // Request combining: another VP (or the lookahead engine) already
-      // asked for this block; wait for the in-flight fetch and serve from
-      // the freshly cached block.
-      auto slot = it->second;  // keep alive across the wait
-      wait_fetch(*slot);
-      ++counters_.reads_from_cache;
-      if (tracer_) [[unlikely]] {
-        trace_rec(trace::EventKind::kCacheHit, rec.id, key.block,
-                  /*c=*/0, trace::kFlagBit0);
-      }
-      const auto cached = block_cache_.find(key);
-      PPM_CHECK(cached != block_cache_.end(),
-                "combined fetch did not populate the block cache");
-      publish_block(rec, key, cached->second);
-      return elem_of(cached->second);
+      return publish_block(rec, owner, first, at.slot) + offset;
     }
     if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kCacheMiss, rec.id, key.block);
+      trace_rec(trace::EventKind::kCacheMiss, rec.id, first, /*c=*/0, 0,
+                static_cast<uint32_t>(owner));
     }
-    auto slot = issue_block_fetch(rec, owner, first, count,
-                                  /*prefetch=*/false);
+    FetchSlot& slot = issue_block_fetch(rec, owner, first, count,
+                                        /*prefetch=*/false);
     maybe_stream_prefetch(rec, owner, first, olen);
-    wait_fetch(*slot);
-    // The service fiber cached the payload and published it on arrival.
-    const auto it = block_cache_.find(key);
-    PPM_CHECK(it != block_cache_.end(), "fetched block missing from cache");
-    return elem_of(it->second);
+    wait_fetch(slot);
+    // The service fiber published the demanded block on arrival.
+    return slot.data.data() + offset;
   }
 
   auto slot = std::make_shared<FetchSlot>(*engine_);
-  slot->key = key;
+  slot->bytes = rec.ops.size;
   slot->req_id = next_req_id();
   outstanding_[slot->req_id] = slot;
   ByteWriter w;
@@ -628,50 +606,48 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
   // Unbundled single-element fetch: park the payload in the phase arena so
   // view() pointers stay valid until commit.
   unbundled_arena_.push_back(std::move(slot->data));
-  return elem_of(unbundled_arena_.back());
+  return unbundled_arena_.back().data();
 }
 
-std::shared_ptr<NodeRuntime::FetchSlot> NodeRuntime::issue_block_fetch(
+NodeRuntime::FetchSlot& NodeRuntime::issue_block_fetch(
     const detail::ArrayRecord& rec, int owner, uint64_t first, uint64_t count,
     bool prefetch) {
+  auto& mut = arrays_[rec.id];
+  if (mut.remote_block_ref.empty()) {
+    // Lazy so arrays a node never reads remotely cost no table at all
+    // (it is blocks_per_chunk * nodes slots).
+    const uint64_t slots =
+        mut.blocks_per_chunk * static_cast<uint64_t>(node_count());
+    mut.remote_block_ptr.assign(slots, nullptr);
+    mut.remote_block_ref.assign(slots, 0);
+  }
+  PPM_CHECK(blocks_.size() < UINT32_MAX,
+            "more remote blocks in one epoch than the table can name");
   auto slot = std::make_shared<FetchSlot>(*engine_);
-  slot->cache_on_arrival = true;
+  slot->bytes = count * rec.ops.size;
   slot->prefetched = prefetch;
-  slot->key = BlockKey{
-      rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
-  slot->record = &arrays_[rec.id];
+  slot->record = &mut;
   slot->block_slot = rec.block_slot(owner, first);
   slot->req_id = next_req_id();
   outstanding_[slot->req_id] = slot;
-  pending_blocks_[slot->key] = slot;
+  blocks_.push_back(slot);
+  mut.remote_block_ref[slot->block_slot] =
+      static_cast<uint32_t>(blocks_.size());
   if (tracer_) [[unlikely]] {
-    trace_rec(trace::EventKind::kFetchIssued, rec.id, slot->key.block,
-              slot->req_id, prefetch ? trace::kFlagBit0 : 0);
+    trace_rec(trace::EventKind::kFetchIssued, rec.id, first, slot->req_id,
+              prefetch ? trace::kFlagBit0 : 0, static_cast<uint32_t>(owner));
   }
-  if (opts_.batch_fetches) {
-    // Queue instead of sending: requests issued while this core
-    // miss-switches through ready VPs (and the lookahead they trigger)
-    // coalesce per owner, shipped by flush_fetch_backlog at the latest
-    // right before the requester parks.
-    auto& q = peer(owner).fetch_backlog;
-    if (q.empty()) backlog_owners_.push_back(owner);
-    q.push_back(QueuedFetch{rec.id, first, count, slot->req_id, prefetch});
-    backlog_nonempty_ = true;
-  } else {
-    ByteWriter w;
-    w.put(rec.id);
-    w.put(first);
-    w.put(count);
-    w.put(slot->req_id);
-    w.put(epoch_);
-    rt_send(owner,
-            detail::rt_kind(prefetch ? detail::RtMsg::kPrefetchBlock
-                                     : detail::RtMsg::kGetBlock),
-            std::move(w).take());
-  }
+  // Queue instead of sending: requests issued while this core
+  // miss-switches through ready VPs (and the lookahead they trigger)
+  // coalesce per owner, shipped by flush_fetch_backlog at the latest
+  // right before the requester parks.
+  auto& q = peer(owner).fetch_backlog;
+  if (q.empty()) backlog_owners_.push_back(owner);
+  q.push_back(QueuedFetch{rec.id, first, count, slot->req_id, prefetch});
+  backlog_nonempty_ = true;
   ++counters_.blocks_fetched;
   if (prefetch) ++counters_.prefetch_issued;
-  return slot;
+  return *slot;
 }
 
 void NodeRuntime::flush_fetch_backlog() {
@@ -794,56 +770,37 @@ void NodeRuntime::maybe_stream_prefetch(const detail::ArrayRecord& rec,
   if (lookahead == 0 || first == 0) return;
   // Fetch ahead only when the previous adjacent block was already wanted —
   // a detected forward stream. Random access then rarely pays for blocks
-  // it will never touch. Published blocks are cached, so the table answers
-  // first and the hash maps only for unpublished blocks.
+  // it will never touch.
   const uint64_t slot = rec.block_slot(owner, first);
-  if (!block_wanted(rec, owner, first - rec.block_elems, slot - 1)) return;
+  if (touched_block(rec, slot - 1) == nullptr) return;
   uint64_t next = first + rec.block_elems;
   for (uint32_t j = 0; j < lookahead && next < owner_len;
        ++j, next += rec.block_elems) {
-    if (block_wanted(rec, owner, next, slot + 1 + j)) continue;
+    if (touched_block(rec, slot + 1 + j) != nullptr) continue;
     issue_block_fetch(rec, owner, next,
                       std::min(rec.block_elems, owner_len - next),
                       /*prefetch=*/true);
   }
 }
 
-bool NodeRuntime::block_wanted(const detail::ArrayRecord& rec, int owner,
-                               uint64_t first, uint64_t slot) const {
-  if (rec.published_block(slot) != nullptr) return true;
-  const BlockKey key{
-      rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | first};
-  return block_cache_.contains(key) || pending_blocks_.contains(key);
-}
-
-void NodeRuntime::ensure_block_table(detail::ArrayRecord& rec) {
-  if (rec.remote_block_ptr.empty() && rec.blocks_per_chunk != 0) {
-    rec.remote_block_ptr.assign(
-        rec.blocks_per_chunk * static_cast<uint64_t>(node_count()), nullptr);
+const std::byte* NodeRuntime::publish_block(const detail::ArrayRecord& rec,
+                                            int owner, uint64_t first,
+                                            uint64_t slot) {
+  if (const std::byte* block = rec.published_block(slot)) return block;
+  // Demanded blocks publish on arrival, so an arrived block that is not
+  // published yet came by lookahead, and this is its first demand touch.
+  const std::byte* block = touched_block(rec, slot)->data.data();
+  arrays_[rec.id].remote_block_ptr[slot] = block;
+  ++counters_.prefetch_hits;
+  if (tracer_) [[unlikely]] {
+    trace_rec(trace::EventKind::kPrefetchHit, rec.id, first, /*c=*/0, 0,
+              static_cast<uint32_t>(owner));
   }
-}
-
-void NodeRuntime::publish_block(const detail::ArrayRecord& rec,
-                                const BlockKey& key, const Bytes& cached) {
-  auto& mut = arrays_[rec.id];
-  const uint64_t owner = key.block >> kBlockOwnerShift;
-  const uint64_t first = key.block & ((uint64_t{1} << kBlockOwnerShift) - 1);
-  ensure_block_table(mut);
-  if (!mut.remote_block_ptr.empty()) {
-    mut.remote_block_ptr[mut.block_slot(static_cast<int>(owner), first)] =
-        cached.data();
-  }
-  if (prefetched_keys_.erase(key) != 0) {
-    ++counters_.prefetch_hits;
-    if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kPrefetchHit, rec.id, key.block);
-    }
-    // The consumer just reached a prefetched block: keep the stream one
-    // block ahead (demand misses never happen again on a perfect stream,
-    // so this touch is the only point that can extend it).
-    maybe_stream_prefetch(rec, static_cast<int>(owner), first,
-                          rec.owner_len(static_cast<int>(owner)));
-  }
+  // The consumer just reached a prefetched block: keep the stream one
+  // block ahead (demand misses never happen again on a perfect stream, so
+  // this touch is the only point that can extend it).
+  maybe_stream_prefetch(rec, owner, first, rec.owner_len(owner));
+  return block;
 }
 
 void NodeRuntime::prefetch_elems(uint32_t id,
@@ -857,7 +814,7 @@ void NodeRuntime::prefetch_elems(uint32_t id,
     const auto at = rec.place(index);
     if (at.owner == node_) continue;
     const uint64_t first = at.local - at.in_block;
-    if (block_wanted(rec, at.owner, first, at.slot)) continue;
+    if (touched_block(rec, at.slot) != nullptr) continue;
     const uint64_t olen = rec.owner_len(at.owner);
     issue_block_fetch(rec, at.owner, first,
                       std::min(rec.block_elems, olen - first),
@@ -878,7 +835,7 @@ void NodeRuntime::prefetch_range(uint32_t id, uint64_t lo, uint64_t hi) {
             static_cast<unsigned long long>(hi),
             static_cast<unsigned long long>(rec.n));
   const auto want = [&](int owner, uint64_t first, uint64_t slot) {
-    if (block_wanted(rec, owner, first, slot)) return;
+    if (touched_block(rec, slot) != nullptr) return;
     issue_block_fetch(rec, owner, first,
                       std::min(rec.block_elems, rec.owner_len(owner) - first),
                       /*prefetch=*/true);
@@ -966,6 +923,7 @@ void NodeRuntime::gather_elems(uint32_t id,
     const Group& group = groups[static_cast<size_t>(owner)];
     if (group.positions.empty()) continue;
     auto slot = std::make_shared<FetchSlot>(*engine_);
+    slot->bytes = group.indices.size() * rec.ops.size;
     slot->req_id = next_req_id();
     outstanding_[slot->req_id] = slot;
     ByteWriter w;
@@ -982,8 +940,6 @@ void NodeRuntime::gather_elems(uint32_t id,
     // The service fiber erases each request from outstanding_ by its
     // recorded id when the response arrives; no cleanup scan needed here.
     wait_fetch(*wt.slot);
-    PPM_CHECK(wt.slot->data.size() == wt.group->indices.size() * rec.ops.size,
-              "short indexed-get response");
     for (size_t j = 0; j < wt.group->positions.size(); ++j) {
       std::memcpy(out + wt.group->positions[j] * rec.ops.size,
                   wt.slot->data.data() + j * rec.ops.size, rec.ops.size);
@@ -1042,10 +998,9 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     // missing cache block (they coalesce into one list flush); pass 2
     // waits where needed and copies block portions. Reads count as the
     // per-element path would: one slow-path read per block not yet
-    // published in the direct-mapped table; cache hits for every element
-    // of a block that was cached or in flight, all but the first of a
-    // block fetched here. Published blocks are cached, so the table
-    // answers first in both passes.
+    // published in the table; cache hits for every element of a block
+    // that was cached or in flight, all but the first of a block fetched
+    // here.
     const uint64_t ll = at.local;
     const uint64_t olen = rec.owner_len(owner);
     const uint64_t be = rec.block_elems;
@@ -1054,7 +1009,7 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     for (uint64_t b = b0, slot = at.slot; b < ll + len; b += be, ++slot) {
       if (rec.published_block(slot) != nullptr) continue;
       ++counters_.slow_path_reads;
-      if (block_wanted(rec, owner, b, slot)) continue;
+      if (touched_block(rec, slot) != nullptr) continue;
       issue_block_fetch(rec, owner, b, std::min(be, olen - b),
                         /*prefetch=*/false);
       ++fetched;
@@ -1063,27 +1018,13 @@ void NodeRuntime::read_span(uint32_t id, uint64_t first, uint64_t count,
     for (uint64_t b = b0, slot = at.slot; b < ll + len; b += be, ++slot) {
       const uint64_t lo = std::max(ll, b);
       const uint64_t hi = std::min(ll + len, b + be);
-      if (const std::byte* block = rec.published_block(slot)) {
-        std::memcpy(dst + (lo - ll) * esz, block + (lo - b) * esz,
-                    (hi - lo) * esz);
-        continue;
+      const std::byte* block = rec.published_block(slot);
+      if (block == nullptr) {
+        wait_fetch(*touched_block(rec, slot));  // no-op once arrived
+        block = publish_block(rec, owner, b, slot);
       }
-      const BlockKey key{
-          rec.id, (static_cast<uint64_t>(owner) << kBlockOwnerShift) | b};
-      auto itc = block_cache_.find(key);
-      if (itc == block_cache_.end()) {
-        const auto itp = pending_blocks_.find(key);
-        PPM_CHECK(itp != pending_blocks_.end(),
-                  "bulk read lost its in-flight block");
-        auto slot = itp->second;  // keep alive across the wait
-        wait_fetch(*slot);
-        itc = block_cache_.find(key);
-        PPM_CHECK(itc != block_cache_.end(),
-                  "bulk read fetch did not populate the block cache");
-      }
-      publish_block(rec, key, itc->second);
-      std::memcpy(dst + (lo - ll) * esz,
-                  itc->second.data() + (lo - b) * esz, (hi - lo) * esz);
+      std::memcpy(dst + (lo - ll) * esz, block + (lo - b) * esz,
+                  (hi - lo) * esz);
     }
     g = seg_end;
   }
@@ -1514,15 +1455,12 @@ void NodeRuntime::commit_global() {
   //    (demand fetches always flush before their requester parks), so
   //    dropping them here — instead of shipping requests whose responses
   //    the epoch bump below would discard anyway — saves the wire bytes
-  //    entirely.
+  //    entirely. Their table slots reset with the rest in step 6.
   if (backlog_nonempty_) {
     for (const int owner : backlog_owners_) {
       for (const QueuedFetch& f : peer(owner).fetch_backlog) {
         PPM_CHECK(f.prefetch, "demand fetch still queued at commit");
         outstanding_.erase(f.req_id);
-        pending_blocks_.erase(BlockKey{
-            f.array,
-            (static_cast<uint64_t>(owner) << kBlockOwnerShift) | f.first});
         --counters_.blocks_fetched;
         --counters_.prefetch_issued;
       }
@@ -1625,30 +1563,25 @@ void NodeRuntime::commit_global() {
   //     bytes behind them are ignored.
   if (migrate_round) run_migration_round(std::move(payloads));
 
-  // 6. New epoch: phase-start snapshot changes, so the read cache dies.
+  // 6. New epoch: phase-start snapshot changes, so every table slot this
+  //    epoch touched goes back to no block. Demand reads complete inside
+  //    the phase (their VP waits), but lookahead fetches issued late may
+  //    still be in flight: abandon them. Such a slot stays in outstanding_
+  //    so a response that does arrive (the owner served it before
+  //    committing past our epoch) is recognized and discarded; an owner
+  //    that committed first drops the request instead.
   ++epoch_;
-  if (!block_cache_.empty()) {
-    for (auto& rec : arrays_) {
-      if (!rec.remote_block_ptr.empty()) {
-        std::fill(rec.remote_block_ptr.begin(), rec.remote_block_ptr.end(),
-                  nullptr);
-      }
+  for (const auto& block : blocks_) {
+    block->record->remote_block_ptr[block->block_slot] = nullptr;
+    block->record->remote_block_ref[block->block_slot] = 0;
+    if (!block->done) {
+      PPM_CHECK(block->prefetched,
+                "demand reads still pending at end-of-phase commit");
+      block->abandoned = true;
     }
   }
-  block_cache_.clear();
-  prefetched_keys_.clear();
+  blocks_.clear();
   unbundled_arena_.clear();
-  // Demand reads complete inside the phase (their VP waits), but lookahead
-  // fetches issued late may still be in flight: abandon them. The slot
-  // stays in outstanding_ so a response that does arrive (the owner served
-  // it before committing past our epoch) is recognized and discarded; an
-  // owner that committed first drops the request instead.
-  for (auto& [key, slot] : pending_blocks_) {
-    PPM_CHECK(slot->prefetched && !slot->done,
-              "demand reads still pending at end-of-phase commit");
-    slot->abandoned = true;
-  }
-  pending_blocks_.clear();
 
   // 7. Serve get requests from nodes that raced ahead into this epoch.
   serve_deferred_gets();
@@ -2196,31 +2129,39 @@ void NodeRuntime::service_loop() {
                   static_cast<unsigned long long>(req_id));
         auto slot = std::move(it->second);
         outstanding_.erase(it);
+        const detail::ArrayRecord* rec = slot->record;
         if (tracer_) [[unlikely]] {
-          trace_rec(trace::EventKind::kFetchDone, slot->key.array,
-                    slot->key.block, req_id,
-                    slot->abandoned ? trace::kFlagBit0 : 0);
-        }
-        if (slot->abandoned) break;  // lookahead from a committed phase
-        Bytes payload(msg.payload.begin() + sizeof(uint64_t),
-                      msg.payload.end());
-        if (slot->cache_on_arrival) {
-          // Populate the block cache here so combined waiters can be woken
-          // in any order relative to the initiating fiber. Demand blocks
-          // are also published in the array's direct-mapped table for
-          // inline reads; prefetched blocks publish on their first demand
-          // touch instead, so lookahead hits stay observable.
-          Bytes& cached = block_cache_[slot->key];
-          cached = std::move(payload);
-          pending_blocks_.erase(slot->key);
-          if (slot->prefetched) {
-            prefetched_keys_.insert(slot->key);
-          } else {
-            ensure_block_table(*slot->record);
-            slot->record->remote_block_ptr[slot->block_slot] = cached.data();
+          // Block fetches name their block (element and indexed gets:
+          // zeros).
+          uint64_t array = 0, first = 0, owner = 0;
+          if (rec != nullptr) {
+            array = rec->id;
+            owner = slot->block_slot / rec->blocks_per_chunk;
+            first = slot->block_slot % rec->blocks_per_chunk *
+                    rec->block_elems;
           }
-        } else {
-          slot->data = std::move(payload);
+          trace_rec(trace::EventKind::kFetchDone, array, first, req_id,
+                    slot->abandoned ? trace::kFlagBit0 : 0,
+                    static_cast<uint32_t>(owner));
+        }
+        PPM_CHECK(r.remaining() == slot->bytes,
+                  "get response %llu carries %zu bytes, the request asked "
+                  "for %llu",
+                  static_cast<unsigned long long>(req_id), r.remaining(),
+                  static_cast<unsigned long long>(slot->bytes));
+        if (slot->abandoned) break;  // lookahead from a committed phase
+        // Keep the delivered buffer; drop the request id in place.
+        msg.payload.erase(msg.payload.begin(),
+                          msg.payload.begin() + sizeof(uint64_t));
+        slot->data = std::move(msg.payload);
+        // Combined waiters can be woken in any order relative to the
+        // initiating fiber: the bytes are in the slot. Demand blocks are
+        // published in the table for inline reads; prefetched blocks
+        // publish on their first demand touch instead, so lookahead hits
+        // stay observable.
+        if (rec != nullptr && !slot->prefetched) {
+          slot->record->remote_block_ptr[slot->block_slot] =
+              slot->data.data();
         }
         slot->done = true;
         slot->waiters.wake_all();
@@ -2329,7 +2270,7 @@ void NodeRuntime::serve_get(const net::Message& msg) {
       const auto req_id = r.get<uint64_t>();
       (void)r.get<uint8_t>();  // prefetch flag (epoch check used it)
       const auto& rec = array(id);
-      PPM_CHECK(first + count <= rec.chunk_len,
+      PPM_CHECK(count <= rec.chunk_len && first <= rec.chunk_len - count,
                 "get request [%llu, +%llu) outside node %d's storage",
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(count), node_);
@@ -2348,7 +2289,7 @@ void NodeRuntime::serve_get(const net::Message& msg) {
     const auto count = r.get<uint64_t>();
     const auto req_id = r.get<uint64_t>();
     const auto& rec = array(id);
-    PPM_CHECK(first + count <= rec.chunk_len,
+    PPM_CHECK(count <= rec.chunk_len && first <= rec.chunk_len - count,
               "get request [%llu, +%llu) outside node %d's storage",
               static_cast<unsigned long long>(first),
               static_cast<unsigned long long>(count), node_);
@@ -2411,8 +2352,7 @@ void NodeRuntime::handle_token(net::Message msg) {
   key.src = msg.src_node;
   key.seq = r.get<uint64_t>();
   key.round = r.get<uint32_t>();
-  const auto body = r.view(r.remaining());
-  tokens_[key] = Bytes(body.begin(), body.end());
+  tokens_[key] = std::move(msg.payload);  // token_recv strips the head
   arrivals_cv_->notify_all();
 }
 
@@ -2448,8 +2388,11 @@ void NodeRuntime::token_send(int dst_node, uint64_t seq, uint32_t round,
 Bytes NodeRuntime::token_recv(int src_node, uint64_t seq, uint32_t round) {
   const TokenKey key{src_node, seq, round};
   arrivals_cv_->wait([&] { return tokens_.count(key) != 0; });
-  Bytes payload = std::move(tokens_[key]);
-  tokens_.erase(key);
+  const auto it = tokens_.find(key);
+  Bytes payload = std::move(it->second);
+  tokens_.erase(it);
+  // In place: the payload keeps the delivered message's allocation.
+  payload.erase(payload.begin(), payload.begin() + kTokenHeadBytes);
   return payload;
 }
 

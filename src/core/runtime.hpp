@@ -29,7 +29,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "check/validator.hpp"
@@ -191,18 +190,21 @@ struct ArrayRecord {
     ops.apply(elem, value, op);
   }
 
-  // Remote-read fast path (global arrays with bundling enabled): a
-  // direct-mapped table with one slot per cache block of the whole array;
-  // a non-null slot points at the block's bytes inside the requester's
-  // block cache. Filled by the service fiber on fetch completion, wiped at
-  // every global commit. Shared handles consult it inline. A published
-  // block is always in the block cache too (both hold the same bytes and
-  // die at the same commit), so "published" answers "cached" without a
-  // hash lookup; the converse fails only for prefetched blocks not yet
-  // demanded.
+  // The remote-block table (global arrays with bundling enabled), the
+  // requester's only record of a remote block in this epoch: one slot per
+  // cache block of the whole array, owner * blocks_per_chunk + block. A
+  // slot holds no block, a fetch in flight, a lookahead block that
+  // arrived but was not demanded yet, or a published block.
+  // remote_block_ref names the slot's entry in the node's list of blocks
+  // touched this epoch (index + 1; 0 = no block), and the entry owns the
+  // bytes. remote_block_ptr points at the bytes of a published block and
+  // is nullptr otherwise; shared handles probe it inline. Both are
+  // allocated on the array's first block fetch and reset at every global
+  // commit.
   uint64_t block_elems = 0;        // elements per cache block
   uint64_t blocks_per_chunk = 0;   // blocks within one owner's chunk
   std::vector<const std::byte*> remote_block_ptr;
+  std::vector<uint32_t> remote_block_ref;
 
   // The element locator's divisors (create_array sets them with the
   // fields they mirror): no element path issues a hardware divide.
@@ -613,31 +615,23 @@ class NodeRuntime {
     bool shutdown = false;
   };
 
-  /// BlockKey::block packs (owner << kBlockOwnerShift) | first_owner_local.
-  static constexpr int kBlockOwnerShift = 40;
-
-  struct BlockKey {
-    uint32_t array;
-    uint64_t block;
-    bool operator==(const BlockKey&) const = default;
-  };
-
+  /// One outstanding get. A block fetch is also its table slot's entry
+  /// for the epoch: the response's bytes stay here until the commit.
   struct FetchSlot {
     explicit FetchSlot(sim::Engine& engine) : waiters(engine) {}
     bool done = false;
     Bytes data;
-    // Block fetches: the service fiber inserts the payload straight into
-    // the block cache under this key (and publishes it in the array's
-    // direct-mapped block table), so combined waiters can be woken in any
-    // order.
-    bool cache_on_arrival = false;
+    // Response length the request asked for, checked on arrival.
+    uint64_t bytes = 0;
     // Issued by the lookahead engine: nobody waits, publication into the
-    // direct-mapped table is deferred to the first demand touch (so hits
-    // are observable), and the slot is abandoned if the phase commits
-    // before the response arrives.
+    // table is deferred to the first demand touch (so hits are
+    // observable), and the slot is abandoned if the phase commits before
+    // the response arrives.
     bool prefetched = false;
     bool abandoned = false;
-    BlockKey key{};
+    // Block fetches: the array and table slot the block lands in (null
+    // for element and indexed gets, which keep their bytes in `data`
+    // only).
     detail::ArrayRecord* record = nullptr;
     uint64_t block_slot = 0;
     uint64_t req_id = 0;
@@ -667,9 +661,12 @@ class NodeRuntime {
   uint64_t next_req_id() { return req_id_counter_++; }
 
   // Overlap engine (requester side).
-  std::shared_ptr<FetchSlot> issue_block_fetch(const detail::ArrayRecord& rec,
-                                               int owner, uint64_t first,
-                                               uint64_t count, bool prefetch);
+  /// Fetch `count` elements from owner-local `first` of `owner`: the block
+  /// enters its table slot in flight, and the request joins the owner's
+  /// backlog. The entry lives until the commit.
+  FetchSlot& issue_block_fetch(const detail::ArrayRecord& rec, int owner,
+                               uint64_t first, uint64_t count,
+                               bool prefetch);
   /// Ship every queued per-owner fetch request (kGetBlockList when an
   /// owner has >= 2, plain kGetBlock/kPrefetchBlock otherwise). Called
   /// before any fiber parks on a fetch and at the end of prefetch sweeps;
@@ -689,19 +686,19 @@ class NodeRuntime {
   /// block was already wanted (detected forward stream).
   void maybe_stream_prefetch(const detail::ArrayRecord& rec, int owner,
                              uint64_t first, uint64_t owner_len);
-  /// True when the cache block at owner-local `first` of `owner` (table
-  /// slot `slot`) is cached or in flight. Asks the direct-mapped table
-  /// first; the hash maps only see blocks it has not published.
-  bool block_wanted(const detail::ArrayRecord& rec, int owner,
-                    uint64_t first, uint64_t slot) const;
-  /// Publish a cached block in the array's direct-mapped table and count
-  /// the first demand touch of a prefetched block.
-  void publish_block(const detail::ArrayRecord& rec, const BlockKey& key,
-                     const Bytes& cached);
-  /// Allocate the array's direct-mapped remote-block table on its first
-  /// published block. Lazy so arrays a node never reads remotely cost no
-  /// table at all (it is blocks_per_chunk * nodes pointers).
-  void ensure_block_table(detail::ArrayRecord& rec);
+  /// The entry of table slot `slot` this epoch — a block in flight,
+  /// arrived or published — or nullptr when the slot holds no block.
+  FetchSlot* touched_block(const detail::ArrayRecord& rec,
+                           uint64_t slot) const {
+    if (rec.remote_block_ref.empty()) return nullptr;
+    const uint32_t ref = rec.remote_block_ref[slot];
+    return ref == 0 ? nullptr : blocks_[ref - 1].get();
+  }
+  /// Publish the arrived block in table slot `slot` (owner-local `first`
+  /// of `owner`) and count the first demand touch of a prefetched block.
+  /// Returns its bytes.
+  const std::byte* publish_block(const detail::ArrayRecord& rec, int owner,
+                                 uint64_t first, uint64_t slot);
 
   // Write engine. Each destination buffer carries its fragment header
   // (epoch + last-flag) in place from the first entry on, so a flush ships
@@ -762,7 +759,11 @@ class NodeRuntime {
   void validate_commit_finish();
   void validate_lockstep();
 
-  // Token transport.
+  // Token transport. A token is its (seq, round) head and the payload;
+  // the receiver keeps the delivered message buffer and strips the head
+  // in place.
+  static constexpr size_t kTokenHeadBytes =
+      sizeof(uint64_t) + sizeof(uint32_t);
   void token_send(int dst_node, uint64_t seq, uint32_t round,
                   std::span<const std::byte> payload);
   Bytes token_recv(int src_node, uint64_t seq, uint32_t round);
@@ -816,31 +817,21 @@ class NodeRuntime {
   std::vector<uint32_t> rebalance_requests_;  // sorted array ids
   std::vector<MigArrival> mig_inbox_;
 
-  // Read engine state (cleared every global commit).
-  struct BlockKeyHash {
-    size_t operator()(const BlockKey& k) const {
-      return std::hash<uint64_t>()((static_cast<uint64_t>(k.array) << 48) ^
-                                   k.block * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-  std::unordered_map<BlockKey, Bytes, BlockKeyHash> block_cache_;
-  std::unordered_map<BlockKey, std::shared_ptr<FetchSlot>, BlockKeyHash>
-      pending_blocks_;
-  // Cached blocks that arrived via prefetch and have not been demanded
-  // yet; the first demand touch moves them into the published table and
-  // counts a prefetch hit.
-  std::unordered_set<BlockKey, BlockKeyHash> prefetched_keys_;
+  // Read engine state (cleared every global commit). blocks_ lists the
+  // remote blocks this epoch touched, the entries the arrays'
+  // remote_block_ref slots name, so the commit resets exactly those
+  // slots.
+  std::vector<std::shared_ptr<FetchSlot>> blocks_;
   std::vector<Bytes> unbundled_arena_;  // single-element fetches for views
   std::unordered_map<uint64_t, std::shared_ptr<FetchSlot>> outstanding_;
   std::unique_ptr<sim::ConditionVar> arrivals_cv_;
   uint64_t req_id_counter_ = 1;
 
-  // Fetch coalescing (options().batch_fetches): block requests queued per
-  // owner while cores miss-switch, shipped together by
-  // flush_fetch_backlog. The invariant is "never park with a non-empty
-  // backlog" — wait_fetch flushes right before parking, so a demand
-  // fetch's send is delayed at most until its requester runs out of ready
-  // VPs to switch to.
+  // Fetch coalescing: every block request is queued per owner while cores
+  // miss-switch, and flush_fetch_backlog ships the queues together. The
+  // invariant is "never park with a non-empty backlog" — wait_fetch
+  // flushes right before parking, so a demand fetch's send is delayed at
+  // most until its requester runs out of ready VPs to switch to.
   struct QueuedFetch {
     uint32_t array = 0;
     uint64_t first = 0;  // owner-local

@@ -177,7 +177,7 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
     c.runtime.overlap_max_depth = 1 + static_cast<uint32_t>(rng.next_below(4));
     c.runtime.prefetch_lookahead_blocks =
         static_cast<uint32_t>(rng.next_below(3));
-    c.runtime.batch_fetches = rng.next_below(2) == 0;
+    (void)rng.next_below(2);  // unused; keeps later draws and --replay stable
     c.runtime.adaptive_distribution = rng.next_below(2) == 0;
     (void)rng.next_double();  // unused; keeps later draws and --replay stable
     c.runtime.migrate_max_blocks_per_phase =

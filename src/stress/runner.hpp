@@ -26,10 +26,10 @@ struct StressConfig {
 /// Deterministic config matrix for one program seed. configs[0] is always
 /// the single-node/single-core static reference (its global snapshot is
 /// the cross-config comparison anchor); the rest sample node/core counts,
-/// both schedules, the bundling/flush/overlap/fetch-batching/lookahead/
-/// adaptive knobs, and — on some multi-node configs — fabric fault
-/// injection. Config i depends only on draws before it, so any count >=
-/// i+1 reproduces config i.
+/// both schedules, the bundling/flush/overlap/lookahead/adaptive knobs,
+/// and — on some multi-node configs — fabric fault injection. Config i
+/// depends only on draws before it, so any count >= i+1 reproduces
+/// config i.
 std::vector<StressConfig> sample_configs(uint64_t seed, int count);
 
 /// The committed state a config run ends with, in golden shape: logical

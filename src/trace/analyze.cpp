@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "trace/recorder.hpp"
@@ -11,10 +12,6 @@
 namespace ppm::trace {
 
 namespace {
-
-/// Block keys pack (owner << 40) | first_owner_local — the runtime's
-/// BlockKey encoding, mirrored here without including core headers.
-constexpr int kBlockOwnerShift = 40;
 
 struct NodePhase {
   bool seen = false;
@@ -70,10 +67,8 @@ Summary analyze(const Trace& trace) {
   // phase_index -> per-node begin/compute/commit/stall. An ordered map
   // keeps the output sorted by phase index with no extra pass.
   std::map<uint64_t, PhaseAcc> phases;
-  struct BlockStat {
-    uint64_t fetches = 0;
-  };
-  std::map<std::pair<uint32_t, uint64_t>, BlockStat> blocks;
+  // Fetches per remote block, keyed (array, owner, first element).
+  std::map<std::tuple<uint32_t, uint64_t, uint64_t>, uint64_t> blocks;
 
   const int nodes = trace.nodes();
   for (int n = 0; n < nodes; ++n) {
@@ -129,7 +124,7 @@ Summary analyze(const Trace& trace) {
         case EventKind::kFetchIssued:
           ++s.fetches;
           fetch_of[e.c] = Fetch{.issued = e.t_ns};
-          ++blocks[{static_cast<uint32_t>(e.a), e.b}].fetches;
+          ++blocks[{static_cast<uint32_t>(e.a), e.aux, e.b}];
           break;
         case EventKind::kFetchDone: {
           const auto it = fetch_of.find(e.c);
@@ -227,13 +222,12 @@ Summary analyze(const Trace& trace) {
   // map iteration order supplies the ascending tie-break for stable_sort.
   std::vector<HotBlock> hot;
   hot.reserve(blocks.size());
-  for (const auto& [key, stat] : blocks) {
-    HotBlock hb;
-    hb.array = key.first;
-    hb.owner = key.second >> kBlockOwnerShift;
-    hb.first_elem = key.second & ((uint64_t{1} << kBlockOwnerShift) - 1);
-    hb.fetches = stat.fetches;
-    hot.push_back(hb);
+  for (const auto& [key, fetches] : blocks) {
+    const auto& [array, owner, first] = key;
+    hot.push_back(HotBlock{.array = array,
+                           .owner = owner,
+                           .first_elem = first,
+                           .fetches = fetches});
   }
   std::stable_sort(hot.begin(), hot.end(),
                    [](const HotBlock& x, const HotBlock& y) {

@@ -24,13 +24,14 @@ enum class EventKind : uint8_t {
              // aux = VPs actually executed by this batch,
              // flags bit0 = nested under a blocked VP (miss-switching)
 
-  // Remote-read engine. a = array id, b = packed block key
-  // (owner << 40 | first owner-local element).
+  // Remote-read engine. a = array id, b = the block's first owner-local
+  // element, aux = its owner node.
   kCacheHit,     // flags bit0 = served by waiting on an in-flight fetch
   kCacheMiss,    // demand miss; a fetch follows
   kFetchIssued,  // c = request id, flags bit0 = prefetch (lookahead)
   kFetchDone,    // response arrived; c = request id,
-                 // flags bit0 = abandoned (phase committed first)
+                 // flags bit0 = abandoned (phase committed first);
+                 // element and indexed gets: a = b = aux = 0
   kFetchStall,   // span: c = stall start, t_ns = wake; a = request id
   kPrefetchHit,  // first demand touch of a prefetched block
 

@@ -123,13 +123,11 @@ std::string u64_arg(const char* key, uint64_t v) {
   return "\"" + std::string(key) + "\":" + std::to_string(v);
 }
 
-/// Block keys pack (owner << 40) | first (the runtime's encoding).
-constexpr int kBlockOwnerShift = 40;
-
-std::string block_args(uint64_t array, uint64_t key) {
-  return u64_arg("array", array) + "," +
-         u64_arg("owner", key >> kBlockOwnerShift) + "," +
-         u64_arg("first", key & ((uint64_t{1} << kBlockOwnerShift) - 1));
+/// A read-engine event's block: array in a, owner in aux, owner-local
+/// first element in b.
+std::string block_args(const Event& e) {
+  return u64_arg("array", e.a) + "," + u64_arg("owner", e.aux) + "," +
+         u64_arg("first", e.b);
 }
 
 void export_node(JsonEmitter& json, const Recorder& rec, uint32_t pid) {
@@ -185,16 +183,16 @@ void export_node(JsonEmitter& json, const Recorder& rec, uint32_t pid) {
         json.instant(pid, e.core, e.t_ns,
                      (e.flags & kFlagBit0) != 0 ? "cache_hit (combined)"
                                                 : "cache_hit",
-                     block_args(e.a, e.b));
+                     block_args(e));
         break;
       case EventKind::kCacheMiss:
-        json.instant(pid, e.core, e.t_ns, "cache_miss", block_args(e.a, e.b));
+        json.instant(pid, e.core, e.t_ns, "cache_miss", block_args(e));
         break;
       case EventKind::kFetchIssued:
         json.instant(pid, e.core, e.t_ns,
                      (e.flags & kFlagBit0) != 0 ? "prefetch_issued"
                                                 : "fetch_issued",
-                     block_args(e.a, e.b) + "," + u64_arg("req", e.c));
+                     block_args(e) + "," + u64_arg("req", e.c));
         break;
       case EventKind::kFetchDone:
         json.instant(pid, e.core, e.t_ns,
@@ -204,7 +202,7 @@ void export_node(JsonEmitter& json, const Recorder& rec, uint32_t pid) {
         break;
       case EventKind::kPrefetchHit:
         json.instant(pid, e.core, e.t_ns, "prefetch_hit",
-                     block_args(e.a, e.b));
+                     block_args(e));
         break;
       case EventKind::kBundleFlush:
         json.instant(pid, e.core, e.t_ns,

@@ -26,8 +26,8 @@ std::string to_chrome_json(const Trace& trace);
 Bytes to_binary(const Trace& trace);
 
 inline constexpr uint32_t kBinaryMagic = 0x544d5050;  // "PPMT" little-endian
-// Bump on any change to the layout or to EventKind's numbering: events
-// carry the kind as its raw byte.
-inline constexpr uint32_t kBinaryVersion = 3;
+// Bump on any change to the layout, to what an event's operands mean, or
+// to EventKind's numbering: events carry the kind as its raw byte.
+inline constexpr uint32_t kBinaryVersion = 4;
 
 }  // namespace ppm::trace

@@ -139,8 +139,8 @@ TEST(Overlap, MissSwitchingReducesStallAndDuration) {
   EXPECT_LT(on.fetch_stall_ns, off.fetch_stall_ns);
   EXPECT_LT(on.duration_ns, off.duration_ns);
   // Same blocks move either way; with miss-switching the queued fetches
-  // additionally coalesce into list requests (batch_fetches), so wire
-  // bytes may only shrink, never grow.
+  // additionally coalesce into list requests, so wire bytes may only
+  // shrink, never grow.
   EXPECT_EQ(on.remote_blocks_fetched, off.remote_blocks_fetched);
   EXPECT_LE(on.network_bytes, off.network_bytes);
 }

@@ -1,8 +1,7 @@
 // The read-engine fast path: a phase whose working set is cached must
 // never re-enter the runtime's slow remote path, the bulk read_n/set_n/
-// add_n spans commit exactly what the per-element loops commit, and
-// batched fetch lists are a pure performance knob (bit-identical
-// committed state).
+// add_n spans commit exactly what the per-element loops commit, and every
+// global commit empties the remote-block table.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,7 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/machine.hpp"
 #include "core/ppm.hpp"
+#include "sim/engine.hpp"
+#include "trace/recorder.hpp"
 
 namespace ppm {
 namespace {
@@ -89,11 +91,10 @@ struct Committed {
   RunResult r;
 };
 
-Committed run_bulk_workload(bool bulk, bool batch) {
+Committed run_bulk_workload(bool bulk) {
   constexpr uint64_t kN = 1024;
   constexpr uint64_t kK = 8;  // VPs per node
   PpmConfig c = cfg(4, 2);
-  c.runtime.batch_fetches = batch;
   c.runtime.read_block_bytes = 256;  // 32 doubles per block
   Committed out;
   out.r = run(c, [&](Env& env) {
@@ -141,8 +142,8 @@ Committed run_bulk_workload(bool bulk, bool batch) {
 }
 
 TEST(ReadPath, BulkSpansBitIdenticalToElementwise) {
-  const Committed spans = run_bulk_workload(/*bulk=*/true, /*batch=*/true);
-  const Committed loops = run_bulk_workload(/*bulk=*/false, /*batch=*/true);
+  const Committed spans = run_bulk_workload(/*bulk=*/true);
+  const Committed loops = run_bulk_workload(/*bulk=*/false);
   ASSERT_EQ(spans.vals.size(), loops.vals.size());
   EXPECT_EQ(std::memcmp(spans.vals.data(), loops.vals.data(),
                         spans.vals.size() * sizeof(double)),
@@ -150,19 +151,6 @@ TEST(ReadPath, BulkSpansBitIdenticalToElementwise) {
   // The spans ship contiguous runs as single range entries, so wire bytes
   // may only shrink.
   EXPECT_LE(spans.r.network_bytes, loops.r.network_bytes);
-}
-
-TEST(ReadPath, BatchedFetchListsPreserveResults) {
-  const Committed on = run_bulk_workload(/*bulk=*/true, /*batch=*/true);
-  const Committed off = run_bulk_workload(/*bulk=*/true, /*batch=*/false);
-  ASSERT_EQ(on.vals.size(), off.vals.size());
-  EXPECT_EQ(std::memcmp(on.vals.data(), off.vals.data(),
-                        on.vals.size() * sizeof(double)),
-            0);
-  // Coalesced lists replace per-block requests: never more messages or
-  // bytes than the unbatched wire.
-  EXPECT_LE(on.r.network_messages, off.r.network_messages);
-  EXPECT_LE(on.r.network_bytes, off.r.network_bytes);
 }
 
 // prefetch_range announces a remote band; the demanded blocks must be
@@ -186,6 +174,109 @@ TEST(ReadPath, PrefetchRangeCoversDemandedBand) {
   EXPECT_EQ(r.prefetch_issued, 2u);
   EXPECT_EQ(r.prefetch_hits, 2u);
   EXPECT_EQ(r.remote_blocks_fetched, 2u);
+}
+
+// Every global commit empties the block table. A lookahead block that
+// arrived in epoch e and was never demanded there is fetched again in
+// e+1 and reads e+1's values, and only the demand touch in the epoch the
+// block arrived counts as a prefetch hit.
+TEST(ReadPath, CommitDropsPrefetchedBlocksNeverDemanded) {
+  constexpr uint64_t kN = 4096;               // node 1 owns [2048, 4096)
+  constexpr uint64_t kDemanded = kN / 2;      // prefetched, read in e
+  constexpr uint64_t kUnused = kN / 2 + 256;  // prefetched, not read in e
+  PpmConfig c = cfg(2, 1);
+  c.runtime.prefetch_lookahead_blocks = 0;  // only the explicit hint
+  std::vector<double> next_epoch;
+  const RunResult r = run(c, [&](Env& env) {
+    auto a = env.global_array<double>(kN);
+    auto vps = env.ppm_do(1);
+    const bool reader = env.node_id() == 0;
+    vps.global_phase([&](Vp&) {
+      if (!reader) {
+        for (uint64_t i = kN / 2; i < kN; ++i) {
+          a.set(i, static_cast<double>(i) + 0.5);
+        }
+        return;
+      }
+      const std::vector<uint64_t> hint = {kDemanded, kUnused};
+      a.prefetch(hint);
+      sim::advance_ns(1'000'000);  // both blocks arrive in this epoch
+      EXPECT_EQ(a.get(kDemanded), 0.0);
+    });
+    vps.global_phase([&](Vp&) {
+      if (!reader) return;
+      for (const uint64_t i : {kDemanded, kUnused}) {
+        next_epoch.push_back(a.get(i));
+      }
+    });
+  });
+  EXPECT_EQ(next_epoch, (std::vector<double>{kDemanded + 0.5, kUnused + 0.5}));
+  EXPECT_EQ(r.prefetch_issued, 2u);
+  EXPECT_EQ(r.prefetch_hits, 1u);
+  // The two hints, then a demand fetch of each block in e+1.
+  EXPECT_EQ(r.remote_blocks_fetched, 4u);
+}
+
+// A lookahead still in flight when its requester commits is abandoned:
+// its response, arriving in the next epoch, must be dropped, not
+// published there. Fabric jitter moves the arrivals around the commit;
+// across the seeds some must land after it.
+TEST(ReadPath, LookaheadArrivingAfterCommitIsDropped) {
+  constexpr uint64_t kN = 4096;  // node 1 owns eight blocks, [2048, 4096)
+  uint64_t late = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    PpmConfig c = cfg(2, 1);
+    c.runtime.prefetch_lookahead_blocks = 0;
+    c.runtime.trace = true;
+    c.machine.faults.delay_jitter = true;
+    c.machine.faults.seed = seed;
+    c.machine.faults.delay_probability = 0.5;
+    c.machine.faults.max_extra_delay_ns = 20'000;
+    cluster::Machine machine(c.machine);
+    Runtime runtime(machine, c.runtime);
+    std::vector<double> seen(kN / 2);
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<double>(kN);
+      auto vps = env.ppm_do(1);
+      for (int round = 1; round <= 2; ++round) {
+        vps.global_phase([&](Vp&) {
+          if (node == 1) {
+            for (uint64_t i = kN / 2; i < kN; ++i) {
+              a.set(i, static_cast<double>(i) * 0.5 + round);
+            }
+          } else if (round == 2) {
+            // The phase's last act: the hints are in flight at commit.
+            sim::advance_ns(10'000);
+            a.prefetch_range(kN / 2, kN);
+          }
+        });
+      }
+      vps.global_phase([&](Vp&) {
+        if (node != 0) return;
+        sim::advance_ns(1'000'000);  // every late response has landed
+        for (uint64_t i = kN / 2; i < kN; ++i) seen[i - kN / 2] = a.view(i);
+      });
+      nr.finish();
+    });
+    const RunResult r = runtime.collect();
+    for (uint64_t i = kN / 2; i < kN; ++i) {
+      ASSERT_EQ(seen[i - kN / 2], static_cast<double>(i) * 0.5 + 2)
+          << "seed " << seed << ", element " << i;
+    }
+    EXPECT_EQ(r.prefetch_issued, 8u) << "seed " << seed;
+    EXPECT_EQ(r.prefetch_hits, 0u) << "seed " << seed;
+    EXPECT_EQ(r.remote_blocks_fetched, 16u) << "seed " << seed;
+    for (const trace::Event& e : runtime.trace()->node(0).ordered()) {
+      if (e.kind == trace::EventKind::kFetchDone &&
+          (e.flags & trace::kFlagBit0) != 0) {
+        ++late;
+      }
+    }
+  }
+  EXPECT_GT(late, 0u) << "no lookahead response arrived after its commit";
 }
 
 // read_n counts cache hits the way the per-element get loop does: every

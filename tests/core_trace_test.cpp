@@ -215,27 +215,53 @@ TEST(TraceTest, BinaryExportRoundTripHeader) {
   cfg.runtime.trace = true;
   cluster::Machine machine(cfg.machine);
   Runtime runtime(machine, cfg.runtime);
+  uint32_t array_id = 0;
   machine.run_per_node([&](int node) {
     NodeRuntime& nr = runtime.node(node);
     nr.start();
     Env env(nr);
     auto a = env.global_array<int64_t>(16);
+    array_id = a.id();
     auto vps = env.ppm_do(8);
     vps.global_phase([&](Vp& vp) {
       a.set(vp.global_rank() % 16, static_cast<int64_t>(vp.global_rank()));
+      // Node 0 reads node 1's element 9: one block fetch.
+      if (node == 0 && vp.node_rank() == 0) (void)a.get(9);
     });
     nr.finish();
   });
   (void)runtime.collect();
   ASSERT_NE(runtime.trace(), nullptr);
   const Bytes bin = trace::to_binary(*runtime.trace());
-  ASSERT_GE(bin.size(), 16u);
-  uint32_t header[4] = {};  // magic, version, nodes, tracks
-  std::memcpy(header, bin.data(), sizeof(header));
-  EXPECT_EQ(header[0], trace::kBinaryMagic);
-  EXPECT_EQ(header[1], trace::kBinaryVersion);
-  EXPECT_EQ(header[2], 2u);
-  EXPECT_EQ(header[3], 2u) << "one track per node";
+  ByteReader r(bin);
+  EXPECT_EQ(r.get<uint32_t>(), trace::kBinaryMagic);
+  EXPECT_EQ(r.get<uint32_t>(), 4u) << "version";
+  EXPECT_EQ(r.get<uint32_t>(), 2u) << "nodes";
+  EXPECT_EQ(r.get<uint32_t>(), 2u) << "one track per node";
+  // Node 0's track: its fetch names the block by array (a), owner-local
+  // first element (b) and owner (aux).
+  EXPECT_EQ(r.get<uint32_t>(), 0u) << "track";
+  (void)r.get<uint64_t>();  // dropped
+  const auto labels = r.get<uint32_t>();
+  for (uint32_t i = 0; i < labels; ++i) (void)r.get_string();
+  const auto events = r.get<uint64_t>();
+  int fetches = 0;
+  for (uint64_t i = 0; i < events; ++i) {
+    (void)r.get<int64_t>();  // t_ns
+    const auto a = r.get<uint64_t>();
+    const auto b = r.get<uint64_t>();
+    (void)r.get<uint64_t>();  // c
+    const auto aux = r.get<uint32_t>();
+    (void)r.get<uint16_t>();  // core
+    const auto kind = static_cast<trace::EventKind>(r.get<uint8_t>());
+    (void)r.get<uint8_t>();  // flags
+    if (kind != trace::EventKind::kFetchIssued) continue;
+    ++fetches;
+    EXPECT_EQ(a, array_id);
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(aux, 1u);
+  }
+  EXPECT_EQ(fetches, 1);
   EXPECT_FALSE(on.json.empty());
 }
 

@@ -3,9 +3,11 @@
 // silently corrupt.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "cluster/machine.hpp"
 #include "core/ppm.hpp"
@@ -228,6 +230,121 @@ TEST(FailureInjection, StalePrefetchSilentlyDropped) {
     nr.finish();
   });
   EXPECT_EQ(seen, 5u);
+}
+
+namespace {
+// Node 0 sends node 1 a raw get request of `kind` built by
+// `request(array id)`, for the current epoch; node 1, which owns elements
+// 4..7 of the 8-element array, must reject it with an error that names
+// `why`.
+void expect_get_rejected(
+    detail::RtMsg kind,
+    const std::function<void(ByteWriter&, uint32_t)>& request,
+    const std::string& why) {
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8);
+      if (node == 0) {
+        ByteWriter w;
+        request(w, a.id());
+        inject(machine, kind, std::move(w).take());
+      }
+      env.barrier();
+      nr.finish();
+    });
+    ADD_FAILURE() << "get request accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+// One block-request item whose first + count wraps around to 1, which is
+// inside node 1's four elements: a check of the sum would accept it and
+// copy from 8 bytes before the owner's storage.
+void put_wrapping_item(ByteWriter& w, uint32_t array) {
+  w.put<uint32_t>(array);
+  w.put<uint64_t>(UINT64_MAX);  // first
+  w.put<uint64_t>(2);           // count
+  w.put<uint64_t>(9);           // req id
+}
+}  // namespace
+
+TEST(FailureInjection, GetBlockRangeThatWrapsRejected) {
+  expect_get_rejected(detail::RtMsg::kGetBlock,
+                      [](ByteWriter& w, uint32_t array) {
+                        put_wrapping_item(w, array);
+                        w.put<uint64_t>(0);  // epoch
+                      },
+                      "outside node 1's storage");
+}
+
+TEST(FailureInjection, GetBlockListRangeThatWrapsRejected) {
+  expect_get_rejected(detail::RtMsg::kGetBlockList,
+                      [](ByteWriter& w, uint32_t array) {
+                        w.put<uint64_t>(0);  // epoch
+                        w.put<uint32_t>(2);  // items
+                        put_wrapping_item(w, array);
+                        w.put<uint8_t>(0);  // demand
+                        w.put<uint32_t>(array);
+                        w.put<uint64_t>(0);   // first
+                        w.put<uint64_t>(1);   // count
+                        w.put<uint64_t>(10);  // req id
+                        w.put<uint8_t>(0);    // demand
+                      },
+                      "outside node 1's storage");
+}
+
+TEST(FailureInjection, ShortBlockResponseRejectedOnArrival) {
+  // Node 1 starts no runtime: its program answers node 0's block fetch
+  // itself, with one element where the request asked for 32. The
+  // requester must reject the response when it arrives, before read_n
+  // copies 32 elements out of an 8-byte payload.
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      if (node == 1) {
+        net::Message req =
+            machine.fabric().endpoint(1, machine.service_port()).recv();
+        ASSERT_EQ(detail::rt_class(req.kind), detail::RtMsg::kGetBlock);
+        ByteReader r(req.payload);
+        (void)r.get<uint32_t>();            // array
+        EXPECT_EQ(r.get<uint64_t>(), 0u);   // first
+        EXPECT_EQ(r.get<uint64_t>(), 32u);  // count
+        ByteWriter w;
+        w.put(r.get<uint64_t>());  // req id
+        w.put<uint64_t>(7);        // one element
+        net::Message m;
+        m.src_node = 1;
+        m.src_port = machine.service_port();
+        m.dst_node = 0;
+        m.dst_port = machine.service_port();
+        m.kind = detail::rt_kind(detail::RtMsg::kGetResp);
+        m.payload = std::move(w).take();
+        machine.fabric().send(std::move(m));
+        return;
+      }
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(64);  // node 1 owns 32..63
+      std::vector<uint64_t> out(32);
+      a.read_n(32, 32, out.data());
+      nr.finish();
+    });
+    ADD_FAILURE() << "short block response accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "carries 8 bytes, the request asked for 256"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FailureInjection, TruncatedBundleRejected) {

@@ -27,8 +27,6 @@ Event make(EventKind kind, int64_t t_ns, uint64_t a = 0, uint64_t b = 0,
   return e;
 }
 
-constexpr uint64_t kOwnerShift = 40;  // BlockKey packing, owner << 40
-
 /// Two nodes, one global phase. Node 1 computes 290ns (0 -> oh wait, 10 to
 /// 300) vs node 0's 100ns, so node 1 bounds the barrier.
 Trace build_known_trace() {
@@ -40,15 +38,16 @@ Trace build_known_trace() {
                  kFlagBit0));
   // One fetch inside the phase: issued at 20, stalled from 30 to 80,
   // response at 80 (latency 60).
-  n0.record(make(EventKind::kCacheMiss, 15, /*array=*/1,
-                 (uint64_t{1} << kOwnerShift) | 0));
-  n0.record(make(EventKind::kFetchIssued, 20, /*array=*/1,
-                 (uint64_t{1} << kOwnerShift) | 0, /*req=*/7));
-  n0.record(make(EventKind::kFetchDone, 80, /*array=*/1,
-                 (uint64_t{1} << kOwnerShift) | 0, /*req=*/7));
+  // Block operands: a = array, b = first element, aux = owner.
+  n0.record(make(EventKind::kCacheMiss, 15, /*array=*/1, /*first=*/0, 0, 0,
+                 /*owner=*/1));
+  n0.record(make(EventKind::kFetchIssued, 20, /*array=*/1, /*first=*/0,
+                 /*req=*/7, 0, /*owner=*/1));
+  n0.record(make(EventKind::kFetchDone, 80, /*array=*/1, /*first=*/0,
+                 /*req=*/7, 0, /*owner=*/1));
   n0.record(make(EventKind::kFetchStall, 80, /*req=*/7, 0, /*start=*/30));
-  n0.record(make(EventKind::kCacheHit, 90, 1, (uint64_t{1} << kOwnerShift)));
-  n0.record(make(EventKind::kCacheHit, 95, 1, (uint64_t{1} << kOwnerShift)));
+  n0.record(make(EventKind::kCacheHit, 90, 1, 0, 0, 0, /*owner=*/1));
+  n0.record(make(EventKind::kCacheHit, 95, 1, 0, 0, 0, /*owner=*/1));
   n0.record(make(EventKind::kPhaseComputeDone, 100, 0));
   n0.record(make(EventKind::kPhaseCommitted, 150, 0));
 
@@ -56,10 +55,10 @@ Trace build_known_trace() {
   const uint32_t label1 = n1.intern("foo");
   n1.record(make(EventKind::kPhaseBegin, 10, 0, 4, label1, kFlagBit0));
   // An abandoned prefetch: matched but excluded from latency.
-  n1.record(make(EventKind::kFetchIssued, 30, /*array=*/2,
-                 (uint64_t{0} << kOwnerShift) | 8, /*req=*/9, kFlagBit0));
-  n1.record(make(EventKind::kFetchDone, 200, 2,
-                 (uint64_t{0} << kOwnerShift) | 8, 9, kFlagBit0));
+  n1.record(make(EventKind::kFetchIssued, 30, /*array=*/2, /*first=*/8,
+                 /*req=*/9, kFlagBit0, /*owner=*/0));
+  n1.record(make(EventKind::kFetchDone, 200, 2, 8, 9, kFlagBit0,
+                 /*owner=*/0));
   n1.record(make(EventKind::kPhaseComputeDone, 300, 0));
   n1.record(make(EventKind::kPhaseCommitted, 360, 0));
 
