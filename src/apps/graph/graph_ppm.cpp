@@ -1,6 +1,7 @@
 #include "apps/graph/graph_ppm.hpp"
 
 #include <limits>
+#include <span>
 
 namespace ppm::apps::graph {
 
@@ -9,22 +10,24 @@ namespace {
 constexpr int64_t kInf = std::numeric_limits<int64_t>::max();
 
 /// Vertices owned by this node under the chosen distribution, as global
-/// ids, plus the matching adjacency rows.
+/// ids. Their neighbor rows are read in place from the CSR.
 struct Partition {
+  const Graph& full;
   std::vector<uint64_t> vertices;
-  // adjacency[i] = neighbor list of vertices[i]
-  std::vector<std::vector<uint64_t>> adjacency;
+
+  /// Neighbor list of vertices[i].
+  std::span<const uint64_t> row(uint64_t i) const {
+    const uint64_t v = vertices[i];
+    return std::span<const uint64_t>(full.adjacency)
+        .subspan(full.row_ptr[v], full.row_ptr[v + 1] - full.row_ptr[v]);
+  }
 };
 
 Partition partition_for(Env& env, const Graph& full,
                         const GlobalShared<int64_t>& owner_map) {
-  Partition part;
+  Partition part{full, {}};
   for (uint64_t v = 0; v < full.num_vertices; ++v) {
-    if (owner_map.owner(v) != env.node_id()) continue;
-    part.vertices.push_back(v);
-    part.adjacency.emplace_back(
-        full.adjacency.begin() + static_cast<int64_t>(full.row_ptr[v]),
-        full.adjacency.begin() + static_cast<int64_t>(full.row_ptr[v + 1]));
+    if (owner_map.owner(v) == env.node_id()) part.vertices.push_back(v);
   }
   return part;
 }
@@ -58,7 +61,7 @@ std::vector<int64_t> bfs_ppm(Env& env, const Graph& full, uint64_t source,
     auto vps = env.ppm_do(frontier.size());
     vps.global_phase([&](Vp& vp) {
       const uint64_t pos = frontier[vp.node_rank()];
-      for (uint64_t w : part.adjacency[pos]) {
+      for (uint64_t w : part.row(pos)) {
         level.min_update(w, current + 1);
       }
     });
@@ -101,7 +104,7 @@ std::vector<int64_t> components_ppm(Env& env, const Graph& full,
     vps.global_phase([&](Vp& vp) {
       const uint64_t v = part.vertices[vp.node_rank()];
       const int64_t mine = label.get(v);
-      const auto& nbrs = part.adjacency[vp.node_rank()];
+      const auto nbrs = part.row(vp.node_rank());
       // Start the remote neighbor-label fetches before comparing, so the
       // round trips overlap this VP's scan (and other VPs' compute).
       label.prefetch(nbrs);

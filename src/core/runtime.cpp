@@ -43,17 +43,20 @@ struct ParsedEntry {
   uint64_t vp_rank;
   uint32_t seq;
   uint32_t array;
-  uint8_t op;  // base WriteOp; range records had kOpRangeBit stripped
+  uint8_t op;   // base WriteOp, kOpRangeBit and kOpVarintBit stripped
+  bool varint;  // values are varints (kOpVarintBit), not raw bytes
   uint64_t index;
   uint32_t count;  // elements covered (1 for scalar records)
-  const std::byte* value;
+  // The record's value bytes: count raw values, or count varints.
+  std::span<const std::byte> values;
 };
 
 /// The one write-record parser (codec in core/wire.hpp): hand each record
 /// of `buf` to fn(const ParsedEntry&), in buffer order. Rejects with
 /// ppm::Error whatever get_record_head rejects, a record naming an
-/// unknown array, and values that run past the buffer (a trailing
-/// partial record included).
+/// unknown array, varint values on an array that cannot carry them,
+/// whatever get_varint_value rejects, and values that run past the
+/// buffer (a trailing partial record included).
 template <typename Fn>
 void for_each_record(std::span<const std::byte> buf,
                      const std::deque<detail::ArrayRecord>& arrays, Fn&& fn) {
@@ -64,15 +67,29 @@ void for_each_record(std::span<const std::byte> buf,
     p = detail::get_record_head(p, end, &h);
     PPM_CHECK(h.array < arrays.size(), "write record names unknown array %u",
               h.array);
-    const size_t value_bytes =
-        static_cast<size_t>(h.count) * arrays[h.array].ops.size;
-    PPM_CHECK(value_bytes <= static_cast<size_t>(end - p),
-              "garbled write record: %u elements run past the payload",
-              h.count);
+    const detail::ElemOps& ops = arrays[h.array].ops;
+    const std::byte* const values = p;
+    const bool varint = detail::entry_is_varint(h.op);
+    if (varint) {
+      PPM_CHECK(detail::varint_values_allowed(ops.integral, ops.size),
+                "garbled write record: varint values for array %u, whose "
+                "elements are not 2-, 4- or 8-byte integers",
+                h.array);
+      std::byte value[sizeof(uint64_t)] = {};
+      for (uint32_t j = 0; j < h.count; ++j) {
+        p = detail::get_varint_value(p, end, ops.size, value);
+      }
+    } else {
+      const size_t value_bytes = static_cast<size_t>(h.count) * ops.size;
+      PPM_CHECK(value_bytes <= static_cast<size_t>(end - p),
+                "garbled write record: %u elements run past the payload",
+                h.count);
+      p += value_bytes;
+    }
     fn(ParsedEntry{h.vp_rank, h.seq, h.array,
-                   static_cast<uint8_t>(detail::entry_op(h.op)), h.index,
-                   h.count, p});
-    p += value_bytes;
+                   static_cast<uint8_t>(detail::entry_op(h.op)), varint,
+                   h.index, h.count,
+                   {values, static_cast<size_t>(p - values)}});
   }
 }
 
@@ -1094,12 +1111,11 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
         .seq = vp->next_seq_++,
         .count = len};
     const std::byte* src = values + (g - first) * esz;
-    const size_t bytes = static_cast<size_t>(len) * esz;
     if (rec.global && owner != node_) {
-      detail::put_record(bundle_buffer(owner), h, src, bytes);
+      detail::put_record(bundle_buffer(owner), h, src, esz, rec.ops.integral);
       maybe_eager_flush(owner);
     } else {
-      detail::put_record(local_log_, h, src, bytes);
+      detail::put_record(local_log_, h, src, esz, rec.ops.integral);
     }
     g = seg_end;
   }
@@ -1143,12 +1159,13 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   if (rec.global) {
     const int owner = rec.owner_of(index);
     if (owner != node_) {
-      detail::put_record(bundle_buffer(owner), h, value, rec.ops.size);
+      detail::put_record(bundle_buffer(owner), h, value, rec.ops.size,
+                         rec.ops.integral);
       maybe_eager_flush(owner);
       return;
     }
   }
-  detail::put_record(local_log_, h, value, rec.ops.size);
+  detail::put_record(local_log_, h, value, rec.ops.size, rec.ops.integral);
 }
 
 void NodeRuntime::register_user_op(uint32_t id, int slot,
@@ -1503,7 +1520,9 @@ void NodeRuntime::commit_global() {
     // The planted at-least-once fault stages each delivered fragment twice.
     const int copies = detail::g_stress_double_apply_bundles ? 2 : 1;
     for (int copy = 0; copy < copies; ++copy) {
-      for (const Bytes& b : staged->second) buffers.emplace_back(b);
+      for (const Bytes& b : staged->second) {
+        buffers.push_back(std::span(b).subspan(kBundleHeaderBytes));
+      }
     }
   }
   if (validator_) validator_->begin_commit(/*global_phase=*/true, epoch_);
@@ -1795,10 +1814,10 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
 
 void NodeRuntime::apply_staged_entries(
     std::vector<std::span<const std::byte>> buffers) {
-  // Pass 1 validates the whole batch before any element changes, counts
-  // its records and collects what picks the apply order below. A record
-  // must lie inside its array before the apply pass's locator reads the
-  // owner map.
+  // Pass 1 validates the whole batch before any element changes, value
+  // varints included, counts its records and collects what picks the
+  // apply order below. A record must lie inside its array before the
+  // apply pass's locator reads the owner map.
   size_t records = 0;
   uint8_t op_mask = 0;    // bit per WriteOp value seen in this batch
   bool integral = true;   // every record targets an integral array
@@ -1825,12 +1844,20 @@ void NodeRuntime::apply_staged_entries(
               "write entry for element %llu not owned by node %d",
               static_cast<unsigned long long>(e.index), node_);
     const uint64_t local = rec.global ? rec.local_of(e.index) : e.index;
+    const uint32_t esz = rec.ops.size;
+    const auto op = static_cast<detail::WriteOp>(e.op);
+    // Varint values decode one at a time into `value`, straight off the
+    // buffer pass 1 checked.
+    std::byte value[sizeof(uint64_t)] = {};
+    const std::byte* p = e.values.data();
+    const std::byte* const end = p + e.values.size();
     if (e.count == 1) {
       PPM_CHECK(local < rec.chunk_len,
                 "write entry for element %llu out of local range",
                 static_cast<unsigned long long>(e.index));
-      rec.apply_op(rec.storage.data() + local * rec.ops.size, e.value,
-                   static_cast<detail::WriteOp>(e.op));
+      if (e.varint) detail::get_varint_value(p, end, esz, value);
+      rec.apply_op(rec.storage.data() + local * esz, e.varint ? value : p,
+                   op);
       return;
     }
     // Range entry: the writer segmented the run so it stays inside one
@@ -1842,14 +1869,20 @@ void NodeRuntime::apply_staged_entries(
     PPM_CHECK(local + e.count <= rec.chunk_len,
               "range entry [%llu, +%u) out of local range",
               static_cast<unsigned long long>(e.index), e.count);
-    std::byte* dst = rec.storage.data() + local * rec.ops.size;
-    if (static_cast<detail::WriteOp>(e.op) == detail::WriteOp::kSet) {
-      std::memcpy(dst, e.value, static_cast<size_t>(e.count) * rec.ops.size);
-    } else {
-      for (uint32_t j = 0; j < e.count; ++j) {
-        rec.apply_op(dst + static_cast<size_t>(j) * rec.ops.size,
-                     e.value + static_cast<size_t>(j) * rec.ops.size,
-                     static_cast<detail::WriteOp>(e.op));
+    std::byte* dst = rec.storage.data() + local * esz;
+    if (!e.varint && op == detail::WriteOp::kSet) {
+      std::memcpy(dst, p, e.values.size());
+      return;
+    }
+    for (uint32_t j = 0; j < e.count; ++j, dst += esz) {
+      if (!e.varint) {
+        rec.apply_op(dst, p, op);
+        p += esz;
+      } else if (op == detail::WriteOp::kSet) {
+        p = detail::get_varint_value(p, end, esz, dst);
+      } else {
+        p = detail::get_varint_value(p, end, esz, value);
+        rec.apply_op(dst, value, op);
       }
     }
   };
@@ -2335,15 +2368,21 @@ void NodeRuntime::handle_bundle(net::Message msg) {
             "write bundle for already-committed epoch %llu (at %llu)",
             static_cast<unsigned long long>(epoch),
             static_cast<unsigned long long>(epoch_));
+  // A sender runs at most one epoch ahead: to write in epoch_ + 2 it must
+  // first commit epoch_ + 1, which needs this node's marker (or census
+  // count) for that epoch.
+  PPM_CHECK(epoch <= epoch_ + 1,
+            "write bundle for epoch %llu, more than one ahead of %llu",
+            static_cast<unsigned long long>(epoch),
+            static_cast<unsigned long long>(epoch_));
   const auto last = r.get<uint8_t>();
-  const auto entries = r.view(r.remaining());
-  staged_bundles_[epoch].emplace_back(entries.begin(), entries.end());
+  // Stage the delivered buffer itself; the commit reads its records past
+  // the fragment header and then recycles it into the bundle pool.
+  staged_bundles_[epoch].push_back(std::move(msg.payload));
   if (last != 0) {
     ++staged_last_markers_[epoch];
     arrivals_cv_->notify_all();
   }
-  // The delivered buffer's capacity feeds the sender-side free pool.
-  pool_put(std::move(msg.payload));
 }
 
 void NodeRuntime::handle_token(net::Message msg) {

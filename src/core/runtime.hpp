@@ -870,7 +870,8 @@ class NodeRuntime {
     marker_peers_.push_back(dest_node);
   }
 
-  // Bundle staging (service side), keyed by epoch.
+  // Bundle staging (service side), keyed by epoch: the delivered fragment
+  // payloads, fragment header included.
   std::map<uint64_t, std::vector<Bytes>> staged_bundles_;
   std::map<uint64_t, int> staged_last_markers_;
 

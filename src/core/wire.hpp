@@ -96,28 +96,43 @@ inline bool is_user_op(WriteOp op) {
 /// instead of one per element.
 inline constexpr uint8_t kOpRangeBit = 0x80;
 
+/// Varint-value marker: a write record whose op byte has this bit set
+/// carries each of its values as a zigzag varint instead of the element's
+/// raw bytes (see the record codec below).
+inline constexpr uint8_t kOpVarintBit = 0x40;
+
 inline WriteOp entry_op(uint8_t op) {
-  return static_cast<WriteOp>(op & ~kOpRangeBit);
+  return static_cast<WriteOp>(op & ~(kOpRangeBit | kOpVarintBit));
 }
 inline bool entry_is_range(uint8_t op) { return (op & kOpRangeBit) != 0; }
+inline bool entry_is_varint(uint8_t op) { return (op & kOpVarintBit) != 0; }
 
 /// Write records. Every write the runtime logs or ships (kBundle entries
 /// and the local log; set, the built-in accumulates and the user slots
 /// alike) is one record of this stateless codec, each field at its
 /// information content:
 ///
-///   u8      op       WriteOp, | kOpRangeBit for a range record
+///   u8      op       WriteOp, | kOpRangeBit for a range record,
+///                    | kOpVarintBit for varint values
 ///   varint  array    shared-array id
 ///   varint  index    global element index (a range's first element)
 ///   varint  vp_rank  writer's global VP rank
 ///   varint  seq      writer's write sequence
 ///   varint  count    elements covered            range records only
-///   count * elem_size value bytes (count is 1 for a scalar record)
+///   values           count of them (1 for a scalar record): elem_size
+///                    raw bytes each, or one varint each under
+///                    kOpVarintBit
 ///
 /// Varints are unsigned LEB128: seven value bits per byte, low group
 /// first, the high bit set on every byte but the last, so a value below
-/// 128 takes one byte and a 64-bit value at most ten. Records commit in
-/// (vp_rank, seq) order.
+/// 128 takes one byte and a 64-bit value at most ten. A varint value is
+/// the element sign-extended from its width and zigzag-mapped (0, -1, 1,
+/// -2, ... to 0, 1, 2, 3, ...), so small magnitudes of either sign stay
+/// short. Only 2-, 4- and 8-byte integral elements take varint values,
+/// and put_record picks them only when they are shorter than the raw
+/// bytes: a record is never longer than its raw form, and floating-point
+/// values never change form. A range record is all-varint or all-raw.
+/// Records commit in (vp_rank, seq) order.
 inline constexpr size_t kMaxVarintBytes = 10;
 
 inline constexpr size_t varint_bytes(uint64_t v) {
@@ -181,22 +196,98 @@ inline size_t put_record_head(std::byte* out, const RecordHead& h) {
   return static_cast<size_t>(p - out);
 }
 
-/// Append one record, head then `value_bytes` of values.
-inline void put_record(ByteWriter& w, const RecordHead& h,
-                       const std::byte* values, size_t value_bytes) {
+/// True when elements of `elem_size` bytes (integral when `integral`) may
+/// carry varint values: 2-, 4- and 8-byte integers.
+inline bool varint_values_allowed(bool integral, uint32_t elem_size) {
+  return integral &&
+         (elem_size == 2 || elem_size == 4 || elem_size == 8);
+}
+
+/// The zigzag image of the integer element at `p` (elem_size 2, 4 or 8),
+/// sign-extended from its width.
+inline uint64_t load_zigzag(const std::byte* p, uint32_t elem_size) {
+  int64_t v = 0;
+  if (elem_size == 2) {
+    int16_t x = 0;
+    std::memcpy(&x, p, sizeof x);
+    v = x;
+  } else if (elem_size == 4) {
+    int32_t x = 0;
+    std::memcpy(&x, p, sizeof x);
+    v = x;
+  } else {
+    std::memcpy(&v, p, sizeof v);
+  }
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+/// Append one record: its head, then the h.count values of `elem_size`
+/// bytes each at `values`. Under varint_values_allowed(integral,
+/// elem_size) the values go as varints, with kOpVarintBit set, when their
+/// varints take fewer bytes than the raw values.
+inline void put_record(ByteWriter& w, RecordHead h, const std::byte* values,
+                       uint32_t elem_size, bool integral) {
+  const size_t raw_bytes = static_cast<size_t>(h.count) * elem_size;
+  const auto zigzag_at = [&](uint32_t j) {
+    return load_zigzag(values + static_cast<size_t>(j) * elem_size, elem_size);
+  };
+  size_t value_bytes = raw_bytes;
+  if (varint_values_allowed(integral, elem_size)) {
+    size_t packed = 0;
+    for (uint32_t j = 0; j < h.count; ++j) packed += varint_bytes(zigzag_at(j));
+    if (packed < raw_bytes) {
+      value_bytes = packed;
+      h.op |= kOpVarintBit;
+    }
+  }
   std::byte head[kMaxRecordHeadBytes];
   const size_t n = put_record_head(head, h);
   // One growth operation per record: this sits on the hot path of every
   // shared write.
   std::byte* out = w.extend(n + value_bytes);
   std::memcpy(out, head, n);
-  std::memcpy(out + n, values, value_bytes);
+  out += n;
+  if (!entry_is_varint(h.op)) {
+    std::memcpy(out, values, raw_bytes);
+    return;
+  }
+  for (uint32_t j = 0; j < h.count; ++j) out = put_varint(out, zigzag_at(j));
+}
+
+/// Decode one varint value at [p, end) into the `elem_size`-byte integer
+/// at `out` (elem_size 2, 4 or 8) and return the position after it.
+/// Throws ppm::Error on a garbled varint (see get_varint) or a value
+/// outside the element's width.
+inline const std::byte* get_varint_value(const std::byte* p,
+                                         const std::byte* end,
+                                         uint32_t elem_size, std::byte* out) {
+  uint64_t z = 0;
+  p = get_varint(p, end, &z);
+  // The zigzag image of a w-byte signed value lies below 2^(8w).
+  PPM_CHECK(elem_size == 8 || (z >> (8 * elem_size)) == 0,
+            "garbled write record: value varint %llu does not fit a %u-byte "
+            "element",
+            static_cast<unsigned long long>(z), elem_size);
+  const int64_t v =
+      static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+  if (elem_size == 2) {
+    const auto x = static_cast<int16_t>(v);
+    std::memcpy(out, &x, sizeof x);
+  } else if (elem_size == 4) {
+    const auto x = static_cast<int32_t>(v);
+    std::memcpy(out, &x, sizeof x);
+  } else {
+    std::memcpy(out, &v, sizeof v);
+  }
+  return p;
 }
 
 /// Decode one record head at [p, end) into *h and return the position of
-/// its value bytes. Throws ppm::Error on a garbled varint (see
-/// get_varint), an op outside [0, 8), a field wider than its type or an
-/// empty range. The caller checks the array and the value bytes.
+/// its values. Throws ppm::Error on a garbled varint (see get_varint), an
+/// op outside [0, 8), a field wider than its type or an empty range. The
+/// caller checks the array and the values: their form (kOpVarintBit)
+/// against the array's element type, then the values themselves
+/// (get_varint_value, or the raw bytes' length).
 inline const std::byte* get_record_head(const std::byte* p,
                                         const std::byte* end, RecordHead* h) {
   PPM_CHECK(p != end, "garbled write record: truncated op");

@@ -1,11 +1,15 @@
 // The write-record codec (core/wire.hpp): every field round-trips at the
 // extremes of its type, each varint takes exactly the bytes its value
-// needs, garbled varints are rejected, and a bundle of remote writes costs
-// on the wire exactly what the codec says a record costs.
+// needs, integral values round-trip bit-exactly as varints exactly where
+// that is shorter, garbled varints are rejected, and a bundle of remote
+// writes costs on the wire exactly what the codec says a record costs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -114,6 +118,129 @@ TEST(WireCodec, GarbledVarintsAndHeadsRejected) {
                                    std::byte{0},    std::byte{0},
                                    std::byte{0},    std::byte{0}};
   expect_head_rejected(empty_range, "empty range");
+
+  // A value varint must fit its element. Zigzag 65536 is the image of
+  // 32768: too wide for a 2-byte element, fine for a 4-byte one. Zigzag
+  // 2^32 is the image of 2^31, too wide for 4 bytes.
+  std::byte out[sizeof(uint64_t)];
+  const std::byte z16[] = {std::byte{0x80}, std::byte{0x80}, std::byte{0x04}};
+  EXPECT_THROW(detail::get_varint_value(z16, z16 + 3, 2, out), Error);
+  EXPECT_EQ(detail::get_varint_value(z16, z16 + 3, 4, out), z16 + 3);
+  const std::byte z32[] = {std::byte{0x80}, std::byte{0x80}, std::byte{0x80},
+                           std::byte{0x80}, std::byte{0x10}};
+  EXPECT_THROW(detail::get_varint_value(z32, z32 + 5, 4, out), Error);
+}
+
+// Encode one record of `values` (a range when there is more than one) for
+// elements of type T, check that it is no longer than its raw form, decode
+// it back bit-exactly, and return whether it took varint values.
+template <typename T>
+bool value_round_trip(const std::vector<T>& values) {
+  const bool range = values.size() != 1;
+  const RecordHead h{
+      .op = static_cast<uint8_t>(static_cast<uint8_t>(detail::WriteOp::kMin) |
+                                 (range ? detail::kOpRangeBit : 0)),
+      .array = 2,
+      .index = 40,
+      .vp_rank = 3,
+      .seq = 7,
+      .count = static_cast<uint32_t>(values.size())};
+  ByteWriter w;
+  detail::put_record(w, h, reinterpret_cast<const std::byte*>(values.data()),
+                     sizeof(T), std::is_integral_v<T>);
+  const Bytes bytes = std::move(w).take();
+  std::byte head[detail::kMaxRecordHeadBytes];
+  const size_t head_bytes = detail::put_record_head(head, h);
+  EXPECT_LE(bytes.size(), head_bytes + values.size() * sizeof(T));
+
+  const std::byte* end = bytes.data() + bytes.size();
+  RecordHead got;
+  const std::byte* p = detail::get_record_head(bytes.data(), end, &got);
+  EXPECT_EQ(detail::entry_op(got.op), detail::WriteOp::kMin);
+  EXPECT_EQ(detail::entry_is_range(got.op), range);
+  EXPECT_EQ(got.count, h.count);
+  const bool varint = detail::entry_is_varint(got.op);
+  for (const T& want : values) {
+    std::byte raw[sizeof(uint64_t)];
+    if (varint) {
+      p = detail::get_varint_value(p, end, sizeof(T), raw);
+    } else {
+      std::memcpy(raw, p, sizeof(T));
+      p += sizeof(T);
+    }
+    T v;
+    std::memcpy(&v, raw, sizeof(T));
+    EXPECT_EQ(std::memcmp(&v, &want, sizeof(T)), 0)
+        << +want << " decoded as " << +v;
+  }
+  EXPECT_EQ(p, end);
+  return varint;
+}
+
+// Scalar records of T at 0, +-1, the type's extremes and the edge of the
+// varint form: a w-byte value stays a varint while its zigzag image fits
+// w - 1 varint bytes, i.e. over [-2^(7(w-1)-1), 2^(7(w-1)-1) - 1] read as
+// a signed w-byte integer.
+template <typename T>
+void check_integral_values() {
+  using Lim = std::numeric_limits<T>;
+  using S = std::make_signed_t<T>;
+  constexpr size_t w = sizeof(T);
+  const bool shrinks = w > 1;  // one byte never takes a shorter varint
+  const auto as_t = [](int64_t v) { return static_cast<T>(static_cast<S>(v)); };
+  const std::vector<std::pair<T, bool>> cases = [&] {
+    std::vector<std::pair<T, bool>> c = {
+        {T{0}, shrinks},
+        {T{1}, shrinks},
+        {as_t(-1), shrinks},  // the unsigned maximum reads as -1
+        {Lim::min(), shrinks && Lim::min() == 0},
+        {Lim::max(), shrinks && !Lim::is_signed},
+    };
+    if (shrinks) {
+      const int64_t edge = int64_t{1} << (7 * (w - 1) - 1);
+      c.push_back({as_t(edge - 1), true});
+      c.push_back({as_t(edge), false});
+      c.push_back({as_t(-edge), true});
+      c.push_back({as_t(-edge - 1), false});
+    }
+    return c;
+  }();
+  for (const auto& [v, want_varint] : cases) {
+    EXPECT_EQ(value_round_trip<T>({v}), want_varint)
+        << sizeof(T) << "-byte " << (Lim::is_signed ? "signed" : "unsigned")
+        << " value " << +v;
+  }
+}
+
+TEST(WireCodec, IntegralValuesTakeVarintsOnlyWhereShorter) {
+  check_integral_values<int8_t>();
+  check_integral_values<uint8_t>();
+  check_integral_values<int16_t>();
+  check_integral_values<uint16_t>();
+  check_integral_values<int32_t>();
+  check_integral_values<uint32_t>();
+  check_integral_values<int64_t>();
+  check_integral_values<uint64_t>();
+}
+
+TEST(WireCodec, RangeRecordsAreAllVarintOrAllRaw) {
+  // One wide value among small ones: the varints are shorter in total,
+  // so every value of the range goes as a varint, the wide one in ten
+  // bytes.
+  EXPECT_TRUE(value_round_trip<int64_t>(
+      {0, -3, std::numeric_limits<int64_t>::min(), 5, 6, 7}));
+  // Varints no shorter in total (8 + 8 bytes against 16 raw): the whole
+  // range stays raw.
+  EXPECT_FALSE(value_round_trip<int64_t>(
+      {int64_t{1} << 48, -(int64_t{1} << 48) - 1}));
+  EXPECT_TRUE(value_round_trip<uint16_t>({1, 2, 65535}));
+  EXPECT_FALSE(value_round_trip<uint16_t>({1, 40000}));
+}
+
+TEST(WireCodec, FloatingPointValuesStayRaw) {
+  EXPECT_FALSE(value_round_trip<double>({0.0}));
+  EXPECT_FALSE(value_round_trip<double>({1.0, 2.0, -0.0}));
+  EXPECT_FALSE(value_round_trip<float>({0.0f}));
 }
 
 // Two nodes; node 0's one VP sends `updates` int64 min_updates to
@@ -141,9 +268,12 @@ TEST(WireCodec, BundleBytesArePinned) {
   EXPECT_EQ(some.bundles_sent, none.bundles_sent);
   EXPECT_EQ(some.network_messages, none.network_messages);
   // op 1 + array 1 + index 2 (128..227) + VP rank 1 (rank 0) + seq 1
-  // (0..99) + the int64 value 8.
-  constexpr uint64_t kRecordBytes = 1 + 1 + 2 + 1 + 1 + 8;
-  EXPECT_EQ(some.network_bytes - none.network_bytes, kUpdates * kRecordBytes);
+  // (0..99), then the int64 value -j as a varint of its zigzag image
+  // 2j - 1: one byte for j <= 64, two for j = 65..99.
+  constexpr uint64_t kHeadBytes = 1 + 1 + 2 + 1 + 1;
+  constexpr uint64_t kValueBytes = 65 * 1 + 35 * 2;
+  EXPECT_EQ(some.network_bytes - none.network_bytes,
+            kUpdates * kHeadBytes + kValueBytes);
 }
 
 }  // namespace

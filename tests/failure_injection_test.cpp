@@ -403,11 +403,46 @@ TEST(FailureInjection, StaleBundleFragmentRejected) {
   }
 }
 
+TEST(FailureInjection, BundleTwoEpochsAheadRejected) {
+  // A sender runs at most one epoch ahead: to write in epoch e + 2 it
+  // must first commit e + 1, which needs this node's marker for that
+  // epoch. A fragment further ahead is protocol misuse, not a write to
+  // stage for a later commit.
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8);
+      if (node == 0) {
+        ByteWriter w;
+        w.put<uint64_t>(2);  // epoch 2 while the owner is at epoch 0
+        w.put<uint8_t>(0);   // not the last marker
+        put_head(w, {.op = 1, .array = a.id(), .index = 4});  // kAdd
+        w.put<uint64_t>(9);  // value
+        inject(machine, detail::RtMsg::kBundle, std::move(w).take());
+      }
+      auto vps = env.ppm_do(1);
+      for (int phase = 0; phase < 3; ++phase) vps.global_phase([](Vp&) {});
+      nr.finish();
+    });
+    ADD_FAILURE() << "kBundle fragment two epochs ahead accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "write bundle for epoch 2, more than one ahead of 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 namespace {
 // Node 0 injects a raw kBundle fragment for epoch 0 (not a last marker)
 // carrying `records(array id)` ahead of its real fragments; node 1, which
-// owns elements 4..7 of the 8-element array, must reject the batch when
-// its first commit parses it, with an error that names `why`.
+// owns elements 4..7 of the 8-element array of T, must reject the batch
+// when its first commit parses it, with an error that names `why`.
+template <typename T = uint64_t>
 void expect_bundle_rejected(
     const std::function<void(ByteWriter&, uint32_t)>& records,
     const std::string& why, Distribution dist = Distribution::kBlock) {
@@ -418,7 +453,7 @@ void expect_bundle_rejected(
       NodeRuntime& nr = runtime.node(node);
       nr.start();
       Env env(nr);
-      auto a = env.global_array<uint64_t>(8, dist);
+      auto a = env.global_array<T>(8, dist);
       if (node == 0) {
         ByteWriter w;
         w.put<uint64_t>(0);  // epoch
@@ -512,6 +547,47 @@ TEST(FailureInjection, BundleIndexPastArrayEndRejected) {
                  .count = 4});  // 6 + 4 > 8
     for (int i = 0; i < 4; ++i) w.put<uint64_t>(1);
   }, "out of range", Distribution::kAdaptive);
+}
+
+namespace {
+// Head bytes of a scalar kSet record for element 4 from VP 0 whose value
+// is a varint.
+void put_varint_set_head(ByteWriter& w, uint32_t array) {
+  put_head(w, {.op = detail::kOpVarintBit, .array = array, .index = 4});
+}
+}  // namespace
+
+TEST(FailureInjection, BundleTruncatedValueVarintRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_varint_set_head(w, array);
+    put_bytes(w, {0x85});  // continuation bit, then the payload ends
+  }, "truncated varint");
+}
+
+TEST(FailureInjection, BundleElevenByteValueVarintRejected) {
+  expect_bundle_rejected([](ByteWriter& w, uint32_t array) {
+    put_varint_set_head(w, array);
+    // The value 0 spelled in 11 bytes: ten continuation bytes, then the
+    // end.
+    for (int i = 0; i < 10; ++i) w.put<uint8_t>(0x80);
+    w.put<uint8_t>(0x00);
+  }, "varint longer than 10 bytes");
+}
+
+TEST(FailureInjection, BundleValueVarintTooWideRejected) {
+  // Zigzag 65536 is the image of 32768, which no 2-byte integer holds.
+  expect_bundle_rejected<uint16_t>([](ByteWriter& w, uint32_t array) {
+    put_varint_set_head(w, array);
+    put_bytes(w, {0x80, 0x80, 0x04});
+  }, "value varint 65536 does not fit a 2-byte element");
+}
+
+TEST(FailureInjection, BundleVarintValueOnFloatingPointArrayRejected) {
+  expect_bundle_rejected<double>([](ByteWriter& w, uint32_t array) {
+    put_varint_set_head(w, array);
+    put_bytes(w, {0x02});
+  }, "varint values for array 0, whose elements are not 2-, 4- or 8-byte "
+     "integers");
 }
 
 namespace {

@@ -161,7 +161,7 @@ PY
 done
 echo "parallel engine determinism OK"
 
-echo "=== perf smoke (modeled CG and components vtime gates) ==="
+echo "=== perf smoke (modeled CG, components and bfs vtime gates) ==="
 # Modeled-only calibration makes the virtual clock a pure function of the
 # cost model and the read/write stream, so these runs are bit-deterministic
 # and cheap (<1s each). Gate: vtime at 8 nodes must stay within
@@ -172,11 +172,14 @@ echo "=== perf smoke (modeled CG and components vtime gates) ==="
 # components' are remote write records (label propagation's min_updates),
 # so a regression in either wire format fails here. The adaptive
 # components run adds the locality engine: a planner that moves blocks
-# the wrong way shows up as vtime. Regenerate a baseline (commands are
-# recorded in the JSON) only for intentional model changes.
+# the wrong way shows up as vtime. bfs ships BFS levels, the smallest
+# integers the write-record codec carries, so it pins the varint value
+# form. Regenerate a baseline (commands are recorded in the JSON) only
+# for intentional model changes.
 perf_json="build/perf_smoke.json"
 perf_cc_json="build/perf_smoke_components.json"
 perf_cca_json="build/perf_smoke_components_adaptive.json"
+perf_bfs_json="build/perf_smoke_bfs.json"
 ASAN_OPTIONS=detect_leaks=0 \
   build/tools/ppm_cli --app=cg --nodes=8 --cores=4 --size=27648 --iters=8 \
     --calibration=0 --json="${perf_json}" >/dev/null
@@ -186,21 +189,25 @@ ASAN_OPTIONS=detect_leaks=0 \
 ASAN_OPTIONS=detect_leaks=0 \
   build/tools/ppm_cli --app=components --nodes=8 --cores=4 --calibration=0 \
     --dist=adaptive --json="${perf_cca_json}" >/dev/null
+ASAN_OPTIONS=detect_leaks=0 \
+  build/tools/ppm_cli --app=bfs --nodes=8 --cores=4 --calibration=0 \
+    --json="${perf_bfs_json}" >/dev/null
 python3 - "${perf_json}" "${perf_cc_json}" "${perf_cca_json}" \
-  bench/perf_baseline.json <<'PY'
+  "${perf_bfs_json}" bench/perf_baseline.json <<'PY'
 import json, sys
 runs = []
-for path in sys.argv[1:4]:
+for path in sys.argv[1:5]:
     with open(path) as f:
         runs.append(json.load(f))
-cg, cc, cca = runs
-with open(sys.argv[4]) as f:
+cg, cc, cca, bfs = runs
+with open(sys.argv[5]) as f:
     base = json.load(f)
 assert base["schema"] == "ppm_perf_baseline/v1", base.get("schema")
 limit = base["max_regression_ratio"]
 for app, run, pin in (("CG", cg, base), ("components", cc, base["components"]),
                       ("components adaptive", cca,
-                       base["components_adaptive"])):
+                       base["components_adaptive"]),
+                      ("bfs", bfs, base["bfs"])):
     ratio = run["duration_ns"] / pin["duration_ns"]
     print(f"perf smoke {app}: duration {run['duration_ns']} ns vs baseline "
           f"{pin['duration_ns']} ns (ratio {ratio:.3f}, limit {limit:.2f}); "
@@ -213,7 +220,7 @@ for app, run, pin in (("CG", cg, base), ("components", cc, base["components"]),
                  f"{run['network_bytes']} > {pin['network_bytes']}")
 PY
 echo "perf smoke OK (artifacts kept at ${perf_json}, ${perf_cc_json}," \
-  "${perf_cca_json})"
+  "${perf_cca_json}, ${perf_bfs_json})"
 
 echo "=== model validation gate (ppm::model vs simulator) ==="
 # The compositional performance model (docs/OBSERVABILITY.md) must
