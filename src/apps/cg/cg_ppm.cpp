@@ -90,11 +90,11 @@ PpmCgOutput cg_solve_ppm(Env& env, const ChimneyProblem& problem,
   }
 
   // r = p = b, x = 0. The r·r reduction rides this phase's commit
-  // (env.reduce_dot): each node folds its own chunk after the commit
-  // applies and the partials travel in the commit's one allgather — no
-  // separate allgather sweep, and the one registration serves
-  // both b_norm and the first rr (the fetch-based formulation ran two
-  // full dot() exchanges here).
+  // (env.reduce_dot): each node folds its own chunk's committed values
+  // and the partials travel on the commit's own exchange — no separate
+  // allgather sweep, and the one registration serves both b_norm and
+  // the first rr (the fetch-based formulation ran two full dot()
+  // exchanges here).
   auto rr0_h = env.reduce_dot(r, r);
   env.phase_label("init");
   vps.global_phase([&](Vp& vp) {

@@ -17,7 +17,7 @@ namespace detail {
 
 /// Thunk behind Env::reduce: fold this node's owned elements of
 /// pr.array_a under pr.op into the [u8 has_value][T] partial blob, in
-/// place over owned_runs. The runs come in ascending global-index order
+/// place over fold_runs. The runs come in ascending global-index order
 /// under every distribution, so the fold order is layout-independent. The
 /// first owned element seeds the accumulator (a T{} seed would turn a
 /// lone -0.0 into 0.0 under kAdd).
@@ -29,7 +29,7 @@ void reduce_partial_thunk(NodeRuntime& rt,
   const auto op = static_cast<WriteOp>(pr.op);
   T acc{};
   bool seeded = false;
-  for (const auto run : rt.owned_runs(pr.array_a)) {
+  for (const auto run : rt.fold_runs(pr.array_a)) {
     const std::byte* p = run.data();
     const std::byte* const end = p + run.size();
     if (!seeded) {
@@ -48,7 +48,7 @@ void reduce_partial_thunk(NodeRuntime& rt,
 
 /// Thunk behind Env::reduce_dot: ascending-index fold of sum(a[i]*b[i])
 /// over this node's owned elements — exactly the per-node order
-/// algorithms::dot uses on a block layout. Walks both arrays' owned_runs
+/// algorithms::dot uses on a block layout. Walks both arrays' fold_runs
 /// in lockstep: registration requires equal owner maps, so the runs pair
 /// up, but each array resolves its own storage slots.
 template <typename T>
@@ -56,8 +56,8 @@ void reduce_dot_partial_thunk(NodeRuntime& rt,
                               const NodeRuntime::PendingReduce& pr,
                               Bytes* out) {
   out->assign(1 + sizeof(T), std::byte{0});
-  const auto ra = rt.owned_runs(pr.array_a);
-  const auto rb = rt.owned_runs(pr.array_b);
+  const auto ra = rt.fold_runs(pr.array_a);
+  const auto rb = rt.fold_runs(pr.array_b);
   PPM_CHECK(ra.size() == rb.size(),
             "reduce_dot needs identically sized and distributed arrays");
   T acc{};
@@ -100,8 +100,8 @@ inline void reduce_combine_thunk(NodeRuntime& rt,
 }  // namespace detail
 
 /// Result handle of Env::reduce()/reduce_dot(). The scalar materializes
-/// when the next global phase commits (the per-node partials ride the
-/// commit's allgather); value() before that commit is an error.
+/// when the next global phase commits (the per-node partials ride that
+/// commit's exchange); value() before that commit is an error.
 template <typename T>
 class ReduceHandle {
  public:
@@ -349,11 +349,11 @@ class Env {
   }
 
   /// Register a reduction of all elements of `a` under `op`, resolved at
-  /// the NEXT global-phase commit: after the commit applies the phase's
-  /// writes, each node folds its owned elements in ascending global-index
-  /// order; the partials ride the commit's one allgather and combine in
-  /// ascending node order, so every node reads the identical scalar from
-  /// the handle. SPMD-collective, outside phases.
+  /// the NEXT global-phase commit: each node folds the post-commit values
+  /// of its owned elements in ascending global-index order; the partials
+  /// ride the commit's exchange and combine in ascending node order, so
+  /// every node reads the identical scalar from the handle.
+  /// SPMD-collective, outside phases.
   template <typename T>
   ReduceHandle<T> reduce(const GlobalShared<T>& a, ReduceOp op) {
     NodeRuntime::PendingReduce pr;

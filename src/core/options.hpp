@@ -119,9 +119,11 @@ struct RunResult {
   uint64_t intranode_bytes = 0;
   /// Runtime counters summed over nodes, except the two global-commit
   /// counts, which are per runtime: global_phases, and payload_commits —
-  /// the commits that carried a reduction or migration payload and so
-  /// ran a payload allgather after the apply (the others end at the
-  /// write-bundle exchange).
+  /// the commits that ran a payload allgather after the apply: migration
+  /// planning rounds, and commits whose reduces could not ride the
+  /// write-bundle exchange because some node wrote a reduced array
+  /// remotely (the others, pending reduces included, end at the
+  /// exchange).
   uint64_t global_phases = 0;
   uint64_t payload_commits = 0;
   uint64_t node_phases = 0;
@@ -151,10 +153,10 @@ struct RunResult {
   /// Always 0. Kept only because the repository benchmark's runner reads
   /// it (its core.write.accums metric).
   uint64_t accums_executed = 0;
-  /// Wire bytes avoided by commit-barrier reductions: elem_size *
-  /// (nodes - 1) per reduce() per node (the root-gather messages a
-  /// standalone allreduce would have sent; reduce partials share the
-  /// commit's one allgather instead).
+  /// Wire bytes avoided by commit reductions: elem_size * (nodes - 1)
+  /// per reduce() per node (the root-gather messages a standalone
+  /// allreduce would have sent; reduce partials ride the commit's own
+  /// exchange, or its payload allgather, instead).
   uint64_t reduction_bytes_saved = 0;
   /// Locality engine: migration blocks that changed owners (counted at the
   /// sending side) and the element bytes they carried over the wire.

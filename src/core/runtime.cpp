@@ -398,11 +398,23 @@ std::span<const std::byte> NodeRuntime::committed_bytes(uint32_t id) const {
 std::vector<std::span<const std::byte>> NodeRuntime::owned_runs(
     uint32_t id) const {
   const auto& rec = array(id);
+  return owned_runs_in(rec, rec.storage);
+}
+
+std::vector<std::span<const std::byte>> NodeRuntime::fold_runs(
+    uint32_t id) const {
+  const auto& rec = array(id);
+  return owned_runs_in(rec, rec.shadowed ? rec.shadow : rec.storage);
+}
+
+std::vector<std::span<const std::byte>> NodeRuntime::owned_runs_in(
+    const detail::ArrayRecord& rec,
+    const std::vector<std::byte>& store) const {
   std::vector<std::span<const std::byte>> runs;
   if (rec.mig_block_elems == 0) {
     // Static layouts (and node-shared arrays) store exactly the owned
     // elements, already in ascending global order.
-    if (!rec.storage.empty()) runs.emplace_back(rec.storage);
+    if (!store.empty()) runs.emplace_back(store);
     return runs;
   }
   // Owner-mapped: slots hold owned blocks in placement order, and freed
@@ -412,8 +424,7 @@ std::vector<std::span<const std::byte>> NodeRuntime::owned_runs(
     if (rec.mig_owner[b] != node_) continue;
     const uint64_t first = b * rec.mig_block_elems;
     const uint64_t len = std::min(rec.mig_block_elems, rec.n - first);
-    runs.emplace_back(rec.storage.data() + rec.local_of(first) * esz,
-                      len * esz);
+    runs.emplace_back(store.data() + rec.local_of(first) * esz, len * esz);
   }
   return runs;
 }
@@ -1112,9 +1123,11 @@ void NodeRuntime::write_span(uint32_t id, uint64_t first, uint64_t count,
         .count = len};
     const std::byte* src = values + (g - first) * esz;
     if (rec.global && owner != node_) {
+      rec.remote_write_epoch = epoch_;
       detail::put_record(bundle_buffer(owner), h, src, esz, rec.ops.integral);
       maybe_eager_flush(owner);
     } else {
+      rec.local_write_epoch = epoch_;
       detail::put_record(local_log_, h, src, esz, rec.ops.integral);
     }
     g = seg_end;
@@ -1159,12 +1172,14 @@ void NodeRuntime::write_elem(uint32_t id, uint64_t index,
   if (rec.global) {
     const int owner = rec.owner_of(index);
     if (owner != node_) {
+      rec.remote_write_epoch = epoch_;
       detail::put_record(bundle_buffer(owner), h, value, rec.ops.size,
                          rec.ops.integral);
       maybe_eager_flush(owner);
       return;
     }
   }
+  rec.local_write_epoch = epoch_;
   detail::put_record(local_log_, h, value, rec.ops.size, rec.ops.integral);
 }
 
@@ -1192,7 +1207,7 @@ ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
   if (buf.size() == 0) {
     note_marker_owed(dest_node, ps);
     // The fragment header lives inside the buffer from the first entry
-    // on: flush_bundle patches the last-flag in place and ships the
+    // on: flush_bundle patches the flags in place and ships the
     // buffer itself, instead of re-copying the whole payload into a fresh
     // writer per flush. Remote global writes only happen inside global
     // phases, so every entry appended later belongs to this epoch.
@@ -1202,9 +1217,15 @@ ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
   return buf;
 }
 
-void NodeRuntime::flush_bundle(int dest_node, bool last) {
+void NodeRuntime::flush_bundle(int dest_node, bool last,
+                               std::span<const std::byte> trailer) {
   ByteWriter& buf = bundle_buffer(dest_node);  // header even when empty
-  buf.data()[kBundleLastOffset] = static_cast<std::byte>(last ? 1 : 0);
+  uint8_t flags = last ? detail::kFragmentLast : 0;
+  if (!trailer.empty()) {
+    flags |= detail::kFragmentPartials;
+    buf.put_raw(trailer.data(), trailer.size());
+  }
+  buf.data()[kBundleLastOffset] = static_cast<std::byte>(flags);
   if (tracer_) [[unlikely]] {
     trace_rec(trace::EventKind::kBundleFlush,
               static_cast<uint64_t>(dest_node), buf.size(), 0,
@@ -1245,7 +1266,7 @@ void NodeRuntime::maybe_eager_flush(int dest_node) {
   flush_bundle(dest_node, /*last=*/false);
 }
 
-int NodeRuntime::flush_all_bundles_final() {
+int NodeRuntime::flush_all_bundles_final(std::vector<Bytes>* carried) {
   const int p = node_count();
   if (p > 1 && !plan_allgather(shared_.machine().config().network, p).direct) {
     // Sparse form: p−1 marker sends would cost more than ⌈log2 p⌉ relay
@@ -1253,9 +1274,9 @@ int NodeRuntime::flush_all_bundles_final() {
     // get a marker (eager flushes count: their fragments may still be in
     // flight), in ascending order like the direct form. Then a census — a
     // reduce-scatter of per-destination marker counts — tells each node
-    // how many markers it is owed. It is the phase's barrier: a node
-    // contributes only after its demand reads finished and its fragments
-    // left.
+    // how many markers it is owed, and spreads the carried partials. It
+    // is the phase's barrier: a node contributes only after its demand
+    // reads finished and its fragments left.
     std::sort(marker_peers_.begin(), marker_peers_.end());
     std::vector<uint32_t> owed(static_cast<size_t>(p), 0);
     for (const int dest : marker_peers_) {
@@ -1263,7 +1284,19 @@ int NodeRuntime::flush_all_bundles_final() {
       owed[static_cast<size_t>(dest)] = 1;
     }
     marker_peers_.clear();
-    return static_cast<int>(reduce_scatter_sum(owed));
+    return static_cast<int>(reduce_scatter_sum(owed, carried));
+  }
+  // Direct form: with carried partials every last marker ends in this
+  // node's trailer: [partials][u32 partial bytes][u8 flags].
+  Bytes trailer;
+  if (carried != nullptr) {
+    const Bytes& mine = (*carried)[static_cast<size_t>(node_)];
+    const size_t partial_bytes = mine.size() - 1;
+    ByteWriter w;
+    w.put_raw(mine.data(), partial_bytes);
+    w.put(static_cast<uint32_t>(partial_bytes));
+    w.put(mine.back());
+    trailer = std::move(w).take();
   }
   for (int dest = 0; dest < node_count(); ++dest) {
     if (dest == node_) continue;
@@ -1271,7 +1304,7 @@ int NodeRuntime::flush_all_bundles_final() {
     // phase (possibly header-only), and the p−1 markers back are the
     // phase's barrier.
     if (peers_.find(dest) != peers_.end()) {
-      flush_bundle(dest, /*last=*/true);
+      flush_bundle(dest, /*last=*/true, trailer);
       continue;
     }
     // Untouched peer: ship the header-only marker without materializing
@@ -1279,7 +1312,10 @@ int NodeRuntime::flush_all_bundles_final() {
     // flush_bundle, same trace event and bundles_sent count.
     ByteWriter w(pool_take());
     w.put(epoch_);
-    w.put<uint8_t>(1);
+    w.put<uint8_t>(trailer.empty()
+                       ? detail::kFragmentLast
+                       : detail::kFragmentLast | detail::kFragmentPartials);
+    w.put_raw(trailer.data(), trailer.size());
     if (tracer_) [[unlikely]] {
       trace_rec(trace::EventKind::kBundleFlush, static_cast<uint64_t>(dest),
                 w.size(), 0, trace::kFlagBit0);
@@ -1472,7 +1508,7 @@ void NodeRuntime::commit_global() {
   //    (demand fetches always flush before their requester parks), so
   //    dropping them here — instead of shipping requests whose responses
   //    the epoch bump below would discard anyway — saves the wire bytes
-  //    entirely. Their table slots reset with the rest in step 6.
+  //    entirely. Their table slots reset with the rest in step 9.
   if (backlog_nonempty_) {
     for (const int owner : backlog_owners_) {
       for (const QueuedFetch& f : peer(owner).fetch_backlog) {
@@ -1487,32 +1523,71 @@ void NodeRuntime::commit_global() {
     backlog_nonempty_ = false;
   }
 
-  // 1. Ship the remaining write entries and this epoch's last markers:
-  //    to every peer below the allgather crossover, to the written peers
-  //    above it (flush_all_bundles_final).
-  const int markers = flush_all_bundles_final();
-
-  // 2. Wait until every last marker owed to this node for this epoch
-  //    arrived.
-  if (markers > 0) {
-    arrivals_cv_->wait(
-        [&] { return staged_last_markers_[epoch_] == markers; });
-  }
-
-  // 3. Locality engine: decide — on SPMD-replicated state only, so
+  // 1. Locality engine: decide — on SPMD-replicated state only, so
   //    identically on every node — whether this commit runs a migration
   //    planning round. All local access counting is finished here (reads
   //    are synchronous in the VP loop; writes were counted when logged),
   //    so the counters are final and ready to ship.
   const bool migrate_round = migration_round_due();
 
-  // 4. Apply local log + staged fragments in deterministic order. Every
+  // 2. Reduce partials as the only payload ride the exchange itself:
+  //    this node's demand reads are done, so fold its partials now —
+  //    reduced arrays this epoch wrote locally through their shadows —
+  //    before its last markers leave. Every node decides alike
+  //    (registration and migration_round_due are SPMD-replicated).
+  const int p = node_count();
+  const size_t reduce_tail = pending_reduce_blob_bytes();
+  const size_t reduce_count = pending_reduces_.size() - reduces_resolved_;
+  const bool carry = reduce_tail > 0 && !migrate_round;
+  std::vector<Bytes> carried;
+  if (carry) {
+    carried.resize(static_cast<size_t>(p));
+    carried[static_cast<size_t>(node_)] = fold_carried_partials();
+    if (tracer_) [[unlikely]] {
+      trace_rec(trace::EventKind::kCommitReduce, reduce_count, reduce_tail);
+    }
+  }
+
+  // 3. Ship the remaining write entries and this epoch's last markers:
+  //    to every peer below the allgather crossover, to the written peers
+  //    above it (flush_all_bundles_final). Carried partials ride the
+  //    markers or the census.
+  const int markers = flush_all_bundles_final(carry ? &carried : nullptr);
+
+  // 4. Wait until every last marker owed to this node for this epoch
+  //    arrived.
+  if (markers > 0) {
+    arrivals_cv_->wait(
+        [&] { return staged_last_markers_[epoch_] == markers; });
+  }
+
+  // 5. Every node now holds every node's carried partials and flag. If no
+  //    node wrote a reduced array remotely, this node's post-commit
+  //    values of every reduced array are its phase-start values plus its
+  //    own local-log records — exactly its shadows — so the partials are
+  //    final: the shadows become storage and the apply below skips their
+  //    records. Otherwise every node drops its shadows alike, and the
+  //    reduces resolve on the post-apply allgather. No peer can still
+  //    read this epoch's snapshot here: a peer's demand reads complete
+  //    before it sends its marker (direct form) or its census counts
+  //    (sparse form), so the marker quorum or the census is the phase's
+  //    barrier. Shadows are copied in rather than swapped: the handles'
+  //    inline read path caches the storage address.
+  const bool remote_written =
+      collect_carried_partials(carry, reduce_tail, &carried);
+  const bool fused = carry && !remote_written;
+  for (auto& rec : arrays_) {
+    if (!rec.shadowed) continue;
+    if (fused) {
+      std::copy(rec.shadow.begin(), rec.shadow.end(), rec.storage.begin());
+    } else {
+      rec.shadowed = false;
+    }
+  }
+
+  // 6. Apply local log + staged fragments in deterministic order. Every
   //    fragment is in: each channel is FIFO and its source's last marker
-  //    arrived. No peer can still read this epoch's snapshot here: a
-  //    peer's demand reads complete before it sends its marker (direct
-  //    form) or its census counts (sparse form), so the marker quorum or
-  //    the census is the phase's barrier. Reduce partials below fold
-  //    post-commit values.
+  //    arrived.
   std::vector<std::span<const std::byte>> buffers;
   buffers.emplace_back(local_log_.bytes());
   auto staged = staged_bundles_.find(epoch_);
@@ -1528,6 +1603,7 @@ void NodeRuntime::commit_global() {
   if (validator_) validator_->begin_commit(/*global_phase=*/true, epoch_);
   apply_staged_entries(std::move(buffers));
   validate_commit_finish();
+  for (auto& rec : arrays_) rec.shadowed = false;
   local_log_.clear();  // keep the allocation for the next phase
   if (staged != staged_bundles_.end()) {
     // Recycle the staged fragments' allocations into the bundle pool.
@@ -1536,16 +1612,15 @@ void NodeRuntime::commit_global() {
   }
   staged_last_markers_.erase(epoch_);
 
-  // 5. A planning round or a registered reduction needs every node's
-  //    payload: one allgather carries migration read-epoch counters first
-  //    and reduce partial blobs at the tail. A commit without either
-  //    exchanges nothing more. Peers that finish first tag their next
-  //    reads with the next epoch, which this node serves only after step
-  //    6's bump (and so after its own migration round).
-  const size_t reduce_tail = pending_reduce_blob_bytes();
-  const size_t reduce_count = pending_reduces_.size() - reduces_resolved_;
+  // 7. A planning round, or reduces whose partials did not ride the
+  //    exchange, need every node's payload after the apply: one allgather
+  //    carries migration read-epoch counters first and reduce partial
+  //    blobs at the tail. Any other commit exchanges nothing more. Peers
+  //    that finish first tag their next reads with the next epoch, which
+  //    this node serves only after step 9's bump (and so after its own
+  //    migration round).
   std::vector<Bytes> payloads;
-  if (migrate_round || reduce_tail > 0) {
+  if (migrate_round || (reduce_tail > 0 && !fused)) {
     ByteWriter w;
     if (migrate_round) {
       for (const uint32_t id : planned_array_ids()) {
@@ -1557,32 +1632,34 @@ void NodeRuntime::commit_global() {
       w.put_raw(partials.data(), partials.size());
       if (tracer_) [[unlikely]] {
         trace_rec(trace::EventKind::kCommitReduce, reduce_count,
-                  reduce_tail);
+                  reduce_tail, /*c=*/0, trace::kFlagBit0);
       }
     }
     payloads = allgather_bytes(std::move(w).take());
     ++counters_.payload_commits;
   }
 
-  // 5b. Sanitizer: allgather SPMD-lockstep fingerprints (no-op unless
+  // 7b. Sanitizer: allgather SPMD-lockstep fingerprints (no-op unless
   //     validate_phases).
   validate_lockstep();
 
-  // 5c. Resolve registered reductions: fold the per-node partial blobs in
+  // 7c. Resolve registered reductions: fold the per-node partial blobs in
   //     ascending node order — identical scalar on every node.
-  if (reduce_tail > 0) combine_reduce_partials(payloads, reduce_tail);
+  if (reduce_tail > 0) {
+    combine_reduce_partials(fused ? carried : payloads, reduce_tail);
+  }
 
-  // 5d. Migration planning round: every node computes the identical plan
-  //     from allgathered read-epoch counters, rewrites the owner maps, and
-  //     exchanges the moving block payloads. Must run after the apply
-  //     above (this phase's writes were routed by the old map) and before
-  //     the epoch bump below (peers' new-epoch gets stay deferred until
-  //     the maps and storage agree again). run_migration_round reads
-  //     exactly the counter vectors off each blob, so the reduce tail
-  //     bytes behind them are ignored.
+  // 8. Migration planning round: every node computes the identical plan
+  //    from allgathered read-epoch counters, rewrites the owner maps, and
+  //    exchanges the moving block payloads. Must run after the apply
+  //    above (this phase's writes were routed by the old map) and before
+  //    the epoch bump below (peers' new-epoch gets stay deferred until
+  //    the maps and storage agree again). run_migration_round reads
+  //    exactly the counter vectors off each blob, so the reduce tail
+  //    bytes behind them are ignored.
   if (migrate_round) run_migration_round(std::move(payloads));
 
-  // 6. New epoch: phase-start snapshot changes, so every table slot this
+  // 9. New epoch: phase-start snapshot changes, so every table slot this
   //    epoch touched goes back to no block. Demand reads complete inside
   //    the phase (their VP waits), but lookahead fetches issued late may
   //    still be in flight: abandon them. Such a slot stays in outstanding_
@@ -1602,7 +1679,7 @@ void NodeRuntime::commit_global() {
   blocks_.clear();
   unbundled_arena_.clear();
 
-  // 7. Serve get requests from nodes that raced ahead into this epoch.
+  // 10. Serve get requests from nodes that raced ahead into this epoch.
   serve_deferred_gets();
 }
 
@@ -1813,11 +1890,14 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
 }
 
 void NodeRuntime::apply_staged_entries(
-    std::vector<std::span<const std::byte>> buffers) {
+    std::vector<std::span<const std::byte>> buffers, ApplyPass pass) {
+  // The pass applies the records of arrays whose `shadowed` flag equals
+  // this: the shadow pass only those, the commit pass all others.
+  const bool shadows = pass == ApplyPass::kShadows;
   // Pass 1 validates the whole batch before any element changes, value
-  // varints included, counts its records and collects what picks the
-  // apply order below. A record must lie inside its array before the
-  // apply pass's locator reads the owner map.
+  // varints included, counts the records this pass applies and collects
+  // what picks the apply order below. A record must lie inside its array
+  // before the apply pass's locator reads the owner map.
   size_t records = 0;
   uint8_t op_mask = 0;    // bit per WriteOp value seen in this batch
   bool integral = true;   // every record targets an integral array
@@ -1828,24 +1908,27 @@ void NodeRuntime::apply_staged_entries(
                 "write record [%llu, +%u) out of range (array %u, size %llu)",
                 static_cast<unsigned long long>(e.index), e.count, e.array,
                 static_cast<unsigned long long>(rec.n));
-      ++records;
-      op_mask |= static_cast<uint8_t>(1u << e.op);
-      integral = integral && rec.ops.integral;
-      if (validator_) [[unlikely]] {
+      if (validator_ && !shadows) [[unlikely]] {
         for (uint32_t j = 0; j < e.count; ++j) {
           validator_->on_commit_entry(e.array, e.index + j, e.op, e.vp_rank);
         }
       }
+      if (rec.shadowed != shadows) return;
+      ++records;
+      op_mask |= static_cast<uint8_t>(1u << e.op);
+      integral = integral && rec.ops.integral;
     });
   }
   const auto apply = [&](const ParsedEntry& e) {
     auto& rec = arrays_[e.array];
+    if (rec.shadowed != shadows) return;
     PPM_CHECK(!rec.global || rec.owner_of(e.index) == node_,
               "write entry for element %llu not owned by node %d",
               static_cast<unsigned long long>(e.index), node_);
     const uint64_t local = rec.global ? rec.local_of(e.index) : e.index;
     const uint32_t esz = rec.ops.size;
     const auto op = static_cast<detail::WriteOp>(e.op);
+    std::byte* const store = (shadows ? rec.shadow : rec.storage).data();
     // Varint values decode one at a time into `value`, straight off the
     // buffer pass 1 checked.
     std::byte value[sizeof(uint64_t)] = {};
@@ -1856,8 +1939,7 @@ void NodeRuntime::apply_staged_entries(
                 "write entry for element %llu out of local range",
                 static_cast<unsigned long long>(e.index));
       if (e.varint) detail::get_varint_value(p, end, esz, value);
-      rec.apply_op(rec.storage.data() + local * esz, e.varint ? value : p,
-                   op);
+      rec.apply_op(store + local * esz, e.varint ? value : p, op);
       return;
     }
     // Range entry: the writer segmented the run so it stays inside one
@@ -1869,7 +1951,7 @@ void NodeRuntime::apply_staged_entries(
     PPM_CHECK(local + e.count <= rec.chunk_len,
               "range entry [%llu, +%u) out of local range",
               static_cast<unsigned long long>(e.index), e.count);
-    std::byte* dst = rec.storage.data() + local * esz;
+    std::byte* dst = store + local * esz;
     if (!e.varint && op == detail::WriteOp::kSet) {
       std::memcpy(dst, p, e.values.size());
       return;
@@ -1924,8 +2006,9 @@ void NodeRuntime::apply_staged_entries(
   std::vector<ParsedEntry> entries;
   entries.reserve(records);
   for (const auto& buf : buffers) {
-    for_each_record(buf, arrays_,
-                    [&](const ParsedEntry& e) { entries.push_back(e); });
+    for_each_record(buf, arrays_, [&](const ParsedEntry& e) {
+      if (arrays_[e.array].shadowed == shadows) entries.push_back(e);
+    });
   }
   std::vector<uint32_t> order;
   const auto seq_less = [&](uint32_t a, uint32_t b) {
@@ -2042,6 +2125,77 @@ Bytes NodeRuntime::build_reduce_partials() {
     w.put_raw(blob.data(), blob.size());
   }
   return std::move(w).take();
+}
+
+Bytes NodeRuntime::fold_carried_partials() {
+  // A reduced array this epoch wrote locally folds through its shadow:
+  // storage plus this node's local-log records of it, applied in commit
+  // order by the shadow pass. The others fold committed storage, which
+  // holds their post-commit values unless some node wrote them remotely
+  // (the flag below).
+  bool shadows = false;
+  bool remote = false;
+  for (size_t i = reduces_resolved_; i < pending_reduces_.size(); ++i) {
+    const PendingReduce& pr = pending_reduces_[i];
+    for (const uint32_t id : {pr.array_a, pr.array_b}) {
+      if (id == UINT32_MAX) continue;
+      auto& rec = arrays_[id];
+      remote = remote || rec.remote_write_epoch == epoch_;
+      if (rec.local_write_epoch != epoch_ || rec.shadowed) continue;
+      rec.shadow = rec.storage;  // reuses the shadow's allocation
+      rec.shadowed = true;
+      shadows = true;
+    }
+  }
+  if (shadows) {
+    apply_staged_entries({local_log_.bytes()}, ApplyPass::kShadows);
+  }
+  Bytes out = build_reduce_partials();
+  out.push_back(static_cast<std::byte>(remote ? detail::kPartialsRemoteWrite
+                                              : 0));
+  return out;
+}
+
+bool NodeRuntime::collect_carried_partials(bool carry, size_t tail_bytes,
+                                           std::vector<Bytes>* carried) {
+  const auto staged = staged_partials_.find(epoch_);
+  if (staged != staged_partials_.end()) {
+    // Trailers come only on the direct form's markers of a carrying
+    // commit, one per peer (the sparse form's census already filled
+    // every slot).
+    for (auto& [src, blob] : staged->second) {
+      PPM_CHECK(carry,
+                "last marker from node %d carries reduce partials, but "
+                "commit %llu has no pending reduce to carry on its markers",
+                src, static_cast<unsigned long long>(epoch_));
+      PPM_CHECK(src != node_ && static_cast<size_t>(src) < carried->size() &&
+                    (*carried)[static_cast<size_t>(src)].empty(),
+                "node %d sent reduce partials twice at commit %llu", src,
+                static_cast<unsigned long long>(epoch_));
+      (*carried)[static_cast<size_t>(src)] = std::move(blob);
+    }
+    staged_partials_.erase(staged);
+  }
+  if (!carry) return false;
+  bool remote = false;
+  for (size_t n = 0; n < carried->size(); ++n) {
+    Bytes& blob = (*carried)[n];
+    PPM_CHECK(!blob.empty(),
+              "node %zu's last marker carries no reduce partials at commit "
+              "%llu",
+              n, static_cast<unsigned long long>(epoch_));
+    PPM_CHECK(blob.size() == tail_bytes + 1,
+              "node %zu carried %zu bytes of reduce partials, the pending "
+              "reduces here take %zu",
+              n, blob.size() - 1, tail_bytes);
+    const auto flags = static_cast<uint8_t>(blob.back());
+    PPM_CHECK((flags & ~detail::kPartialsRemoteWrite) == 0,
+              "node %zu's reduce partials carry unknown flag bits 0x%02x", n,
+              flags);
+    remote = remote || flags != 0;
+    blob.pop_back();
+  }
+  return remote;
 }
 
 void NodeRuntime::combine_reduce_partials(const std::vector<Bytes>& all,
@@ -2375,11 +2529,45 @@ void NodeRuntime::handle_bundle(net::Message msg) {
             "write bundle for epoch %llu, more than one ahead of %llu",
             static_cast<unsigned long long>(epoch),
             static_cast<unsigned long long>(epoch_));
-  const auto last = r.get<uint8_t>();
+  const auto flags = r.get<uint8_t>();
+  PPM_CHECK((flags & ~(detail::kFragmentLast | detail::kFragmentPartials)) ==
+                0,
+            "write bundle fragment with unknown header flags 0x%02x", flags);
+  if ((flags & detail::kFragmentPartials) != 0) {
+    // A last marker's reduce-partials trailer: stage the sender's
+    // [partials][u8 flags] blob for the commit and cut the trailer off
+    // the records. Its size is checked at the commit, which knows the
+    // pending reduces.
+    PPM_CHECK((flags & detail::kFragmentLast) != 0,
+              "reduce partials trailer on a write bundle fragment that is "
+              "not a last marker");
+    Bytes& b = msg.payload;
+    const size_t body = b.size() - kBundleHeaderBytes;
+    PPM_CHECK(body >= detail::kPartialsTrailerTailBytes,
+              "reduce partials trailer longer than its %zu-byte fragment",
+              body);
+    const size_t tail = b.size() - detail::kPartialsTrailerTailBytes;
+    uint32_t partial_bytes = 0;
+    std::memcpy(&partial_bytes, b.data() + tail, sizeof partial_bytes);
+    PPM_CHECK(partial_bytes <= body - detail::kPartialsTrailerTailBytes,
+              "reduce partials trailer of %zu bytes longer than its "
+              "%zu-byte fragment",
+              partial_bytes + detail::kPartialsTrailerTailBytes, body);
+    const auto partials_flags = static_cast<uint8_t>(b.back());
+    PPM_CHECK((partials_flags & ~detail::kPartialsRemoteWrite) == 0,
+              "reduce partials trailer with unknown flag bits 0x%02x in the "
+              "fragment's last byte",
+              partials_flags);
+    Bytes blob(b.begin() + static_cast<ptrdiff_t>(tail - partial_bytes),
+               b.begin() + static_cast<ptrdiff_t>(tail));
+    blob.push_back(b.back());
+    b.resize(tail - partial_bytes);
+    staged_partials_[epoch].emplace_back(msg.src_node, std::move(blob));
+  }
   // Stage the delivered buffer itself; the commit reads its records past
   // the fragment header and then recycles it into the bundle pool.
   staged_bundles_[epoch].push_back(std::move(msg.payload));
-  if (last != 0) {
+  if ((flags & detail::kFragmentLast) != 0) {
     ++staged_last_markers_[epoch];
     arrivals_cv_->notify_all();
   }
@@ -2493,11 +2681,15 @@ std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
   return blocks;
 }
 
-uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts) {
+uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts,
+                                         std::vector<Bytes>* blobs) {
   const int p = node_count();
   PPM_CHECK(counts.size() == static_cast<size_t>(p),
             "reduce_scatter_sum needs one count per node (%zu for %d)",
             counts.size(), p);
+  PPM_CHECK(blobs == nullptr || blobs->size() == static_cast<size_t>(p),
+            "reduce_scatter_sum needs a blob slot per node (%zu for %d)",
+            blobs == nullptr ? 0 : blobs->size(), p);
   // part[d] is the partial sum for node node_+d.
   std::vector<uint32_t> part(static_cast<size_t>(p));
   for (int d = 0; d < p; ++d) {
@@ -2507,6 +2699,15 @@ uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts) {
   const uint64_t seq = token_seq_++;
   int offset = 1;
   while (offset * 2 < p) offset *= 2;
+  // Blobs travel the same rounds as a dissemination allgather with the
+  // offsets reversed: `held` lists the distances s of the blobs this node
+  // holds (node node_−s's), the same list on every node. A round hands
+  // node node_+offset the blobs at distance offset+s < p from it, so
+  // after the round with offset 1 every node holds all p, each received
+  // once, tagged with its node so the receiver places it.
+  std::vector<int> held = {0};
+  std::vector<bool> have(static_cast<size_t>(p), false);
+  have[static_cast<size_t>(node_)] = true;
   // Bruck dissemination run backwards (offsets ..., 4, 2, 1): each round
   // hands the partials for nodes node_+offset .. node_+live−1 to node
   // node_+offset, which folds them into its own partials for the same
@@ -2516,6 +2717,23 @@ uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts) {
   for (uint32_t round = 0; offset >= 1; offset /= 2, ++round) {
     ByteWriter w;
     for (int d = offset; d < live; ++d) w.put(part[static_cast<size_t>(d)]);
+    size_t passed = 0;
+    while (passed < held.size() && held[passed] + offset < p) ++passed;
+    if (blobs != nullptr) {
+      // varint blob count, then per blob: varint node, varint size, bytes.
+      const auto put_varint = [&w](uint64_t v) {
+        std::byte buf[detail::kMaxVarintBytes];
+        w.put_raw(buf, static_cast<size_t>(detail::put_varint(buf, v) - buf));
+      };
+      put_varint(passed);
+      for (size_t k = 0; k < passed; ++k) {
+        const int m = (node_ - held[k] + p) % p;
+        const Bytes& b = (*blobs)[static_cast<size_t>(m)];
+        put_varint(static_cast<uint64_t>(m));
+        put_varint(b.size());
+        w.put_raw(b.data(), b.size());
+      }
+    }
     token_send((node_ + offset) % p, seq, round, std::move(w).take());
     const Bytes in = token_recv((node_ - offset + p) % p, seq, round);
     ByteReader r(in);
@@ -2523,6 +2741,35 @@ uint32_t NodeRuntime::reduce_scatter_sum(const std::vector<uint32_t>& counts) {
       part[static_cast<size_t>(d)] += r.get<uint32_t>();
     }
     live = offset;
+    if (blobs == nullptr) continue;
+    const auto rest = r.view(r.remaining());
+    const std::byte* at = rest.data();
+    const std::byte* const end = at + rest.size();
+    uint64_t count = 0;
+    at = detail::get_varint(at, end, &count);
+    for (uint64_t k = 0; k < count; ++k) {
+      uint64_t m = 0, size = 0;
+      at = detail::get_varint(at, end, &m);
+      PPM_CHECK(m < static_cast<uint64_t>(p), "census blob for node %llu of %d",
+                static_cast<unsigned long long>(m), p);
+      PPM_CHECK(!have[m], "census carries node %llu's blob twice",
+                static_cast<unsigned long long>(m));
+      have[m] = true;
+      at = detail::get_varint(at, end, &size);
+      PPM_CHECK(size <= static_cast<uint64_t>(end - at),
+                "census blob of node %llu runs past its token",
+                static_cast<unsigned long long>(m));
+      (*blobs)[m].assign(at, at + size);
+      at += size;
+    }
+    for (size_t k = 0; k < passed; ++k) held.push_back(held[k] + offset);
+    std::sort(held.begin(), held.end());
+  }
+  if (blobs != nullptr) {
+    for (int m = 0; m < p; ++m) {
+      PPM_CHECK(have[static_cast<size_t>(m)],
+                "census ended without node %d's blob", m);
+    }
   }
   return part[0];
 }

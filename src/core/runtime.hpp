@@ -173,6 +173,19 @@ struct ArrayRecord {
   // every node must register the same slots with equivalent functions.
   std::array<UserAccumOp, 3> user_ops{};
 
+  // For reduce partials folded ahead of the commit exchange: the last
+  // epoch in which this node logged a write of the array into its local
+  // log, and into a peer's bundle; and the array's shadow, a copy of
+  // storage with this node's local-log records of the array applied, so
+  // that a partial folds post-commit values while storage still holds
+  // the phase-start snapshot peers may read. `shadowed` is set while the
+  // shadow holds this commit's values; the allocation is kept for the
+  // next commit.
+  uint64_t local_write_epoch = ~uint64_t{0};
+  uint64_t remote_write_epoch = ~uint64_t{0};
+  std::vector<std::byte> shadow;
+  bool shadowed = false;
+
   /// Apply one write op to an element, dispatching user slots to their
   /// registered thunks and everything else to the arithmetic ops.
   void apply_op(std::byte* elem, const std::byte* value, WriteOp op) const {
@@ -397,9 +410,13 @@ class NodeRuntime {
   /// block, ascending by block, the last block clipped to n. A node that
   /// owns nothing gets no run, and no run is empty. O(1) for static
   /// layouts, O(migration blocks) for kAdaptive. The spans view live
-  /// storage, so a later commit or migration changes what they show. The
-  /// reduce partials fold over these in place.
+  /// storage, so a later commit or migration changes what they show.
   std::vector<std::span<const std::byte>> owned_runs(uint32_t id) const;
+  /// The runs a reduce partial folds in place: owned_runs over the
+  /// array's values after the resolving commit — its shadow while the
+  /// commit folds partials ahead of its exchange, committed storage
+  /// otherwise.
+  std::vector<std::span<const std::byte>> fold_runs(uint32_t id) const;
 
   /// The owned_runs of array `id` concatenated: this node's committed
   /// elements packed in ascending global-index order, at O(owned) cost.
@@ -465,18 +482,21 @@ class NodeRuntime {
   /// Env::register_accum_op for the typed front end.
   void register_user_op(uint32_t id, int slot, detail::UserAccumOp op);
 
-  // ---- Remote reduction (rides the commit allgather) ----
+  // ---- Remote reduction (rides the commit exchange) ----
 
   /// One registered reduction, resolved at the next global-phase commit:
-  /// after the commit applies its write batch, each node folds its OWNED
-  /// elements (in place over owned_runs, O(owned) per node) in ascending
-  /// global-index order into a partial blob
-  /// ([u8 has_value][elem bytes]); the blobs of every pending reduction
-  /// share the commit's one allgather, and every node folds the
-  /// per-node partials in ascending node order — so all nodes compute the
-  /// identical scalar, bit-equal to a local fold over the whole array in
-  /// ascending index order followed by an ascending-node combine (the
-  /// order dot()/reduce_array produce for block layouts).
+  /// each node folds the post-commit values of its OWNED elements (in
+  /// place over fold_runs, O(owned) per node) in ascending global-index
+  /// order into a partial blob ([u8 has_value][elem bytes]), and every
+  /// node folds the per-node partials in ascending node order — so all
+  /// nodes compute the identical scalar, bit-equal to a local fold over
+  /// the whole array in ascending index order followed by an
+  /// ascending-node combine (the order dot()/reduce_array produce for
+  /// block layouts). Without a migration round the partials are folded
+  /// before the last markers leave and ride the markers or the census;
+  /// if any node shipped a remote write into a reduced array, or a
+  /// migration round is due, they are folded after the apply and ride
+  /// the commit's payload allgather instead.
   struct PendingReduce {
     uint32_t array_a = 0;
     uint32_t array_b = UINT32_MAX;  // dot form when != UINT32_MAX
@@ -524,8 +544,13 @@ class NodeRuntime {
   /// count for node d; returns the sum over all nodes of their count for
   /// this node. Bruck dissemination run backwards: ⌈log2 p⌉ rounds and
   /// p−1 counts sent per node. Every result depends on every node's
-  /// counts, so it synchronizes like a barrier.
-  uint32_t reduce_scatter_sum(const std::vector<uint32_t>& counts);
+  /// counts, so it synchronizes like a barrier. With `blobs` (p entries,
+  /// this node's blob at its own index) the same rounds also spread every
+  /// node's blob to every node, each sent once per node it reaches, and
+  /// `blobs` returns them all, indexed by node; without, the tokens carry
+  /// the counts alone. SPMD-collective, including the choice of form.
+  uint32_t reduce_scatter_sum(const std::vector<uint32_t>& counts,
+                              std::vector<Bytes>* blobs = nullptr);
   /// Binomial-tree broadcast from `root`: returns the root's `data` on
   /// every node (the argument is ignored elsewhere).
   Bytes broadcast_bytes(Bytes data, int root);
@@ -701,7 +726,7 @@ class NodeRuntime {
                                  uint64_t first, uint64_t slot);
 
   // Write engine. Each destination buffer carries its fragment header
-  // (epoch + last-flag) in place from the first entry on, so a flush ships
+  // (epoch + flags) in place from the first entry on, so a flush ships
   // the buffer itself — no copy into a fresh writer — and reseeds it from
   // a small pool of recycled allocations.
   static constexpr size_t kBundleHeaderBytes =
@@ -711,15 +736,20 @@ class NodeRuntime {
   /// The destination's pending-write buffer, fragment header written
   /// lazily.
   ByteWriter& bundle_buffer(int dest_node);
-  /// Patch the last-flag, detach the payload, reseed the buffer from the
-  /// pool, then ship the payload.
-  void flush_bundle(int dest_node, bool last);
+  /// Patch the header flags, append `trailer` (a last marker's reduce-
+  /// partials trailer, see wire.hpp), detach the payload, reseed the
+  /// buffer from the pool, then ship the payload.
+  void flush_bundle(int dest_node, bool last,
+                    std::span<const std::byte> trailer = {});
   void maybe_eager_flush(int dest_node);
   /// End the epoch's write stream: ship every pending fragment and this
   /// node's last markers, in the direct or the sparse form that
   /// plan_allgather picks, and return how many last markers this node
-  /// must wait for.
-  int flush_all_bundles_final();
+  /// must wait for. With `carried` (p entries, this node's partials blob
+  /// at its own index), the direct form's markers carry this node's blob
+  /// in a trailer, and the sparse form's census spreads every node's blob
+  /// into `carried`.
+  int flush_all_bundles_final(std::vector<Bytes>* carried);
 
   Bytes pool_take();
   void pool_put(Bytes b);
@@ -741,16 +771,38 @@ class NodeRuntime {
   void run_chunks(int core_index);
   void commit_global();
   void commit_node();
-  void apply_staged_entries(std::vector<std::span<const std::byte>> buffers);
+  /// Which records an apply pass applies, and where: kCommit applies
+  /// every record to committed storage except those of arrays whose
+  /// shadow already holds them (ArrayRecord::shadowed) and runs the
+  /// ppm::check hooks on every record; kShadows applies only the records
+  /// of shadowed arrays, to their shadows, without hooks.
+  enum class ApplyPass : uint8_t { kCommit, kShadows };
+  void apply_staged_entries(std::vector<std::span<const std::byte>> buffers,
+                            ApplyPass pass = ApplyPass::kCommit);
 
-  // Pending-reduce plumbing (commit side). Partial blobs are appended to
-  // the commit allgather's payload AFTER the migration counter vectors;
-  // their total size is SPMD-replicated (registration is collective), so
-  // every node parses them back off the tail of each peer blob.
+  // Pending-reduce plumbing (commit side). Every node's partial blobs
+  // have the same SPMD-replicated size (registration is collective). On
+  // the post-apply allgather they follow the migration counter vectors,
+  // so every node parses them back off the tail of each peer blob.
   size_t pending_reduce_blob_bytes() const;
   Bytes build_reduce_partials();
   void combine_reduce_partials(const std::vector<Bytes>& all,
                                size_t tail_bytes);
+  /// Fold this node's partials ahead of the exchange: shadow the pending
+  /// reduces' arrays that this epoch wrote locally, and return
+  /// [partials][u8 flags], kPartialsRemoteWrite set when this node
+  /// shipped a remote write into a reduced array.
+  Bytes fold_carried_partials();
+  /// After the exchange: check every node's carried blob (`carried`,
+  /// indexed by node; the direct form's come off the staged last-marker
+  /// trailers) and strip its flags byte. Returns whether any node set
+  /// kPartialsRemoteWrite. Throws when a trailer arrived at a commit that
+  /// carries none (`carry` false).
+  bool collect_carried_partials(bool carry, size_t tail_bytes,
+                                std::vector<Bytes>* carried);
+  std::vector<std::span<const std::byte>> owned_runs_in(
+      const detail::ArrayRecord& rec,
+      const std::vector<std::byte>& store) const;
 
   // ppm::check integration: scan one commit batch (wraps the validator's
   // begin/finish around apply_staged_entries' entry walk) and exchange
@@ -874,6 +926,9 @@ class NodeRuntime {
   // payloads, fragment header included.
   std::map<uint64_t, std::vector<Bytes>> staged_bundles_;
   std::map<uint64_t, int> staged_last_markers_;
+  // Reduce partials off last-marker trailers, keyed by epoch: the source
+  // node and its [partials][u8 flags] blob.
+  std::map<uint64_t, std::vector<std::pair<int, Bytes>>> staged_partials_;
 
   // Reductions registered for the next global commit. Resolved entries
   // stay until the program re-registers (handles are indices); the

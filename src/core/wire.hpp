@@ -54,6 +54,27 @@ inline RtMsg rt_class(uint64_t kind) {
   return static_cast<RtMsg>(kind >> 56);
 }
 
+/// kBundle fragments lead with a u64 epoch and a u8 of these flags. A
+/// sender's last fragment of an epoch (its "last marker") sets
+/// kFragmentLast. A last marker of a commit that carries reduce partials
+/// on its markers also sets kFragmentPartials and ends in a trailer:
+///
+///   partials  the sender's reduce partial blobs, in registration order
+///   u32       their byte count
+///   u8        partials flags (kPartialsRemoteWrite)
+///
+/// The sparse commit form carries the same [partials][u8 flags] blob in
+/// its census tokens instead.
+inline constexpr uint8_t kFragmentLast = 0x01;
+inline constexpr uint8_t kFragmentPartials = 0x02;
+inline constexpr size_t kPartialsTrailerTailBytes =
+    sizeof(uint32_t) + sizeof(uint8_t);
+/// Partials flag: the sender shipped a remote write record this epoch
+/// into an array that a pending reduce folds, so partials folded before
+/// the exchange may miss writes and the commit resolves its reduces on
+/// the post-apply allgather instead.
+inline constexpr uint8_t kPartialsRemoteWrite = 0x01;
+
 // Get requests carry the requester's epoch (its count of committed global
 // phases), inside phases and out. An owner that has not yet committed the
 // phase the requester already finished defers serving until it has, so

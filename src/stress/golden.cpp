@@ -78,6 +78,7 @@ GoldenState run_golden(const ProgramSpec& spec, int nodes) {
                               std::vector<uint64_t>(spec.arrays[a].n, 0));
     }
   }
+  g.reduces.resize(static_cast<size_t>(nodes));
   for (const PhaseSpec& ph : spec.phases) {
     const GoldenState snap = g;  // phase-start snapshot for every read
     for (int node = 0; node < nodes; ++node) {
@@ -89,6 +90,16 @@ GoldenState run_golden(const ProgramSpec& spec, int nodes) {
           exec_op(spec, op, off + r, ctx);
         }
       }
+    }
+    // Reductions fold the committed contents; every op is exact on
+    // uint64 in any order, so index order serves.
+    for (const ReduceSpec& red : ph.reduces) {
+      const std::vector<uint64_t>& values = g.global_arrays[red.array];
+      uint64_t v = values[0];
+      for (size_t i = 1; i < values.size(); ++i) {
+        apply(v, static_cast<detail::WriteOp>(red.op), values[i]);
+      }
+      for (auto& per_node : g.reduces) per_node.push_back(v);
     }
   }
   return g;

@@ -17,6 +17,10 @@ struct GoldenState {
   // node_arrays[a][node]: per-node instance (empty for global arrays).
   std::vector<std::vector<uint64_t>> global_arrays;
   std::vector<std::vector<std::vector<uint64_t>>> node_arrays;
+  // reduces[node]: the value of every registered reduction as that node
+  // reads it, in program order (the golden side: the fold of the
+  // committed array, the same on every node).
+  std::vector<std::vector<uint64_t>> reduces;
 
   bool operator==(const GoldenState&) const = default;
 };

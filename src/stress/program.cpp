@@ -80,6 +80,9 @@ std::string ProgramSpec::dump() const {
     const PhaseSpec& ph = phases[p];
     out += strfmt("  phase %zu (%s):", p, ph.global ? "global" : "node");
     for (const uint32_t r : ph.rebalance) out += strfmt(" rebalance(a%u)", r);
+    for (const ReduceSpec& r : ph.reduces) {
+      out += strfmt(" reduce(a%u, %s)", r.array, accum_name(r.op));
+    }
     out += "\n";
     for (const OpSpec& op : ph.ops) {
       switch (op.kind) {
@@ -293,6 +296,28 @@ ProgramSpec generate_program(uint64_t seed, const GenLimits& limits) {
         op.accum_op = c.accum_op;
       }
       ph.ops.push_back(op);
+    }
+    // Reductions resolved at this phase's commit, from a stream of their
+    // own. Half of them fold an array the phase writes: on more than one
+    // node such writes are often remote, which sends the commit's reduces
+    // to the post-apply allgather instead of the markers or the census.
+    Rng red_rng(mix64(mix64(seed) ^ static_cast<uint64_t>(p)) ^ 0x7edcULL);
+    if (ph.global && red_rng.next_below(2) == 0) {
+      std::vector<uint32_t> written;
+      for (const OpSpec& op : ph.ops) {
+        if (op.kind != OpKind::kPrefetch && spec.arrays[op.target].global) {
+          written.push_back(op.target);
+        }
+      }
+      const uint64_t count = 1 + red_rng.next_below(2);
+      for (uint64_t r = 0; r < count; ++r) {
+        ReduceSpec red;
+        red.array = !written.empty() && red_rng.next_below(2) == 0
+                        ? written[red_rng.next_below(written.size())]
+                        : global_ids[red_rng.next_below(global_ids.size())];
+        red.op = static_cast<uint8_t>(1 + red_rng.next_below(5));
+        ph.reduces.push_back(red);
+      }
     }
     spec.phases.push_back(std::move(ph));
   }

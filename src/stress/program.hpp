@@ -72,11 +72,21 @@ struct ArraySpec {
   Distribution dist = Distribution::kBlock;
 };
 
+/// A whole-array reduction registered before a global phase and resolved
+/// at its commit (Env::reduce). Every op is exact on uint64 in any order
+/// and grouping, so the value is the plain fold of the committed array.
+struct ReduceSpec {
+  uint32_t array = 0;  // a global array
+  uint8_t op = 1;      // ReduceOp: 1 add, 2 min, 3 max, 4 mul, 5 the XOR slot
+};
+
 struct PhaseSpec {
   bool global = true;
   std::vector<OpSpec> ops;
   // Arrays to env.rebalance() before this phase (kAdaptive globals only).
   std::vector<uint32_t> rebalance;
+  // Reductions registered before this phase (global phases only).
+  std::vector<ReduceSpec> reduces;
 };
 
 struct ProgramSpec {
@@ -112,6 +122,8 @@ struct GenLimits {
 /// Deterministic: the same (seed, limits) always yields the same program.
 /// arrays[0..2] are global kBlock/kCyclic/kAdaptive, arrays[3] is
 /// node-shared; the last phase is the double-set canary (see file header).
+/// Reductions come from their own stream keyed by (seed, phase index), so
+/// every other draw keeps its meaning.
 ProgramSpec generate_program(uint64_t seed, const GenLimits& limits = {});
 
 // ---- Shared op semantics -------------------------------------------------

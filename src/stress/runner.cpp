@@ -110,6 +110,24 @@ Snapshot collect_snapshot(const ProgramSpec& spec, Env& env,
 std::string diff_states(const ProgramSpec& spec, const GoldenState& want,
                         const GoldenState& got, bool globals_only,
                         const char* want_name, const char* got_name) {
+  // Reductions are global values: every node of `got` must read the ones
+  // `want`'s node 0 reads.
+  const std::vector<uint64_t>& want_reduces = want.reduces.at(0);
+  for (size_t m = 0; m < got.reduces.size(); ++m) {
+    const auto& values = got.reduces[m];
+    if (values.size() != want_reduces.size()) {
+      return strfmt("node %zu resolved %zu reduces, %s %zu", m, values.size(),
+                    want_name, want_reduces.size());
+    }
+    for (size_t k = 0; k < values.size(); ++k) {
+      if (values[k] != want_reduces[k]) {
+        return strfmt("reduce #%zu@node%zu: %s=%llu %s=%llu", k, m,
+                      want_name,
+                      static_cast<unsigned long long>(want_reduces[k]),
+                      got_name, static_cast<unsigned long long>(values[k]));
+      }
+    }
+  }
   for (size_t a = 0; a < spec.arrays.size(); ++a) {
     if (spec.arrays[a].global) {
       for (uint64_t i = 0; i < spec.arrays[a].n; ++i) {
@@ -246,6 +264,9 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
       artifacts->trace_json = trace::to_chrome_json(*runtime.trace());
     }
   };
+  // Every node's reduce values, by node (each node writes its own slot).
+  std::vector<std::vector<uint64_t>> reduces(
+      static_cast<size_t>(pc.machine.nodes));
   auto node_program = [&](Env& env) {
     const int nodes = env.node_count();
     std::vector<GlobalShared<uint64_t>> g(spec.arrays.size());
@@ -272,9 +293,15 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
     }
     auto vps = env.ppm_do(spec.k_local(env.node_id(), nodes));
     PpmCtx ctx{&spec, &g, &nd};
+    auto& my_reduces = reduces[static_cast<size_t>(env.node_id())];
     for (const PhaseSpec& ph : spec.phases) {
       for (const uint32_t a : ph.rebalance) {
         if (spec.arrays[a].global) env.rebalance(g[a]);
+      }
+      std::vector<ReduceHandle<uint64_t>> handles;
+      for (const ReduceSpec& red : ph.reduces) {
+        handles.push_back(
+            env.reduce(g[red.array], static_cast<ReduceOp>(red.op)));
       }
       const auto body = [&](Vp& vp) {
         for (const OpSpec& op : ph.ops) {
@@ -286,6 +313,7 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
       } else {
         vps.node_phase(body);
       }
+      for (const auto& h : handles) my_reduces.push_back(h.value());
     }
     Snapshot local = collect_snapshot(spec, env, g, nd);
     if (env.node_id() == 0) snap = std::move(local);
@@ -305,6 +333,7 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
   RunResult result = runtime.collect();
   export_trace();
   if (artifacts != nullptr) artifacts->result = std::move(result);
+  snap.reduces = std::move(reduces);
   return snap;
 }
 
@@ -441,13 +470,25 @@ ShrinkResult shrink(const ProgramSpec& spec,
         }
       }
     }
-    // Clear rebalance hints.
+    // Clear rebalance hints, then reductions.
     if (budget > 0) {
       ProgramSpec cand = cur;
       bool any = false;
       for (PhaseSpec& ph : cand.phases) {
         any = any || !ph.rebalance.empty();
         ph.rebalance.clear();
+      }
+      if (any && fails(cand)) {
+        cur = std::move(cand);
+        progress = true;
+      }
+    }
+    if (budget > 0) {
+      ProgramSpec cand = cur;
+      bool any = false;
+      for (PhaseSpec& ph : cand.phases) {
+        any = any || !ph.reduces.empty();
+        ph.reduces.clear();
       }
       if (any && fails(cand)) {
         cur = std::move(cand);

@@ -40,8 +40,10 @@ enum class EventKind : uint8_t {
                  // flags bit0 = phase-final (last-marker) fragment
 
   // Remote reduction.
-  kCommitReduce, // reductions resolved on this commit's allgather:
-                 // a = reductions, b = partial-blob bytes carried
+  kCommitReduce, // partials folded for this commit's reductions:
+                 // a = reductions, b = partial-blob bytes; flags bit0 =
+                 // folded after the apply for the payload allgather
+                 // (clear: folded before the markers, riding them)
 
   // Locality engine.
   kMigrationPlan,  // a = arrays planned, b = moves accepted, c = plan hash

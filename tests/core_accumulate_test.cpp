@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -546,6 +547,299 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
   RunResult both;
   EXPECT_NO_THROW(both = diverged(true));
   EXPECT_GT(both.blocks_migrated, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reduces resolved at the commit of the phase that writes their arrays
+// ---------------------------------------------------------------------------
+
+/// The default link, or one whose 5 us send overhead makes p−1 direct
+/// sends lose to ceil(log2 p) relay hops from 4 nodes on, so commits take
+/// the sparse form there: markers only to written peers, then a census.
+PpmConfig link_cfg(int nodes, bool bruck) {
+  PpmConfig c = cfg(nodes);
+  c.runtime.read_block_bytes = 32;  // 4-element migration blocks
+  if (bruck) {
+    c.machine.network.send_overhead_ns = 5'000;
+    c.machine.network.latency_ns = 1'000;
+  }
+  return c;
+}
+
+/// Order-sensitive double increments: adding 2^53, 1 and −2^53 to a value
+/// in [1, 2) in another order changes its bits.
+double xinc(uint64_t rank) {
+  switch (rank % 3) {
+    case 0: return 0x1p53;
+    case 1: return 1.0;
+    default: return -0x1p53;
+  }
+}
+
+/// Owner-order folds of committed contents: sum(x), dot(x, y), min(m),
+/// product(u) and sum(z), as bit patterns.
+std::vector<uint64_t> committed_golden(const std::vector<int>& owner,
+                                       int nodes,
+                                       const std::vector<double>& x,
+                                       const std::vector<double>& y,
+                                       const std::vector<int64_t>& m,
+                                       const std::vector<uint64_t>& u,
+                                       const std::vector<double>& z) {
+  const auto add = [](double a, double b) { return a + b; };
+  return {
+      std::bit_cast<uint64_t>(owner_order_fold<double>(
+          owner, nodes, [&](uint64_t i) { return x[i]; }, add)),
+      std::bit_cast<uint64_t>(owner_order_fold<double>(
+          owner, nodes, [&](uint64_t i) { return x[i] * y[i]; }, add)),
+      static_cast<uint64_t>(owner_order_fold<int64_t>(
+          owner, nodes, [&](uint64_t i) { return m[i]; },
+          [](int64_t a, int64_t b) { return std::min(a, b); })),
+      owner_order_fold<uint64_t>(
+          owner, nodes, [&](uint64_t i) { return u[i]; },
+          [](uint64_t a, uint64_t b) { return a * b; }),
+      std::bit_cast<uint64_t>(owner_order_fold<double>(
+          owner, nodes, [&](uint64_t i) { return z[i]; }, add)),
+  };
+}
+
+struct ResolvingRun {
+  std::vector<std::vector<uint64_t>> per_node;  // the five reduce values
+  RunResult stats;
+  // Owner map and committed contents after the resolving commit.
+  std::vector<int> owner;
+  std::vector<double> x, y, z;
+  std::vector<int64_t> m;
+  std::vector<uint64_t> u;
+};
+
+/// CG's shape: seed x, y, m, u and z by owner, register sum(x), dot(x, y),
+/// min(m), product(u) and sum(z), then resolve them at the commit of a
+/// phase in which three VPs per node set and add only elements their node
+/// owns: order-sensitive adds into x, conflicting and repeated sets plus
+/// a set_n run into y, and accumulates into m and u. z is not written, so
+/// its partial folds committed storage.
+ResolvingRun run_resolving_phase(int nodes, uint64_t n, Distribution dist,
+                                 bool bruck) {
+  ResolvingRun out;
+  out.per_node.resize(static_cast<size_t>(nodes));
+  out.stats = run(link_cfg(nodes, bruck), [&](Env& env) {
+    auto x = env.global_array<double>(n, dist);
+    auto y = env.global_array<double>(n, dist);
+    auto m = env.global_array<int64_t>(n, dist);
+    auto u = env.global_array<uint64_t>(n, dist);
+    auto z = env.global_array<double>(n, dist);
+    const int me = env.node_id();
+    std::vector<uint64_t> mine;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (x.owner(i) != me) continue;
+      mine.push_back(i);
+      x.set(i, xval(i));
+      y.set(i, yval(i));
+      m.set(i, mval(i));
+      u.set(i, uval(i));
+      z.set(i, xval(i) + yval(i));
+    }
+    env.barrier();
+    auto h_sum = env.reduce(x, ReduceOp::kAdd);
+    auto h_dot = env.reduce_dot(x, y);
+    auto h_min = env.reduce(m, ReduceOp::kMin);
+    auto h_mul = env.reduce(u, ReduceOp::kMul);
+    auto h_untouched = env.reduce(z, ReduceOp::kAdd);
+    auto vps = env.ppm_do(3);
+    vps.global_phase([&](Vp& vp) {
+      const uint64_t r = vp.global_rank();
+      // A set_n run over the first owned elements when they are
+      // contiguous (kBlock), ahead of the scalar sets.
+      if (vp.node_rank() == 0 && dist == Distribution::kBlock &&
+          !mine.empty()) {
+        std::vector<double> run_vals(mine.size(), -1.5);
+        y.set_n(mine.front(), mine.size(), run_vals.data());
+      }
+      for (const uint64_t i : mine) {
+        x.add(i, xinc(r + i));
+        y.set(i, yval(i) * static_cast<double>(r + 1));
+        y.set(i, yval(i) * static_cast<double>(r + 2));  // same VP: seq wins
+        m.accumulate(i, ReduceOp::kMin, mval(i) - static_cast<int64_t>(r));
+        u.accumulate(i, ReduceOp::kMul, 3 + 2 * (r % 2));
+      }
+    });
+    out.per_node[static_cast<size_t>(me)] = {
+        std::bit_cast<uint64_t>(h_sum.value()),
+        std::bit_cast<uint64_t>(h_dot.value()),
+        static_cast<uint64_t>(h_min.value()), h_mul.value(),
+        std::bit_cast<uint64_t>(h_untouched.value())};
+    const auto gx = env.allgather_array(x);
+    const auto gy = env.allgather_array(y);
+    const auto gm = env.allgather_array(m);
+    const auto gu = env.allgather_array(u);
+    const auto gz = env.allgather_array(z);
+    if (me == 0) {
+      for (uint64_t i = 0; i < n; ++i) out.owner.push_back(x.owner(i));
+      out.x = gx;
+      out.y = gy;
+      out.m = gm;
+      out.u = gu;
+      out.z = gz;
+    }
+  });
+  return out;
+}
+
+TEST(CoreAccumulate, ReduceOfLocallyWrittenArraysRidesTheCommitExchange) {
+  // No node writes a reduced array remotely, so every partial is folded
+  // before the last markers leave — from a shadow where the phase wrote
+  // the array — and rides the markers (direct form) or the census (sparse
+  // form): no post-apply allgather. The value must still be the owner-
+  // order fold of the committed contents, bit for bit. n = 3 leaves nodes
+  // owning nothing from 4 nodes on (under kAdaptive from 2 on).
+  struct Shape {
+    int nodes;
+    uint64_t n;
+  };
+  for (const Shape s : {Shape{1, 46}, Shape{2, 46}, Shape{3, 46}, Shape{4, 3},
+                        Shape{5, 46}, Shape{8, 3}}) {
+    for (const bool bruck : {false, true}) {
+      const bool sparse =
+          !plan_allgather(link_cfg(s.nodes, bruck).machine.network, s.nodes)
+               .direct &&
+          s.nodes > 1;
+      EXPECT_EQ(sparse, bruck && s.nodes >= 4);
+      for (const Distribution dist :
+           {Distribution::kBlock, Distribution::kCyclic,
+            Distribution::kAdaptive}) {
+        const ResolvingRun r = run_resolving_phase(s.nodes, s.n, dist, bruck);
+        ASSERT_EQ(r.owner.size(), s.n);
+        const std::vector<uint64_t> want =
+            committed_golden(r.owner, s.nodes, r.x, r.y, r.m, r.u, r.z);
+        const std::string where =
+            "nodes " + std::to_string(s.nodes) + " n " + std::to_string(s.n) +
+            " dist " + std::to_string(static_cast<int>(dist)) +
+            (bruck ? " bruck" : " default");
+        EXPECT_EQ(r.stats.payload_commits, 0u) << where;
+        for (int node = 0; node < s.nodes; ++node) {
+          EXPECT_EQ(r.per_node[static_cast<size_t>(node)], want)
+              << where << " node " << node;
+        }
+      }
+    }
+  }
+}
+
+TEST(CoreAccumulate, RemoteWriteIntoAReducedArrayResolvesOnTheAllgather) {
+  // Node 0's VP 0 sets a[e] and node 2's VP 4 adds to a[e + 1], both
+  // owned by node 1, whose VP 3 also sets a[e] and wins by rank. Those records reach
+  // node 1 only through the exchange, so partials folded before it would
+  // miss the add: every node sees the remote-write flag and resolves both
+  // reduces of the commit — a[] and the only locally written b[] — on the
+  // post-apply allgather, exactly, in the commit's one payload round.
+  for (const bool bruck : {false, true}) {
+    const int nodes = bruck ? 4 : 3;
+    constexpr uint64_t kLen = 16;
+    std::vector<std::array<uint64_t, 2>> per_node(static_cast<size_t>(nodes));
+    std::vector<int> owner;
+    std::vector<double> ca, cb;
+    uint64_t first_of_node1 = 0;
+    const RunResult stats = run(link_cfg(nodes, bruck), [&](Env& env) {
+      auto a = env.global_array<double>(kLen);
+      auto b = env.global_array<double>(kLen);
+      const int me = env.node_id();
+      for (uint64_t i = 0; i < kLen; ++i) {
+        if (a.owner(i) != me) continue;
+        a.set(i, xval(i));
+        b.set(i, yval(i));
+      }
+      uint64_t e = 0;  // node 1's first element; e + 1 is node 1's too
+      while (a.owner(e) != 1) ++e;
+      EXPECT_EQ(a.owner(e + 1), 1);
+      env.barrier();
+      auto h_a = env.reduce(a, ReduceOp::kAdd);
+      auto h_b = env.reduce_dot(b, b);
+      auto vps = env.ppm_do(2);
+      vps.global_phase([&](Vp& vp) {
+        const uint64_t r = vp.global_rank();
+        if (r == 0) a.set(e, 100.0);     // remote, loses to rank 3
+        if (r == 3) a.set(e, 7.0);       // local to node 1
+        if (r == 4) a.add(e + 1, 0.375);  // remote add
+        for (uint64_t i = 0; i < kLen; ++i) {
+          if (b.owner(i) == me) b.add(i, xinc(r + i));
+        }
+      });
+      per_node[static_cast<size_t>(me)] = {
+          std::bit_cast<uint64_t>(h_a.value()),
+          std::bit_cast<uint64_t>(h_b.value())};
+      const auto ga = env.allgather_array(a);
+      const auto gb = env.allgather_array(b);
+      if (me == 0) {
+        for (uint64_t i = 0; i < kLen; ++i) owner.push_back(a.owner(i));
+        ca = ga;
+        cb = gb;
+        first_of_node1 = e;
+      }
+    });
+    ASSERT_EQ(ca.size(), kLen);
+    EXPECT_EQ(ca[first_of_node1], 7.0);
+    EXPECT_EQ(ca[first_of_node1 + 1], xval(first_of_node1 + 1) + 0.375);
+    const auto add = [](double x, double y) { return x + y; };
+    const std::array<uint64_t, 2> want = {
+        std::bit_cast<uint64_t>(owner_order_fold<double>(
+            owner, nodes, [&](uint64_t i) { return ca[i]; }, add)),
+        std::bit_cast<uint64_t>(owner_order_fold<double>(
+            owner, nodes, [&](uint64_t i) { return cb[i] * cb[i]; }, add))};
+    EXPECT_EQ(stats.payload_commits, 1u) << (bruck ? "bruck" : "default");
+    for (int node = 0; node < nodes; ++node) {
+      EXPECT_EQ(per_node[static_cast<size_t>(node)], want)
+          << (bruck ? "bruck" : "default") << " node " << node;
+    }
+  }
+}
+
+TEST(CoreAccumulate, ReduceAtAMigrationRoundIsExactAndAPayloadCommit) {
+  // A commit that runs a migration planning round keeps its post-apply
+  // allgather, and the reduce resolving there rides it: the partials fold
+  // the committed contents under the owner map the phase wrote by (the
+  // moves apply after the fold), and the commit counts as a payload
+  // commit.
+  constexpr int kNodes = 3;
+  constexpr uint64_t kLen = 46;
+  std::vector<uint64_t> per_node(kNodes);
+  std::vector<int> owner_before;
+  std::vector<double> committed;
+  const RunResult stats = run(link_cfg(kNodes, false), [&](Env& env) {
+    auto x = env.global_array<double>(kLen, Distribution::kAdaptive);
+    const int me = env.node_id();
+    for (uint64_t i = 0; i < kLen; ++i) {
+      if (x.owner(i) == me) x.set(i, xval(i));
+    }
+    env.barrier();
+    std::vector<int> owners;
+    for (uint64_t i = 0; i < kLen; ++i) owners.push_back(x.owner(i));
+    env.rebalance(x);
+    auto h = env.reduce(x, ReduceOp::kAdd);
+    auto vps = env.ppm_do(2);
+    vps.global_phase([&](Vp& vp) {
+      // Node 1 reads block 0, which node 0 owns, so it moves at this
+      // commit; every VP adds into elements its node owns.
+      if (me == 1) (void)x.get(1);
+      for (uint64_t i = 0; i < kLen; ++i) {
+        if (owners[i] == me) x.add(i, xinc(vp.global_rank() + i));
+      }
+    });
+    per_node[static_cast<size_t>(me)] = std::bit_cast<uint64_t>(h.value());
+    const auto gx = env.allgather_array(x);
+    if (me == 0) {
+      owner_before = owners;
+      committed = gx;
+      EXPECT_EQ(x.owner(0), 1);
+    }
+  });
+  EXPECT_GT(stats.blocks_migrated, 0u);
+  EXPECT_EQ(stats.payload_commits, 1u);
+  const uint64_t want = std::bit_cast<uint64_t>(owner_order_fold<double>(
+      owner_before, kNodes, [&](uint64_t i) { return committed[i]; },
+      [](double a, double b) { return a + b; }));
+  for (int node = 0; node < kNodes; ++node) {
+    EXPECT_EQ(per_node[static_cast<size_t>(node)], want) << "node " << node;
+  }
 }
 
 TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {

@@ -77,24 +77,68 @@ TEST_P(EnvCollectives, AllgatherIndexedByNode) {
   }
 }
 
+/// Node s's census blob: s bytes, none for node 0, each naming s.
+Bytes census_blob(int s) {
+  Bytes b;
+  for (int j = 0; j < s; ++j) {
+    b.push_back(static_cast<std::byte>(s * 16 + j));
+  }
+  return b;
+}
+
 TEST_P(EnvCollectives, ReduceScatterSumsEveryNodesCountForMe) {
   const int nodes = GetParam();
   // Node s counts (d + 1) << s for node d, so node d must receive
   // (d + 1) · (2^nodes − 1): a lost or doubled source flips a bit, and a
-  // count routed to the wrong node changes the factor.
-  std::vector<std::pair<int, uint32_t>> got;
-  run(cfg(nodes), [&](Env& env) {
-    std::vector<uint32_t> counts(static_cast<size_t>(nodes));
-    for (int d = 0; d < nodes; ++d) {
-      counts[static_cast<size_t>(d)] = static_cast<uint32_t>(d + 1)
-                                       << env.node_id();
-    }
-    got.emplace_back(env.node_id(), env.runtime().reduce_scatter_sum(counts));
-  });
-  ASSERT_EQ(got.size(), static_cast<size_t>(nodes));
-  for (const auto& [node, sum] : got) {
-    EXPECT_EQ(sum, static_cast<uint32_t>(node + 1) * ((1u << nodes) - 1))
-        << "node " << node;
+  // count routed to the wrong node changes the factor. With blobs, the
+  // same census must also hand every node every node's blob.
+  int rounds = 0;
+  for (int span = 1; span < nodes; span *= 2) ++rounds;
+  for (const PpmConfig& c : both_links(nodes)) {
+    const auto census = [&](bool with_blobs) {
+      std::vector<std::pair<int, uint32_t>> got;
+      const RunResult r = run(c, [&](Env& env) {
+        std::vector<uint32_t> counts(static_cast<size_t>(nodes));
+        for (int d = 0; d < nodes; ++d) {
+          counts[static_cast<size_t>(d)] = static_cast<uint32_t>(d + 1)
+                                           << env.node_id();
+        }
+        if (!with_blobs) {
+          got.emplace_back(env.node_id(),
+                           env.runtime().reduce_scatter_sum(counts));
+          return;
+        }
+        std::vector<Bytes> blobs(static_cast<size_t>(nodes));
+        blobs[static_cast<size_t>(env.node_id())] =
+            census_blob(env.node_id());
+        got.emplace_back(env.node_id(),
+                         env.runtime().reduce_scatter_sum(counts, &blobs));
+        for (int s = 0; s < nodes; ++s) {
+          EXPECT_EQ(blobs[static_cast<size_t>(s)], census_blob(s))
+              << "node " << env.node_id() << " holds node " << s
+              << "'s blob wrong";
+        }
+      });
+      EXPECT_EQ(got.size(), static_cast<size_t>(nodes));
+      for (const auto& [node, sum] : got) {
+        EXPECT_EQ(sum, static_cast<uint32_t>(node + 1) * ((1u << nodes) - 1))
+            << "node " << node;
+      }
+      return r;
+    };
+    const RunResult none = run(c, [](Env&) {});
+    const RunResult plain = census(false);
+    const RunResult carrying = census(true);
+    // Without a blob the census sends what it always did: per node and
+    // round one token, its 12-byte head plus the live counts, p − 1 of
+    // them per node over all rounds.
+    const auto p = static_cast<uint64_t>(nodes);
+    const auto r = static_cast<uint64_t>(rounds);
+    EXPECT_EQ(plain.network_messages - none.network_messages, p * r);
+    EXPECT_EQ(plain.network_bytes - none.network_bytes,
+              p * (12 * r + 4 * (p - 1)));
+    // The blobs ride the same tokens.
+    EXPECT_EQ(carrying.network_messages, plain.network_messages);
   }
 }
 

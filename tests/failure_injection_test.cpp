@@ -591,6 +591,128 @@ TEST(FailureInjection, BundleVarintValueOnFloatingPointArrayRejected) {
 }
 
 namespace {
+// Node 0 stands in for its own epoch-0 last marker with a raw kBundle
+// fragment (header `flags`, then `body`) and never commits; node 1, with
+// one reduce over a uint64 array pending when `reduce` (9 bytes of
+// partials), runs one global phase and must reject the marker — on
+// arrival or at its commit — with an error that names `why`.
+void expect_marker_rejected(uint8_t flags,
+                            const std::function<void(ByteWriter&)>& body,
+                            bool reduce, const std::string& why) {
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8);
+      auto vps = env.ppm_do(1);
+      if (node == 0) {
+        ByteWriter w;
+        w.put<uint64_t>(0);  // epoch
+        w.put(flags);
+        body(w);
+        inject(machine, detail::RtMsg::kBundle, std::move(w).take());
+        return;
+      }
+      if (reduce) (void)env.reduce(a, ReduceOp::kAdd);
+      vps.global_phase([](Vp&) {});
+      nr.finish();
+    });
+    ADD_FAILURE() << "garbled reduce partials accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr uint8_t kLastWithPartials =
+    detail::kFragmentLast | detail::kFragmentPartials;
+
+// A reduce-partials trailer: `partial_bytes` bytes of partials (a has_value
+// byte, then zeros), their u32 count, then the flags byte.
+void put_trailer(ByteWriter& w, uint32_t partial_bytes, uint8_t flags = 0) {
+  for (uint32_t j = 0; j < partial_bytes; ++j) {
+    w.put<uint8_t>(j == 0 ? 1 : 0);
+  }
+  w.put(partial_bytes);
+  w.put(flags);
+}
+}  // namespace
+
+TEST(FailureInjection, PartialsTrailerLongerThanItsFragmentRejected) {
+  // The count claims 100 bytes of partials in a 5-byte trailer.
+  expect_marker_rejected(kLastWithPartials, [](ByteWriter& w) {
+    w.put<uint32_t>(100);
+    w.put<uint8_t>(0);
+  }, /*reduce=*/true, "trailer of 105 bytes longer than its 5-byte fragment");
+  // Too short for even the count and the flags byte.
+  expect_marker_rejected(kLastWithPartials, [](ByteWriter& w) {
+    w.put<uint16_t>(0);
+  }, /*reduce=*/true, "trailer longer than its 2-byte fragment");
+}
+
+TEST(FailureInjection, PartialsTrailerOnANonLastFragmentRejected) {
+  expect_marker_rejected(detail::kFragmentPartials, [](ByteWriter& w) {
+    put_trailer(w, 9);
+  }, /*reduce=*/true, "trailer on a write bundle fragment that is not a last "
+                      "marker");
+}
+
+TEST(FailureInjection, PartialsTrailerUnknownFlagBitRejected) {
+  expect_marker_rejected(kLastWithPartials, [](ByteWriter& w) {
+    put_trailer(w, 9, /*flags=*/0x80);
+  }, /*reduce=*/true, "unknown flag bits 0x80 in the fragment's last byte");
+}
+
+TEST(FailureInjection, PartialsOfTheWrongSizeRejected) {
+  // One uint64 reduce takes 9 bytes of partials on every node.
+  expect_marker_rejected(kLastWithPartials, [](ByteWriter& w) {
+    put_trailer(w, 5);
+  }, /*reduce=*/true, "node 0 carried 5 bytes of reduce partials, the "
+                      "pending reduces here take 9");
+}
+
+TEST(FailureInjection, PartialsTrailerWithoutAPendingReduceRejected) {
+  expect_marker_rejected(kLastWithPartials, [](ByteWriter& w) {
+    put_trailer(w, 9);
+  }, /*reduce=*/false, "last marker from node 0 carries reduce partials, but "
+                       "commit 0 has no pending reduce");
+}
+
+TEST(FailureInjection, CensusBlobForANodePastTheLastRejected) {
+  // Node 0 stands in for its own token of a two-node census that carries
+  // blobs: its one count for node 1, then one blob tagged node 5.
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      if (node == 0) {
+        ByteWriter w;
+        w.put<uint64_t>(0);  // token seq: the first collective
+        w.put<uint32_t>(0);  // round
+        w.put<uint32_t>(1);  // node 0's count for node 1
+        put_bytes(w, {1, 5, 1, 0x2a});  // one blob: node 5, one byte
+        inject(machine, detail::RtMsg::kToken, std::move(w).take());
+        return;
+      }
+      std::vector<Bytes> blobs(2);
+      blobs[1] = Bytes(1, std::byte{7});
+      (void)nr.reduce_scatter_sum({0, 1}, &blobs);
+      nr.finish();
+    });
+    ADD_FAILURE() << "census blob for node 5 of 2 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("census blob for node 5 of 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+namespace {
 // Accumulate-heavy program with plenty of remote traffic:
 // every VP accumulates into a shifted window of a global array with a mix
 // of add/min/max/xor, over several epochs. Returns the final contents.

@@ -129,10 +129,13 @@ echo "=== parallel engine determinism gate (docs/SIM.md) ==="
 # The 96-node components run is past the default link's allgather
 # crossover (85 nodes), so its commits take the sparse form: last markers
 # only to written peers, then a census of marker counts. Components
-# writes remote elements, so both carry data. Barnes-Hut's tree walk is
-# the heaviest user of the handles' inline cached-read path.
+# writes remote elements, so both carry data. The 96-node CG run takes
+# the sparse form too, and its census tokens carry every node's reduce
+# partials. Barnes-Hut's tree walk is the heaviest user of the handles'
+# inline cached-read path.
 for case in "cg_win --app=cg --nodes=4 --cores=4 --size=4096 --iters=12" \
             "cc96_win --app=components --nodes=96 --cores=4 --size=6000" \
+            "cg96_win --app=cg --nodes=96 --cores=4 --size=6000 --iters=12" \
             "bh_win --app=barneshut --nodes=8 --cores=4 --size=2000 --steps=2"; do
   read -r tag args <<<"${case}"
   for t in 1 4; do
