@@ -28,6 +28,16 @@ uint64_t chunk_of(uint64_t n, int nodes) {
   return (n + static_cast<uint64_t>(nodes) - 1) / static_cast<uint64_t>(nodes);
 }
 
+/// A kToken message's payload: its (seq, round) head, then `payload`.
+Bytes token_bytes(uint64_t seq, uint32_t round,
+                  std::span<const std::byte> payload) {
+  ByteWriter w;
+  w.put(seq);
+  w.put(round);
+  w.put_raw(payload.data(), payload.size());
+  return std::move(w).take();
+}
+
 /// End (capped at `end`) of the single-owner run of global array `rec`
 /// that starts at element g, owned by `owner`: the rest of g's migration
 /// block (kAdaptive) or of the owner's chunk (kBlock, one-node kCyclic).
@@ -268,7 +278,11 @@ void NodeRuntime::start() {
                          });
                          if (task_.shutdown) break;
                          seen = task_.generation;
-                         run_chunks(core);
+                         if (task_.sends != nullptr) {
+                           send_share(task_.next_share++);
+                         } else {
+                           run_chunks(core);
+                         }
                          ++task_.workers_done;
                          task_cv_->notify_all();
                        }
@@ -1207,7 +1221,7 @@ ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
   if (buf.size() == 0) {
     note_marker_owed(dest_node, ps);
     // The fragment header lives inside the buffer from the first entry
-    // on: flush_bundle patches the flags in place and ships the
+    // on: take_fragment patches the flags in place and detaches the
     // buffer itself, instead of re-copying the whole payload into a fresh
     // writer per flush. Remote global writes only happen inside global
     // phases, so every entry appended later belongs to this epoch.
@@ -1217,8 +1231,8 @@ ByteWriter& NodeRuntime::bundle_buffer(int dest_node) {
   return buf;
 }
 
-void NodeRuntime::flush_bundle(int dest_node, bool last,
-                               std::span<const std::byte> trailer) {
+Bytes NodeRuntime::take_fragment(int dest_node, bool last,
+                                 std::span<const std::byte> trailer) {
   ByteWriter& buf = bundle_buffer(dest_node);  // header even when empty
   uint8_t flags = last ? detail::kFragmentLast : 0;
   if (!trailer.empty()) {
@@ -1231,15 +1245,14 @@ void NodeRuntime::flush_bundle(int dest_node, bool last,
               static_cast<uint64_t>(dest_node), buf.size(), 0,
               last ? trace::kFlagBit0 : 0);
   }
-  // Detach the payload and reseed the buffer before sending: the send's
-  // overhead can switch fibers, and an entry another core appends
+  // Detach the payload and reseed the buffer before it is sent: the
+  // send's overhead can switch fibers, and an entry another core appends
   // meanwhile must start the next fragment. Reseeding from the recycled-
   // allocation pool keeps steady-state flushes off the allocator.
   Bytes payload = std::move(buf).take();
   buf = ByteWriter(pool_take());
-  rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
-          std::move(payload));
   ++counters_.bundles_sent;
+  return payload;
 }
 
 Bytes NodeRuntime::pool_take() {
@@ -1263,12 +1276,19 @@ void NodeRuntime::maybe_eager_flush(int dest_node) {
     return;
   }
   // Stream a fragment now so the transfer overlaps remaining computation.
-  flush_bundle(dest_node, /*last=*/false);
+  rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
+          take_fragment(dest_node, /*last=*/false));
 }
 
 int NodeRuntime::flush_all_bundles_final(std::vector<Bytes>* carried) {
   const int p = node_count();
-  if (p > 1 && !plan_allgather(shared_.machine().config().network, p).direct) {
+  const uint64_t kind = detail::rt_kind(detail::RtMsg::kBundle);
+  // The fragments are detached and flagged here, on core 0; the batch
+  // then leaves from all of the node's cores (send_fanout).
+  std::vector<Outgoing> batch;
+  if (p > 1 && !plan_allgather(shared_.machine().config().network, p,
+                               cores_per_node())
+                   .direct) {
     // Sparse form: p−1 marker sends would cost more than ⌈log2 p⌉ relay
     // hops (plan_allgather's rule), so only the peers written this epoch
     // get a marker (eager flushes count: their fragments may still be in
@@ -1279,11 +1299,13 @@ int NodeRuntime::flush_all_bundles_final(std::vector<Bytes>* carried) {
     // reads finished and its fragments left.
     std::sort(marker_peers_.begin(), marker_peers_.end());
     std::vector<uint32_t> owed(static_cast<size_t>(p), 0);
+    batch.reserve(marker_peers_.size());
     for (const int dest : marker_peers_) {
-      flush_bundle(dest, /*last=*/true);
+      batch.push_back({dest, kind, take_fragment(dest, /*last=*/true)});
       owed[static_cast<size_t>(dest)] = 1;
     }
     marker_peers_.clear();
+    send_fanout(std::move(batch));
     return static_cast<int>(reduce_scatter_sum(owed, carried));
   }
   // Direct form: with carried partials every last marker ends in this
@@ -1298,18 +1320,20 @@ int NodeRuntime::flush_all_bundles_final(std::vector<Bytes>* carried) {
     w.put(mine.back());
     trailer = std::move(w).take();
   }
-  for (int dest = 0; dest < node_count(); ++dest) {
+  batch.reserve(static_cast<size_t>(p - 1));
+  for (int dest = 0; dest < p; ++dest) {
     if (dest == node_) continue;
     // Direct form: every peer gets exactly one last-marker fragment per
     // phase (possibly header-only), and the p−1 markers back are the
     // phase's barrier.
     if (peers_.find(dest) != peers_.end()) {
-      flush_bundle(dest, /*last=*/true, trailer);
+      batch.push_back({dest, kind, take_fragment(dest, /*last=*/true,
+                                                 trailer)});
       continue;
     }
-    // Untouched peer: ship the header-only marker without materializing
-    // its PeerState — byte-identical on the wire to an empty
-    // flush_bundle, same trace event and bundles_sent count.
+    // Untouched peer: the header-only marker without materializing its
+    // PeerState — byte-identical on the wire to an empty take_fragment,
+    // same trace event and bundles_sent count.
     ByteWriter w(pool_take());
     w.put(epoch_);
     w.put<uint8_t>(trailer.empty()
@@ -1320,11 +1344,11 @@ int NodeRuntime::flush_all_bundles_final(std::vector<Bytes>* carried) {
       trace_rec(trace::EventKind::kBundleFlush, static_cast<uint64_t>(dest),
                 w.size(), 0, trace::kFlagBit0);
     }
-    rt_send(dest, detail::rt_kind(detail::RtMsg::kBundle),
-            std::move(w).take());
     ++counters_.bundles_sent;
+    batch.push_back({dest, kind, std::move(w).take()});
   }
   marker_peers_.clear();
+  send_fanout(std::move(batch));
   return p - 1;
 }
 
@@ -1501,6 +1525,37 @@ void NodeRuntime::run_chunks(int core_index) {
     }
   }
   vp_by_fiber_[fid] = nullptr;
+}
+
+void NodeRuntime::send_fanout(std::vector<Outgoing> batch) {
+  PPM_CHECK(phase_scope_ == PhaseScope::kNone,
+            "a fan-out runs between phases, on the node's main fiber");
+  if (batch.empty()) return;
+  task_.sends = &batch;
+  task_.next_share = 1;
+  task_.workers_done = 0;
+  ++task_.generation;
+  task_cv_->notify_all();
+  send_share(0);
+  task_cv_->wait(
+      [&] { return task_.workers_done == cores_per_node() - 1; });
+  task_.sends = nullptr;
+}
+
+void NodeRuntime::send_share(int share) {
+  std::vector<Outgoing>& batch = *task_.sends;
+  const auto cores = static_cast<size_t>(cores_per_node());
+  for (size_t i = static_cast<size_t>(share); i < batch.size(); i += cores) {
+    Outgoing& m = batch[i];
+    rt_send(m.dst_node, m.kind, std::move(m.payload));
+    // A send's overhead is below sim::kSmallAdvanceNs, so it is no
+    // scheduling point, and Fabric::send claims the egress NIC in call
+    // order. Yield after each one, so the other cores' sends of the same
+    // virtual time go first and the NIC takes the batch in virtual-time
+    // order. Shares are taken in the order the cores start, so sends of
+    // one virtual time also reach the NIC in batch order.
+    engine_->yield();
+  }
 }
 
 void NodeRuntime::commit_global() {
@@ -1829,6 +1884,7 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   std::vector<size_t> pos_of_array(arrays_.size(), 0);
   for (size_t a = 0; a < ids.size(); ++a) pos_of_array[ids[a]] = a;
   uint64_t expected = 0;
+  std::vector<Outgoing> batch;
   for (const Move& m : plan) {
     if (m.to == node_) {
       ++expected;
@@ -1847,8 +1903,8 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
     out.put_raw(rec.storage.data() +
                     static_cast<size_t>(m.from_slot) * block_bytes,
                 block_bytes);
-    rt_send(m.to, detail::rt_kind(detail::RtMsg::kMigrateBlock),
-            std::move(out).take());
+    batch.push_back({m.to, detail::rt_kind(detail::RtMsg::kMigrateBlock),
+                     std::move(out).take()});
     ++counters_.blocks_migrated;
     counters_.migration_bytes += block_bytes;
     if (tracer_) [[unlikely]] {
@@ -1857,6 +1913,7 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
                     static_cast<uint32_t>(m.to));
     }
   }
+  send_fanout(std::move(batch));
 
   // 4. Wait for and apply this node's inbound blocks — the identical plan
   //    tells every node exactly how many to expect, so no handshake or
@@ -2587,29 +2644,30 @@ void NodeRuntime::handle_token(net::Message msg) {
 // Node-level collectives
 // ---------------------------------------------------------------------------
 
-AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes) {
+AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes,
+                             int cores) {
+  PPM_CHECK(cores >= 1, "plan_allgather needs at least one core (got %d)",
+            cores);
   AllgatherPlan plan;
   if (nodes <= 1) return plan;
   int64_t depth = 0;
   for (int span = 1; span < nodes; span *= 2) ++depth;
   const int64_t hop =
       link.send_overhead_ns + link.latency_ns + link.recv_overhead_ns;
-  const int64_t sends = (nodes - 1) * link.send_overhead_ns;
-  plan.direct = sends < depth * hop;
-  plan.cost_ns = plan.direct
-                     ? sends + link.latency_ns + link.recv_overhead_ns
-                     : depth * hop;
+  plan.direct = (nodes - 1) * link.send_overhead_ns < depth * hop;
+  const int64_t rounds = (nodes - 1 + cores - 1) / cores;  // ⌈(p−1)/c⌉
+  plan.cost_ns =
+      plan.direct
+          ? rounds * link.send_overhead_ns + link.latency_ns +
+                link.recv_overhead_ns
+          : depth * hop;
   return plan;
 }
 
 void NodeRuntime::token_send(int dst_node, uint64_t seq, uint32_t round,
                              std::span<const std::byte> payload) {
-  ByteWriter w;
-  w.put(seq);
-  w.put(round);
-  w.put_raw(payload.data(), payload.size());
   rt_send(dst_node, detail::rt_kind(detail::RtMsg::kToken),
-          std::move(w).take());
+          token_bytes(seq, round, payload));
 }
 
 Bytes NodeRuntime::token_recv(int src_node, uint64_t seq, uint32_t round) {
@@ -2640,10 +2698,17 @@ std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
   blocks[static_cast<size_t>(node_)] = std::move(mine);
   if (p == 1) return blocks;
   const uint64_t seq = token_seq_++;
-  if (plan_allgather(shared_.machine().config().network, p).direct) {
+  if (plan_allgather(shared_.machine().config().network, p,
+                     cores_per_node())
+          .direct) {
+    const uint64_t kind = detail::rt_kind(detail::RtMsg::kToken);
+    const Bytes& own = blocks[static_cast<size_t>(node_)];
+    std::vector<Outgoing> batch;
+    batch.reserve(static_cast<size_t>(p - 1));
     for (int k = 1; k < p; ++k) {
-      token_send((node_ + k) % p, seq, 0, blocks[static_cast<size_t>(node_)]);
+      batch.push_back({(node_ + k) % p, kind, token_bytes(seq, 0, own)});
     }
+    send_fanout(std::move(batch));
     for (int k = 1; k < p; ++k) {
       const int src = (node_ - k + p) % p;
       blocks[static_cast<size_t>(src)] = token_recv(src, seq, 0);

@@ -300,19 +300,25 @@ inline bool g_stress_double_apply_bundles = false;
 
 }  // namespace detail
 
-/// How node-level allgathers run on p = `nodes` nodes joined by `link`.
-/// Direct sends each blob straight to the p−1 peers; it is chosen when those
-/// serialized send overheads undercut the ⌈log2 p⌉ relay hops of Bruck
-/// dissemination: (p−1)·o_s < ⌈log2 p⌉·(o_s + L + o_r). Every node holds
-/// the same link values, so every node picks the same algorithm.
+/// How node-level allgathers run on p = `nodes` nodes of `cores` cores
+/// joined by `link`. Direct sends each blob straight to the p−1 peers; it
+/// is chosen when one core's p−1 serialized send overheads undercut the
+/// ⌈log2 p⌉ relay hops of Bruck dissemination: (p−1)·o_s < ⌈log2 p⌉·(o_s +
+/// L + o_r). The choice ignores the cores on purpose: the direct form
+/// puts p·(p−1) messages on the fabric per exchange, and spreading their
+/// overheads over the cores does not make that count any smaller. Every
+/// node holds the same link values, so every node picks the same
+/// algorithm.
 struct AllgatherPlan {
   bool direct = false;
-  /// Modeled critical path: (p−1)·o_s + L + o_r direct, ⌈log2 p⌉·(o_s +
+  /// Modeled critical path: ⌈(p−1)/c⌉·o_s + L + o_r direct (the p−1 sends
+  /// leave from all c cores, NodeRuntime::send_fanout), ⌈log2 p⌉·(o_s +
   /// L + o_r) Bruck, 0 on one node. ppm::model prices payload commits
   /// with it.
   int64_t cost_ns = 0;
 };
-AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes);
+AllgatherPlan plan_allgather(const net::LinkParams& link, int nodes,
+                             int cores);
 
 class NodeRuntime;
 
@@ -629,8 +635,19 @@ class NodeRuntime {
 
   enum class PhaseScope : uint8_t { kNone, kGlobal, kNode };
 
+  /// One message of a fan-out batch (send_fanout).
+  struct Outgoing {
+    int dst_node = 0;
+    uint64_t kind = 0;
+    Bytes payload;
+  };
+
+  /// What the worker cores run next: a phase's VP chunks (`body`), or
+  /// their shares of a fan-out batch (`sends`).
   struct PhaseTask {
     const std::function<void(Vp&)>* body = nullptr;
+    std::vector<Outgoing>* sends = nullptr;
+    int next_share = 0;  // the fan-out share the next core to start takes
     uint64_t k_local = 0;
     uint64_t k_offset = 0;
     uint64_t next = 0;  // dynamic scheduling cursor
@@ -738,9 +755,10 @@ class NodeRuntime {
   ByteWriter& bundle_buffer(int dest_node);
   /// Patch the header flags, append `trailer` (a last marker's reduce-
   /// partials trailer, see wire.hpp), detach the payload, reseed the
-  /// buffer from the pool, then ship the payload.
-  void flush_bundle(int dest_node, bool last,
-                    std::span<const std::byte> trailer = {});
+  /// buffer from the pool, and return the payload for the caller to ship,
+  /// already counted and traced as a sent fragment.
+  Bytes take_fragment(int dest_node, bool last,
+                      std::span<const std::byte> trailer = {});
   void maybe_eager_flush(int dest_node);
   /// End the epoch's write stream: ship every pending fragment and this
   /// node's last markers, in the direct or the sparse form that
@@ -769,6 +787,15 @@ class NodeRuntime {
   // Phase engine.
   void run_vp_loop(const std::function<void(Vp&)>& body);
   void run_chunks(int core_index);
+  /// Send a batch of independent messages from all of the node's c cores,
+  /// so the batch pays ⌈n/c⌉ send overheads instead of n: message i is in
+  /// share i mod c, the calling main fiber sends share 0, and each worker
+  /// core takes the next share as it starts. Returns once every share is
+  /// sent. Main fiber, between phases: the worker fibers pick their
+  /// shares up on task_cv_ as they pick up a phase.
+  void send_fanout(std::vector<Outgoing> batch);
+  /// Send share `share` of task_.sends: messages share, share + c, ...
+  void send_share(int share);
   void commit_global();
   void commit_node();
   /// Which records an apply pass applies, and where: kCommit applies

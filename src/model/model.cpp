@@ -188,16 +188,17 @@ Observation observe(int nodes, int cores, const RunResult& r) {
   o.node_phases = nodes > 0 ? r.node_phases / nodes : r.node_phases;
   for (const auto& p : r.trace_summary.phases) {
     o.compute_critical_ns += p.compute_max_ns;
-    o.commit_critical_ns += p.commit_max_ns;
+    o.commit_critical_ns += p.commit_round_ns;
   }
   o.reduction_bytes_saved = r.reduction_bytes_saved;
   return o;
 }
 
 std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
-                                 double compute_critical_ns, double messages,
-                                 double bytes, double fetches,
-                                 double stall_ns, double payload_commits) {
+                                 int cores, double compute_critical_ns,
+                                 double messages, double bytes,
+                                 double fetches, double stall_ns,
+                                 double payload_commits) {
   const double sw = costs.send_overhead_ns + costs.recv_overhead_ns;
   const net::LinkParams link{
       .latency_ns = std::llround(costs.latency_ns),
@@ -205,7 +206,7 @@ std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
       .send_overhead_ns = std::llround(costs.send_overhead_ns),
       .recv_overhead_ns = std::llround(costs.recv_overhead_ns)};
   const AllgatherPlan allgather =
-      plan_allgather(link, static_cast<int>(nodes));
+      plan_allgather(link, static_cast<int>(nodes), cores);
   return {
       // compute: the critical-path compute legs, straight time.
       compute_critical_ns,
@@ -268,7 +269,7 @@ Model fit(std::span<const Observation> obs, const MachineCosts& costs) {
   std::vector<double> y(m);
   for (size_t r = 0; r < m; ++r) {
     const Observation& o = obs[r];
-    a[r] = term_drivers(costs, o.nodes,
+    a[r] = term_drivers(costs, o.nodes, o.cores,
                         static_cast<double>(o.compute_critical_ns),
                         static_cast<double>(o.messages),
                         static_cast<double>(o.bytes),
@@ -357,8 +358,8 @@ Prediction Model::predict(int nodes) const {
   const double payload_commits = counter(5);
   p.reduction_bytes_saved = counter(6);
   const std::vector<double> drivers =
-      term_drivers(costs, n, compute, p.messages, p.bytes, p.fetches,
-                   p.stall_ns, payload_commits);
+      term_drivers(costs, n, cores, compute, p.messages, p.bytes,
+                   p.fetches, p.stall_ns, payload_commits);
   p.term_ns.resize(kTerms);
   for (size_t i = 0; i < kTerms; ++i) {
     p.term_ns[i] = terms[i].coefficient * drivers[i];

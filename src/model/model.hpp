@@ -57,7 +57,7 @@ struct Observation {
   uint64_t payload_commits = 0;    // per runtime: commits that allgathered
   uint64_t node_phases = 0;        // per node
   int64_t compute_critical_ns = 0;  // sum of per-phase max compute legs
-  int64_t commit_critical_ns = 0;   // sum of per-phase max commit legs
+  int64_t commit_critical_ns = 0;   // sum of per-phase commit rounds
   uint64_t reduction_bytes_saved = 0;
 };
 
@@ -149,12 +149,13 @@ struct Model {
 Model fit(std::span<const Observation> obs, const MachineCosts& costs);
 
 /// The analytic per-term drivers (ns each) the composition uses, for one
-/// set of counter values at node count n. Exposed for tests and for the
-/// drift oracle's documentation; returns kTerms values in kTermNames
-/// order.
+/// set of counter values at node count n of `cores` cores each. Exposed
+/// for tests and for the drift oracle's documentation; returns kTerms
+/// values in kTermNames order.
 std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
-                                 double compute_critical_ns, double messages,
-                                 double bytes, double fetches,
-                                 double stall_ns, double payload_commits);
+                                 int cores, double compute_critical_ns,
+                                 double messages, double bytes,
+                                 double fetches, double stall_ns,
+                                 double payload_commits);
 
 }  // namespace ppm::model

@@ -170,6 +170,7 @@ Summary analyze(const Trace& trace) {
   for (const auto& [index, acc] : phases) {
     PhaseCritical pc;
     pc.phase_index = index;
+    int64_t compute_done_max_ns = 0;
     bool first = true;
     for (int n = 0; n < nodes; ++n) {
       const NodePhase& np = acc.per_node[static_cast<size_t>(n)];
@@ -178,21 +179,23 @@ Summary analyze(const Trace& trace) {
       pc.global = pc.global || np.global;
       if (pc.label.empty()) pc.label = np.label;
       const int64_t compute = np.compute_done_ns - np.begin_ns;
-      const int64_t commit = np.committed_ns - np.compute_done_ns;
       if (first || np.begin_ns < pc.start_ns) pc.start_ns = np.begin_ns;
       if (first || np.committed_ns > pc.committed_ns) {
         pc.committed_ns = np.committed_ns;
+      }
+      if (first || np.compute_done_ns > compute_done_max_ns) {
+        compute_done_max_ns = np.compute_done_ns;
       }
       if (first || compute > pc.compute_max_ns) {
         pc.compute_max_ns = compute;
         pc.critical_node = n;
       }
       if (first || compute < pc.compute_min_ns) pc.compute_min_ns = compute;
-      if (first || commit > pc.commit_max_ns) pc.commit_max_ns = commit;
       pc.stall_ns += np.stall_ns;
       first = false;
     }
     if (pc.nodes_seen == 0) continue;
+    pc.commit_round_ns = pc.committed_ns - compute_done_max_ns;
     const double imb = pc.imbalance();
     const size_t bucket = std::min<size_t>(
         s.imbalance_hist.size() - 1,
@@ -214,7 +217,7 @@ Summary analyze(const Trace& trace) {
     LabelRollup& lr = s.labels[it->second];
     ++lr.phases;
     lr.compute_ns += pc.compute_max_ns;
-    lr.commit_ns += pc.commit_max_ns;
+    lr.commit_ns += pc.commit_round_ns;
     lr.stall_ns += pc.stall_ns;
   }
 
@@ -259,7 +262,7 @@ std::string Summary::to_string() const {
                p.label.empty() ? "-" : p.label.c_str(), p.critical_node,
                static_cast<double>(p.compute_max_ns) * 1e-3,
                static_cast<double>(p.compute_min_ns) * 1e-3, p.imbalance(),
-               static_cast<double>(p.commit_max_ns) * 1e-3,
+               static_cast<double>(p.commit_round_ns) * 1e-3,
                static_cast<double>(p.stall_ns) * 1e-3);
   }
   if (phases.size() > kMaxRows) {

@@ -25,7 +25,10 @@ struct PhaseCritical {
   int64_t committed_ns = 0;      // latest commit completion across nodes
   int64_t compute_max_ns = 0;    // critical node's compute time
   int64_t compute_min_ns = 0;    // fastest node's compute time
-  int64_t commit_max_ns = 0;     // slowest node's commit time
+  /// The phase's commit round: from the latest compute-done to the latest
+  /// commit end across nodes. Not the longest single-node commit span,
+  /// which also counts a node's wait for the slowest peer's compute.
+  int64_t commit_round_ns = 0;
   uint64_t stall_ns = 0;         // fetch-stall time inside it, all nodes
 
   /// Compute imbalance (max-min)/max in [0, 1]; 0 when perfectly balanced.
@@ -48,7 +51,7 @@ struct LabelRollup {
   std::string label;        // empty label rolls up as "-"
   uint64_t phases = 0;      // phase instances carrying this label
   int64_t compute_ns = 0;   // sum of critical-node compute time
-  int64_t commit_ns = 0;    // sum of slowest-node commit time
+  int64_t commit_ns = 0;    // sum of commit rounds
   uint64_t stall_ns = 0;    // sum of fetch-stall time, all nodes
 
   /// Fraction of this label's critical compute spent parked on fetches.

@@ -558,6 +558,9 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
 /// the sparse form there: markers only to written peers, then a census.
 PpmConfig link_cfg(int nodes, bool bruck) {
   PpmConfig c = cfg(nodes);
+  // Three cores: from four nodes on, each core sends a share of the last
+  // markers that carry the reduce partials (NodeRuntime::send_fanout).
+  c.machine.cores_per_node = 3;
   c.runtime.read_block_bytes = 32;  // 4-element migration blocks
   if (bruck) {
     c.machine.network.send_overhead_ns = 5'000;
@@ -699,9 +702,9 @@ TEST(CoreAccumulate, ReduceOfLocallyWrittenArraysRidesTheCommitExchange) {
   for (const Shape s : {Shape{1, 46}, Shape{2, 46}, Shape{3, 46}, Shape{4, 3},
                         Shape{5, 46}, Shape{8, 3}}) {
     for (const bool bruck : {false, true}) {
+      const cluster::MachineConfig m = link_cfg(s.nodes, bruck).machine;
       const bool sparse =
-          !plan_allgather(link_cfg(s.nodes, bruck).machine.network, s.nodes)
-               .direct &&
+          !plan_allgather(m.network, s.nodes, m.cores_per_node).direct &&
           s.nodes > 1;
       EXPECT_EQ(sparse, bruck && s.nodes >= 4);
       for (const Distribution dist :

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/ppm.hpp"
+#include "core/wire.hpp"
+#include "trace/recorder.hpp"
 
 namespace ppm {
 namespace {
@@ -61,7 +63,7 @@ TEST_P(EnvCollectives, AllreduceSum) {
 TEST_P(EnvCollectives, AllgatherIndexedByNode) {
   const int nodes = GetParam();
   const std::vector<PpmConfig> links = both_links(nodes);
-  EXPECT_EQ(plan_allgather(links[1].machine.network, nodes).direct,
+  EXPECT_EQ(plan_allgather(links[1].machine.network, nodes, 1).direct,
             nodes == 2 || nodes == 3);
   for (const PpmConfig& c : links) {
     std::vector<std::vector<int>> views;
@@ -145,17 +147,126 @@ TEST_P(EnvCollectives, ReduceScatterSumsEveryNodesCountForMe) {
 TEST(AllgatherPlan, BenchMachineGoesDirectUpTo84Nodes) {
   // bench/bench_common.hpp's network: 0.6 us overheads, 6 us latency.
   // 84 nodes: 83 sends (49.8 us) undercut 7 hops (50.4 us); 85 do not.
+  // The direct form's sends leave from all cores, ceil(7/4) = 2 rounds
+  // at 8 nodes of 4 cores, but the crossover stays where one core's
+  // sends put it.
   const net::LinkParams link{.latency_ns = 6'000,
                              .bytes_per_ns = 2.0,
                              .send_overhead_ns = 600,
                              .recv_overhead_ns = 600};
-  EXPECT_EQ(plan_allgather(link, 1).cost_ns, 0);
-  EXPECT_TRUE(plan_allgather(link, 8).direct);
-  EXPECT_EQ(plan_allgather(link, 8).cost_ns, 7 * 600 + 6'600);
-  EXPECT_TRUE(plan_allgather(link, 84).direct);
-  EXPECT_FALSE(plan_allgather(link, 85).direct);
-  EXPECT_FALSE(plan_allgather(link, 256).direct);
-  EXPECT_EQ(plan_allgather(link, 256).cost_ns, 8 * 7'200);
+  for (const int cores : {1, 4}) {
+    EXPECT_EQ(plan_allgather(link, 1, cores).cost_ns, 0);
+    EXPECT_TRUE(plan_allgather(link, 8, cores).direct);
+    EXPECT_TRUE(plan_allgather(link, 84, cores).direct);
+    EXPECT_FALSE(plan_allgather(link, 85, cores).direct);
+    EXPECT_FALSE(plan_allgather(link, 256, cores).direct);
+    EXPECT_EQ(plan_allgather(link, 256, cores).cost_ns, 8 * 7'200);
+  }
+  EXPECT_EQ(plan_allgather(link, 8, 1).cost_ns, 7 * 600 + 6'600);
+  EXPECT_EQ(plan_allgather(link, 8, 4).cost_ns, 2 * 600 + 6'600);
+  EXPECT_EQ(plan_allgather(link, 84, 4).cost_ns, 21 * 600 + 6'600);
+}
+
+TEST(FanOut, DirectAllgatherTakesTheNicInSendTimeOrder) {
+  // 8 nodes of 4 cores on bench/bench_common.hpp's network: each node's
+  // seven 16 KiB tokens leave from its four cores, token i from core
+  // i mod 4, so in two send rounds. A token's wire time (8,198 ns) dwarfs
+  // the 600 ns send overhead, so the order in which the egress NIC takes
+  // the tokens fixes every delivery time. Rebuild those times from the
+  // traced send times with NICs that serve egress first-in-first-out by
+  // send time (ties in batch order, the token to node + 1 first) and
+  // ingress by arrival (ties by source, as the fabric orders them).
+  constexpr int kNodes = 8;
+  constexpr int kCores = 4;
+  constexpr size_t kBlob = 16 * 1024;
+  const net::LinkParams link{.latency_ns = 6'000,
+                             .bytes_per_ns = 2.0,
+                             .send_overhead_ns = 600,
+                             .recv_overhead_ns = 600};
+  PpmConfig c = cfg(kNodes, kCores);
+  c.machine.network = link;
+  c.runtime.trace = true;
+  ASSERT_TRUE(plan_allgather(link, kNodes, kCores).direct);
+  cluster::Machine machine(c.machine);
+  Runtime runtime(machine, c.runtime);
+  machine.run_per_node([&](int node) {
+    NodeRuntime& nr = runtime.node(node);
+    nr.start();
+    const std::vector<Bytes> all =
+        nr.allgather_bytes(Bytes(kBlob, static_cast<std::byte>(node)));
+    for (int n = 0; n < kNodes; ++n) {
+      EXPECT_EQ(all[static_cast<size_t>(n)],
+                Bytes(kBlob, static_cast<std::byte>(n)));
+    }
+    nr.finish();
+  });
+
+  struct Token {
+    int src;
+    int dst;
+    int64_t sent;
+    int64_t delivered;
+    int64_t arrival = 0;  // at the destination NIC, rebuilt below
+  };
+  const size_t token_bytes = kBlob + 12;  // (seq, round) head + blob
+  const auto tx = static_cast<int64_t>(token_bytes / 2);
+  std::vector<Token> tokens;
+  for (int n = 0; n < kNodes; ++n) {
+    for (const trace::Event& e : runtime.trace()->node(n).ordered()) {
+      if (e.kind != trace::EventKind::kMsgSend ||
+          (e.b >> 56) != static_cast<uint64_t>(detail::RtMsg::kToken) ||
+          (e.b & 0xffffffu) != token_bytes) {
+        continue;
+      }
+      tokens.push_back(Token{static_cast<int>(e.a >> 48),
+                             static_cast<int>((e.a >> 16) & 0xffffu), e.t_ns,
+                             static_cast<int64_t>(e.c)});
+    }
+  }
+  ASSERT_EQ(tokens.size(), static_cast<size_t>(kNodes * (kNodes - 1)));
+  const auto batch_index = [&](const Token& t) {
+    return (t.dst - t.src - 1 + kNodes) % kNodes;
+  };
+  for (int n = 0; n < kNodes; ++n) {
+    std::vector<Token*> out;
+    for (Token& t : tokens) {
+      if (t.src == n) out.push_back(&t);
+    }
+    std::sort(out.begin(), out.end(), [&](const Token* x, const Token* y) {
+      if (x->sent != y->sent) return x->sent < y->sent;
+      return batch_index(*x) < batch_index(*y);
+    });
+    // Two send rounds: tokens 0-3 at one time, 4-6 one overhead later.
+    ASSERT_EQ(out.size(), 7u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i]->sent - out[0]->sent,
+                static_cast<int64_t>(i / kCores) * link.send_overhead_ns)
+          << "node " << n << " token " << i;
+    }
+    int64_t egress_free = 0;
+    for (Token* t : out) {
+      const int64_t start = std::max(t->sent, egress_free);
+      egress_free = start + tx;
+      t->arrival = start + link.latency_ns;
+    }
+  }
+  for (int n = 0; n < kNodes; ++n) {
+    std::vector<const Token*> in;
+    for (const Token& t : tokens) {
+      if (t.dst == n) in.push_back(&t);
+    }
+    std::sort(in.begin(), in.end(), [](const Token* x, const Token* y) {
+      if (x->arrival != y->arrival) return x->arrival < y->arrival;
+      return x->src < y->src;
+    });
+    int64_t ingress_free = 0;
+    for (const Token* t : in) {
+      const int64_t start = std::max(t->arrival, ingress_free);
+      ingress_free = start + tx;
+      EXPECT_EQ(t->delivered, ingress_free + link.recv_overhead_ns)
+          << "token " << t->src << " -> " << t->dst;
+    }
+  }
 }
 
 TEST_P(EnvCollectives, BroadcastFromEachRoot) {

@@ -342,8 +342,8 @@ TEST(PhaseSemanticsUnderJitter, ReadsOutsidePhasesSeeTheLatestCommit) {
   constexpr int kSeeds = 40;
   constexpr int64_t kRounds = 20;
   const PpmConfig links[] = {cfg(kNodes, 1), with_bruck_link(cfg(kNodes, 1))};
-  ASSERT_TRUE(plan_allgather(links[0].machine.network, kNodes).direct);
-  ASSERT_FALSE(plan_allgather(links[1].machine.network, kNodes).direct);
+  ASSERT_TRUE(plan_allgather(links[0].machine.network, kNodes, 1).direct);
+  ASSERT_FALSE(plan_allgather(links[1].machine.network, kNodes, 1).direct);
   int reads = 0;
   int stale = 0;
   for (const PpmConfig& link : links) {
@@ -483,7 +483,7 @@ TEST(SparseCommit, PeersWrittenOnlyByEagerFlushesGetTheirMarker) {
   constexpr int kSeeds = 40;
   constexpr int64_t kRounds = 5;
   ASSERT_FALSE(
-      plan_allgather(sparse_commit_config().machine.network, 4).direct);
+      plan_allgather(sparse_commit_config().machine.network, 4, 2).direct);
   int checked = 0;
   int wrong = 0;
   for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -534,6 +534,48 @@ TEST(SparseCommit, PeersWrittenOnlyByEagerFlushesGetTheirMarker) {
   EXPECT_EQ(wrong, 0);
 }
 
+TEST(SparseCommit, MarkersToEveryWrittenPeerLeaveFromEveryCore) {
+  // Every node writes all three peers each round, so its three last
+  // markers leave from its three cores, one each (NodeRuntime::
+  // send_fanout): a share that never left would leave its receiver
+  // waiting for a marker the census says is owed. Jitter reorders the
+  // cores' sends on the wire.
+  constexpr uint64_t kSpan = 8;
+  constexpr int64_t kRounds = 4;
+  for (int seed = 1; seed <= 10; ++seed) {
+    PpmConfig c = with_bruck_link(cfg(4, 3));
+    ASSERT_FALSE(plan_allgather(c.machine.network, 4, 3).direct);
+    c.machine.faults.delay_jitter = true;
+    c.machine.faults.seed = static_cast<uint64_t>(seed);
+    std::vector<int64_t> got;
+    const RunResult r = run(c, [&](Env& env) {
+      auto a = env.global_array<int64_t>(4 * kSpan);  // node n: span n
+      const int me = env.node_id();
+      auto vps = env.ppm_do(3);
+      for (int64_t round = 1; round <= kRounds; ++round) {
+        // VP j of node n sets element n of span (n + j + 1) mod 4.
+        vps.global_phase([&](Vp& vp) {
+          const auto span = static_cast<uint64_t>(
+              (me + static_cast<int>(vp.node_rank()) + 1) % 4);
+          a.set(span * kSpan + static_cast<uint64_t>(me), round * 10 + me);
+        });
+      }
+      if (me == 0) {
+        for (uint64_t i = 0; i < 4 * kSpan; ++i) got.push_back(a.get(i));
+      }
+    });
+    EXPECT_EQ(r.bundles_sent, 4u * 3u * static_cast<uint64_t>(kRounds));
+    ASSERT_EQ(got.size(), 4 * kSpan);
+    for (uint64_t i = 0; i < 4 * kSpan; ++i) {
+      const auto writer = static_cast<int64_t>(i % kSpan);
+      const bool written =
+          writer < 4 && writer != static_cast<int64_t>(i / kSpan);
+      EXPECT_EQ(got[i], written ? kRounds * 10 + writer : 0)
+          << "seed " << seed << " element " << i;
+    }
+  }
+}
+
 TEST(SparseCommit, LocalWritesSendNoBundles) {
   const RunResult r = run(sparse_commit_config(), [](Env& env) {
     auto a = env.global_array<int64_t>(64);
@@ -547,6 +589,38 @@ TEST(SparseCommit, LocalWritesSendNoBundles) {
   });
   EXPECT_EQ(r.global_phases, 3u);
   EXPECT_EQ(r.bundles_sent, 0u);
+}
+
+// A node's fan-out (its last markers, a direct allgather's tokens, its
+// migration blocks) leaves from all its cores: message i from core i mod
+// c, each send followed by a scheduling point.
+TEST(FanOut, CommitWithoutWritesPaysOneSendRoundPerCoreShare) {
+  // bench/bench_common.hpp's overheads and latency at 8 nodes: a global
+  // phase that writes nothing commits in one round of header-only last
+  // markers, the p−1 = 7 of each node leaving from its c cores in ⌈7/c⌉
+  // send overheads, then one latency and one receive overhead. The link
+  // is fast enough that a 9-byte marker takes no wire time (it takes
+  // 5 ns at the bench link's 2 B/ns, and markers sent at one instant
+  // queue for it at both NICs), so the round is exactly that.
+  for (const int cores : {1, 2, 4}) {
+    PpmConfig c = cfg(8, cores);
+    c.machine.network = {.latency_ns = 6'000,
+                         .bytes_per_ns = 100.0,
+                         .send_overhead_ns = 600,
+                         .recv_overhead_ns = 600};
+    c.runtime.trace = true;
+    const RunResult r = run(c, [](Env& env) {
+      auto vps = env.ppm_do(4);
+      env.barrier();  // every node enters the phase at the same instant
+      vps.global_phase([](Vp&) {});
+    });
+    ASSERT_EQ(r.trace_summary.phases.size(), 1u);
+    const int64_t send_rounds = (7 + cores - 1) / cores;
+    EXPECT_EQ(r.trace_summary.phases[0].commit_round_ns,
+              send_rounds * 600 + 6'600)
+        << cores << " cores";
+    EXPECT_EQ(r.bundles_sent, 8u * 7u);
+  }
 }
 
 }  // namespace

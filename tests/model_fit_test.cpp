@@ -74,7 +74,8 @@ TEST(FitShape, FormulaRoundTrips) {
 TEST(TermDrivers, MatchAnalyticCosts) {
   const MachineCosts c;  // 5000 ns latency, 2 B/ns, 500+500 ns overheads
   const std::vector<double> d =
-      term_drivers(c, /*nodes=*/8.0, /*compute=*/1e6, /*messages=*/800.0,
+      term_drivers(c, /*nodes=*/8.0, /*cores=*/1, /*compute=*/1e6,
+                   /*messages=*/800.0,
                    /*bytes=*/64000.0, /*fetches=*/160.0, /*stall=*/8000.0,
                    /*payload_commits=*/10.0);
   ASSERT_EQ(d.size(), kTerms);
@@ -88,17 +89,24 @@ TEST(TermDrivers, MatchAnalyticCosts) {
 
 TEST(TermDrivers, BarrierPricesTheRuntimesAllgather) {
   const MachineCosts c;
-  const auto per_commit = [&](double n) {
-    return term_drivers(c, n, 0, 0, 0, 0, 0, 1.0)[5];
+  const auto per_commit = [&](double n, int cores) {
+    return term_drivers(c, n, cores, 0, 0, 0, 0, 0, 1.0)[5];
   };
-  // Direct while the p-1 send overheads undercut ceil(log2 p) hops:
-  // (p-1)*send + latency + recv.
-  EXPECT_DOUBLE_EQ(per_commit(2), 500.0 + 5500.0);
-  EXPECT_DOUBLE_EQ(per_commit(12), 11 * 500.0 + 5500.0);
-  EXPECT_DOUBLE_EQ(per_commit(64), 63 * 500.0 + 5500.0);
-  // Bruck beyond: ceil(log2 p) hops of send + latency + recv.
-  EXPECT_DOUBLE_EQ(per_commit(128), 7 * 6000.0);
-  EXPECT_DOUBLE_EQ(per_commit(9660), 14 * 6000.0);
+  // Direct while one core's p-1 send overheads undercut ceil(log2 p)
+  // hops: the sends leave from all c cores, ceil((p-1)/c)*send + latency
+  // + recv.
+  EXPECT_DOUBLE_EQ(per_commit(2, 1), 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(12, 1), 11 * 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(64, 1), 63 * 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(2, 4), 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(12, 4), 3 * 500.0 + 5500.0);
+  EXPECT_DOUBLE_EQ(per_commit(64, 4), 16 * 500.0 + 5500.0);
+  // Bruck beyond, whatever the cores: ceil(log2 p) hops of send +
+  // latency + recv.
+  for (const int cores : {1, 4}) {
+    EXPECT_DOUBLE_EQ(per_commit(128, cores), 7 * 6000.0);
+    EXPECT_DOUBLE_EQ(per_commit(9660, cores), 14 * 6000.0);
+  }
 }
 
 /// Synthetic observations whose vtime is an exact known combination of
@@ -117,7 +125,7 @@ std::vector<Observation> synthetic_runs(const MachineCosts& costs,
     o.stall_ns = static_cast<uint64_t>(40000.0 * n);
     o.payload_commits = 24;
     const std::vector<double> d = term_drivers(
-        costs, n, static_cast<double>(o.compute_critical_ns),
+        costs, n, o.cores, static_cast<double>(o.compute_critical_ns),
         static_cast<double>(o.messages), static_cast<double>(o.bytes),
         static_cast<double>(o.fetches), static_cast<double>(o.stall_ns),
         static_cast<double>(o.payload_commits));
@@ -141,7 +149,7 @@ TEST(Fit, TightResidualsAndAccurateExtrapolationOnSyntheticRuns) {
   // Held-out ground truth at 12 and 16 nodes, built the same way.
   for (double n : {12.0, 16.0}) {
     const std::vector<double> d = term_drivers(
-        costs, n, 2e6 / n + 5e4, 100.0 * n * n,
+        costs, n, 4, 2e6 / n + 5e4, 100.0 * n * n,
         30000.0 * n * std::log2(n) + 8000.0, 50.0 * n, 40000.0 * n, 24.0);
     double want = 0;
     for (size_t i = 0; i < kTerms; ++i) want += truth[i] * d[i];
@@ -209,10 +217,10 @@ TEST(Observe, ExtractsCountersFromRunResult) {
   r.trace_summary.events = 1000;
   trace::PhaseCritical p1;
   p1.compute_max_ns = 700;
-  p1.commit_max_ns = 300;
+  p1.commit_round_ns = 300;
   trace::PhaseCritical p2;
   p2.compute_max_ns = 1300;
-  p2.commit_max_ns = 200;
+  p2.commit_round_ns = 200;
   r.trace_summary.phases = {p1, p2};
   const Observation o = observe(4, 4, r);
   EXPECT_EQ(o.nodes, 4);

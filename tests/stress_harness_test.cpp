@@ -12,7 +12,9 @@
 namespace ppm::stress {
 namespace {
 
-constexpr uint64_t kSmokeSeeds[] = {1, 2, 3, 4, 5, 6};
+// tools/ppm_stress.cpp's --smoke set (seed 17 for its remote write into
+// a reduced array).
+constexpr uint64_t kSmokeSeeds[] = {1, 2, 3, 4, 5, 6, 17};
 constexpr int kConfigs = 6;
 
 TEST(StressHarness, SmokeSeedsAllClean) {

@@ -87,9 +87,33 @@ TEST(TraceAnalyzeTest, CriticalPathOfKnownPhase) {
   EXPECT_EQ(p.committed_ns, 360);
   EXPECT_EQ(p.compute_max_ns, 290);
   EXPECT_EQ(p.compute_min_ns, 100);
-  EXPECT_EQ(p.commit_max_ns, 60);  // max(150-100, 360-300)
+  // Latest compute-done (node 1, 300) to latest commit end (360).
+  EXPECT_EQ(p.commit_round_ns, 60);
   EXPECT_EQ(p.stall_ns, 50u);      // node 0's 30 -> 80 park
   EXPECT_NEAR(p.imbalance(), 190.0 / 290.0, 1e-9);
+}
+
+TEST(TraceAnalyzeTest, CommitRoundExcludesTheWaitForTheSlowestPeer) {
+  // Node 0 finishes computing at 100 and waits for node 1's last marker;
+  // node 1 finishes at 300 and commits by 365, node 0 by 370. Node 0's
+  // own commit span (100 -> 370) is mostly that wait: the phase's commit
+  // round is 300 -> 370, and the label rolls up the round.
+  Trace t(/*nodes=*/2, /*capacity_per_track=*/16);
+  for (int n = 0; n < 2; ++n) {
+    Recorder& rec = t.node(n);
+    const uint32_t label = rec.intern("update");
+    rec.record(make(EventKind::kPhaseBegin, 0, /*phase=*/0, /*k=*/4, label,
+                    kFlagBit0));
+    rec.record(make(EventKind::kPhaseComputeDone, n == 0 ? 100 : 300, 0));
+    rec.record(make(EventKind::kPhaseCommitted, n == 0 ? 370 : 365, 0));
+  }
+  const Summary s = analyze(t);
+  ASSERT_EQ(s.phases.size(), 1u);
+  EXPECT_EQ(s.phases[0].compute_max_ns, 300);
+  EXPECT_EQ(s.phases[0].committed_ns, 370);
+  EXPECT_EQ(s.phases[0].commit_round_ns, 70) << "not node 0's 270 ns wait";
+  ASSERT_EQ(s.labels.size(), 1u);
+  EXPECT_EQ(s.labels[0].commit_ns, 70);
 }
 
 TEST(TraceAnalyzeTest, ImbalanceHistogramBucket) {

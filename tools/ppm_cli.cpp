@@ -304,9 +304,9 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
     double imbalance_max = 0.0;
     double imbalance_sum = 0.0;
     for (const auto& p : t.phases) {
-      critical_path_ns += p.compute_max_ns + p.commit_max_ns;
+      critical_path_ns += p.compute_max_ns + p.commit_round_ns;
       compute_critical_ns += p.compute_max_ns;
-      commit_critical_ns += p.commit_max_ns;
+      commit_critical_ns += p.commit_round_ns;
       imbalance_max = std::max(imbalance_max, p.imbalance());
       imbalance_sum += p.imbalance();
     }
