@@ -152,53 +152,39 @@ RunResult Runtime::collect() const {
   r.intranode_messages = fs.intra_messages.value();
   r.intranode_bytes = fs.intra_bytes.value();
   for (const auto& n : nodes_) {
-    const auto& c = n->counters();
-    r.global_phases += c.global_phases;
-    r.node_phases += c.node_phases;
-    r.payload_commits += c.payload_commits;
-    r.remote_blocks_fetched += c.blocks_fetched;
-    r.remote_reads_served_from_cache += c.reads_from_cache;
-    r.slow_path_reads += c.slow_path_reads;
-    r.write_entries += c.write_entries;
-    r.bundles_sent += c.bundles_sent;
-    r.fetch_stall_ns += c.fetch_stall_ns;
-    r.prefetch_issued += c.prefetch_issued;
-    r.prefetch_hits += c.prefetch_hits;
-    r.reduction_bytes_saved += c.reduction_bytes_saved;
-    r.blocks_migrated += c.blocks_migrated;
-    r.migration_bytes += c.migration_bytes;
-    r.remote_to_local_conversions += c.remote_to_local_conversions;
     if (const check::PhaseValidator* v = n->validator()) {
       r.check_report.merge(v->report());
     }
   }
-  // Global commits are counted per node; report runtime-wide counts.
-  r.global_phases /= static_cast<uint64_t>(std::max(1, nodes()));
-  r.payload_commits /= static_cast<uint64_t>(std::max(1, nodes()));
 
   // Per-counter rollup: sum plus per-node extremes, one row per
-  // NodeRuntime::Counters field in declaration order.
+  // NodeRuntime::Counters field in declaration order. Each sum is also the
+  // RunResult member the row names.
+  using C = NodeRuntime::Counters;
   static constexpr struct {
     const char* name;
-    uint64_t NodeRuntime::Counters::* field;
+    uint64_t C::* field;
+    uint64_t RunResult::* total;
   } kCounterFields[] = {
-      {"global_phases", &NodeRuntime::Counters::global_phases},
-      {"node_phases", &NodeRuntime::Counters::node_phases},
-      {"payload_commits", &NodeRuntime::Counters::payload_commits},
-      {"blocks_fetched", &NodeRuntime::Counters::blocks_fetched},
-      {"reads_from_cache", &NodeRuntime::Counters::reads_from_cache},
-      {"write_entries", &NodeRuntime::Counters::write_entries},
-      {"bundles_sent", &NodeRuntime::Counters::bundles_sent},
-      {"fetch_stall_ns", &NodeRuntime::Counters::fetch_stall_ns},
-      {"prefetch_issued", &NodeRuntime::Counters::prefetch_issued},
-      {"prefetch_hits", &NodeRuntime::Counters::prefetch_hits},
-      {"reduction_bytes_saved",
-       &NodeRuntime::Counters::reduction_bytes_saved},
-      {"blocks_migrated", &NodeRuntime::Counters::blocks_migrated},
-      {"migration_bytes", &NodeRuntime::Counters::migration_bytes},
-      {"remote_to_local_conversions",
-       &NodeRuntime::Counters::remote_to_local_conversions},
-      {"slow_path_reads", &NodeRuntime::Counters::slow_path_reads},
+      {"global_phases", &C::global_phases, &RunResult::global_phases},
+      {"node_phases", &C::node_phases, &RunResult::node_phases},
+      {"payload_commits", &C::payload_commits, &RunResult::payload_commits},
+      {"blocks_fetched", &C::blocks_fetched,
+       &RunResult::remote_blocks_fetched},
+      {"reads_from_cache", &C::reads_from_cache,
+       &RunResult::remote_reads_served_from_cache},
+      {"write_entries", &C::write_entries, &RunResult::write_entries},
+      {"bundles_sent", &C::bundles_sent, &RunResult::bundles_sent},
+      {"fetch_stall_ns", &C::fetch_stall_ns, &RunResult::fetch_stall_ns},
+      {"prefetch_issued", &C::prefetch_issued, &RunResult::prefetch_issued},
+      {"prefetch_hits", &C::prefetch_hits, &RunResult::prefetch_hits},
+      {"reduction_bytes_saved", &C::reduction_bytes_saved,
+       &RunResult::reduction_bytes_saved},
+      {"blocks_migrated", &C::blocks_migrated, &RunResult::blocks_migrated},
+      {"migration_bytes", &C::migration_bytes, &RunResult::migration_bytes},
+      {"remote_to_local_conversions", &C::remote_to_local_conversions,
+       &RunResult::remote_to_local_conversions},
+      {"slow_path_reads", &C::slow_path_reads, &RunResult::slow_path_reads},
   };
   r.counter_rollup.reserve(std::size(kCounterFields));
   for (const auto& f : kCounterFields) {
@@ -216,8 +202,12 @@ RunResult Runtime::collect() const {
         row.max_node = static_cast<int>(n);
       }
     }
+    r.*f.total = row.sum;
     r.counter_rollup.push_back(std::move(row));
   }
+  // Global commits are counted per node; report runtime-wide counts.
+  r.global_phases /= static_cast<uint64_t>(std::max(1, nodes()));
+  r.payload_commits /= static_cast<uint64_t>(std::max(1, nodes()));
 
   if (trace_) {
     r.trace_summary = trace::analyze(*trace_);
@@ -631,18 +621,14 @@ const std::byte* NodeRuntime::remote_ref(const detail::ArrayRecord& rec,
     return slot.data.data() + offset;
   }
 
+  // Unbundled: one element per message, sent at once as a one-item list.
   auto slot = std::make_shared<FetchSlot>(*engine_);
   slot->bytes = rec.ops.size;
   slot->req_id = next_req_id();
   outstanding_[slot->req_id] = slot;
-  ByteWriter w;
-  w.put(rec.id);
-  w.put(first);
-  w.put(count);
-  w.put(slot->req_id);
-  w.put(epoch_);
-  rt_send(owner, detail::rt_kind(detail::RtMsg::kGetBlock),
-          std::move(w).take());
+  const detail::BlockRequest item{rec.id, first, count, slot->req_id};
+  rt_send(owner, detail::rt_kind(detail::RtMsg::kGetBlockList),
+          detail::encode_block_requests(epoch_, {&item, 1}));
   ++counters_.blocks_fetched;
   wait_fetch(*slot);
   // Unbundled single-element fetch: park the payload in the phase arena so
@@ -685,7 +671,7 @@ NodeRuntime::FetchSlot& NodeRuntime::issue_block_fetch(
   // right before the requester parks.
   auto& q = peer(owner).fetch_backlog;
   if (q.empty()) backlog_owners_.push_back(owner);
-  q.push_back(QueuedFetch{rec.id, first, count, slot->req_id, prefetch});
+  q.push_back({rec.id, first, count, slot->req_id, prefetch});
   backlog_nonempty_ = true;
   ++counters_.blocks_fetched;
   if (prefetch) ++counters_.prefetch_issued;
@@ -701,39 +687,14 @@ void NodeRuntime::flush_fetch_backlog() {
   backlog_owners_.clear();
   backlog_nonempty_ = false;
   for (const int owner : owners) {
-    std::vector<QueuedFetch> q = std::move(peer(owner).fetch_backlog);
+    std::vector<detail::BlockRequest> q =
+        std::move(peer(owner).fetch_backlog);
     peer(owner).fetch_backlog.clear();
     if (q.empty()) continue;
-    if (q.size() == 1) {
-      // A singleton list message would be larger than the plain request;
-      // keep the legacy form (see wire.hpp's >= 2 rule).
-      const QueuedFetch& f = q[0];
-      ByteWriter w;
-      w.put(f.array);
-      w.put(f.first);
-      w.put(f.count);
-      w.put(f.req_id);
-      w.put(epoch_);
-      rt_send(owner,
-              detail::rt_kind(f.prefetch ? detail::RtMsg::kPrefetchBlock
-                                         : detail::RtMsg::kGetBlock),
-              std::move(w).take());
-      continue;
-    }
     // The backlog never outlives an epoch (commit_global drops it), so the
     // list carries the current epoch once.
-    ByteWriter w;
-    w.put(epoch_);
-    w.put(static_cast<uint32_t>(q.size()));
-    for (const QueuedFetch& f : q) {
-      w.put(f.array);
-      w.put(f.first);
-      w.put(f.count);
-      w.put(f.req_id);
-      w.put<uint8_t>(f.prefetch ? 1 : 0);
-    }
     rt_send(owner, detail::rt_kind(detail::RtMsg::kGetBlockList),
-            std::move(w).take());
+            detail::encode_block_requests(epoch_, q));
   }
 }
 
@@ -969,10 +930,11 @@ void NodeRuntime::gather_elems(uint32_t id,
     slot->req_id = next_req_id();
     outstanding_[slot->req_id] = slot;
     ByteWriter w;
-    w.put(rec.id);
-    w.put(slot->req_id);
-    w.put(epoch_);
-    w.put_vector(group.indices);
+    detail::put_varint(w, epoch_);
+    detail::put_varint(w, rec.id);
+    detail::put_varint(w, slot->req_id);
+    detail::put_varint(w, group.indices.size());
+    for (const uint64_t local : group.indices) detail::put_varint(w, local);
     rt_send(owner, detail::rt_kind(detail::RtMsg::kGetIndexed),
             std::move(w).take());
     ++counters_.blocks_fetched;
@@ -1566,7 +1528,7 @@ void NodeRuntime::commit_global() {
   //    entirely. Their table slots reset with the rest in step 9.
   if (backlog_nonempty_) {
     for (const int owner : backlog_owners_) {
-      for (const QueuedFetch& f : peer(owner).fetch_backlog) {
+      for (const detail::BlockRequest& f : peer(owner).fetch_backlog) {
         PPM_CHECK(f.prefetch, "demand fetch still queued at commit");
         outstanding_.erase(f.req_id);
         --counters_.blocks_fetched;
@@ -2358,8 +2320,6 @@ void NodeRuntime::service_loop() {
   for (;;) {
     net::Message msg = endpoint.recv();
     switch (detail::rt_class(msg.kind)) {
-      case detail::RtMsg::kGetBlock:
-      case detail::RtMsg::kPrefetchBlock:
       case detail::RtMsg::kGetIndexed:
       case detail::RtMsg::kGetBlockList:
         handle_get(std::move(msg));
@@ -2438,48 +2398,23 @@ void NodeRuntime::service_loop() {
 }
 
 void NodeRuntime::handle_get(net::Message msg) {
-  // Peek the requester's epoch (layout differs between the kinds).
-  ByteReader r(msg.payload);
-  uint64_t req_epoch;
-  const detail::RtMsg cls = detail::rt_class(msg.kind);
-  if (cls == detail::RtMsg::kGetBlockList) {
-    req_epoch = r.get<uint64_t>();  // list messages lead with the epoch
-  } else if (cls != detail::RtMsg::kGetIndexed) {
-    (void)r.get<uint32_t>();  // array
-    (void)r.get<uint64_t>();  // first
-    (void)r.get<uint64_t>();  // count
-    (void)r.get<uint64_t>();  // req id
-    req_epoch = r.get<uint64_t>();
-  } else {
-    (void)r.get<uint32_t>();  // array
-    (void)r.get<uint64_t>();  // req id
-    req_epoch = r.get<uint64_t>();
-  }
+  const std::byte* const end = msg.payload.data() + msg.payload.size();
+  uint64_t req_epoch = 0;
+  const std::byte* body =
+      detail::get_varint(msg.payload.data(), end, &req_epoch);
   if (req_epoch < epoch_) {
     // A lookahead fetch can legitimately straggle past the requester's
-    // commit (the requester abandoned its slot there): drop it. For
-    // demand reads a stale epoch is a protocol bug. A stale LIST is
-    // legal only when all its items are lookahead (demand requesters
-    // park until served, so their node cannot have committed past).
-    if (cls == detail::RtMsg::kPrefetchBlock) {
-      return;
-    }
-    if (cls == detail::RtMsg::kGetBlockList) {
-      const uint32_t n = r.get<uint32_t>();
-      for (uint32_t k = 0; k < n; ++k) {
-        (void)r.get<uint32_t>();  // array
-        (void)r.get<uint64_t>();  // first
-        (void)r.get<uint64_t>();  // count
-        (void)r.get<uint64_t>();  // req id
-        PPM_CHECK(r.get<uint8_t>() != 0,
-                  "stale fetch list contains a demand item");
-      }
-      return;
-    }
-    PPM_CHECK(false,
+    // commit (the requester abandoned its slot there): drop it. Demand
+    // requesters park until served, so their node cannot have committed
+    // past, and any other stale request is a protocol bug.
+    PPM_CHECK(detail::rt_class(msg.kind) == detail::RtMsg::kGetBlockList,
               "get request for already-committed epoch %llu (at %llu)",
               static_cast<unsigned long long>(req_epoch),
               static_cast<unsigned long long>(epoch_));
+    for (const auto& item : detail::decode_block_requests(body, end)) {
+      PPM_CHECK(item.prefetch, "stale fetch list contains a demand item");
+    }
+    return;
   }
   // A requester's next commit needs this node's last marker (direct form)
   // or census counts (sparse form), so it can run at most one epoch ahead.
@@ -2497,64 +2432,49 @@ void NodeRuntime::handle_get(net::Message msg) {
 }
 
 void NodeRuntime::serve_get(const net::Message& msg) {
-  ByteReader r(msg.payload);
-  ByteWriter reply;
+  const std::byte* const end = msg.payload.data() + msg.payload.size();
+  uint64_t epoch = 0;  // checked by handle_get
+  const std::byte* p = detail::get_varint(msg.payload.data(), end, &epoch);
   // All request coordinates are owner-local (i.e. indices into this
   // node's committed storage), for every distribution.
   if (detail::rt_class(msg.kind) == detail::RtMsg::kGetBlockList) {
-    // Coalesced request, fanned back out as one kGetResp per item — the
-    // requester's response handling is identical to per-block fetches,
-    // and response bytes match the unbatched protocol exactly.
-    (void)r.get<uint64_t>();  // epoch (already checked)
-    const uint32_t n = r.get<uint32_t>();
-    for (uint32_t k = 0; k < n; ++k) {
-      const auto id = r.get<uint32_t>();
-      const auto first = r.get<uint64_t>();
-      const auto count = r.get<uint64_t>();
-      const auto req_id = r.get<uint64_t>();
-      (void)r.get<uint8_t>();  // prefetch flag (epoch check used it)
-      const auto& rec = array(id);
-      PPM_CHECK(count <= rec.chunk_len && first <= rec.chunk_len - count,
+    // One kGetResp per item, so response bytes do not depend on how the
+    // requester coalesced its requests.
+    for (const auto& item : detail::decode_block_requests(p, end)) {
+      const auto& rec = array(item.array);
+      PPM_CHECK(item.count <= rec.chunk_len &&
+                    item.first <= rec.chunk_len - item.count,
                 "get request [%llu, +%llu) outside node %d's storage",
-                static_cast<unsigned long long>(first),
-                static_cast<unsigned long long>(count), node_);
-      ByteWriter item;
-      item.put(req_id);
-      item.put_raw(rec.storage.data() + first * rec.ops.size,
-                   count * rec.ops.size);
+                static_cast<unsigned long long>(item.first),
+                static_cast<unsigned long long>(item.count), node_);
+      ByteWriter reply;
+      reply.put(item.req_id);
+      reply.put_raw(rec.storage.data() + item.first * rec.ops.size,
+                    item.count * rec.ops.size);
       rt_send(msg.src_node, detail::rt_kind(detail::RtMsg::kGetResp),
-              std::move(item).take());
+              std::move(reply).take());
     }
     return;
   }
-  if (detail::rt_class(msg.kind) != detail::RtMsg::kGetIndexed) {
-    const auto id = r.get<uint32_t>();
-    const auto first = r.get<uint64_t>();
-    const auto count = r.get<uint64_t>();
-    const auto req_id = r.get<uint64_t>();
-    const auto& rec = array(id);
-    PPM_CHECK(count <= rec.chunk_len && first <= rec.chunk_len - count,
-              "get request [%llu, +%llu) outside node %d's storage",
-              static_cast<unsigned long long>(first),
-              static_cast<unsigned long long>(count), node_);
-    reply.put(req_id);
-    reply.put_raw(rec.storage.data() + first * rec.ops.size,
-                  count * rec.ops.size);
-  } else {
-    const auto id = r.get<uint32_t>();
-    const auto req_id = r.get<uint64_t>();
-    (void)r.get<uint64_t>();  // epoch (already checked)
-    const auto indices = r.get_vector<uint64_t>();
-    const auto& rec = array(id);
-    reply.put(req_id);
-    for (const uint64_t index : indices) {
-      PPM_CHECK(index < rec.chunk_len,
-                "indexed get for local element %llu outside node %d's "
-                "storage",
-                static_cast<unsigned long long>(index), node_);
-      reply.put_raw(rec.storage.data() + index * rec.ops.size, rec.ops.size);
-    }
+  uint64_t id = 0, req_id = 0, n = 0;
+  p = detail::get_varint(p, end, &id);
+  PPM_CHECK(id <= UINT32_MAX, "garbled indexed get: array id %llu too wide",
+            static_cast<unsigned long long>(id));
+  p = detail::get_varint(p, end, &req_id);
+  p = detail::get_varint(p, end, &n);
+  const auto& rec = array(static_cast<uint32_t>(id));
+  ByteWriter reply;
+  reply.put(req_id);
+  for (uint64_t k = 0; k < n; ++k) {
+    uint64_t index = 0;
+    p = detail::get_varint(p, end, &index);
+    PPM_CHECK(index < rec.chunk_len,
+              "indexed get for local element %llu outside node %d's storage",
+              static_cast<unsigned long long>(index), node_);
+    reply.put_raw(rec.storage.data() + index * rec.ops.size, rec.ops.size);
   }
+  PPM_CHECK(p == end, "garbled indexed get: %zu bytes after the last index",
+            static_cast<size_t>(end - p));
   rt_send(msg.src_node, detail::rt_kind(detail::RtMsg::kGetResp),
           std::move(reply).take());
 }

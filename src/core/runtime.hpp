@@ -709,8 +709,7 @@ class NodeRuntime {
   FetchSlot& issue_block_fetch(const detail::ArrayRecord& rec, int owner,
                                uint64_t first, uint64_t count,
                                bool prefetch);
-  /// Ship every queued per-owner fetch request (kGetBlockList when an
-  /// owner has >= 2, plain kGetBlock/kPrefetchBlock otherwise). Called
+  /// Ship each owner's queued block requests as one kGetBlockList. Called
   /// before any fiber parks on a fetch and at the end of prefetch sweeps;
   /// no-op when the backlog is empty.
   void flush_fetch_backlog();
@@ -785,7 +784,6 @@ class NodeRuntime {
   void run_migration_round(std::vector<Bytes> all_counts);
 
   // Phase engine.
-  void run_vp_loop(const std::function<void(Vp&)>& body);
   void run_chunks(int core_index);
   /// Send a batch of independent messages from all of the node's c cores,
   /// so the batch pays ⌈n/c⌉ send overheads instead of n: message i is in
@@ -911,13 +909,6 @@ class NodeRuntime {
   // invariant is "never park with a non-empty backlog" — wait_fetch
   // flushes right before parking, so a demand fetch's send is delayed at
   // most until its requester runs out of ready VPs to switch to.
-  struct QueuedFetch {
-    uint32_t array = 0;
-    uint64_t first = 0;  // owner-local
-    uint64_t count = 0;
-    uint64_t req_id = 0;
-    bool prefetch = false;
-  };
   std::vector<int> backlog_owners_;  // owners with a non-empty queue
   bool backlog_nonempty_ = false;
 
@@ -933,7 +924,7 @@ class NodeRuntime {
   struct PeerState {
     ByteWriter bundle;  // pending write entries (fragment header inline)
     uint64_t marker_epoch = ~uint64_t{0};  // last epoch in marker_peers_
-    std::vector<QueuedFetch> fetch_backlog;
+    std::vector<detail::BlockRequest> fetch_backlog;
   };
   std::unordered_map<int, PeerState> peers_;
   PeerState& peer(int dest_node) { return peers_[dest_node]; }

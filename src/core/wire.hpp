@@ -1,49 +1,43 @@
 // Wire protocol of the PPM runtime: message kinds carried over each node's
-// service port, and the write-record codec used in bundles and the local
-// log.
+// service port, the write-record codec used in bundles and the local log,
+// and the block-request codec of kGetBlockList.
 //
 // The runtime is the only consumer of the service port, so these kinds
 // cannot collide with mp:: traffic (which uses the per-core rank ports).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 
 namespace ppm::detail {
 
-/// Runtime message classes (top byte of net::Message::kind).
+/// Runtime message classes (top byte of net::Message::kind). Trace spans
+/// name a kind by its number ("k9"), so the numbers stay fixed.
 enum class RtMsg : uint8_t {
-  kGetBlock = 1,   // fetch a contiguous element range of a global array
-  kGetIndexed = 2, // fetch an explicit index list (gather)
-  kGetResp = 3,    // response to either fetch
+  // Gather: varint epoch, array, request id, index count, then the
+  // owner-local indices, all varints. Answered by one kGetResp.
+  kGetIndexed = 2,
+  kGetResp = 3,    // response to a fetch: u64 request id, then the elements
   kBundle = 4,     // write bundle fragment for the current global phase
   kToken = 5,      // keyed control message (barriers, node collectives)
   kShutdown = 6,   // node program finished; service loop may exit
-  // Lookahead fetch: same payload and reply as kGetBlock, but an owner
-  // that already committed past the request's epoch drops it silently (the
-  // requester abandoned the slot at its own commit) instead of treating it
-  // as a protocol error.
-  kPrefetchBlock = 7,
   // Locality engine: one migration block changing owners at a global
   // commit. Payload: u32 array id, u64 migration-block index, then the
   // block's raw element bytes. The receiver stages the payload and applies
   // it from its own commit path once its side of the (identical) plan is
   // reached; no reply.
   kMigrateBlock = 8,
-  // Coalesced block-fetch list: every block request a requester queued for
-  // the same owner while its cores were miss-switching, shipped as one
-  // message. Payload: u64 epoch, u32 item count, then per item u32 array,
-  // u64 first (owner-local), u64 count, u64 req_id, u8 prefetch-flag. The
-  // owner replies with one kGetResp per item (requester-side handling is
-  // identical to per-block fetches). Only sent with >= 2 items — a
-  // singleton stays a plain kGetBlock/kPrefetchBlock, so list requests are
-  // strictly smaller on the wire than the messages they replace. A stale
-  // epoch is legal only when every item is a prefetch (mirrors
-  // kPrefetchBlock's drop rule).
+  // Block fetches: every block request a requester queued for the same
+  // owner while its cores were miss-switching, shipped as one message in
+  // the block-request codec below. The owner replies with one kGetResp
+  // per item.
   kGetBlockList = 9,
 };
 
@@ -75,12 +69,13 @@ inline constexpr size_t kPartialsTrailerTailBytes =
 /// the post-apply allgather instead.
 inline constexpr uint8_t kPartialsRemoteWrite = 0x01;
 
-// Get requests carry the requester's epoch (its count of committed global
-// phases), inside phases and out. An owner that has not yet committed the
-// phase the requester already finished defers serving until it has, so
-// every read sees the snapshot its requester's epoch names. A requester
-// runs at most one epoch ahead: its next commit needs the owner's marker
-// (or, above the allgather crossover, the owner's census counts).
+// Get requests (kGetBlockList, kGetIndexed) lead with the requester's
+// epoch (its count of committed global phases) as a varint, inside phases
+// and out. An owner that has not yet committed the phase the requester
+// already finished defers serving until it has, so every read sees the
+// snapshot its requester's epoch names. A requester runs at most one
+// epoch ahead: its next commit needs the owner's marker (or, above the
+// allgather crossover, the owner's census counts).
 
 /// Write operations a VP can perform on a shared element. Values must
 /// stay in [0, 8): commit builds per-element masks as `1u << op` in a
@@ -176,12 +171,12 @@ inline const std::byte* get_varint(const std::byte* p, const std::byte* end,
                                    uint64_t* v) {
   uint64_t value = 0;
   for (unsigned shift = 0;; shift += 7) {
-    PPM_CHECK(p != end, "garbled write record: truncated varint");
+    PPM_CHECK(p != end, "garbled message: truncated varint");
     const auto b = static_cast<uint8_t>(*p++);
     if (shift == 63) {  // the tenth byte holds bit 63 and must end it
-      PPM_CHECK(b < 0x80, "garbled write record: varint longer than %zu "
-                "bytes", kMaxVarintBytes);
-      PPM_CHECK(b <= 1, "garbled write record: varint overflows 64 bits");
+      PPM_CHECK(b < 0x80, "garbled message: varint longer than %zu bytes",
+                kMaxVarintBytes);
+      PPM_CHECK(b <= 1, "garbled message: varint overflows 64 bits");
     }
     value |= static_cast<uint64_t>(b & 0x7f) << shift;
     if (b < 0x80) {
@@ -333,6 +328,80 @@ inline const std::byte* get_record_head(const std::byte* p,
     PPM_CHECK(h->count > 0, "garbled write record: empty range");
   }
   return p;
+}
+
+/// Append one varint to `w`.
+inline void put_varint(ByteWriter& w, uint64_t v) {
+  std::byte buf[kMaxVarintBytes];
+  w.put_raw(buf, static_cast<size_t>(put_varint(buf, v) - buf));
+}
+
+/// Block requests. A kGetBlockList payload is the requester's epoch, the
+/// item count, then each item, all varints:
+///
+///   varint  array << 1 | prefetch   shared-array id; bit 0 marks a
+///                                   lookahead item
+///   varint  first                   owner-local first element
+///   varint  count                   elements
+///   varint  req_id                  echoed by the item's kGetResp
+///
+/// A fetch of one block is a one-item list. The owner drops a stale list
+/// whose items are all lookahead (their requester abandoned them at its
+/// commit) and rejects any other stale request.
+struct BlockRequest {
+  uint32_t array = 0;
+  uint64_t first = 0;  // owner-local
+  uint64_t count = 0;
+  uint64_t req_id = 0;
+  bool prefetch = false;
+};
+
+/// The kGetBlockList payload asking for `items` at the requester's
+/// `epoch`.
+inline Bytes encode_block_requests(uint64_t epoch,
+                                   std::span<const BlockRequest> items) {
+  ByteWriter w;
+  put_varint(w, epoch);
+  put_varint(w, items.size());
+  for (const BlockRequest& r : items) {
+    put_varint(w, uint64_t{r.array} << 1 | (r.prefetch ? 1 : 0));
+    put_varint(w, r.first);
+    put_varint(w, r.count);
+    put_varint(w, r.req_id);
+  }
+  return std::move(w).take();
+}
+
+/// Decode the items of a kGetBlockList payload from [p, end), the bytes
+/// after its epoch. Throws ppm::Error on a garbled varint (see
+/// get_varint), an array id wider than 32 bits or bytes after the last
+/// item. The owner checks each item's array and range against its
+/// storage.
+inline std::vector<BlockRequest> decode_block_requests(const std::byte* p,
+                                                       const std::byte* end) {
+  uint64_t n = 0;
+  p = get_varint(p, end, &n);
+  std::vector<BlockRequest> items;
+  // An item takes at least four bytes, so a garbled count cannot size the
+  // vector past the payload.
+  items.reserve(std::min<uint64_t>(n, static_cast<uint64_t>(end - p) / 4));
+  for (uint64_t k = 0; k < n; ++k) {
+    BlockRequest& r = items.emplace_back();
+    uint64_t head = 0;
+    p = get_varint(p, end, &head);
+    PPM_CHECK(head >> 1 <= UINT32_MAX,
+              "garbled block request: array id %llu too wide",
+              static_cast<unsigned long long>(head >> 1));
+    r.array = static_cast<uint32_t>(head >> 1);
+    r.prefetch = (head & 1) != 0;
+    p = get_varint(p, end, &r.first);
+    p = get_varint(p, end, &r.count);
+    p = get_varint(p, end, &r.req_id);
+  }
+  PPM_CHECK(p == end,
+            "garbled block request list: %zu bytes after the last item",
+            static_cast<size_t>(end - p));
+  return items;
 }
 
 }  // namespace ppm::detail

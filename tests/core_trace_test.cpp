@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ppm.hpp"
@@ -188,22 +189,74 @@ TEST(TraceTest, SummaryAndLabelsFlow) {
   EXPECT_EQ(on.json.find("\"name\":\"msg\""), std::string::npos);
 }
 
+// A two-node program that moves every NodeRuntime counter off zero:
+// block reads of the other node's half (cold misses, cached reads, a
+// forward stream the lookahead runs ahead of), remote adds, a reduce, one
+// migration planning round on an owner-mapped array, and a node phase.
+RunResult run_every_counter() {
+  PpmConfig cfg;
+  cfg.machine.nodes = 2;
+  cfg.machine.cores_per_node = 1;
+  cfg.runtime.read_block_bytes = 64;  // blocks of 8 int64s
+  constexpr uint64_t kLen = 24 * 8;
+  constexpr uint64_t kHalf = kLen / 2;
+  return run(cfg, [&](Env& env) {
+    auto a = env.global_array<int64_t>(kLen, Distribution::kAdaptive);
+    auto vps = env.ppm_do(kHalf);
+    vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 1); });
+    vps.global_phase([&](Vp& vp) {
+      const uint64_t j = (vp.global_rank() + kHalf) % kLen;
+      a.add(j, a.get(j));
+    });
+    env.rebalance(a);
+    const auto sum = env.reduce(a, ReduceOp::kAdd);
+    vps.global_phase(
+        [&](Vp& vp) { (void)a.get((vp.global_rank() + kHalf) % kLen); });
+    EXPECT_EQ(sum.value(), static_cast<int64_t>(2 * kLen));
+    vps.node_phase([](Vp&) {});
+  });
+}
+
 TEST(TraceTest, CounterRollupAggregatesAcrossNodes) {
   const TracedRun on = run_workload(true, SchedulePolicy::kStatic);
   const auto& rollup = on.result.counter_rollup;
   ASSERT_FALSE(rollup.empty());
-  bool saw_fetches = false;
   for (const auto& c : rollup) {
     EXPECT_LE(c.min, c.max) << c.name;
     EXPECT_GE(c.sum, c.max) << c.name;
     EXPECT_GE(c.min_node, 0);
     EXPECT_LT(c.max_node, 3);
-    if (c.name == "blocks_fetched") {
-      saw_fetches = true;
-      EXPECT_EQ(c.sum, on.result.remote_blocks_fetched);
-    }
   }
-  EXPECT_TRUE(saw_fetches);
+
+  // Every row's sum is the RunResult member it names; the two global
+  // commit counts are reported per runtime. The program moves every
+  // counter, so a row summed into the wrong member leaves its own member
+  // at zero.
+  const RunResult r = run_every_counter();
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"global_phases", r.global_phases * 2},
+      {"node_phases", r.node_phases},
+      {"payload_commits", r.payload_commits * 2},
+      {"blocks_fetched", r.remote_blocks_fetched},
+      {"reads_from_cache", r.remote_reads_served_from_cache},
+      {"write_entries", r.write_entries},
+      {"bundles_sent", r.bundles_sent},
+      {"fetch_stall_ns", r.fetch_stall_ns},
+      {"prefetch_issued", r.prefetch_issued},
+      {"prefetch_hits", r.prefetch_hits},
+      {"reduction_bytes_saved", r.reduction_bytes_saved},
+      {"blocks_migrated", r.blocks_migrated},
+      {"migration_bytes", r.migration_bytes},
+      {"remote_to_local_conversions", r.remote_to_local_conversions},
+      {"slow_path_reads", r.slow_path_reads},
+  };
+  ASSERT_EQ(r.counter_rollup.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const auto& row = r.counter_rollup[i];
+    EXPECT_EQ(row.name, want[i].first);
+    EXPECT_GT(row.sum, 0u) << row.name;
+    EXPECT_EQ(row.sum, want[i].second) << row.name;
+  }
 }
 
 TEST(TraceTest, BinaryExportRoundTripHeader) {

@@ -1,8 +1,9 @@
-// The write-record codec (core/wire.hpp): every field round-trips at the
-// extremes of its type, each varint takes exactly the bytes its value
-// needs, integral values round-trip bit-exactly as varints exactly where
-// that is shorter, garbled varints are rejected, and a bundle of remote
-// writes costs on the wire exactly what the codec says a record costs.
+// The wire codecs (core/wire.hpp): every write-record and block-request
+// field round-trips at the extremes of its type, each varint takes exactly
+// the bytes its value needs, integral values round-trip bit-exactly as
+// varints exactly where that is shorter, garbled varints are rejected, and
+// a bundle of remote writes costs on the wire exactly what the codec says
+// a record costs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,6 +75,59 @@ TEST(WireCodec, VarintTakesTheBytesItsValueNeeds) {
     uint64_t got = 0;
     EXPECT_EQ(detail::get_varint(buf, end, &got), end);
     EXPECT_EQ(got, v);
+  }
+}
+
+// Encode `items` at `epoch`, check the payload is `want_bytes` long, and
+// decode it back.
+std::vector<detail::BlockRequest> block_requests_round_trip(
+    uint64_t epoch, const std::vector<detail::BlockRequest>& items,
+    size_t want_bytes) {
+  const Bytes bytes = detail::encode_block_requests(epoch, items);
+  EXPECT_EQ(bytes.size(), want_bytes);
+  const std::byte* end = bytes.data() + bytes.size();
+  uint64_t got_epoch = 0;
+  const std::byte* p = detail::get_varint(bytes.data(), end, &got_epoch);
+  EXPECT_EQ(got_epoch, epoch);
+  return detail::decode_block_requests(p, end);
+}
+
+TEST(WireCodec, BlockRequestsRoundTripAtTheExtremes) {
+  const detail::BlockRequest max{.array = UINT32_MAX,
+                                 .first = UINT64_MAX,
+                                 .count = UINT64_MAX,
+                                 .req_id = UINT64_MAX,
+                                 .prefetch = true};
+  // epoch (10), item count (1), array << 1 | prefetch (33 bits: 5),
+  // first, count and request id (10 each).
+  const auto got = block_requests_round_trip(UINT64_MAX, {max},
+                                             10 + 1 + 5 + 3 * 10);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].array, max.array);
+  EXPECT_EQ(got[0].first, max.first);
+  EXPECT_EQ(got[0].count, max.count);
+  EXPECT_EQ(got[0].req_id, max.req_id);
+  EXPECT_TRUE(got[0].prefetch);
+
+  // Small fields take a byte each, and the prefetch flag is bit 0 of the
+  // item's first varint.
+  const std::vector<detail::BlockRequest> small = {
+      {.array = 1, .first = 2, .count = 3, .req_id = 4, .prefetch = false},
+      {.array = 5, .first = 6, .count = 7, .req_id = 8, .prefetch = true}};
+  const Bytes bytes = detail::encode_block_requests(9, small);
+  const std::vector<uint8_t> want = {9, 2, 2, 2, 3, 4, 11, 6, 7, 8};
+  ASSERT_EQ(bytes.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(bytes[i]), want[i]) << "byte " << i;
+  }
+  const auto back = block_requests_round_trip(9, small, want.size());
+  ASSERT_EQ(back.size(), 2u);
+  for (size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(back[k].array, small[k].array);
+    EXPECT_EQ(back[k].first, small[k].first);
+    EXPECT_EQ(back[k].count, small[k].count);
+    EXPECT_EQ(back[k].req_id, small[k].req_id);
+    EXPECT_EQ(back[k].prefetch, small[k].prefetch);
   }
 }
 

@@ -47,62 +47,6 @@ TEST(FailureInjection, TruncatedLengthPrefixRejected) {
   });
 }
 
-TEST(FailureInjection, MalformedRuntimeMessageRejected) {
-  // A truncated GetBlock request sent straight to a node's service port
-  // must be detected by the bounds-checked deserializer.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        if (node == 0) {
-          net::Message m;
-          m.src_node = 0;
-          m.src_port = machine.service_port();
-          m.dst_node = 1;
-          m.dst_port = machine.service_port();
-          m.kind = detail::rt_kind(detail::RtMsg::kGetBlock);
-          m.payload = Bytes(2, std::byte{0});  // far too short
-          machine.fabric().send(std::move(m));
-        }
-        Env env(nr);
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, GetForUnknownArrayRejected) {
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint32_t>(42);  // no such array
-          w.put<uint64_t>(0);   // first
-          w.put<uint64_t>(1);   // count
-          w.put<uint64_t>(1);   // req id
-          w.put<uint64_t>(0);   // epoch: current, so it is served
-          net::Message m;
-          m.src_node = 0;
-          m.src_port = machine.service_port();
-          m.dst_node = 1;
-          m.dst_port = machine.service_port();
-          m.kind = detail::rt_kind(detail::RtMsg::kGetBlock);
-          m.payload = std::move(w).take();
-          machine.fabric().send(std::move(m));
-        }
-        Env env(nr);
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
 namespace {
 // Send one raw runtime-service message from node 0 to node 1.
 void inject(cluster::Machine& machine, detail::RtMsg kind, Bytes payload) {
@@ -125,32 +69,21 @@ void put_head(ByteWriter& w, const detail::RecordHead& h) {
 void put_bytes(ByteWriter& w, std::initializer_list<uint8_t> bytes) {
   for (const uint8_t b : bytes) w.put(b);
 }
+
+// Append one block-request item spelled out byte by byte, so the tests do
+// not lean on the codec they check: the array id shifted left once with
+// the prefetch flag in bit 0, then first, count and the request id. Every
+// field is a one-byte varint.
+void put_item(ByteWriter& w, uint32_t array, bool prefetch, uint8_t first,
+              uint8_t count, uint8_t req_id) {
+  put_bytes(w, {static_cast<uint8_t>(array << 1 | (prefetch ? 1 : 0)), first,
+                count, req_id});
+}
 }  // namespace
 
-TEST(FailureInjection, TruncatedPrefetchBlockRejected) {
-  // A lookahead request too short to even carry its array id must be
-  // caught by the bounds-checked deserializer, not read past the buffer.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        if (node == 0) {
-          inject(machine, detail::RtMsg::kPrefetchBlock,
-                 Bytes(2, std::byte{0x5a}));
-        }
-        Env env(nr);
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, PrefetchForUnknownArrayRejected) {
-  // Well-formed prefetch at the current epoch (served, not dropped as
-  // stale) for an array id that was never allocated: must fail loudly in
-  // serve_get.
+TEST(FailureInjection, MalformedRuntimeMessageRejected) {
+  // A block-request list that promises an item and ends, sent straight to
+  // a node's service port, must be detected by the bounds-checked decoder.
   cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
   Runtime runtime(machine, RuntimeOptions{});
   EXPECT_THROW(
@@ -159,84 +92,20 @@ TEST(FailureInjection, PrefetchForUnknownArrayRejected) {
         nr.start();
         if (node == 0) {
           ByteWriter w;
-          w.put<uint32_t>(42);  // no such array
-          w.put<uint64_t>(0);   // first
-          w.put<uint64_t>(1);   // count
-          w.put<uint64_t>(9);   // req id
-          w.put<uint64_t>(0);   // epoch: current, so it is served
-          inject(machine, detail::RtMsg::kPrefetchBlock,
-                 std::move(w).take());
+          put_bytes(w, {0, 1});  // epoch 0, one item, then nothing
+          inject(machine, detail::RtMsg::kGetBlockList, std::move(w).take());
         }
         Env env(nr);
         env.barrier();
         nr.finish();
       }),
       Error);
-}
-
-TEST(FailureInjection, GetTwoEpochsAheadRejected) {
-  // A requester's next commit needs the owner's last marker, so it can run
-  // at most one epoch ahead; a request further ahead is a protocol error,
-  // not a deferral that would wait forever.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  EXPECT_THROW(
-      machine.run_per_node([&](int node) {
-        NodeRuntime& nr = runtime.node(node);
-        nr.start();
-        Env env(nr);
-        auto a = env.global_array<uint64_t>(8);
-        if (node == 0) {
-          ByteWriter w;
-          w.put<uint32_t>(a.id());
-          w.put<uint64_t>(0);  // first
-          w.put<uint64_t>(1);  // count
-          w.put<uint64_t>(9);  // req id
-          w.put<uint64_t>(2);  // epoch 2 while the owner is at epoch 0
-          inject(machine, detail::RtMsg::kGetBlock, std::move(w).take());
-        }
-        env.barrier();
-        nr.finish();
-      }),
-      Error);
-}
-
-TEST(FailureInjection, StalePrefetchSilentlyDropped) {
-  // The one legitimate garble: a lookahead that straggles past the
-  // requester's commit is dropped without error (the requester abandoned
-  // its slot), so a run with such a message still finishes clean.
-  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
-  Runtime runtime(machine, RuntimeOptions{});
-  uint64_t seen = 0;
-  machine.run_per_node([&](int node) {
-    NodeRuntime& nr = runtime.node(node);
-    nr.start();
-    Env env(nr);
-    auto a = env.global_array<uint64_t>(8);
-    auto vps = env.ppm_do(1);
-    vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 5); });
-    vps.global_phase([&](Vp&) {});
-    if (node == 0) {
-      ByteWriter w;
-      w.put<uint32_t>(a.id());
-      w.put<uint64_t>(0);  // first
-      w.put<uint64_t>(1);  // count
-      w.put<uint64_t>(9);  // req id
-      w.put<uint64_t>(0);  // epoch 0: two commits stale by now
-      inject(machine, detail::RtMsg::kPrefetchBlock, std::move(w).take());
-    }
-    env.barrier();
-    vps.global_phase([&](Vp& vp) { seen = a.get(vp.global_rank()); });
-    nr.finish();
-  });
-  EXPECT_EQ(seen, 5u);
 }
 
 namespace {
 // Node 0 sends node 1 a raw get request of `kind` built by
-// `request(array id)`, for the current epoch; node 1, which owns elements
-// 4..7 of the 8-element array, must reject it with an error that names
-// `why`.
+// `request(array id)`; node 1, which owns elements 4..7 of the 8-element
+// array and is at epoch 0, must reject it with an error that names `why`.
 void expect_get_rejected(
     detail::RtMsg kind,
     const std::function<void(ByteWriter&, uint32_t)>& request,
@@ -264,40 +133,155 @@ void expect_get_rejected(
   }
 }
 
-// One block-request item whose first + count wraps around to 1, which is
-// inside node 1's four elements: a check of the sum would accept it and
-// copy from 8 bytes before the owner's storage.
-void put_wrapping_item(ByteWriter& w, uint32_t array) {
-  w.put<uint32_t>(array);
-  w.put<uint64_t>(UINT64_MAX);  // first
-  w.put<uint64_t>(2);           // count
-  w.put<uint64_t>(9);           // req id
+void expect_list_rejected(
+    const std::function<void(ByteWriter&, uint32_t)>& request,
+    const std::string& why) {
+  expect_get_rejected(detail::RtMsg::kGetBlockList, request, why);
 }
 }  // namespace
 
-TEST(FailureInjection, GetBlockRangeThatWrapsRejected) {
-  expect_get_rejected(detail::RtMsg::kGetBlock,
-                      [](ByteWriter& w, uint32_t array) {
-                        put_wrapping_item(w, array);
-                        w.put<uint64_t>(0);  // epoch
-                      },
-                      "outside node 1's storage");
+TEST(FailureInjection, GetForUnknownArrayRejected) {
+  // A well-formed request at the current epoch (served, not dropped as
+  // stale) for an array id that was never allocated must fail loudly in
+  // serve_get, whether it asks for a demand or a lookahead block.
+  for (const bool prefetch : {false, true}) {
+    expect_list_rejected([&](ByteWriter& w, uint32_t) {
+      put_bytes(w, {0, 1});  // epoch 0, one item
+      put_item(w, 42, prefetch, 0, 1, 9);  // no such array
+    }, "unknown shared array id 42");
+  }
 }
 
-TEST(FailureInjection, GetBlockListRangeThatWrapsRejected) {
-  expect_get_rejected(detail::RtMsg::kGetBlockList,
-                      [](ByteWriter& w, uint32_t array) {
-                        w.put<uint64_t>(0);  // epoch
-                        w.put<uint32_t>(2);  // items
-                        put_wrapping_item(w, array);
-                        w.put<uint8_t>(0);  // demand
-                        w.put<uint32_t>(array);
-                        w.put<uint64_t>(0);   // first
-                        w.put<uint64_t>(1);   // count
-                        w.put<uint64_t>(10);  // req id
-                        w.put<uint8_t>(0);    // demand
-                      },
-                      "outside node 1's storage");
+TEST(FailureInjection, TruncatedPrefetchBlockRejected) {
+  // A lookahead item cut off inside its request id varint must be caught
+  // by the bounds-checked decoder, not read past the buffer.
+  expect_list_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {0, 1});  // epoch 0, one item
+    put_bytes(w, {static_cast<uint8_t>(array << 1 | 1), 0, 1});
+    put_bytes(w, {0x89});  // continuation bit, then the payload ends
+  }, "truncated varint");
+}
+
+TEST(FailureInjection, GetTwoEpochsAheadRejected) {
+  // A requester's next commit needs the owner's last marker, so it can run
+  // at most one epoch ahead; a request further ahead is a protocol error,
+  // not a deferral that would wait forever.
+  expect_list_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {2, 1});  // epoch 2 while the owner is at epoch 0
+    put_item(w, array, false, 0, 1, 9);
+  }, "get request for epoch 2, more than one ahead of 0");
+}
+
+namespace {
+// Node 0 runs two global phases with node 1, so node 1 has committed
+// epoch 0 before anything node 0 sends next arrives, then sends it the
+// epoch-0 block-request list `items(array id)`. Returns node 1's error,
+// or "" when the run finishes.
+std::string run_with_stale_list(
+    const std::function<void(ByteWriter&, uint32_t)>& items) {
+  cluster::Machine machine({.nodes = 2, .cores_per_node = 1});
+  Runtime runtime(machine, RuntimeOptions{});
+  try {
+    uint64_t seen = 0;
+    machine.run_per_node([&](int node) {
+      NodeRuntime& nr = runtime.node(node);
+      nr.start();
+      Env env(nr);
+      auto a = env.global_array<uint64_t>(8);
+      auto vps = env.ppm_do(1);
+      vps.global_phase([&](Vp& vp) { a.set(vp.global_rank(), 5); });
+      vps.global_phase([&](Vp&) {});
+      if (node == 0) {
+        ByteWriter w;
+        put_bytes(w, {0});  // epoch 0: two commits stale by now
+        items(w, a.id());
+        inject(machine, detail::RtMsg::kGetBlockList, std::move(w).take());
+      }
+      env.barrier();
+      vps.global_phase([&](Vp& vp) { seen = a.get(vp.global_rank()); });
+      nr.finish();
+    });
+    EXPECT_EQ(seen, 5u);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(FailureInjection, StalePrefetchSilentlyDropped) {
+  // The one legitimate garble: lookahead items that straggle past the
+  // requester's commit are dropped without error (the requester abandoned
+  // their slots), so a run with such a list still finishes clean.
+  EXPECT_EQ(run_with_stale_list([](ByteWriter& w, uint32_t array) {
+              put_bytes(w, {2});  // items
+              put_item(w, array, true, 0, 1, 9);
+              put_item(w, array, true, 1, 1, 10);
+            }),
+            "");
+}
+
+TEST(FailureInjection, StaleListWithADemandItemRejected) {
+  // A demand requester parks until it is served, so its node cannot
+  // commit past the request: a stale list holding a demand item, even
+  // behind a lookahead item, is a protocol error.
+  const std::string error = run_with_stale_list([](ByteWriter& w,
+                                                   uint32_t array) {
+    put_bytes(w, {2});  // items
+    put_item(w, array, true, 0, 1, 9);
+    put_item(w, array, false, 1, 1, 10);
+  });
+  EXPECT_NE(error.find("stale fetch list contains a demand item"),
+            std::string::npos)
+      << error;
+}
+
+TEST(FailureInjection, GetBlockRangeThatWrapsRejected) {
+  // first + count wraps around to 1, which is inside node 1's four
+  // elements: a check of the sum would accept the first item and copy
+  // from 8 bytes before the owner's storage.
+  expect_list_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {0, 2});  // epoch 0, two items
+    detail::put_varint(w, uint64_t{array} << 1);  // demand
+    detail::put_varint(w, UINT64_MAX);             // first
+    put_bytes(w, {2, 9});                          // count, req id
+    put_item(w, array, false, 0, 1, 10);
+  }, "outside node 1's storage");
+}
+
+TEST(FailureInjection, BlockListTrailingBytesRejected) {
+  // One whole item, then a byte that starts no item the count promised.
+  expect_list_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {0, 1});  // epoch 0, one item
+    put_item(w, array, false, 0, 1, 9);
+    put_bytes(w, {0});
+  }, "1 bytes after the last item");
+}
+
+TEST(FailureInjection, BlockRequestArrayIdTooWideRejected) {
+  // Array id 2^32 + array: cut to 32 bits it would name a real array, and
+  // the item would be served.
+  expect_list_rejected([](ByteWriter& w, uint32_t array) {
+    put_bytes(w, {0, 1});  // epoch 0, one item
+    detail::put_varint(w, (uint64_t{1} << 32 | array) << 1);  // demand
+    put_bytes(w, {0, 1, 9});  // first, count, req id
+  }, "array id 4294967296 too wide");
+}
+
+TEST(FailureInjection, GarbledIndexedGetRejected) {
+  // A gather request takes the same framing: epoch, array, request id,
+  // index count and indices, all varints.
+  expect_get_rejected(detail::RtMsg::kGetIndexed, [](ByteWriter& w,
+                                                     uint32_t array) {
+    put_bytes(w, {0, static_cast<uint8_t>(array), 9, 1, 0});
+    put_bytes(w, {0});  // a byte after the one index
+  }, "1 bytes after the last index");
+  expect_get_rejected(detail::RtMsg::kGetIndexed, [](ByteWriter& w,
+                                                     uint32_t array) {
+    put_bytes(w, {0});  // epoch
+    detail::put_varint(w, uint64_t{1} << 32 | array);
+    put_bytes(w, {9, 1, 0});  // req id, one index: 0
+  }, "array id 4294967296 too wide");
 }
 
 TEST(FailureInjection, ShortBlockResponseRejectedOnArrival) {
@@ -312,14 +296,20 @@ TEST(FailureInjection, ShortBlockResponseRejectedOnArrival) {
       if (node == 1) {
         net::Message req =
             machine.fabric().endpoint(1, machine.service_port()).recv();
-        ASSERT_EQ(detail::rt_class(req.kind), detail::RtMsg::kGetBlock);
-        ByteReader r(req.payload);
-        (void)r.get<uint32_t>();            // array
-        EXPECT_EQ(r.get<uint64_t>(), 0u);   // first
-        EXPECT_EQ(r.get<uint64_t>(), 32u);  // count
+        ASSERT_EQ(detail::rt_class(req.kind), detail::RtMsg::kGetBlockList);
+        const std::byte* end = req.payload.data() + req.payload.size();
+        uint64_t epoch = 1;
+        const std::byte* p =
+            detail::get_varint(req.payload.data(), end, &epoch);
+        EXPECT_EQ(epoch, 0u);
+        const auto items = detail::decode_block_requests(p, end);
+        ASSERT_EQ(items.size(), 1u);
+        EXPECT_EQ(items[0].first, 0u);
+        EXPECT_EQ(items[0].count, 32u);
+        EXPECT_FALSE(items[0].prefetch);
         ByteWriter w;
-        w.put(r.get<uint64_t>());  // req id
-        w.put<uint64_t>(7);        // one element
+        w.put(items[0].req_id);
+        w.put<uint64_t>(7);  // one element
         net::Message m;
         m.src_node = 1;
         m.src_port = machine.service_port();

@@ -171,14 +171,14 @@ echo "=== perf smoke (modeled CG, components and bfs vtime gates) ==="
 # max_regression_ratio of the checked-in baseline (bench/perf_baseline.json)
 # so hot-path regressions fail CI instead of silently eroding the figure
 # numbers. Network bytes must not grow at all — the optimization
-# campaign's wire-neutrality invariant. CG's bytes are block fetches;
-# components' are remote write records (label propagation's min_updates),
-# so a regression in either wire format fails here. The adaptive
-# components run adds the locality engine: a planner that moves blocks
-# the wrong way shows up as vtime. bfs ships BFS levels, the smallest
-# integers the write-record codec carries, so it pins the varint value
-# form. Regenerate a baseline (commands are recorded in the JSON) only
-# for intentional model changes.
+# campaign's wire-neutrality invariant. CG's bytes pin block requests
+# and responses; components' are mostly remote write records (label
+# propagation's min_updates), so a regression in either wire format
+# fails here. The adaptive components run adds the locality engine: a
+# planner that moves blocks the wrong way shows up as vtime. bfs ships
+# BFS levels, the smallest integers the write-record codec carries, so it
+# pins the varint value form. Regenerate a baseline (commands are
+# recorded in the JSON) only for intentional model changes.
 perf_json="build/perf_smoke.json"
 perf_cc_json="build/perf_smoke_components.json"
 perf_cca_json="build/perf_smoke_components_adaptive.json"
